@@ -4,10 +4,21 @@
 // fill and its max latency must respect the threshold. The bench aborts if
 // either check fails (these are the acceptance criteria, not just numbers).
 //
+// A second table sweeps the cost of the range-coverage test a found Get
+// pays while tombstones wait in the memtable for FADE to move them down:
+// Get latency and comparator calls per Get at 0, 1k, 4k and 16k live
+// memtable range tombstones. The comparator count is deterministic; the
+// memtable's coverage index keeps it near-flat as the tombstones grow.
+//
 // With --json=PATH, appends one schema-gated record (bench="range_delete",
 // extra keys registered in tools/check_bench_json.py) for the tightest
-// FADE configuration.
+// FADE configuration, carrying the coverage sweep as extra keys.
+#include <atomic>
+#include <utility>
+#include <vector>
+
 #include "bench/bench_common.h"
+#include "src/util/random.h"
 
 namespace acheron {
 namespace bench {
@@ -113,6 +124,82 @@ static void PrintRow(uint64_t dth, const Result& r) {
               r.ds.range_persistence_latency_max);
 }
 
+// Counts every user-key comparison the engine makes.
+class CountingComparator : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    count_.fetch_add(1, std::memory_order_relaxed);
+    return BytewiseComparator()->Compare(a, b);
+  }
+  const char* Name() const override { return "bench.CountingComparator"; }
+  void FindShortestSeparator(std::string* start,
+                             const Slice& limit) const override {
+    BytewiseComparator()->FindShortestSeparator(start, limit);
+  }
+  void FindShortSuccessor(std::string* key) const override {
+    BytewiseComparator()->FindShortSuccessor(key);
+  }
+  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable std::atomic<uint64_t> count_{0};
+};
+
+struct CoverageCost {
+  double cmp_per_get = 0;
+  double get_p50_us = 0;
+};
+
+// |tombstones| range deletes (span 16) at random places in a key space of
+// 1M keys, into a memtable large enough to hold everything; then 10,000
+// Puts spread over the same space, above the tombstones; then found Gets.
+// Each Get runs the full coverage test and nothing is hidden. The
+// tombstones are sparse (at 16k they cover a quarter of the space), so
+// most probed keys are uncovered, like point_read's Gets.
+static CoverageCost MeasureCoverage(uint64_t tombstones) {
+  constexpr uint64_t kSpace = 1000000;
+  constexpr uint64_t kKeys = 10000;
+  constexpr uint64_t kGets = 20000;
+  CountingComparator cmp;
+  Options options = BenchOptions();
+  options.comparator = &cmp;
+  options.write_buffer_size = 64 << 20;  // no flush: all stay in memtable
+  BenchDB db(options);
+  WriteOptions wo;
+  auto key = [](uint64_t i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%08llu",
+                  static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  auto put_key = [&](uint64_t i) { return key(i * (kSpace / kKeys)); };
+  Random rnd(77);
+  for (uint64_t i = 0; i < tombstones; i++) {
+    const uint64_t b = rnd.Uniform(kSpace);
+    CheckOk(db->DeleteRange(wo, key(b), key(b + 16)));
+  }
+  for (uint64_t i = 0; i < kKeys; i++) CheckOk(db->Put(wo, put_key(i), "v"));
+  if (db.PropertyU64("acheron.total-bytes") != 0 ||
+      db->GetDeleteStats().range_deletes_live != tombstones) {
+    std::fprintf(stderr, "E14: coverage sweep left the memtable\n");
+    std::abort();
+  }
+
+  Histogram latency;
+  std::string value;
+  const uint64_t before = cmp.count();
+  for (uint64_t i = 0; i < kGets; i++) {
+    auto t0 = std::chrono::steady_clock::now();
+    CheckOk(db->Get(ReadOptions(), put_key(rnd.Uniform(kKeys)), &value));
+    auto t1 = std::chrono::steady_clock::now();
+    latency.Add(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  CoverageCost c;
+  c.cmp_per_get = static_cast<double>(cmp.count() - before) / kGets;
+  c.get_p50_us = latency.Percentile(50);
+  return c;
+}
+
 static void Main(const std::string& json_path) {
   PrintHeader("E14: range-delete persistence latency vs D_th",
               "latencies in logical ops; FADE guarantee: max <= D_th "
@@ -135,10 +222,26 @@ static void Main(const std::string& json_path) {
     tightest_result = r;
   }
 
+  std::printf("\nE14b: coverage cost of a found Get vs live memtable range "
+              "tombstones\n");
+  std::printf("%-12s %12s %12s\n", "tombstones", "cmp/get", "get_p50_us");
+  // Tombstone counts and the JSON key suffix each is reported under.
+  const std::pair<uint64_t, const char*> kSweep[] = {
+      {0, "0"}, {1000, "1k"}, {4000, "4k"}, {16000, "16k"}};
+  std::vector<CoverageCost> sweep;
+  for (const auto& step : kSweep) {
+    sweep.push_back(MeasureCoverage(step.first));
+    std::printf("%-12llu %12.1f %12.2f\n",
+                static_cast<unsigned long long>(step.first),
+                sweep.back().cmp_per_get,
+                sweep.back().get_p50_us);
+  }
+
   if (!json_path.empty()) {
-    char extra[160];
+    std::string extra;
+    char buf[160];
     std::snprintf(
-        extra, sizeof(extra),
+        buf, sizeof(buf),
         "\"dth\":%llu,\"range_deletes_written\":%llu,"
         "\"range_deletes_persisted\":%llu,"
         "\"range_persistence_latency_max\":%.0f",
@@ -147,6 +250,15 @@ static void Main(const std::string& json_path) {
         static_cast<unsigned long long>(
             tightest_result.ds.range_deletes_persisted),
         tightest_result.ds.range_persistence_latency_max);
+    extra = buf;
+    for (size_t i = 0; i < sweep.size(); i++) {
+      const char* tag = kSweep[i].second;
+      std::snprintf(buf, sizeof(buf),
+                    ",\"cover_cmp_per_get_%s\":%.1f,"
+                    "\"cover_get_p50_us_%s\":%.2f",
+                    tag, sweep[i].cmp_per_get, tag, sweep[i].get_p50_us);
+      extra += buf;
+    }
     WriteJsonResult(json_path, "range_delete", /*threads=*/1,
                     tightest_result.ops, tightest_result.ops_per_sec,
                     tightest_result.op_latency, tightest_result.stats, extra);

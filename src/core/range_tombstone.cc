@@ -56,58 +56,87 @@ Status DecodeRangeTombstones(const Slice& input,
 }
 
 void FragmentedRangeTombstoneList::Build(
-    const Comparator* ucmp, const std::vector<RangeTombstone>& tombstones) {
+    const Comparator* ucmp, std::vector<RangeTombstone> tombstones) {
+  owned_ = std::move(tombstones);
+  std::vector<RangeTombstoneRef> refs;
+  refs.reserve(owned_.size());
+  for (const RangeTombstone& t : owned_) {
+    refs.push_back({Slice(t.begin), Slice(t.end), t.seq});
+  }
+  BuildFromRefs(ucmp, std::move(refs));
+}
+
+// Fragment boundaries are every distinct begin and end key. The sweep visits
+// them in order, closing the tombstones that end at the boundary and opening
+// the ones that begin there; the open tombstones' seqs (a sorted multiset)
+// cover the span up to the next boundary. Each tombstone is compared a
+// constant number of times after the two sorts, so a build costs
+// O(n log n) comparator calls.
+void FragmentedRangeTombstoneList::BuildFromRefs(
+    const Comparator* ucmp, std::vector<RangeTombstoneRef> tombstones) {
   ucmp_ = ucmp;
   fragments_.clear();
-  raw_.clear();
-  raw_.reserve(tombstones.size());
-  for (const RangeTombstone& t : tombstones) {
-    if (ucmp->Compare(t.begin, t.end) < 0) raw_.push_back(t);
-  }
-  if (raw_.empty()) return;
+  seqs_.clear();
+  std::erase_if(tombstones, [ucmp](const RangeTombstoneRef& t) {
+    return ucmp->Compare(t.begin, t.end) >= 0;
+  });
+  if (tombstones.empty()) return;
 
-  // Fragment boundaries: every begin and end key, deduplicated.
-  std::vector<Slice> bounds;
-  bounds.reserve(raw_.size() * 2);
-  for (const RangeTombstone& t : raw_) {
-    bounds.push_back(t.begin);
-    bounds.push_back(t.end);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [ucmp](const Slice& a, const Slice& b) {
-              return ucmp->Compare(a, b) < 0;
+  const size_t n = tombstones.size();
+  std::vector<const RangeTombstoneRef*> by_begin(n), by_end(n);
+  for (size_t i = 0; i < n; i++) by_begin[i] = by_end[i] = &tombstones[i];
+  std::sort(by_begin.begin(), by_begin.end(),
+            [ucmp](const RangeTombstoneRef* a, const RangeTombstoneRef* b) {
+              return ucmp->Compare(a->begin, b->begin) < 0;
             });
-  bounds.erase(std::unique(bounds.begin(), bounds.end(),
-                           [ucmp](const Slice& a, const Slice& b) {
-                             return ucmp->Compare(a, b) == 0;
-                           }),
-               bounds.end());
+  std::sort(by_end.begin(), by_end.end(),
+            [ucmp](const RangeTombstoneRef* a, const RangeTombstoneRef* b) {
+              return ucmp->Compare(a->end, b->end) < 0;
+            });
 
-  // For each adjacent boundary pair, collect the seqs of covering
-  // tombstones. Quadratic in tombstone count, which is fine at the scale a
-  // single memtable/SSTable accumulates; fragments are built once per flush
-  // or table open, never per read.
-  for (size_t i = 0; i + 1 < bounds.size(); i++) {
-    Fragment frag;
-    for (const RangeTombstone& t : raw_) {
-      if (ucmp->Compare(t.begin, bounds[i]) <= 0 &&
-          ucmp->Compare(bounds[i + 1], t.end) <= 0) {
-        frag.seqs.push_back(t.seq);
-      }
+  std::vector<SequenceNumber> active;  // ascending, duplicates kept
+  size_t bi = 0, ei = 0;
+  // Every end lies past its own begin, so the smallest begin comes first.
+  Slice cur = by_begin[0]->begin;
+  // Whether the last fragment ends at |cur|, so an identical successor
+  // extends it instead of fracturing the range.
+  bool last_ends_at_cur = false;
+  while (ei < n) {
+    while (ei < n && ucmp->Compare(by_end[ei]->end, cur) == 0) {
+      active.erase(std::lower_bound(active.begin(), active.end(),
+                                    by_end[ei]->seq));
+      ei++;
     }
-    if (frag.seqs.empty()) continue;
-    std::sort(frag.seqs.begin(), frag.seqs.end());
-    frag.begin.assign(bounds[i].data(), bounds[i].size());
-    frag.end.assign(bounds[i + 1].data(), bounds[i + 1].size());
-    // Merge with the previous fragment when contiguous and identical, so
-    // abutting tombstones do not fracture into needless pieces.
-    if (!fragments_.empty() && fragments_.back().end == frag.begin &&
-        fragments_.back().seqs == frag.seqs) {
-      fragments_.back().end = frag.end;
+    while (bi < n && ucmp->Compare(by_begin[bi]->begin, cur) == 0) {
+      active.insert(std::upper_bound(active.begin(), active.end(),
+                                     by_begin[bi]->seq),
+                    by_begin[bi]->seq);
+      bi++;
+    }
+    if (ei == n) break;  // every tombstone closed (and so opened)
+    Slice next = by_end[ei]->end;
+    if (bi < n && ucmp->Compare(by_begin[bi]->begin, next) < 0) {
+      next = by_begin[bi]->begin;
+    }
+    if (active.empty()) {
+      last_ends_at_cur = false;
+    } else if (last_ends_at_cur &&
+               std::ranges::equal(seqs(fragments_.back()), active)) {
+      fragments_.back().end = next;
     } else {
-      fragments_.push_back(std::move(frag));
+      Fragment f;
+      f.begin = cur;
+      f.end = next;
+      f.seq_begin = static_cast<uint32_t>(seqs_.size());
+      seqs_.insert(seqs_.end(), active.begin(), active.end());
+      f.seq_end = static_cast<uint32_t>(seqs_.size());
+      fragments_.push_back(f);
+      last_ends_at_cur = true;
     }
+    cur = next;
   }
+  fragments_.shrink_to_fit();
+  seqs_.shrink_to_fit();
 }
 
 SequenceNumber FragmentedRangeTombstoneList::MaxCoveringSeq(
@@ -123,9 +152,15 @@ SequenceNumber FragmentedRangeTombstoneList::MaxCoveringSeq(
   // ...must also start at or before it.
   if (ucmp_->Compare(user_key, it->begin) < 0) return 0;
   // Largest covering seq visible at |snapshot|.
-  auto sit = std::upper_bound(it->seqs.begin(), it->seqs.end(), snapshot);
-  if (sit == it->seqs.begin()) return 0;
+  std::span<const SequenceNumber> covering = seqs(*it);
+  auto sit = std::upper_bound(covering.begin(), covering.end(), snapshot);
+  if (sit == covering.begin()) return 0;
   return *(sit - 1);
+}
+
+size_t FragmentedRangeTombstoneList::ApproximateMemoryUsage() const {
+  return fragments_.capacity() * sizeof(Fragment) +
+         seqs_.capacity() * sizeof(SequenceNumber);
 }
 
 }  // namespace acheron

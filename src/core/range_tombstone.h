@@ -6,7 +6,10 @@
 // overlap arbitrarily; FragmentedRangeTombstoneList splits them at every
 // begin/end boundary into disjoint fragments, each carrying the sorted
 // sequence numbers of the tombstones covering it, so a snapshot-aware
-// coverage query is one binary search plus one bound lookup.
+// coverage query is one binary search plus one bound lookup. Building
+// is a sweep over the tombstones sorted by begin and by end: O(n log n)
+// comparator calls for n tombstones, plus one copy of each fragment's
+// covering seqs.
 //
 // Block wire format (written by TableBuilder behind the standard
 // type+crc32c trailer, handle persisted in TableProperties):
@@ -18,6 +21,7 @@
 #define ACHERON_CORE_RANGE_TOMBSTONE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,38 +53,63 @@ void EncodeRangeTombstones(const std::vector<RangeTombstone>& tombstones,
 Status DecodeRangeTombstones(const Slice& input,
                              std::vector<RangeTombstone>* out);
 
+// A range tombstone whose key bytes are owned elsewhere (e.g. the memtable
+// arena).
+struct RangeTombstoneRef {
+  Slice begin;  // inclusive
+  Slice end;    // exclusive
+  SequenceNumber seq = 0;
+};
+
 // Disjoint fragments built from a set of possibly-overlapping raw
 // tombstones. Immutable after Build(); safe for concurrent readers.
+// Fragments point at key bytes (its own copy, or the caller's for
+// BuildFromRefs), so a list is neither copied nor moved.
 class FragmentedRangeTombstoneList {
  public:
   struct Fragment {
-    std::string begin;  // inclusive
-    std::string end;    // exclusive
-    // Ascending sequence numbers of every tombstone covering the fragment.
-    std::vector<SequenceNumber> seqs;
+    Slice begin;  // inclusive
+    Slice end;    // exclusive
+    // Ascending sequence numbers of every tombstone covering the fragment,
+    // as the range [seq_begin, seq_end) of the list's shared seq array.
+    uint32_t seq_begin = 0;
+    uint32_t seq_end = 0;
   };
 
   FragmentedRangeTombstoneList() = default;
+  FragmentedRangeTombstoneList(const FragmentedRangeTombstoneList&) = delete;
+  FragmentedRangeTombstoneList& operator=(const FragmentedRangeTombstoneList&) =
+      delete;
 
-  // Fragment |tombstones| under |ucmp| (user-key order). Empty and inverted
-  // inputs (begin >= end) are dropped.
-  void Build(const Comparator* ucmp,
-             const std::vector<RangeTombstone>& tombstones);
+  // Fragment |tombstones| under |ucmp| (user-key order); the list keeps
+  // them for their key bytes. Empty and inverted inputs (begin >= end) are
+  // dropped.
+  void Build(const Comparator* ucmp, std::vector<RangeTombstone> tombstones);
+  // As Build, but the fragments point at the callers' key bytes, which must
+  // outlive the list.
+  void BuildFromRefs(const Comparator* ucmp,
+                     std::vector<RangeTombstoneRef> tombstones);
 
   bool empty() const { return fragments_.empty(); }
   const std::vector<Fragment>& fragments() const { return fragments_; }
-  // The raw tombstones this list was built from (compaction re-emits them).
-  const std::vector<RangeTombstone>& raw() const { return raw_; }
+  std::span<const SequenceNumber> seqs(const Fragment& f) const {
+    return {seqs_.data() + f.seq_begin, seqs_.data() + f.seq_end};
+  }
 
   // Largest tombstone sequence <= |snapshot| covering |user_key|, or 0 when
   // uncovered. An entry at sequence s is hidden iff the result exceeds s.
   SequenceNumber MaxCoveringSeq(const Slice& user_key,
                                 SequenceNumber snapshot) const;
 
+  // Heap bytes held by the fragments and their seqs; key bytes are not
+  // counted.
+  size_t ApproximateMemoryUsage() const;
+
  private:
   const Comparator* ucmp_ = nullptr;
   std::vector<Fragment> fragments_;
-  std::vector<RangeTombstone> raw_;
+  std::vector<SequenceNumber> seqs_;
+  std::vector<RangeTombstone> owned_;  // Build's copy of the keys
 };
 
 }  // namespace acheron

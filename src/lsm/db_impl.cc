@@ -2790,6 +2790,16 @@ Status DBImpl::DerefValuePointer(const Slice& encoded, const Slice& user_key,
   return s;
 }
 
+SequenceNumber DBImpl::RangeCoveringSeq(const ReadState& state,
+                                        const Slice& key,
+                                        SequenceNumber snapshot) {
+  SequenceNumber rcov = state.mem->MaxRangeCoveringSeq(key, snapshot);
+  if (state.imm != nullptr) {
+    rcov = std::max(rcov, state.imm->MaxRangeCoveringSeq(key, snapshot));
+  }
+  return std::max(rcov, state.current->MaxRangeCoveringSeq(key, snapshot));
+}
+
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
@@ -2832,13 +2842,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // by the same covering tombstone. Only a found value needs the test (a
   // point deletion stays NotFound either way).
   if (s.ok()) {
-    SequenceNumber rcov = state->mem->MaxRangeCoveringSeq(key, snapshot);
-    if (state->imm != nullptr) {
-      rcov = std::max(rcov, state->imm->MaxRangeCoveringSeq(key, snapshot));
-    }
-    rcov = std::max(rcov,
-                    state->current->MaxRangeCoveringSeq(key, snapshot));
-    if (rcov > found_seq) {
+    if (RangeCoveringSeq(*state, key, snapshot) > found_seq) {
       value->clear();
       s = Status::NotFound(Slice());
     } else if (is_pointer) {
@@ -2916,20 +2920,11 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   for (size_t i = 0; i < n; i++) {
     // Same global coverage test as Get: a found value whose sequence is
     // below a covering range tombstone (<= the batch snapshot) is hidden.
-    if (items[i].status.ok()) {
-      SequenceNumber rcov =
-          state->mem->MaxRangeCoveringSeq(keys[i], snapshot);
-      if (state->imm != nullptr) {
-        rcov = std::max(rcov,
-                        state->imm->MaxRangeCoveringSeq(keys[i], snapshot));
-      }
-      rcov = std::max(
-          rcov, state->current->MaxRangeCoveringSeq(keys[i], snapshot));
-      if (rcov > items[i].seq) {
-        items[i].value->clear();
-        items[i].status = Status::NotFound(Slice());
-        items[i].is_pointer = false;
-      }
+    if (items[i].status.ok() &&
+        RangeCoveringSeq(*state, keys[i], snapshot) > items[i].seq) {
+      items[i].value->clear();
+      items[i].status = Status::NotFound(Slice());
+      items[i].is_pointer = false;
     }
   }
 
@@ -3057,7 +3052,7 @@ Iterator* DBImpl::NewIterator(const ReadOptions& options) {
   FragmentedRangeTombstoneList* range_dels = nullptr;
   if (!raw.empty()) {
     range_dels = new FragmentedRangeTombstoneList();
-    range_dels->Build(internal_comparator_.user_comparator(), raw);
+    range_dels->Build(internal_comparator_.user_comparator(), std::move(raw));
   }
   return NewDBIterator(internal_comparator_.user_comparator(), iter, seq,
                        &iter_tombstones_skipped_, range_dels, &vlog_readers_,

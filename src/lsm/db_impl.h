@@ -382,6 +382,14 @@ class DBImpl : public DB {
   Status RecoverVlog(VersionEdit* edit, bool* save_manifest)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
+  // Lock-free: the largest range-tombstone sequence <= |snapshot| covering
+  // |key| across the pinned mem, imm and version, or 0 when uncovered.
+  // Sequence numbers are global, so a found entry is hidden iff this
+  // exceeds its sequence.
+  static SequenceNumber RangeCoveringSeq(const ReadState& state,
+                                         const Slice& key,
+                                         SequenceNumber snapshot);
+
   // Lock-free: dereference an encoded value pointer (keyed back-check
   // against |user_key|) through the reader cache.
   Status DerefValuePointer(const Slice& encoded, const Slice& user_key,

@@ -1,5 +1,7 @@
 #include "src/memtable/memtable.h"
 
+#include <algorithm>
+
 #include "src/util/clock.h"
 #include "src/util/coding.h"
 
@@ -17,6 +19,8 @@ MemTable::MemTable(const InternalKeyComparator& comparator)
       refs_(0),
       table_(comparator_, &arena_),
       range_head_(nullptr),
+      range_index_(nullptr),
+      range_unindexed_(0),
       num_entries_(0),
       num_tombstones_(0),
       earliest_tombstone_seq_(kMaxSequenceNumber),
@@ -146,6 +150,32 @@ void MemTable::AddRange(SequenceNumber s, const Slice& begin,
     earliest_range_tombstone_wall_micros_.store(SystemClock::NowMicros(),
                                                 std::memory_order_relaxed);
   }
+  if (++range_unindexed_ >= kRangeIndexTail) RebuildRangeIndex();
+}
+
+void MemTable::RebuildRangeIndex() {
+  const RangeDelNode* head = range_head_.load(std::memory_order_acquire);
+  const RangeDelRun* older = range_index_.load(std::memory_order_acquire);
+  uint64_t count = range_unindexed_;
+  while (older != nullptr && older->count <= count) {
+    count += older->count;
+    older = older->older;
+  }
+  auto run = std::make_unique<RangeDelRun>();
+  run->head = head;
+  run->count = count;
+  run->older = older;
+  std::vector<RangeTombstoneRef> refs(count);
+  const RangeDelNode* node = head;
+  for (RangeTombstoneRef& ref : refs) {
+    DecodeRangeNode(node, &ref.begin, &ref.end, &ref.seq);
+    node = node->next;
+  }
+  run->fragments.BuildFromRefs(comparator_.comparator.user_comparator(),
+                               std::move(refs));
+  range_index_.store(run.get(), std::memory_order_release);
+  range_runs_.push_back(std::move(run));
+  range_unindexed_ = 0;
 }
 
 void MemTable::DecodeRangeNode(const RangeDelNode* node, Slice* begin,
@@ -165,8 +195,11 @@ SequenceNumber MemTable::MaxRangeCoveringSeq(const Slice& user_key,
                                              SequenceNumber snapshot) const {
   SequenceNumber best = 0;
   const Comparator* ucmp = comparator_.comparator.user_comparator();
+  // Index first: a head loaded after it reaches the top run's head.
+  const RangeDelRun* top = range_index_.load(std::memory_order_acquire);
+  const RangeDelNode* indexed = top != nullptr ? top->head : nullptr;
   for (const RangeDelNode* node = range_head_.load(std::memory_order_acquire);
-       node != nullptr; node = node->next) {
+       node != indexed; node = node->next) {
     Slice begin, end;
     SequenceNumber seq;
     DecodeRangeNode(node, &begin, &end, &seq);
@@ -176,7 +209,22 @@ SequenceNumber MemTable::MaxRangeCoveringSeq(const Slice& user_key,
       best = seq;
     }
   }
+  for (const RangeDelRun* run = top; run != nullptr; run = run->older) {
+    best = std::max(best, run->fragments.MaxCoveringSeq(user_key, snapshot));
+  }
   return best;
+}
+
+void MemTable::RangeIndexMemoryUsage(size_t* live, size_t* total) const {
+  *live = 0;
+  *total = 0;
+  for (const RangeDelRun* run = range_index_.load(std::memory_order_acquire);
+       run != nullptr; run = run->older) {
+    *live += sizeof(RangeDelRun) + run->fragments.ApproximateMemoryUsage();
+  }
+  for (const auto& run : range_runs_) {
+    *total += sizeof(RangeDelRun) + run->fragments.ApproximateMemoryUsage();
+  }
 }
 
 void MemTable::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,10 @@ class MemTable {
   // Record a range tombstone over user keys [begin, end) at |seq|. Range
   // tombstones live outside the skiplist, in an arena-backed lock-free list
   // (single writer pushes with a release store; readers walk concurrently).
-  // Inverted ranges (begin >= end) are dropped.
+  // Inverted ranges (begin >= end) are dropped. Every kRangeIndexTail-th
+  // call also folds the unindexed nodes into the coverage index (see
+  // RangeDelRun): amortized O(log^2 n) comparisons per call, done by the
+  // caller -- the write-group leader, with DBImpl::mutex_ released.
   void AddRange(SequenceNumber seq, const Slice& begin, const Slice& end);
 
   // If memtable contains a value for key, store it in *value and return
@@ -73,9 +77,18 @@ class MemTable {
            SequenceNumber* seq_out = nullptr, bool* is_pointer = nullptr);
 
   // Largest range-tombstone sequence <= |snapshot| covering |user_key|
-  // in this memtable, or 0 when uncovered.
+  // in this memtable, or 0 when uncovered. Lock-free: one binary search per
+  // index run plus a walk of fewer than kRangeIndexTail unindexed nodes.
   SequenceNumber MaxRangeCoveringSeq(const Slice& user_key,
                                      SequenceNumber snapshot) const;
+
+  // Heap bytes of the coverage index: |*live| for the runs readers can
+  // reach, |*total| for every run built (retired runs are freed with the
+  // memtable). Must not race with AddRange.
+  void RangeIndexMemoryUsage(size_t* live, size_t* total) const;
+
+  // Unindexed range tombstones that trigger an index rebuild.
+  static constexpr uint64_t kRangeIndexTail = 32;
 
   // Append every range tombstone in this memtable to |*out| (read-path
   // aggregation and flush).
@@ -131,13 +144,36 @@ class MemTable {
   // One node of the lock-free range-tombstone list. Immutable once
   // published; the encoded payload is
   //   begin_len varint32 | begin | end_len varint32 | end | seq fixed64
-  // laid out directly after the node header in the arena.
-  struct RangeDelNode {
+  // laid out directly after the node header in the arena. Packed, because
+  // the node sits wherever the arena's unaligned Allocate leaves it
+  // (aligning it would change the arena's usage, and so the flush points).
+  struct [[gnu::packed]] RangeDelNode {
     RangeDelNode* next;
     const char* data;
   };
 
+  // An immutable fragmented index over |count| consecutive list nodes,
+  // starting at |head| and running toward older nodes. Runs form a stack,
+  // newest (smallest) on top, that covers the list from the top run's head
+  // down; readers reach it through |range_index_|. A rebuild turns the
+  // unindexed tail into a new run and merges into it every run no larger
+  // than the run being built, like carrying in a binary counter. So each
+  // run at least doubles the tombstones of any run it absorbs: a memtable
+  // with n range tombstones has fewer than log2(n / kRangeIndexTail) + 2
+  // runs to search, and has indexed each tombstone at most
+  // log2(n / kRangeIndexTail) + 1 times, which bounds the runs built
+  // (live plus retired) to that multiple of a full index.
+  struct RangeDelRun {
+    const RangeDelNode* head;
+    uint64_t count;
+    const RangeDelRun* older;  // next run down the stack, or null
+    FragmentedRangeTombstoneList fragments;  // keys point into the arena
+  };
+
   ~MemTable();  // Private since only Unref() should be used to delete it
+
+  // Writer side of AddRange: index the unindexed tail (see RangeDelRun).
+  void RebuildRangeIndex();
 
   static void DecodeRangeNode(const RangeDelNode* node, Slice* begin,
                               Slice* end, SequenceNumber* seq);
@@ -149,6 +185,15 @@ class MemTable {
   // Push-front list head: the writer publishes with a release store;
   // readers acquire-load and walk nodes that never change afterwards.
   std::atomic<RangeDelNode*> range_head_;
+  // Top of the run stack, published with a release store after the run is
+  // built. Readers acquire-load it *before* range_head_, so the top run's
+  // head is always reachable from the head they then load.
+  std::atomic<const RangeDelRun*> range_index_;
+  // Writer-only: every run ever built (readers may still hold retired
+  // ones, so they live as long as the memtable), and the nodes pushed since
+  // the top run was built.
+  std::vector<std::unique_ptr<RangeDelRun>> range_runs_;
+  uint64_t range_unindexed_;
   std::atomic<uint64_t> num_entries_;
   std::atomic<uint64_t> num_tombstones_;
   std::atomic<SequenceNumber> earliest_tombstone_seq_;

@@ -4,6 +4,7 @@
 // of compaction style x delete-awareness.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 
@@ -13,15 +14,32 @@
 
 namespace acheron {
 
+// GoogleTest prints a parameter type that has no PrintTo as its raw bytes,
+// and gtest_discover_tests puts that dump into each ctest name. So every byte
+// here is a value the config sets: the padding is spelled out as zeroed
+// members (left implicit, it held stack garbage), and the case name is
+// derived from the fields instead of stored as a pointer (whose address moves
+// with ASLR). Otherwise the discovered names change from build to build.
 struct SoakConfig {
+  SoakConfig(CompactionStyle s, uint64_t d, bool picking)
+      : style(s), dth(d), delete_aware_picking(picking) {}
+
   CompactionStyle style;
+  uint32_t reserved0 = 0;
   uint64_t dth;
   bool delete_aware_picking;
-  const char* name;
+  char reserved1[7] = {};
+  uint64_t seed = 20260704;
 };
+static_assert(sizeof(SoakConfig) == 32, "SoakConfig must have no padding");
 
 static std::string SoakName(const ::testing::TestParamInfo<SoakConfig>& info) {
-  return info.param.name;
+  const SoakConfig& cfg = info.param;
+  std::string name =
+      cfg.style == CompactionStyle::kLeveling ? "Leveling" : "Tiering";
+  name += cfg.dth == 0 ? "Vanilla" : "Fade";
+  if (cfg.delete_aware_picking) name += "Picking";
+  return name;
 }
 
 class SoakTest : public ::testing::TestWithParam<SoakConfig> {
@@ -47,7 +65,7 @@ TEST_P(SoakTest, LongRandomizedRun) {
   options_.delete_aware_picking = cfg.delete_aware_picking;
   ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
 
-  Random rnd(20260704);
+  Random rnd(cfg.seed);
   std::map<std::string, std::string> model;
   const int kOps = 25000;
   for (int step = 0; step < kOps; step++) {
@@ -125,13 +143,11 @@ TEST_P(SoakTest, LongRandomizedRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SoakTest,
-    ::testing::Values(
-        SoakConfig{CompactionStyle::kLeveling, 0, false, "LevelingVanilla"},
-        SoakConfig{CompactionStyle::kLeveling, 6000, false, "LevelingFade"},
-        SoakConfig{CompactionStyle::kLeveling, 6000, true,
-                   "LevelingFadePicking"},
-        SoakConfig{CompactionStyle::kTiering, 0, false, "TieringVanilla"},
-        SoakConfig{CompactionStyle::kTiering, 6000, false, "TieringFade"}),
+    ::testing::Values(SoakConfig(CompactionStyle::kLeveling, 0, false),
+                      SoakConfig(CompactionStyle::kLeveling, 6000, false),
+                      SoakConfig(CompactionStyle::kLeveling, 6000, true),
+                      SoakConfig(CompactionStyle::kTiering, 0, false),
+                      SoakConfig(CompactionStyle::kTiering, 6000, false)),
     SoakName);
 
 }  // namespace acheron

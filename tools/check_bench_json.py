@@ -8,6 +8,9 @@ consumer, so CI fails on any drift from the schema pinned here. Extending
 the schema is a deliberate act: add the key below in the same change that
 adds it to bench_common.h's WriteJsonResult.
 
+Besides the schema, a few records carry an invariant that CI gates here
+(see RECORD_GATES).
+
 Usage:
   tools/check_bench_json.py <file.json> [--require <bench-name>]...
 
@@ -67,12 +70,22 @@ EXTRA_KEYS = {
         "batch": int,
         "speedup_vs_sequential": (int, float),
     },
-    # exp_range_delete (E14): range tombstones through the FADE monitor.
+    # exp_range_delete (E14): range tombstones through the FADE monitor,
+    # plus the coverage-cost sweep: comparator calls and p50 latency of a
+    # found Get at 0, 1k, 4k and 16k live memtable range tombstones.
     "range_delete": {
         "dth": int,
         "range_deletes_written": int,
         "range_deletes_persisted": int,
         "range_persistence_latency_max": (int, float),
+        "cover_cmp_per_get_0": (int, float),
+        "cover_get_p50_us_0": (int, float),
+        "cover_cmp_per_get_1k": (int, float),
+        "cover_get_p50_us_1k": (int, float),
+        "cover_cmp_per_get_4k": (int, float),
+        "cover_get_p50_us_4k": (int, float),
+        "cover_cmp_per_get_16k": (int, float),
+        "cover_get_p50_us_16k": (int, float),
     },
     # exp_kv_sep (E15): key-value separation. The headline record is the
     # 4 KiB separation-on run; baseline/reduction fields compare against
@@ -93,6 +106,26 @@ EXTRA_KEYS = {
         "values_purged": int,
         "value_purge_latency_max": (int, float),
     },
+}
+
+
+def gate_range_delete(obj):
+    """A found Get's range-coverage cost must stay near-flat as memtable
+    range tombstones pile up: the comparator count (deterministic, unlike
+    the latency, which is not gated) at 16k tombstones is at most twice the
+    count at 1k. A linear scan of the tombstones fails this by ~16x."""
+    at_1k = obj["cover_cmp_per_get_1k"]
+    at_16k = obj["cover_cmp_per_get_16k"]
+    if at_16k > 2 * at_1k:
+        return [f"cover_cmp_per_get_16k = {at_16k} exceeds 2x "
+                f"cover_cmp_per_get_1k = {at_1k}"]
+    return []
+
+
+# Bench name -> check run on each record that passed the schema; returns a
+# list of problems.
+RECORD_GATES = {
+    "range_delete": gate_range_delete,
 }
 
 
@@ -148,7 +181,10 @@ def main(argv):
         schema = SCHEMA
         if bench in EXTRA_KEYS:
             schema = {**SCHEMA, **EXTRA_KEYS[bench]}
+        before = len(errors)
         check_object(obj, schema, where, errors)
+        if len(errors) == before and bench in RECORD_GATES:
+            errors.extend(f"{where}: {e}" for e in RECORD_GATES[bench](obj))
         if isinstance(bench, str):
             seen_benches.add(bench)
             if bench not in KNOWN_BENCHES:
