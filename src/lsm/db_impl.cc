@@ -94,8 +94,6 @@ Options SanitizeOptions(const std::string&, const Options& src) {
   result.num_levels = clamp(result.num_levels, 1, kNumLevels);
   result.level0_compaction_trigger =
       clamp(result.level0_compaction_trigger, 1, 64);
-  // The pipeline currently runs a single background worker.
-  result.max_background_jobs = clamp(result.max_background_jobs, 1, 1);
   result.level0_slowdown_writes_trigger =
       clamp(result.level0_slowdown_writes_trigger, 1, 1 << 20);
   // A stop trigger below the slowdown trigger would block writers before

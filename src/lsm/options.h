@@ -161,12 +161,6 @@ struct Options {
   // ACHERON_BACKGROUND_COMPACTIONS=0|1 environment variable.
   bool background_compactions = false;
 
-  // Upper bound on concurrently scheduled background jobs per DB. The
-  // current pipeline uses a single compaction/flush worker (leveldb-style),
-  // so values > 1 are accepted but clamped to 1; the knob exists so the
-  // option struct is stable when multi-job scheduling lands.
-  int max_background_jobs = 1;
-
   // Soft backpressure: when L0 holds at least this many files, each writer
   // group is delayed ~1ms (once) to let the background worker catch up,
   // smearing the write cost instead of stalling for whole compactions.

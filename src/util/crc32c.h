@@ -30,6 +30,21 @@ inline uint32_t Unmask(uint32_t masked_crc) {
   return ((rot >> 17) | (rot << 15));
 }
 
+// The two kernels behind Extend, exposed for the differential test and the
+// micro benchmark only; callers use Extend/Value.
+namespace internal {
+
+// Byte-at-a-time table kernel: runs on every CPU and is the test oracle.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+// True when the CPU has the crc32 instruction (x86-64 SSE4.2). Detected once.
+bool HardwareAvailable();
+
+// crc32-instruction kernel. Precondition: HardwareAvailable().
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
+
+}  // namespace internal
+
 }  // namespace crc32c
 }  // namespace acheron
 
