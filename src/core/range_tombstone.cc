@@ -151,11 +151,31 @@ SequenceNumber FragmentedRangeTombstoneList::MaxCoveringSeq(
   if (it == fragments_.end()) return 0;
   // ...must also start at or before it.
   if (ucmp_->Compare(user_key, it->begin) < 0) return 0;
-  // Largest covering seq visible at |snapshot|.
-  std::span<const SequenceNumber> covering = seqs(*it);
+  return MaxVisibleSeq(*it, snapshot);
+}
+
+SequenceNumber FragmentedRangeTombstoneList::MaxVisibleSeq(
+    const Fragment& f, SequenceNumber snapshot) const {
+  std::span<const SequenceNumber> covering = seqs(f);
   auto sit = std::upper_bound(covering.begin(), covering.end(), snapshot);
   if (sit == covering.begin()) return 0;
   return *(sit - 1);
+}
+
+SequenceNumber FragmentedRangeTombstoneList::Cursor::MaxCoveringSeq(
+    const Slice& user_key, SequenceNumber snapshot) {
+  const std::vector<Fragment>& fragments = list_->fragments_;
+  const Comparator* ucmp = list_->ucmp_;
+  // Skip the fragments that end at or before the key; keys only grow, so
+  // they can never cover a later query either.
+  while (pos_ < fragments.size() &&
+         ucmp->Compare(user_key, fragments[pos_].end) >= 0) {
+    pos_++;
+  }
+  if (pos_ == fragments.size()) return 0;
+  const Fragment& f = fragments[pos_];
+  if (ucmp->Compare(user_key, f.begin) < 0) return 0;
+  return list_->MaxVisibleSeq(f, snapshot);
 }
 
 size_t FragmentedRangeTombstoneList::ApproximateMemoryUsage() const {

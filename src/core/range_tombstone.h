@@ -105,11 +105,32 @@ class FragmentedRangeTombstoneList {
   // counted.
   size_t ApproximateMemoryUsage() const;
 
+  // MaxCoveringSeq for keys queried in ascending order (a compaction's
+  // merge stream): the cursor only walks forward over the fragments, so a
+  // sorted run of queries costs amortised O(1) comparisons each instead of
+  // a binary search. The list must outlive the cursor.
+  class Cursor {
+   public:
+    explicit Cursor(const FragmentedRangeTombstoneList* list) : list_(list) {}
+
+    // REQUIRES: |user_key| is not below the previous query's key.
+    SequenceNumber MaxCoveringSeq(const Slice& user_key,
+                                  SequenceNumber snapshot);
+
+   private:
+    const FragmentedRangeTombstoneList* const list_;
+    size_t pos_ = 0;  // first fragment whose end may still be past the key
+  };
+
  private:
   const Comparator* ucmp_ = nullptr;
   std::vector<Fragment> fragments_;
   std::vector<SequenceNumber> seqs_;
   std::vector<RangeTombstone> owned_;  // Build's copy of the keys
+
+  // Largest seq <= |snapshot| among |f|'s covering seqs, or 0.
+  SequenceNumber MaxVisibleSeq(const Fragment& f,
+                               SequenceNumber snapshot) const;
 };
 
 }  // namespace acheron

@@ -10,6 +10,7 @@
 #include "src/lsm/filename.h"
 #include "src/lsm/merger.h"
 #include "src/lsm/table_cache.h"
+#include "src/lsm/table_sink.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
 #include "src/table/table_builder.h"
@@ -21,32 +22,8 @@ namespace acheron {
 
 // Per-compaction working state.
 struct DBImpl::CompactionState {
-  // Files produced by compaction
-  struct Output {
-    uint64_t number;
-    uint64_t file_size;
-    InternalKey smallest, largest;
-    uint64_t num_entries = 0;
-    uint64_t num_tombstones = 0;
-    SequenceNumber earliest_tombstone_seq = kMaxSequenceNumber;
-    uint64_t earliest_tombstone_wall_micros = UINT64_MAX;
-    uint64_t num_range_tombstones = 0;
-    SequenceNumber earliest_range_tombstone_seq = kMaxSequenceNumber;
-    uint64_t earliest_range_tombstone_wall_micros = UINT64_MAX;
-    std::string range_del_begin;
-    std::string range_del_end;
-    std::string min_secondary_key;
-    std::string max_secondary_key;
-    // [min,max] vLog segment span of kTypeValuePointer entries (0 = none);
-    // feeds FileMetaData so segment liveness tracking survives compaction.
-    uint64_t min_vlog_segment = 0;
-    uint64_t max_vlog_segment = 0;
-  };
-
-  Output* current_output() { return &outputs[outputs.size() - 1]; }
-
   explicit CompactionState(Compaction* c)
-      : compaction(c), smallest_snapshot(0), total_bytes(0) {}
+      : compaction(c), smallest_snapshot(0) {}
 
   Compaction* const compaction;
 
@@ -55,14 +32,6 @@ struct DBImpl::CompactionState {
   // we have seen a sequence number S <= smallest_snapshot, we can drop all
   // entries for the same key with sequence numbers < S.
   SequenceNumber smallest_snapshot;
-
-  std::vector<Output> outputs;
-
-  // State kept for output being generated
-  std::unique_ptr<WritableFile> outfile;
-  std::unique_ptr<TableBuilder> builder;
-
-  uint64_t total_bytes;
 };
 
 // One queued write. The owning thread sleeps on |cv| until a group leader
@@ -77,6 +46,12 @@ struct DBImpl::Writer {
   bool done;
   CondVar cv;
 };
+
+namespace {
+// Size of the compaction read-ahead window (CompactionPrefetcher); each DB
+// allocates it once and reuses it for every compaction.
+constexpr size_t kCompactionReadAheadBytes = 1 << 20;
+}  // namespace
 
 Options SanitizeOptions(const std::string&, const Options& src) {
   Options result = src;
@@ -129,6 +104,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       compaction_active_(false),
       bg_compaction_scheduled_(false),
       background_work_finished_signal_(&mutex_),
+      output_worker_(std::make_unique<TableSinkWorker>(env_)),
+      compaction_read_ahead_(new char[kCompactionReadAheadBytes]),
       planner_(options_, &internal_comparator_),
       vlog_readers_(env_, dbname) {
   // The Options copy held by the DB (and handed to tables) always carries a
@@ -795,159 +772,64 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool, bool* save_manifest,
   return status;
 }
 
-Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
-  const uint64_t start_micros = SystemClock::NowMicros();
-  FileMetaData meta;
-  meta.number = versions_->NewFileNumber();
-  pending_outputs_.insert(meta.number);
-  Iterator* iter = mem->NewIterator();
-  const std::string fname = TableFileName(dbname_, meta.number);
+uint64_t DBImpl::NewOutputFileNumber() {
+  MutexLock l(&mutex_);
+  const uint64_t number = versions_->NewFileNumber();
+  pending_outputs_.insert(number);
+  return number;
+}
 
-  Status s;
+Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
   // Build the table with the mutex released. |mem| is frozen -- it is
   // either imm_ (no writer touches it again) or a recovery-time memtable
-  // before any concurrency exists -- and the file number is protected from
-  // GC by pending_outputs_.
+  // before any concurrency exists -- and the output number is protected
+  // from GC by pending_outputs_.
   mutex_.Unlock();
-  {
-    std::unique_ptr<WritableFile> file;
-    s = env_->NewWritableFile(fname, &file);  // io: unlocked
+  const Comparator* ucmp = internal_comparator_.user_comparator();
+  TableSink sink(options_, ucmp, env_, dbname_,
+                 [this] { return NewOutputFileNumber(); },
+                 output_worker_.get());
+  TableSink::Run run;
+  // |mem| is frozen, so the push-front range-tombstone list is stable.
+  mem->CollectRangeTombstones(&run.range_tombstones);
+  run.tombstone_wall_micros = mem->earliest_tombstone_wall_micros();
+  run.range_tombstone_wall_micros = mem->earliest_range_tombstone_wall_micros();
+  if (!run.range_tombstones.empty()) {
+    // A range-only memtable must still become an L0 file (the tombstones
+    // have to reach the tree to age and drop). L0 files may overlap freely,
+    // so span-derived bounds are safe here.
+    const RangeTombstone* lo = &run.range_tombstones[0];
+    const RangeTombstone* hi = lo;
+    SequenceNumber max_seq = 0;
+    for (const RangeTombstone& t : run.range_tombstones) {
+      if (ucmp->Compare(t.begin, lo->begin) < 0) lo = &t;
+      if (ucmp->Compare(t.end, hi->end) > 0) hi = &t;
+      max_seq = std::max(max_seq, t.seq);
+    }
+    run.range_only_smallest =
+        InternalKey(lo->begin, max_seq, kValueTypeForSeek);
+    run.range_only_largest = InternalKey(hi->end, 0, kTypeDeletion);
+  }
+  sink.BeginRun(std::move(run));
+  std::unique_ptr<Iterator> iter(mem->NewIterator());
+  for (iter->SeekToFirst(); iter->Valid() && !sink.failed(); iter->Next()) {
+    sink.Add(iter->key(), iter->value());
+  }
+  Status s = iter->status();
+  Status finished = sink.Finish(s);
+  if (s.ok()) s = finished;
+
+  mutex_.Lock();
+  for (const TableSink::Output& out : sink.outputs()) {
+    pending_outputs_.erase(out.meta.number);
     if (s.ok()) {
-      TableBuilder builder(options_, file.get());
-      // |mem| is frozen, so the push-front range-tombstone list is stable.
-      std::vector<RangeTombstone> range_dels;
-      mem->CollectRangeTombstones(&range_dels);
-      iter->SeekToFirst();
-      const bool has_data = iter->Valid();
-      if (has_data || !range_dels.empty()) {
-        if (has_data) {
-          meta.smallest.DecodeFrom(iter->key());
-          for (; iter->Valid(); iter->Next()) {
-            Slice key = iter->key();
-            meta.largest.DecodeFrom(key);
-            const Slice user_key = ExtractUserKey(key);
-            builder.Add(key, iter->value(), user_key);
-            ParsedInternalKey parsed;
-            if (ParseInternalKey(key, &parsed)) {
-              if (parsed.type == kTypeValuePointer) {
-                // Track the [min,max] vLog segment span: RemoveObsoleteFiles
-                // keeps every segment inside a live file's span alive.
-                vlog::FoldVlogSpan(iter->value(), &meta.min_vlog_segment,
-                                   &meta.max_vlog_segment);
-              } else if (parsed.type == kTypeValue &&
-                  options_.secondary_key_extractor) {
-                std::string sec =
-                    options_.secondary_key_extractor(user_key, iter->value());
-                if (!sec.empty()) {
-                  if (meta.min_secondary_key.empty() ||
-                      sec < meta.min_secondary_key) {
-                    meta.min_secondary_key = sec;
-                  }
-                  if (meta.max_secondary_key.empty() ||
-                      sec > meta.max_secondary_key) {
-                    meta.max_secondary_key = sec;
-                  }
-                }
-              }
-            }
-          }
-        }
-        if (!range_dels.empty()) {
-          const Comparator* ucmp = internal_comparator_.user_comparator();
-          std::string span_begin, span_end;
-          SequenceNumber max_seq = 0;
-          for (const RangeTombstone& t : range_dels) {
-            builder.AddRangeTombstone(t.begin, t.end, t.seq, ucmp);
-            if (span_begin.empty() ||
-                ucmp->Compare(t.begin, span_begin) < 0) {
-              span_begin = t.begin;
-            }
-            if (span_end.empty() || ucmp->Compare(t.end, span_end) > 0) {
-              span_end = t.end;
-            }
-            max_seq = std::max(max_seq, t.seq);
-          }
-          meta.num_range_tombstones = mem->num_range_tombstones();
-          meta.earliest_range_tombstone_seq =
-              mem->earliest_range_tombstone_seq();
-          meta.earliest_range_tombstone_wall_micros =
-              mem->earliest_range_tombstone_wall_micros();
-          meta.range_del_begin = span_begin;
-          meta.range_del_end = span_end;
-          if (!has_data) {
-            // A range-only memtable must still become an L0 file (the
-            // tombstones have to reach the tree to age and drop). L0 files
-            // may overlap freely, so span-derived bounds are safe here.
-            meta.smallest =
-                InternalKey(span_begin, max_seq, kValueTypeForSeek);
-            meta.largest = InternalKey(span_end, 0, kTypeDeletion);
-          }
-        }
-        meta.num_entries = builder.NumEntries();
-        meta.num_tombstones = mem->num_tombstones();
-        meta.earliest_tombstone_seq = mem->earliest_tombstone_seq();
-        meta.earliest_tombstone_wall_micros =
-            mem->earliest_tombstone_wall_micros();
-        // Mirror the metadata into the table's own properties block.
-        // (AddRangeTombstone already maintained the range span/count/seq
-        // fields; only the wall stamp needs the memtable's clock.)
-        TableProperties* props = builder.mutable_properties();
-        props->num_tombstones = meta.num_tombstones;
-        props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-        props->earliest_tombstone_wall_micros =
-            meta.earliest_tombstone_wall_micros;
-        props->earliest_range_tombstone_wall_micros =
-            meta.earliest_range_tombstone_wall_micros;
-        props->min_secondary_key = meta.min_secondary_key;
-        props->max_secondary_key = meta.max_secondary_key;
-        bool close_attempted = false;
-        s = builder.Finish();
-        if (s.ok()) {
-          meta.file_size = builder.FileSize();
-          // Always sync, independent of Options::sync_writes: the manifest
-          // record that makes this table live is synced at install, so the
-          // table data must be durable first or a crash could leave a live
-          // version pointing at a torn file.
-          s = file->Sync();
-          if (s.ok()) {
-            s = file->Close();
-            close_attempted = true;
-          }
-        }
-        if (!close_attempted) {
-          // The output cannot be installed (build or sync failed); it is
-          // removed below. Close deliberately -- the dropped status is a
-          // conscious choice here, not a silent one in the destructor.
-          (void)file->Close();  // io: unlocked -- abandoned flush output
-        }
-      } else {
-        builder.Abandon();
-        (void)file->Close();  // io: unlocked -- abandoned empty output
-      }
+      FileMetaData meta = out.meta;
+      meta.run_id = meta.number;
+      edit->AddFile(0, meta);
+      stats_.flush_count++;
+      stats_.flush_bytes_written += meta.file_size;
     }
   }
-
-  if (!iter->status().ok()) {
-    s = iter->status();
-  }
-  delete iter;
-
-  // Note that if file_size is zero, the file has been deleted and should
-  // not be added to the manifest.
-  const bool keep = s.ok() && meta.file_size > 0;
-  if (!keep) {
-    (void)env_->RemoveFile(fname);  // io: unlocked
-  }
-  mutex_.Lock();
-  pending_outputs_.erase(meta.number);
-
-  if (keep) {
-    meta.run_id = meta.number;
-    edit->AddFile(0, meta);
-    stats_.flush_count++;
-    stats_.flush_bytes_written += meta.file_size;
-  }
-  (void)start_micros;
   return s;
 }
 
@@ -1212,12 +1094,34 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
     }
   }
 
+  // The rewrites run unlocked: the compaction slot is held and |base| pins
+  // the targets. The sink builds inline on this thread, because the
+  // relocation appends share its entry stream; its Finish is the wait that
+  // makes the replacements durable before the edit below names them.
   uint64_t relocated_values = 0;
   uint64_t relocated_bytes = 0;
+  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
+                 dbname_, [this] { return NewOutputFileNumber(); },
+                 /*worker=*/nullptr);
+  mutex_.Unlock();
   for (const Target& t : targets) {
     if (!s.ok()) break;
-    s = RewriteFileForVlogGc(t.f, t.level, segment, reloc.get(), &edit,
+    s = RewriteFileForVlogGc(*t.f, segment, reloc.get(), &sink,
                              &relocated_values, &relocated_bytes);
+  }
+  Status finished = sink.Finish(s);
+  if (s.ok()) s = finished;
+  mutex_.Lock();
+  if (s.ok()) {
+    for (size_t i = 0; i < targets.size(); i++) {
+      edit.RemoveFile(targets[i].level, targets[i].f->number);
+    }
+    for (const TableSink::Output& out : sink.outputs()) {
+      const Target& t = targets[out.run];
+      FileMetaData meta = out.meta;
+      meta.run_id = t.f->run_id;  // preserve recency ordering within the level
+      edit.AddFile(t.level, meta);
+    }
   }
 
   if (s.ok() && reloc != nullptr) {
@@ -1281,61 +1185,56 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
     RemoveObsoleteFiles();
   }
   if (reloc_number != 0) pending_outputs_.erase(reloc_number);
+  for (const TableSink::Output& out : sink.outputs()) {
+    pending_outputs_.erase(out.meta.number);
+  }
   base->Unref();
   return s;
 }
 
-Status DBImpl::RewriteFileForVlogGc(const FileMetaData* f, int level,
-                                    uint64_t victim, vlog::Writer* reloc,
-                                    VersionEdit* edit,
+Status DBImpl::BeginRewriteRun(const FileMetaData& f, TableSink* sink) {
+  // The replacement inherits |f|'s wall stamps and, should every point
+  // entry go, its key range (it fills the same slot in the level). Range
+  // tombstones are carried verbatim: losing them would resurrect every key
+  // they cover.
+  TableSink::Run run;
+  if (f.has_range_tombstones()) {
+    Status s = table_cache_->GetRangeTombstones(f.number, f.file_size,
+                                                &run.range_tombstones);
+    if (!s.ok()) return s;
+  }
+  run.tombstone_wall_micros = f.earliest_tombstone_wall_micros;
+  run.range_tombstone_wall_micros = f.earliest_range_tombstone_wall_micros;
+  run.range_only_smallest = f.smallest;
+  run.range_only_largest = f.largest;
+  sink->BeginRun(std::move(run));
+  return Status::OK();
+}
+
+Status DBImpl::RewriteFileForVlogGc(const FileMetaData& f, uint64_t victim,
+                                    vlog::Writer* reloc, TableSink* sink,
                                     uint64_t* relocated_values,
                                     uint64_t* relocated_bytes) {
   // Rewrites |f|, relocating every pointer into |victim| to |reloc| (all
   // other entries are carried verbatim, sequences included, so snapshot
   // reads through the replacement are unchanged).
-  const uint64_t new_number = versions_->NewFileNumber();
-  pending_outputs_.insert(new_number);
-
-  // The rewrite I/O runs unlocked; the caller holds the compaction slot and
-  // a reference on |f|'s version, so the input cannot be deleted.
-  mutex_.Unlock();
+  Status s = BeginRewriteRun(f, sink);
+  if (!s.ok()) return s;
   ReadOptions ropts;
   ropts.fill_cache = false;
   std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f->number, f->file_size));
-  std::vector<RangeTombstone> range_dels;
-  Status s;
-  if (f->has_range_tombstones()) {
-    s = table_cache_->GetRangeTombstones(f->number, f->file_size,
-                                         &range_dels);
-  }
-  std::unique_ptr<WritableFile> file;
-  if (s.ok()) {
-    s = env_->NewWritableFile(TableFileName(dbname_, new_number),
-                              &file);  // io: unlocked
-  }
-  if (!s.ok()) {
-    mutex_.Lock();
-    pending_outputs_.erase(new_number);
-    return s;
-  }
-
-  FileMetaData meta;
-  meta.number = new_number;
-  TableBuilder builder(options_, file.get());
+      table_cache_->NewIterator(ropts, f.number, f.file_size));
   std::string relocated_value;
   std::string pointer_scratch;
-  for (it->SeekToFirst(); s.ok() && it->Valid(); it->Next()) {
+  for (it->SeekToFirst(); it->Valid() && !sink->failed(); it->Next()) {
     Slice key = it->key();
     Slice value = it->value();
     ParsedInternalKey parsed;
-    const bool is_pointer =
-        ParseInternalKey(key, &parsed) && parsed.type == kTypeValuePointer;
-    vlog::ValuePointer ptr;
-    if (is_pointer) {
+    if (ParseInternalKey(key, &parsed) && parsed.type == kTypeValuePointer) {
+      vlog::ValuePointer ptr;
       if (!vlog::DecodeValuePointerStrict(value, &ptr)) {
         s = Status::Corruption("bad value pointer in table",
-                               TableFileName(dbname_, f->number));
+                               TableFileName(dbname_, f.number));
         break;
       }
       if (ptr.segment == victim) {
@@ -1351,95 +1250,14 @@ Status DBImpl::RewriteFileForVlogGc(const FileMetaData* f, int level,
         pointer_scratch.clear();
         vlog::EncodeValuePointer(&pointer_scratch, moved);
         value = Slice(pointer_scratch);
-        ptr = moved;
         (*relocated_values)++;
         *relocated_bytes += moved.size;
       }
     }
-    if (builder.NumEntries() == 0) meta.smallest.DecodeFrom(key);
-    meta.largest.DecodeFrom(key);
-    builder.Add(key, value, ExtractUserKey(key));
-    if (ParseInternalKey(key, &parsed)) {
-      if (parsed.type == kTypeDeletion) {
-        meta.num_tombstones++;
-        meta.earliest_tombstone_seq =
-            std::min(meta.earliest_tombstone_seq, parsed.sequence);
-        meta.earliest_tombstone_wall_micros =
-            std::min(meta.earliest_tombstone_wall_micros,
-                     f->earliest_tombstone_wall_micros);
-      } else if (is_pointer) {
-        if (meta.min_vlog_segment == 0 ||
-            ptr.segment < meta.min_vlog_segment) {
-          meta.min_vlog_segment = ptr.segment;
-        }
-        meta.max_vlog_segment = std::max(meta.max_vlog_segment, ptr.segment);
-      } else if (parsed.type == kTypeValue &&
-                 options_.secondary_key_extractor) {
-        std::string sec =
-            options_.secondary_key_extractor(parsed.user_key, it->value());
-        if (!sec.empty()) {
-          if (meta.min_secondary_key.empty() ||
-              sec < meta.min_secondary_key) {
-            meta.min_secondary_key = sec;
-          }
-          if (meta.max_secondary_key.empty() ||
-              sec > meta.max_secondary_key) {
-            meta.max_secondary_key = sec;
-          }
-        }
-      }
-    }
+    sink->Add(key, value);
   }
-  if (s.ok() && !it->status().ok()) {
-    s = it->status();
-  }
-
-  if (s.ok() && !range_dels.empty()) {
-    // Carried verbatim, same as the secondary purge rewrite: losing them
-    // would resurrect every key they cover.
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                internal_comparator_.user_comparator());
-      meta.num_range_tombstones++;
-      meta.earliest_range_tombstone_seq =
-          std::min(meta.earliest_range_tombstone_seq, t.seq);
-    }
-    meta.earliest_range_tombstone_wall_micros =
-        f->earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = f->range_del_begin;
-    meta.range_del_end = f->range_del_end;
-  }
-
-  if (s.ok()) {
-    meta.num_entries = builder.NumEntries();
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = meta.num_tombstones;
-    props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-    if (meta.num_range_tombstones > 0) {
-      props->earliest_range_tombstone_wall_micros =
-          meta.earliest_range_tombstone_wall_micros;
-    }
-    props->min_secondary_key = meta.min_secondary_key;
-    props->max_secondary_key = meta.max_secondary_key;
-    s = builder.Finish();
-    if (s.ok()) {
-      meta.file_size = builder.FileSize();
-      meta.run_id = f->run_id;  // preserve recency ordering within the level
-      // Durable before the (synced) manifest record references it.
-      s = file->Sync();
-      if (s.ok()) s = file->Close();
-    }
-  } else {
-    builder.Abandon();
-    (void)file->Close();  // io: unlocked -- abandoned GC rewrite output
-  }
-
-  mutex_.Lock();
-  if (s.ok()) {
-    edit->RemoveFile(level, f->number);
-    edit->AddFile(level, meta);
-  }
-  pending_outputs_.erase(new_number);
+  if (s.ok()) s = it->status();
+  if (s.ok()) sink->EndRun();
   return s;
 }
 
@@ -1926,12 +1744,11 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
       }
       stats_.trivial_move_count++;
     } else {
-      CompactionState* compact = new CompactionState(c.get());
-      s = DoCompactionWork(compact, horizon);
+      CompactionState compact(c.get());
+      s = DoCompactionWork(&compact, horizon);
       if (!s.ok()) {
         RecordBackgroundError(s, ErrorSubsystem::kCompaction);
       }
-      CleanupCompaction(compact);
       c->ReleaseInputs();
       RemoveObsoleteFiles();
     }
@@ -1940,125 +1757,14 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
   return s;
 }
 
-Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
-  assert(compact != nullptr);
-  assert(compact->builder == nullptr);
-  uint64_t file_number;
-  {
-    // Called from the unlocked merge loop: take the mutex only for the
-    // number allocation and GC protection.
-    MutexLock l(&mutex_);
-    file_number = versions_->NewFileNumber();
-    pending_outputs_.insert(file_number);
-    CompactionState::Output out;
-    out.number = file_number;
-    out.smallest.Clear();
-    out.largest.Clear();
-    compact->outputs.push_back(out);
-  }
-
-  std::string fname = TableFileName(dbname_, file_number);
-  Status s = env_->NewWritableFile(fname, &compact->outfile);  // io: unlocked
-  if (s.ok()) {
-    compact->builder = std::make_unique<TableBuilder>(options_,
-                                                      compact->outfile.get());
-  }
-  return s;
-}
-
-Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
-                                          Iterator* input) {
-  assert(compact != nullptr);
-  assert(compact->outfile != nullptr);
-  assert(compact->builder != nullptr);
-
-  const uint64_t output_number = compact->current_output()->number;
-  assert(output_number != 0);
-
-  // Check for iterator errors
-  Status s = input->status();
-  const uint64_t current_entries = compact->builder->NumEntries();
-
-  // Mirror tombstone metadata into the table's properties block.
-  CompactionState::Output* out = compact->current_output();
-  TableProperties* props = compact->builder->mutable_properties();
-  props->num_tombstones = out->num_tombstones;
-  props->earliest_tombstone_time = out->earliest_tombstone_seq;
-  props->earliest_tombstone_wall_micros = out->earliest_tombstone_wall_micros;
-  // AddRangeTombstone maintains the count/seq/span properties itself; only
-  // the inherited wall stamp needs mirroring.
-  if (out->num_range_tombstones > 0) {
-    props->earliest_range_tombstone_wall_micros =
-        out->earliest_range_tombstone_wall_micros;
-  }
-  props->min_secondary_key = out->min_secondary_key;
-  props->max_secondary_key = out->max_secondary_key;
-
-  if (s.ok()) {
-    s = compact->builder->Finish();
-  } else {
-    compact->builder->Abandon();
-  }
-  const uint64_t current_bytes = compact->builder->FileSize();
-  out->file_size = current_bytes;
-  out->num_entries = current_entries;
-  compact->total_bytes += current_bytes;
-  compact->builder.reset();
-
-  // Finish and check for file errors. Always sync: like flushed L0 tables,
-  // compaction outputs become live via a synced manifest record and must
-  // not be torn behind it after a crash.
-  if (s.ok()) {
-    s = compact->outfile->Sync();
-  }
-  if (s.ok()) {
-    s = compact->outfile->Close();
-  } else {
-    // The output is already doomed (iterator, build, or sync error) and
-    // will be removed; close deliberately -- the dropped status is a
-    // conscious choice, not a silent one in the destructor.
-    (void)compact->outfile->Close();  // io: unlocked -- abandoned output
-  }
-  compact->outfile.reset();
-
-  if (s.ok() && current_entries == 0 && out->num_range_tombstones == 0) {
-    // An empty output: delete it and forget it. (A file holding only range
-    // tombstones is NOT empty -- dropping it would resurrect covered keys.)
-    (void)env_->RemoveFile(
-        TableFileName(dbname_, output_number));  // io: unlocked
-    MutexLock l(&mutex_);
-    pending_outputs_.erase(output_number);
-    compact->outputs.pop_back();
-  }
-  return s;
-}
-
-Status DBImpl::InstallCompactionResults(CompactionState* compact) {
+Status DBImpl::InstallCompactionResults(
+    CompactionState* compact, const std::vector<TableSink::Output>& outputs) {
   // Add compaction outputs
   compact->compaction->AddInputDeletions(compact->compaction->edit());
   const int output_level = compact->compaction->output_level();
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    FileMetaData meta;
-    meta.number = out.number;
-    meta.file_size = out.file_size;
-    meta.smallest = out.smallest;
-    meta.largest = out.largest;
-    meta.num_entries = out.num_entries;
-    meta.num_tombstones = out.num_tombstones;
-    meta.earliest_tombstone_seq = out.earliest_tombstone_seq;
-    meta.earliest_tombstone_wall_micros = out.earliest_tombstone_wall_micros;
-    meta.num_range_tombstones = out.num_range_tombstones;
-    meta.earliest_range_tombstone_seq = out.earliest_range_tombstone_seq;
-    meta.earliest_range_tombstone_wall_micros =
-        out.earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = out.range_del_begin;
-    meta.range_del_end = out.range_del_end;
-    meta.min_secondary_key = out.min_secondary_key;
-    meta.max_secondary_key = out.max_secondary_key;
-    meta.min_vlog_segment = out.min_vlog_segment;
-    meta.max_vlog_segment = out.max_vlog_segment;
-    meta.run_id = out.number;
+  for (const TableSink::Output& out : outputs) {
+    FileMetaData meta = out.meta;
+    meta.run_id = meta.number;
     compact->compaction->edit()->AddFile(output_level, meta);
   }
   Status s = versions_->LogAndApply(compact->compaction->edit(), &mutex_);
@@ -2074,13 +1780,16 @@ namespace {
 // asynchronous submission path and their bytes are discarded: the value is
 // the overlapped IO / warmed page cache ahead of the table iterators, not
 // the data. Reads are non-mutating, so the crash matrix's op numbering and
-// synced-prefix guarantees are untouched.
+// synced-prefix guarantees are untouched. The chunk buffers are the DB's
+// (|buffer|, kCompactionReadAheadBytes), reused by every compaction: a
+// fresh megabyte per compaction would pay its page faults every time.
 class CompactionPrefetcher {
  public:
   static constexpr size_t kChunkSize = 256 * 1024;
-  static constexpr size_t kMaxInflight = 4;
+  static constexpr size_t kMaxInflight = kCompactionReadAheadBytes / kChunkSize;
 
-  CompactionPrefetcher(Env* env, const std::string& dbname, Compaction* c)
+  CompactionPrefetcher(Env* env, const std::string& dbname, Compaction* c,
+                       char* buffer)
       : env_(env) {
     for (int which = 0; which < 2; which++) {
       for (int i = 0; i < c->num_input_files(which); i++) {
@@ -2098,8 +1807,8 @@ class CompactionPrefetcher {
         }
       }
     }
-    for (Slot& slot : slots_) {
-      slot.buf = std::make_unique<char[]>(kChunkSize);
+    for (size_t i = 0; i < kMaxInflight; i++) {
+      slots_[i].buf = buffer + i * kChunkSize;
     }
     Pump();
   }
@@ -2127,7 +1836,7 @@ class CompactionPrefetcher {
       slot.req.offset = offset_;
       slot.req.n = static_cast<size_t>(
           std::min<uint64_t>(kChunkSize, in.size - offset_));
-      slot.req.scratch = slot.buf.get();
+      slot.req.scratch = slot.buf;
       ReadRequest* r = &slot.req;
       env_->SubmitReads(&r, 1, &slot.cq);  // io: unlocked
       slot.submits++;
@@ -2145,7 +1854,7 @@ class CompactionPrefetcher {
     uint64_t size = 0;
   };
   struct Slot {
-    std::unique_ptr<char[]> buf;
+    char* buf = nullptr;
     ReadRequest req;
     CompletionQueue cq;
     uint64_t submits = 0;
@@ -2159,12 +1868,11 @@ class CompactionPrefetcher {
 };
 }  // namespace
 
+
 Status DBImpl::DoCompactionWork(CompactionState* compact,
                                 SequenceNumber horizon) {
   assert(compaction_active_);
   assert(versions_->NumLevelFiles(compact->compaction->level()) > 0);
-  assert(compact->builder == nullptr);
-  assert(compact->outfile == nullptr);
 
   // Both the drop horizon and the monitor's "persisted at" clock use the
   // round's captured horizon so a background round records exactly what a
@@ -2172,8 +1880,9 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   compact->smallest_snapshot = std::min(horizon, SmallestSnapshot());
   stats_.compaction_bytes_read += compact->compaction->TotalInputBytes();
   const SequenceNumber now_seq = horizon;
+  Compaction* const c = compact->compaction;
 
-  Iterator* input = versions_->MakeInputIterator(compact->compaction);
+  Iterator* input = versions_->MakeInputIterator(c);
 
   // The merge loop runs with the mutex released: the input version is
   // pinned, output numbers are in pending_outputs_, and the compaction
@@ -2181,29 +1890,97 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // locally and folded back in after relocking.
   mutex_.Unlock();
   auto prefetcher = std::make_unique<CompactionPrefetcher>(
-      env_, dbname_, compact->compaction);
+      env_, dbname_, c, compaction_read_ahead_.get());
 
   // Range tombstones ride in dedicated blocks, not the merged key stream:
   // load every input file's raw tombstones up front. Queried at
   // smallest_snapshot, their fragmented union drives covered-entry drops
-  // inside the merge loop; the tombstones' own disposition is decided after
-  // it. The input version is pinned, so the reads are safe off the mutex.
+  // inside the merge loop. The input version is pinned, so the reads are
+  // safe off the mutex.
+  const Comparator* ucmp = internal_comparator_.user_comparator();
   std::vector<RangeTombstone> input_range_dels;
-  Status range_status;
-  for (int which = 0; which < 2 && range_status.ok(); which++) {
-    for (int i = 0; i < compact->compaction->num_input_files(which); i++) {
-      const FileMetaData* f = compact->compaction->input(which, i);
-      if (!f->has_range_tombstones()) continue;
-      range_status = table_cache_->GetRangeTombstones(
+  Status status;
+  // What the outputs inherit from the inputs: the earliest wall stamps
+  // (approximate -- the oldest among the inputs) and, for an output that
+  // ends up holding only range tombstones, the inputs' union key range.
+  TableSink::Run run;
+  run.max_output_size = c->MaxOutputFileSize();
+  bool first_input = true;
+  for (int which = 0; which < 2; which++) {
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      const FileMetaData* f = c->input(which, i);
+      run.tombstone_wall_micros = std::min(run.tombstone_wall_micros,
+                                           f->earliest_tombstone_wall_micros);
+      if (first_input || internal_comparator_.Compare(
+                             f->smallest.Encode(),
+                             run.range_only_smallest.Encode()) < 0) {
+        run.range_only_smallest = f->smallest;
+      }
+      if (first_input || internal_comparator_.Compare(
+                             f->largest.Encode(),
+                             run.range_only_largest.Encode()) > 0) {
+        run.range_only_largest = f->largest;
+      }
+      first_input = false;
+      if (!f->has_range_tombstones() || !status.ok()) continue;
+      run.range_tombstone_wall_micros =
+          std::min(run.range_tombstone_wall_micros,
+                   f->earliest_range_tombstone_wall_micros);
+      status = table_cache_->GetRangeTombstones(
           f->number, f->file_size, &input_range_dels);  // io: unlocked
-      if (!range_status.ok()) break;
     }
   }
   FragmentedRangeTombstoneList range_cover;
   if (!input_range_dels.empty()) {
-    range_cover.Build(internal_comparator_.user_comparator(),
-                      input_range_dels);
+    range_cover.Build(ucmp, input_range_dels);
   }
+
+  // Decide the fate of every input range tombstone. [b,e)@S drops -- the
+  // range delete becomes persistent -- only when every live snapshot sees
+  // it (S <= smallest_snapshot) and no file OUTSIDE this compaction
+  // overlaps its span at any level: entries it covers that are not merged
+  // here would otherwise resurrect. (Memtable data is always newer than a
+  // flushed tombstone, so only files can resurrect.) Survivors are carried
+  // forward into the last output. The verdicts do not depend on the merge.
+  uint64_t range_persisted_delta = 0;
+  Histogram range_latency_delta;
+  if (status.ok() && !input_range_dels.empty()) {
+    const Version* base = c->input_version();
+    std::set<uint64_t> input_numbers;
+    for (int which = 0; which < 2; which++) {
+      for (int i = 0; i < c->num_input_files(which); i++) {
+        input_numbers.insert(c->input(which, i)->number);
+      }
+    }
+    auto blocked = [&](const RangeTombstone& t) {
+      for (int level = 0; level < kNumLevels; level++) {
+        for (const FileMetaData* g : base->files(level)) {
+          if (input_numbers.count(g->number) != 0) continue;
+          if (ucmp->Compare(g->smallest.user_key(), Slice(t.end)) < 0 &&
+              ucmp->Compare(g->largest.user_key(), Slice(t.begin)) >= 0) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    for (const RangeTombstone& t : input_range_dels) {
+      if (t.seq <= compact->smallest_snapshot && !blocked(t)) {
+        range_persisted_delta++;
+        range_latency_delta.Add(
+            static_cast<double>(now_seq >= t.seq ? now_seq - t.seq : 0));
+      } else {
+        run.range_tombstones.push_back(t);
+      }
+    }
+  }
+
+  // Kept entries stream into the sink, whose worker builds, writes and
+  // syncs the outputs while this loop merges.
+  TableSink sink(options_, ucmp, env_, dbname_,
+                 [this] { return NewOutputFileNumber(); },
+                 output_worker_.get());
+  sink.BeginRun(std::move(run));
 
   uint64_t merge_steps = 0;
   uint64_t shadowed_dropped = 0;
@@ -2215,8 +1992,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   uint64_t persisted_delta = 0;
   uint64_t superseded_delta = 0;
   Histogram latency_delta;
-  uint64_t range_persisted_delta = 0;
-  Histogram range_latency_delta;
   // Per-segment vLog charges for pointer entries this compaction drops:
   // garbage bytes always; additionally a pending purge (the FADE clock for
   // value bytes) when the drop is deletion-driven. Journaled as kVlogDelta
@@ -2225,14 +2000,16 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   std::map<uint64_t, vlog::SegmentDelta> vlog_deltas;
 
   input->SeekToFirst();
-  Status status = range_status;
+  // Merge keys arrive in ascending user-key order, so coverage queries
+  // walk the fragment list forward instead of searching it per entry.
+  FragmentedRangeTombstoneList::Cursor covering(&range_cover);
   ParsedInternalKey ikey;
   std::string current_user_key;
   bool has_current_user_key = false;
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
   ValueType last_type_for_key = kTypeValue;
 
-  while (status.ok() && input->Valid()) {
+  while (status.ok() && input->Valid() && !sink.failed()) {
     // A memtable swapped out mid-merge stays queued until this round ends:
     // flushing it here would install its L0 file between this round's
     // picks, diverging from the synchronous schedule (which flushes only
@@ -2251,8 +2028,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
       last_type_for_key = kTypeValue;
     } else {
       if (!has_current_user_key ||
-          internal_comparator_.user_comparator()->Compare(
-              ikey.user_key, Slice(current_user_key)) != 0) {
+          ucmp->Compare(ikey.user_key, Slice(current_user_key)) != 0) {
         // First occurrence of this user key
         current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
         has_current_user_key = true;
@@ -2275,7 +2051,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         deletion_driven = (last_type_for_key == kTypeDeletion);
       } else if (ikey.type == kTypeDeletion &&
                  ikey.sequence <= compact->smallest_snapshot &&
-                 compact->compaction->IsBaseLevelForKey(ikey.user_key)) {
+                 c->IsBaseLevelForKey(ikey.user_key)) {
         // For this user key:
         // (1) there is no data in higher levels
         // (2) data in lower levels will have larger sequence numbers
@@ -2290,8 +2066,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         latency_delta.Add(static_cast<double>(
             now_seq >= ikey.sequence ? now_seq - ikey.sequence : 0));
       } else if (!input_range_dels.empty() &&
-                 range_cover.MaxCoveringSeq(ikey.user_key,
-                                            compact->smallest_snapshot) >
+                 covering.MaxCoveringSeq(ikey.user_key,
+                                         compact->smallest_snapshot) >
                      ikey.sequence) {
         // Covered by a range tombstone visible to every live snapshot: no
         // reader can observe this entry again. A covered point tombstone is
@@ -2328,189 +2104,12 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     }
 
     if (!drop) {
-      // Open output file if necessary
-      if (compact->builder == nullptr) {
-        status = OpenCompactionOutputFile(compact);
-        if (!status.ok()) {
-          break;
-        }
-      }
-      CompactionState::Output* out = compact->current_output();
-      if (compact->builder->NumEntries() == 0) {
-        out->smallest.DecodeFrom(key);
-      }
-      out->largest.DecodeFrom(key);
-      compact->builder->Add(key, input->value(), ExtractUserKey(key));
-
-      // Maintain Acheron per-output metadata.
-      if (ikey.type == kTypeDeletion) {
-        out->num_tombstones++;
-        if (ikey.sequence < out->earliest_tombstone_seq) {
-          out->earliest_tombstone_seq = ikey.sequence;
-          // Approximate: inherit the earliest wall stamp among inputs.
-          for (int which = 0; which < 2; which++) {
-            for (int i = 0; i < compact->compaction->num_input_files(which);
-                 i++) {
-              out->earliest_tombstone_wall_micros =
-                  std::min(out->earliest_tombstone_wall_micros,
-                           compact->compaction->input(which, i)
-                               ->earliest_tombstone_wall_micros);
-            }
-          }
-        }
-      } else if (ikey.type == kTypeValuePointer) {
-        // The extractor must never run on a pointer payload; track the
-        // segment span instead (liveness for RemoveObsoleteFiles).
-        vlog::FoldVlogSpan(input->value(), &out->min_vlog_segment,
-                           &out->max_vlog_segment);
-      } else if (options_.secondary_key_extractor) {
-        std::string sec = options_.secondary_key_extractor(ikey.user_key,
-                                                           input->value());
-        if (!sec.empty()) {
-          if (out->min_secondary_key.empty() || sec < out->min_secondary_key) {
-            out->min_secondary_key = sec;
-          }
-          if (out->max_secondary_key.empty() || sec > out->max_secondary_key) {
-            out->max_secondary_key = sec;
-          }
-        }
-      }
-
-      // Close output file if it is big enough
-      if (compact->builder->FileSize() >=
-          compact->compaction->MaxOutputFileSize()) {
-        status = FinishCompactionOutputFile(compact, input);
-        if (!status.ok()) {
-          break;
-        }
-      }
+      sink.Add(key, input->value());
     }
 
     input->Next();
   }
 
-  // Decide the fate of every input range tombstone. [b,e)@S drops -- the
-  // range delete becomes persistent -- only when every live snapshot sees
-  // it (S <= smallest_snapshot) and no file OUTSIDE this compaction
-  // overlaps its span at any level: entries it covers that are not merged
-  // here would otherwise resurrect. (Memtable data is always newer than a
-  // flushed tombstone, so only files can resurrect.) Survivors are carried
-  // forward into the last output.
-  if (status.ok() && !input_range_dels.empty()) {
-    const Comparator* ucmp = internal_comparator_.user_comparator();
-    const Version* base = compact->compaction->input_version();
-    std::set<uint64_t> input_numbers;
-    for (int which = 0; which < 2; which++) {
-      for (int i = 0; i < compact->compaction->num_input_files(which); i++) {
-        input_numbers.insert(compact->compaction->input(which, i)->number);
-      }
-    }
-    auto blocked = [&](const RangeTombstone& t) {
-      for (int level = 0; level < kNumLevels; level++) {
-        for (const FileMetaData* g : base->files(level)) {
-          if (input_numbers.count(g->number) != 0) continue;
-          if (ucmp->Compare(g->smallest.user_key(), Slice(t.end)) < 0 &&
-              ucmp->Compare(g->largest.user_key(), Slice(t.begin)) >= 0) {
-            return true;
-          }
-        }
-      }
-      return false;
-    };
-    std::vector<RangeTombstone> survivors;
-    for (const RangeTombstone& t : input_range_dels) {
-      if (t.seq <= compact->smallest_snapshot && !blocked(t)) {
-        range_persisted_delta++;
-        range_latency_delta.Add(
-            static_cast<double>(now_seq >= t.seq ? now_seq - t.seq : 0));
-      } else {
-        survivors.push_back(t);
-      }
-    }
-    if (!survivors.empty()) {
-      const bool fresh_output = compact->builder == nullptr;
-      if (fresh_output) {
-        status = OpenCompactionOutputFile(compact);
-      }
-      if (status.ok()) {
-        CompactionState::Output* out = compact->current_output();
-        for (const RangeTombstone& t : survivors) {
-          compact->builder->AddRangeTombstone(t.begin, t.end, t.seq, ucmp);
-          out->num_range_tombstones++;
-          out->earliest_range_tombstone_seq =
-              std::min(out->earliest_range_tombstone_seq, t.seq);
-          if (out->range_del_begin.empty() ||
-              ucmp->Compare(Slice(t.begin), Slice(out->range_del_begin)) < 0) {
-            out->range_del_begin = t.begin;
-          }
-          if (out->range_del_end.empty() ||
-              ucmp->Compare(Slice(t.end), Slice(out->range_del_end)) > 0) {
-            out->range_del_end = t.end;
-          }
-        }
-        // Oldest wall stamp among the inputs that contributed tombstones.
-        for (int which = 0; which < 2; which++) {
-          for (int i = 0; i < compact->compaction->num_input_files(which);
-               i++) {
-            const FileMetaData* f = compact->compaction->input(which, i);
-            if (f->has_range_tombstones()) {
-              out->earliest_range_tombstone_wall_micros =
-                  std::min(out->earliest_range_tombstone_wall_micros,
-                           f->earliest_range_tombstone_wall_micros);
-            }
-          }
-        }
-        if (fresh_output) {
-          // A range-tombstone-only output has no point entries to derive
-          // bounds from. Clamp to the union internal-key range of the
-          // inputs: the compaction owns that region at the output level
-          // (SetupOtherInputs pulled in every overlapping file, and the
-          // planner's same-level widening keeps its input run contiguous),
-          // so sorted-level disjointness holds. If earlier outputs already
-          // cover a prefix of the region, start just past the last one --
-          // same user key at the next-lower sequence sorts strictly after,
-          // and that exact (key, seq) pair exists nowhere else.
-          InternalKey lo, hi;
-          bool first = true;
-          for (int which = 0; which < 2; which++) {
-            for (int i = 0; i < compact->compaction->num_input_files(which);
-                 i++) {
-              const FileMetaData* f = compact->compaction->input(which, i);
-              if (first || internal_comparator_.Compare(
-                               f->smallest.Encode(), lo.Encode()) < 0) {
-                lo = f->smallest;
-              }
-              if (first || internal_comparator_.Compare(
-                               f->largest.Encode(), hi.Encode()) > 0) {
-                hi = f->largest;
-              }
-              first = false;
-            }
-          }
-          if (compact->outputs.size() > 1) {
-            const CompactionState::Output& prev =
-                compact->outputs[compact->outputs.size() - 2];
-            ParsedInternalKey pk;
-            if (ParseInternalKey(prev.largest.Encode(), &pk)) {
-              lo = InternalKey(pk.user_key,
-                               pk.sequence > 0 ? pk.sequence - 1 : 0,
-                               pk.type);
-              if (internal_comparator_.Compare(hi.Encode(), lo.Encode()) <
-                  0) {
-                hi = lo;
-              }
-            }
-          }
-          out->smallest = lo;
-          out->largest = hi;
-        }
-      }
-    }
-  }
-
-  if (status.ok() && compact->builder != nullptr) {
-    status = FinishCompactionOutputFile(compact, input);
-  }
   if (status.ok()) {
     status = input->status();
   }
@@ -2519,25 +2118,33 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // Drain the read-ahead window (and close its file handles) while still
   // off the mutex; the waits must not run under the lock.
   prefetcher.reset();
+  // The install wait: every output is built, synced and closed (or, on an
+  // input error, abandoned and removed) before the edit can name it.
+  Status finished = sink.Finish(status);
+  if (status.ok()) status = finished;
+  uint64_t bytes_written = 0;
+  for (const TableSink::Output& out : sink.outputs()) {
+    bytes_written += out.meta.file_size;
+  }
 
   mutex_.Lock();
-  stats_.compaction_bytes_written += compact->total_bytes;
+  stats_.compaction_bytes_written += bytes_written;
   stats_.entries_shadowed_dropped += shadowed_dropped;
   stats_.tombstones_dropped_bottom += tombstones_dropped;
 
   if (status.ok()) {
     if (persisted_delta > 0 || superseded_delta > 0) {
-      compact->compaction->edit()->SetMonitorDelta(
-          persisted_delta, superseded_delta, latency_delta);
+      c->edit()->SetMonitorDelta(persisted_delta, superseded_delta,
+                                 latency_delta);
     }
     if (range_persisted_delta > 0) {
-      compact->compaction->edit()->SetMonitorRangeDelta(
-          range_persisted_delta, 0, range_latency_delta);
+      c->edit()->SetMonitorRangeDelta(range_persisted_delta, 0,
+                                      range_latency_delta);
     }
     for (const auto& entry : vlog_deltas) {
-      compact->compaction->edit()->AddVlogDelta(entry.second);
+      c->edit()->AddVlogDelta(entry.second);
     }
-    status = InstallCompactionResults(compact);
+    status = InstallCompactionResults(compact, sink.outputs());
     if (status.ok()) {
       PublishReadState();
     }
@@ -2551,27 +2158,10 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
       monitor_.ApplyRangeDelta(range_persisted_delta, 0, range_latency_delta);
     }
   }
+  for (const TableSink::Output& out : sink.outputs()) {
+    pending_outputs_.erase(out.meta.number);
+  }
   return status;
-}
-
-void DBImpl::CleanupCompaction(CompactionState* compact) {
-  if (compact->builder != nullptr) {
-    // May happen if we get a shutdown call in the middle of compaction
-    compact->builder->Abandon();
-    compact->builder.reset();
-  }
-  if (compact->outfile != nullptr) {
-    // An in-progress output that was never installed (error or shutdown
-    // mid-compaction); close deliberately -- the dropped status is a
-    // conscious choice, not a silent one in the destructor.
-    (void)compact->outfile->Close();  // io: mutex-held -- abandoned output
-    compact->outfile.reset();
-  }
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    pending_outputs_.erase(out.number);
-  }
-  delete compact;
 }
 
 // ---------------- Background-error state machine ----------------
@@ -3016,6 +2606,11 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
   internal_iter->RegisterCleanup(&DBImpl::UnrefReadState, this, state);
   if (state_out != nullptr) *state_out = state;
   return internal_iter;
+}
+
+size_t DBImpl::TEST_PendingOutputs() {
+  MutexLock l(&mutex_);
+  return pending_outputs_.size();
 }
 
 Iterator* DBImpl::TEST_NewInternalIterator() {
@@ -3483,12 +3078,11 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     stats_.compactions_by_reason[static_cast<size_t>(
         CompactionReason::kManual)]++;
 
-    CompactionState* compact = new CompactionState(c.get());
-    Status s = DoCompactionWork(compact, versions_->LastSequence());
+    CompactionState compact(c.get());
+    Status s = DoCompactionWork(&compact, versions_->LastSequence());
     if (!s.ok()) {
       RecordBackgroundError(s, ErrorSubsystem::kCompaction);
     }
-    CleanupCompaction(compact);
     c->ReleaseInputs();
     RemoveObsoleteFiles();
   }
@@ -3769,150 +3363,32 @@ InternalStats DBImpl::GetStats() {
 
 // ---------------- Secondary (retention) purge, KiWi-lite ----------------
 
-Status DBImpl::RewriteFileForPurge(FileMetaData* f, int level,
-                                   const Slice& threshold,
-                                   VersionEdit* edit) {
-  // Rewrites |f| skipping every value entry whose secondary
-  // key sorts below |threshold|. Tombstones are preserved.
-  const uint64_t new_number = versions_->NewFileNumber();
-  pending_outputs_.insert(new_number);
-
-  // The rewrite I/O runs unlocked; the caller holds the compaction slot,
-  // which pins |f| (its version is referenced and no rival compaction can
-  // delete it) for the duration.
-  mutex_.Unlock();
+Status DBImpl::RewriteFileForPurge(const FileMetaData& f,
+                                   const Slice& threshold, TableSink* sink,
+                                   uint64_t* dropped) {
+  // Rewrites |f| skipping every value entry whose secondary key sorts
+  // below |threshold|. Tombstones are preserved.
+  Status s = BeginRewriteRun(f, sink);
+  if (!s.ok()) return s;
   ReadOptions ropts;
   ropts.fill_cache = false;
   std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f->number, f->file_size));
-
-  // Range tombstones are orthogonal to the secondary purge and must be
-  // carried into the replacement verbatim: losing them would resurrect
-  // every key they cover.
-  std::vector<RangeTombstone> range_dels;
-  Status s;
-  if (f->has_range_tombstones()) {
-    s = table_cache_->GetRangeTombstones(f->number, f->file_size,
-                                         &range_dels);
-  }
-  std::unique_ptr<WritableFile> file;
-  if (s.ok()) {
-    s = env_->NewWritableFile(TableFileName(dbname_, new_number),
-                              &file);  // io: unlocked
-  }
-  if (!s.ok()) {
-    mutex_.Lock();
-    pending_outputs_.erase(new_number);
-    return s;
-  }
-
-  FileMetaData meta;
-  meta.number = new_number;
-  TableBuilder builder(options_, file.get());
-  uint64_t dropped = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      table_cache_->NewIterator(ropts, f.number, f.file_size));
+  for (it->SeekToFirst(); it->Valid() && !sink->failed(); it->Next()) {
     Slice key = it->key();
     ParsedInternalKey parsed;
-    bool keep = true;
-    std::string sec;
     if (ParseInternalKey(key, &parsed) && parsed.type == kTypeValue) {
-      sec = options_.secondary_key_extractor(parsed.user_key, it->value());
+      std::string sec =
+          options_.secondary_key_extractor(parsed.user_key, it->value());
       if (!sec.empty() && Slice(sec).compare(threshold) < 0) {
-        keep = false;
-        dropped++;
+        (*dropped)++;
+        continue;
       }
     }
-    if (!keep) continue;
-    if (builder.NumEntries() == 0) meta.smallest.DecodeFrom(key);
-    meta.largest.DecodeFrom(key);
-    builder.Add(key, it->value(), ExtractUserKey(key));
-    if (ParseInternalKey(key, &parsed)) {
-      if (parsed.type == kTypeDeletion) {
-        meta.num_tombstones++;
-        meta.earliest_tombstone_seq =
-            std::min(meta.earliest_tombstone_seq, parsed.sequence);
-        meta.earliest_tombstone_wall_micros = std::min(
-            meta.earliest_tombstone_wall_micros,
-            f->earliest_tombstone_wall_micros);
-      } else if (parsed.type == kTypeValuePointer) {
-        // Pointer entries ride through the purge verbatim (the extractor
-        // never sees them); the replacement must keep their segment span or
-        // RemoveObsoleteFiles could unlink a segment they still reference.
-        vlog::FoldVlogSpan(it->value(), &meta.min_vlog_segment,
-                           &meta.max_vlog_segment);
-      } else if (!sec.empty()) {
-        if (meta.min_secondary_key.empty() || sec < meta.min_secondary_key) {
-          meta.min_secondary_key = sec;
-        }
-        if (meta.max_secondary_key.empty() || sec > meta.max_secondary_key) {
-          meta.max_secondary_key = sec;
-        }
-      }
-    }
+    sink->Add(key, it->value());
   }
-  if (!it->status().ok()) {
-    s = it->status();
-  }
-
-  if (s.ok() && !range_dels.empty()) {
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                internal_comparator_.user_comparator());
-      meta.num_range_tombstones++;
-      meta.earliest_range_tombstone_seq =
-          std::min(meta.earliest_range_tombstone_seq, t.seq);
-    }
-    meta.earliest_range_tombstone_wall_micros =
-        f->earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = f->range_del_begin;
-    meta.range_del_end = f->range_del_end;
-  }
-
-  bool emit_replacement = false;
-  if (s.ok() && (builder.NumEntries() > 0 || meta.num_range_tombstones > 0)) {
-    meta.num_entries = builder.NumEntries();
-    if (builder.NumEntries() == 0) {
-      // Every point entry purged but range tombstones remain: keep the old
-      // file's bounds (the replacement fills the same slot in the level).
-      meta.smallest = f->smallest;
-      meta.largest = f->largest;
-    }
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = meta.num_tombstones;
-    props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-    if (meta.num_range_tombstones > 0) {
-      props->earliest_range_tombstone_wall_micros =
-          meta.earliest_range_tombstone_wall_micros;
-    }
-    props->min_secondary_key = meta.min_secondary_key;
-    props->max_secondary_key = meta.max_secondary_key;
-    s = builder.Finish();
-    if (s.ok()) {
-      meta.file_size = builder.FileSize();
-      meta.run_id = f->run_id;  // preserve recency ordering within the level
-      // Durable before the (synced) manifest record references it.
-      s = file->Sync();
-      if (s.ok()) s = file->Close();
-    }
-    emit_replacement = s.ok();
-  } else {
-    builder.Abandon();
-    if (s.ok()) {
-      // Everything in the file was purged.
-      (void)env_->RemoveFile(
-          TableFileName(dbname_, new_number));  // io: unlocked
-    }
-  }
-
-  mutex_.Lock();
-  if (s.ok()) {
-    edit->RemoveFile(level, f->number);
-    if (emit_replacement) {
-      edit->AddFile(level, meta);
-    }
-    stats_.blocks_purged_secondary += dropped;
-  }
-  pending_outputs_.erase(new_number);
+  s = it->status();
+  if (s.ok()) sink->EndRun();
   return s;
 }
 
@@ -3926,13 +3402,18 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   if (!s.ok()) return s;
 
   MutexLock l(&mutex_);
-  // The rewrite loop releases the mutex per file; holding the compaction
-  // slot keeps background compactions from rewriting the same files.
+  // The rewrites release the mutex; holding the compaction slot keeps
+  // background compactions from rewriting the same files.
   AcquireCompactionSlot();
   VersionEdit edit;
   Version* base = versions_->current();
   base->Ref();
-  for (int level = 0; level < kNumLevels && s.ok(); level++) {
+  struct Rewrite {
+    const FileMetaData* f;
+    int level;
+  };
+  std::vector<Rewrite> rewrites;
+  for (int level = 0; level < kNumLevels; level++) {
     for (FileMetaData* f : base->files(level)) {
       if (f->max_secondary_key.empty()) {
         // File holds no secondary-keyed values (e.g. all tombstones); skip.
@@ -3949,10 +3430,37 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
       }
       if (Slice(f->min_secondary_key).compare(threshold) < 0) {
         // Straddles the threshold: rewrite, skipping dead entries.
-        s = RewriteFileForPurge(f, level, threshold, &edit);
-        if (!s.ok()) break;
+        rewrites.push_back({f, level});
       }
     }
+  }
+
+  // The rewrites run unlocked (|base| pins the files); the sink's worker
+  // builds and writes the replacements while this thread filters, and its
+  // Finish is the wait that makes them durable before the edit names them.
+  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
+                 dbname_, [this] { return NewOutputFileNumber(); },
+                 output_worker_.get());
+  uint64_t dropped = 0;
+  mutex_.Unlock();
+  for (const Rewrite& rw : rewrites) {
+    s = RewriteFileForPurge(*rw.f, threshold, &sink, &dropped);
+    if (!s.ok()) break;
+  }
+  Status finished = sink.Finish(s);
+  if (s.ok()) s = finished;
+  mutex_.Lock();
+  if (s.ok()) {
+    for (const Rewrite& rw : rewrites) {
+      edit.RemoveFile(rw.level, rw.f->number);
+    }
+    for (const TableSink::Output& out : sink.outputs()) {
+      const Rewrite& rw = rewrites[out.run];
+      FileMetaData meta = out.meta;
+      meta.run_id = rw.f->run_id;  // preserve recency ordering in the level
+      edit.AddFile(rw.level, meta);
+    }
+    stats_.blocks_purged_secondary += dropped;
   }
   base->Unref();
   if (s.ok()) {
@@ -3962,6 +3470,9 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
     PublishReadState();
     RecordDeadTableLevels(edit);
     RemoveObsoleteFiles();
+  }
+  for (const TableSink::Output& out : sink.outputs()) {
+    pending_outputs_.erase(out.meta.number);
   }
   ReleaseCompactionSlot();
   return s;

@@ -51,6 +51,7 @@
 #include "src/lsm/dbformat.h"
 #include "src/lsm/snapshot.h"
 #include "src/lsm/stats.h"
+#include "src/lsm/table_sink.h"
 #include "src/lsm/version_set.h"
 #include "src/lsm/write_batch.h"
 #include "src/util/mutex.h"
@@ -105,6 +106,11 @@ class DBImpl : public DB {
   Iterator* TEST_NewInternalIterator();
   // The planner in use (TTL schedule inspection).
   const CompactionPlanner& TEST_planner() const { return planner_; }
+  // Output numbers still protected from file GC: zero once every table
+  // output job has installed or failed.
+  size_t TEST_PendingOutputs();
+  // True when the table-output worker has no queued or running work.
+  bool TEST_OutputWorkerIdle() const { return output_worker_->Idle(); }
 
  private:
   friend class DB;
@@ -191,6 +197,11 @@ class DBImpl : public DB {
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
+  // Allocate a table-output number and protect it from file GC
+  // (pending_outputs_) until its job installs or fails; the TableSink
+  // callback every output path passes.
+  uint64_t NewOutputFileNumber() LOCKS_EXCLUDED(mutex_);
+
   // Ensure mem_ has room for the next batch: apply L0 slowdown/stop
   // throttles, wait out a busy imm_, and rotate mem_ -> imm_ (plus the WAL)
   // when the write buffer is full or the FADE memtable-tombstone-age
@@ -230,13 +241,8 @@ class DBImpl : public DB {
 
   Status DoCompactionWork(CompactionState* compact, SequenceNumber horizon)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  Status OpenCompactionOutputFile(CompactionState* compact)
-      LOCKS_EXCLUDED(mutex_);
-  Status FinishCompactionOutputFile(CompactionState* compact, Iterator* input)
-      LOCKS_EXCLUDED(mutex_);
-  Status InstallCompactionResults(CompactionState* compact)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-  void CleanupCompaction(CompactionState* compact)
+  Status InstallCompactionResults(CompactionState* compact,
+                                  const std::vector<TableSink::Output>& outputs)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Background-error state machine (transient-fault tolerance) ----
@@ -315,13 +321,18 @@ class DBImpl : public DB {
   // level's cumulative TTL.
   void ComputeNextTtlDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Rewrite one table file, dropping entries whose secondary key is below
-  // |threshold|; emits the replacement (if non-empty) into |edit|. The
-  // rewrite I/O runs with the mutex released (caller holds the compaction
-  // slot, which keeps |f| alive and unrivaled).
-  Status RewriteFileForPurge(FileMetaData* f, int level, const Slice& threshold,
-                             VersionEdit* edit)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Stream |f| into one run of |sink|, dropping value entries whose
+  // secondary key is below |threshold| (counted in |*dropped|); an empty
+  // run leaves no replacement. Runs unlocked: the caller holds the
+  // compaction slot and a reference on |f|'s version.
+  Status RewriteFileForPurge(const FileMetaData& f, const Slice& threshold,
+                             TableSink* sink, uint64_t* dropped)
+      LOCKS_EXCLUDED(mutex_);
+
+  // Begin |f|'s replacement run in |sink| (GC and purge rewrites): carries
+  // |f|'s range tombstones, wall stamps and bounds.
+  Status BeginRewriteRun(const FileMetaData& f, TableSink* sink)
+      LOCKS_EXCLUDED(mutex_);
 
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
   //
@@ -366,14 +377,15 @@ class DBImpl : public DB {
   // purges. Caller holds the compaction slot.
   Status CollectVlogSegment(uint64_t segment) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Rewrite |f|, redirecting every pointer into |victim| at |reloc|; all
-  // other entries are copied verbatim (same level, preserved run_id --
-  // mirrors RewriteFileForPurge). The rewrite I/O runs unlocked.
-  Status RewriteFileForVlogGc(const FileMetaData* f, int level,
-                              uint64_t victim, vlog::Writer* reloc,
-                              VersionEdit* edit, uint64_t* relocated_values,
+  // Stream |f| into one run of |sink|, redirecting every pointer into
+  // |victim| at |reloc|; all other entries are copied verbatim (the caller
+  // installs it at the same level with |f|'s run_id -- mirrors
+  // RewriteFileForPurge). Runs unlocked, like RewriteFileForPurge.
+  Status RewriteFileForVlogGc(const FileMetaData& f, uint64_t victim,
+                              vlog::Writer* reloc, TableSink* sink,
+                              uint64_t* relocated_values,
                               uint64_t* relocated_bytes)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+      LOCKS_EXCLUDED(mutex_);
 
   // Recovery: reconcile the recovered registry against the .vlog files on
   // disk. The unsealed head (if any) is CRC-scanned and logically sealed at
@@ -476,6 +488,16 @@ class DBImpl : public DB {
   // Set of table files to protect from deletion because they are part of
   // ongoing work.
   std::set<uint64_t> pending_outputs_ GUARDED_BY(mutex_);
+
+  // Builds and writes the outputs of flush, compaction and purge jobs on
+  // its own thread (started on first use, joined at close). One is enough:
+  // every job holds the compaction slot, or runs during recovery before
+  // any other thread exists.
+  const std::unique_ptr<TableSinkWorker> output_worker_;
+
+  // Compaction read-ahead buffers, reused by every compaction (the
+  // compaction slot serializes them).
+  const std::unique_ptr<char[]> compaction_read_ahead_;
 
   // Former level of each dead table file awaiting unlink, recorded when the
   // VersionEdit that retired it installed. RemoveObsoleteFiles unlinks dead

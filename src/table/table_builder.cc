@@ -45,8 +45,12 @@ struct TableBuilder::Rep {
   bool closed;  // Either Finish() or Abandon() has been called.
   const FilterPolicy* owned_filter_policy;  // null when Options shares one
   const FilterPolicy* filter_policy;        // may alias owned_filter_policy
-  // Keys accumulated for the full-file Bloom filter.
-  std::vector<std::string> filter_keys;
+  // Keys accumulated for the full-file Bloom filter: their bytes back to
+  // back in one buffer, key i spanning [filter_key_ends[i-1],
+  // filter_key_ends[i]). (One heap string per key would cost an allocation
+  // for every key past the 15-byte small-string limit.)
+  std::string filter_key_bytes;
+  std::vector<size_t> filter_key_ends;
   // Raw range tombstones, emitted as a dedicated block at Finish().
   std::vector<RangeTombstone> range_tombstones;
   TableProperties properties;
@@ -89,7 +93,8 @@ void TableBuilder::Add(const Slice& key, const Slice& value,
   }
 
   if (r->filter_policy != nullptr) {
-    r->filter_keys.push_back(filter_key.ToString());
+    r->filter_key_bytes.append(filter_key.data(), filter_key.size());
+    r->filter_key_ends.push_back(r->filter_key_bytes.size());
   }
 
   r->last_key.assign(key.data(), key.size());
@@ -140,7 +145,9 @@ void TableBuilder::Flush() {
   if (ok()) {
     r->pending_index_entry = true;
     r->properties.num_data_blocks++;
-    r->status = r->file->Flush();
+    // The block stays in the file's buffer, which coalesces blocks into
+    // one write(2) per buffer; the owner's Flush/Sync before install pushes
+    // the tail.
   }
 }
 
@@ -187,11 +194,14 @@ Status TableBuilder::Finish() {
   // Write filter block (full-file Bloom over all filter keys).
   if (ok()) {
     std::string filter_contents;
-    if (r->filter_policy != nullptr && !r->filter_keys.empty()) {
+    if (r->filter_policy != nullptr && !r->filter_key_ends.empty()) {
       std::vector<Slice> key_slices;
-      key_slices.reserve(r->filter_keys.size());
-      for (const auto& k : r->filter_keys) {
-        key_slices.emplace_back(k);
+      key_slices.reserve(r->filter_key_ends.size());
+      size_t start = 0;
+      for (size_t end : r->filter_key_ends) {
+        key_slices.emplace_back(r->filter_key_bytes.data() + start,
+                                end - start);
+        start = end;
       }
       r->filter_policy->CreateFilter(key_slices.data(),
                                      static_cast<int>(key_slices.size()),

@@ -48,13 +48,15 @@ class TableBuilder {
   void AddRangeTombstone(const Slice& begin, const Slice& end,
                          SequenceNumber seq, const Comparator* ucmp);
 
-  // Advanced: flush any buffered key/value pairs to file, starting a new
-  // data block.
+  // Advanced: end the current data block and append it to the file,
+  // starting a new block. The file may still buffer the bytes.
   void Flush();
 
   Status status() const;
 
   // Finish building the table; stops using the file after this returns.
+  // The tail may still sit in the file's buffer: the owner Flushes, Syncs
+  // or Closes the file.
   Status Finish();
 
   // Abandon the table contents (e.g. the caller will remove the file).

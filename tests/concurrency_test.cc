@@ -469,6 +469,69 @@ TEST_F(BackgroundConcurrencyTest, GetsRaceCompactRange) {
   }
 }
 
+TEST_F(BackgroundConcurrencyTest, ReadersRaceTableSinkOutputs) {
+  // Flush and compaction outputs are built, written and synced on the
+  // table-output worker while writers keep the tree churning. Gets,
+  // iterators and GetProperty race those jobs; every output must be
+  // complete and durable before a reader can see it.
+  for (bool background : {false, true}) {
+    TestDB t(background);
+    const int kStable = 300;
+    for (int i = 0; i < kStable; i++) {
+      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i), "stable").ok());
+    }
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> errors{0};
+    std::vector<std::thread> readers;
+    readers.emplace_back([&] {
+      Random rr(31);
+      std::string value;
+      while (!done.load()) {
+        Status s = t.db->Get(ReadOptions(), Key(rr.Uniform(kStable)), &value);
+        if (!s.ok() || value != "stable") errors.fetch_add(1);
+      }
+    });
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        std::unique_ptr<Iterator> it(t.db->NewIterator(ReadOptions()));
+        int seen = 0;
+        for (it->SeekToFirst();
+             it->Valid() && it->key().compare(Key(kStable)) < 0; it->Next()) {
+          if (it->value() != Slice("stable")) errors.fetch_add(1);
+          seen++;
+        }
+        if (!it->status().ok() || seen != kStable) errors.fetch_add(1);
+      }
+    });
+    readers.emplace_back([&] {
+      std::string v;
+      while (!done.load()) {
+        if (!t.db->GetProperty("acheron.stats", &v) ||
+            !t.db->GetProperty("acheron.num-files-at-level0", &v)) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+
+    Random rnd(37);
+    for (int i = 0; i < 12000; i++) {
+      const uint64_t k = 1000 + rnd.Uniform(2000);
+      Status s = (i % 5 == 0) ? t.db->Delete(WriteOptions(), Key(k))
+                              : t.db->Put(WriteOptions(), Key(k),
+                                          std::string(60, 'x'));
+      ASSERT_TRUE(s.ok());
+      if (i % 3000 == 2999) t.db->CompactRange(nullptr, nullptr);
+    }
+    ASSERT_TRUE(t.db->WaitForCompactions().ok());
+    done.store(true);
+    for (auto& r : readers) r.join();
+
+    EXPECT_EQ(0u, errors.load()) << "background=" << background;
+    EXPECT_GT(t.db->GetStats().compaction_count, 0u)
+        << "background=" << background;
+  }
+}
+
 TEST_F(ConcurrencyTest, MultiGetTakesNoMutex) {
   // MultiGet rides the same pinned-ReadState hot path as Get: a batch of
   // lookups on a quiesced DB must not touch the DB mutex at all.

@@ -159,6 +159,37 @@ TEST(RangeTombstoneFragmenterTest, MatchesQuadraticOracle) {
   }
 }
 
+// The merge-loop cursor: for ascending keys (with repeats, as a merge
+// stream has several versions per user key) queried at random snapshots,
+// it answers exactly like the binary-searching MaxCoveringSeq.
+TEST(RangeTombstoneFragmenterTest, CursorMatchesMaxCoveringSeq) {
+  Random rnd(304);
+  const Comparator* ucmp = BytewiseComparator();
+  for (int trial = 0; trial < 400; trial++) {
+    const int n = static_cast<int>(rnd.Uniform(40));
+    const uint64_t key_space = 4 + rnd.Uniform(60);
+    FragmentedRangeTombstoneList list;
+    list.Build(ucmp, RandomTombstones(&rnd, n, key_space));
+    std::vector<std::string> keys;
+    for (int i = 0; i < 60; i++) {
+      keys.push_back(KeyAt(rnd.Uniform(key_space + 10)));
+    }
+    std::sort(keys.begin(), keys.end());
+    FragmentedRangeTombstoneList::Cursor cursor(&list);
+    for (const std::string& key : keys) {
+      const SequenceNumber snapshot =
+          rnd.OneIn(4) ? kMaxSequenceNumber : rnd.Uniform(1001);
+      ASSERT_EQ(list.MaxCoveringSeq(key, snapshot),
+                cursor.MaxCoveringSeq(key, snapshot))
+          << "trial " << trial << " key " << key << " snapshot " << snapshot;
+    }
+  }
+  // An empty list covers nothing.
+  FragmentedRangeTombstoneList empty;
+  FragmentedRangeTombstoneList::Cursor cursor(&empty);
+  EXPECT_EQ(0u, cursor.MaxCoveringSeq("k000001", kMaxSequenceNumber));
+}
+
 TEST(RangeTombstoneFragmenterTest, BuildFromRefsMatchesBuild) {
   Random rnd(302);
   const Comparator* ucmp = BytewiseComparator();

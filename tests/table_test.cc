@@ -6,12 +6,16 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "src/env/env.h"
 #include "src/lsm/dbformat.h"
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
+#include "src/table/format.h"
 #include "src/table/table_builder.h"
+#include "src/util/bloom.h"
 #include "src/util/random.h"
 
 namespace acheron {
@@ -269,6 +273,58 @@ TEST(TableTest, PropertiesRoundTrip) {
   EXPECT_GT(props.num_data_blocks, 1u);
   EXPECT_EQ(100u * 5, props.raw_key_bytes);  // "kNNNN" is 5 bytes
   EXPECT_EQ(100u * 50, props.raw_value_bytes);
+}
+
+// The builder keeps its filter keys in one flat buffer; the filter block it
+// writes must be byte-identical to CreateFilter over the same keys, for key
+// lengths on both sides of the small-string limit (0..40 bytes).
+TEST(TableTest, FilterBlockMatchesCreateFilter) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  Options options;
+  options.env = env.get();
+  options.comparator = BytewiseComparator();
+  options.filter_policy = policy.get();
+
+  Random rnd(301);
+  std::set<std::string> keys;
+  for (size_t len = 0; len <= 40; len++) {
+    for (int i = 0; i < 8; i++) {
+      std::string k;
+      for (size_t j = 0; j < len; j++) {
+        k.push_back(static_cast<char>(rnd.Uniform(256)));
+      }
+      keys.insert(k);
+    }
+  }
+
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile("/filter_table", &file).ok());
+  TableBuilder builder(options, file.get());
+  std::vector<Slice> slices;
+  for (const std::string& k : keys) {
+    builder.Add(k, "v", k);
+    slices.emplace_back(k);
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  ASSERT_TRUE(file->Close().ok());
+
+  std::string contents;
+  ASSERT_TRUE(env->ReadFileToString("/filter_table", &contents).ok());
+  ASSERT_EQ(builder.FileSize(), contents.size());
+  ASSERT_GE(contents.size(), static_cast<size_t>(Footer::kEncodedLength));
+  Slice footer_input(contents.data() + contents.size() - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  Footer footer;
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  const BlockHandle& h = footer.filter_handle();
+  ASSERT_LE(h.offset() + h.size(), contents.size());
+  const std::string written = contents.substr(h.offset(), h.size());
+
+  std::string expected;
+  policy->CreateFilter(slices.data(), static_cast<int>(slices.size()),
+                       &expected);
+  EXPECT_EQ(expected, written);
 }
 
 TEST(TableTest, CorruptFooterIsRejected) {

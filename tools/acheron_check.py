@@ -292,7 +292,7 @@ class LockEvent:
 class Func:
     __slots__ = ("qname", "cls", "name", "path", "line", "end_line",
                  "required", "calls", "lock_events", "local_ptr_types",
-                 "body_ids")
+                 "local_value_types", "body_ids")
 
     def __init__(self, qname, cls, name, path, line):
         self.qname = qname
@@ -305,6 +305,9 @@ class Func:
         self.calls = []          # [CallSite]
         self.lock_events = []    # [LockEvent]
         self.local_ptr_types = {}  # var name -> class name (for Type* var)
+        # var name -> type name for `Type var(...)` / `Type var;` / `Type
+        # var{...}` / `Type var = ...`; trusted only for harvested classes.
+        self.local_value_types = {}
         self.body_ids = set()    # all identifier texts in the body
 
 
@@ -676,6 +679,14 @@ def parse_file(lexed):
                 toks[i + 1].text == "*" and toks[i + 2].kind == "id" and \
                 (i + 3 >= n or toks[i + 3].text in ("=", ";", ")", ",")):
             f.local_ptr_types.setdefault(toks[i + 2].text, t.text)
+        # Local value declarations: Type name( / Type name; / Type name{ /
+        # Type name = (the type must not itself be a member access).
+        if t.kind == "id" and t.text not in KEYWORDS and i + 2 < n and \
+                toks[i + 1].kind == "id" and \
+                toks[i + 1].text not in KEYWORDS and \
+                toks[i + 2].text in ("(", ";", "{", "=") and \
+                (i == 0 or toks[i - 1].text not in (".", "->")):
+            f.local_value_types.setdefault(toks[i + 1].text, t.text)
         # Generic call site: id (
         if t.kind == "id" and t.text not in KEYWORDS and i + 1 < n and \
                 toks[i + 1].kind == "punct" and toks[i + 1].text == "(":
@@ -1043,6 +1054,8 @@ class Registry:
             t = fn.cls
         elif first in fn.local_ptr_types:
             t = fn.local_ptr_types[first]
+        elif fn.local_value_types.get(first) in self.classes:
+            t = fn.local_value_types[first]
         elif fn.cls is not None and (fn.cls, first) in self.member_types:
             t = self.member_types[(fn.cls, first)]
         elif first in self.classes:
@@ -1299,10 +1312,13 @@ CREATE_CALLS = {"NewWritableFile"}
 SYNC_CALLS = {"Sync", "SyncDurable"}
 OUTPUT_NAME_HINTS = {"TableFileName", "DescriptorFileName", "VlogFileName"}
 # Async durability (Env::SubmitSync): the submission alone leaves the fsync
-# merely in flight -- only a later CompletionQueue::WaitFor in the same body
-# observes its completion. The pair therefore counts as a sync; a bare
-# SubmitSync never does, even though the resolved callee (the pool worker /
-# uring reaper body) contains the actual SyncDurable call.
+# merely in flight -- only a later CompletionQueue::WaitFor observes its
+# completion. The pair therefore counts as a sync; a bare SubmitSync never
+# does, even though the resolved callee (the pool worker / uring reaper
+# body) contains the actual SyncDurable call. The submission may sit in a
+# callee (a function that returns with a sync still in flight -- e.g. a
+# table sink's builder, which submits each output's fsync and leaves the
+# wait to the sink's Finish); the wait then completes it in the caller.
 ASYNC_SUBMIT_CALLS = {"SubmitSync"}
 ASYNC_WAIT_CALLS = {"WaitFor"}
 
@@ -1310,13 +1326,73 @@ ASYNC_WAIT_CALLS = {"WaitFor"}
 def check_sync_before_install(models, reporter, reg):
     all_funcs = reg.all_funcs
 
+    def callees_of(fn, c):
+        return [g for g in reg.resolve_callees(fn, c) if g is not fn]
+
+    # ends_submitted: fn RETURNS with an async sync submitted (directly or
+    # by a callee) and not yet waited for.
+    ends_submitted = {id(fn): False for fn in all_funcs}
+    changed = True
+    guard = 0
+    while changed and guard < 50:
+        changed = False
+        guard += 1
+        for fn in all_funcs:
+            submitted = False
+            for c in sorted(fn.calls, key=lambda c: c.index):
+                if c.name in ASYNC_SUBMIT_CALLS:
+                    submitted = True
+                elif c.name in ASYNC_WAIT_CALLS:
+                    submitted = False
+                elif any(ends_submitted[id(g)] for g in callees_of(fn, c)):
+                    submitted = True
+            if submitted != ends_submitted[id(fn)]:
+                ends_submitted[id(fn)] = submitted
+                changed = True
+
+    # waits_prior: fn waits (directly or through a callee) before any sync
+    # of its own is in flight -- it completes syncs its CALLER submitted
+    # earlier (a sink's Finish after the caller's Adds).
+    waits_prior = {id(fn): False for fn in all_funcs}
+    changed = True
+    guard = 0
+    while changed and guard < 50:
+        changed = False
+        guard += 1
+        for fn in all_funcs:
+            found = False
+            submitted = False
+            for c in sorted(fn.calls, key=lambda c: c.index):
+                callees = callees_of(fn, c)
+                if c.name in ASYNC_WAIT_CALLS or \
+                        any(waits_prior[id(g)] for g in callees):
+                    if not submitted:
+                        found = True
+                        break
+                    submitted = False
+                elif c.name in ASYNC_SUBMIT_CALLS or \
+                        any(ends_submitted[id(g)] for g in callees):
+                    submitted = True
+            if found != waits_prior[id(fn)]:
+                waits_prior[id(fn)] = found
+                changed = True
+
+    def submits(fn, c):
+        return c.name in ASYNC_SUBMIT_CALLS or \
+            any(ends_submitted[id(g)] for g in callees_of(fn, c))
+
+    def waits(fn, c):
+        return c.name in ASYNC_WAIT_CALLS or \
+            any(waits_prior[id(g)] for g in callees_of(fn, c))
+
     def has_async_sync_pair(fn):
         submitted = False
         for c in sorted(fn.calls, key=lambda c: c.index):
-            if c.name in ASYNC_SUBMIT_CALLS:
+            if waits(fn, c):
+                if submitted:
+                    return True
+            elif submits(fn, c):
                 submitted = True
-            elif submitted and c.name in ASYNC_WAIT_CALLS:
-                return True
         return False
 
     def qualifying_create(fn, c):
@@ -1344,6 +1420,8 @@ def check_sync_before_install(models, reporter, reg):
                 if flag[id(fn)]:
                     continue
                 for c in fn.calls:
+                    if c.name in ASYNC_SUBMIT_CALLS:
+                        continue  # in flight, not durable (see above)
                     if any(flag[id(g)] for g in reg.resolve_callees(fn, c)
                            if g is not fn):
                         flag[id(fn)] = True
@@ -1376,10 +1454,11 @@ def check_sync_before_install(models, reporter, reg):
                     # itself (handled before the callee-summary branch so
                     # the worker body's fsync cannot leak through).
                     submitted = True
+                elif waits(fn, c) and submitted:
+                    pending = False
+                    submitted = False
                 elif c.name in ASYNC_WAIT_CALLS:
-                    if submitted:
-                        pending = False
-                        submitted = False
+                    pass
                 elif c.name in CREATE_CALLS and qualifying_create(fn, c):
                     pending = True
                 elif any(ends_pending[id(g)] for g in callees):
@@ -1387,6 +1466,9 @@ def check_sync_before_install(models, reporter, reg):
                 elif c.name in SYNC_CALLS or \
                         any(t_syncs[id(g)] for g in callees):
                     pending = False
+                if c.name not in ASYNC_SUBMIT_CALLS and \
+                        any(ends_submitted[id(g)] for g in callees):
+                    submitted = True
             if pending != ends_pending[id(fn)]:
                 ends_pending[id(fn)] = pending
                 changed = True
@@ -1399,9 +1481,11 @@ def check_sync_before_install(models, reporter, reg):
             if c.name in ASYNC_SUBMIT_CALLS:
                 submitted = True
                 is_sync = False
-            elif c.name in ASYNC_WAIT_CALLS:
-                is_sync = submitted
+            elif waits(fn, c) and submitted:
+                is_sync = True
                 submitted = False
+            elif c.name in ASYNC_WAIT_CALLS:
+                is_sync = False
             else:
                 is_sync = c.name in SYNC_CALLS or \
                     any(t_syncs[id(g)] for g in callees)
@@ -1425,6 +1509,9 @@ def check_sync_before_install(models, reporter, reg):
                 pending = None
             if is_create and c.name != fn.name:
                 pending = (c.start_line, c.name)
+            if c.name not in ASYNC_SUBMIT_CALLS and \
+                    any(ends_submitted[id(g)] for g in callees):
+                submitted = True
 
 
 # ---------------------------------------------------------------------------
