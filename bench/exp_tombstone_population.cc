@@ -31,6 +31,9 @@ static void Run(uint64_t dth, const char* label) {
       CheckOk(db->Put(wo, op.key, op.value));
     }
     if ((i + 1) % checkpoint == 0) {
+      // Sample a quiescent tree: with a round still in flight the count
+      // would depend on when its thread ran.
+      CheckOk(db->WaitForCompactions());
       std::printf(" %8llu",
                   static_cast<unsigned long long>(
                       db.PropertyU64("acheron.total-tombstones")));

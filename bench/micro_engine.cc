@@ -8,7 +8,7 @@
 //     N-thread run end to end):
 //       ./micro_engine --threads=4 [--mode=fillrandom|readrandom|
 //                      readwhilewriting|multiget] [--ops=N] [--value-size=N]
-//                      [--background=0|1] [--sync=0|1] [--db=DIR]
+//                      [--sync=0|1] [--db=DIR]
 //                      [--json=PATH] [--range-delete-fill=P]
 //     fillrandom: N writer threads (group-commit/stall counters).
 //     readrandom: N reader threads over a preloaded tree; exercises the
@@ -150,7 +150,6 @@ struct FillRandomConfig {
   std::string mode = "fillrandom";
   uint64_t ops = 200000;     // total across all threads
   int value_size = 100;
-  bool background = true;    // Options::background_compactions
   bool sync = false;         // WriteOptions::sync (one fsync per group)
   int range_delete_fill = 0;  // % of keyspace covered by DeleteRange spans
   std::string db_dir;        // empty = in-memory env
@@ -159,7 +158,6 @@ struct FillRandomConfig {
 
 static int RunFillRandom(const FillRandomConfig& cfg) {
   Options options = BenchOptions();
-  options.background_compactions = cfg.background;
   options.disable_wal = false;  // group commit batches WAL appends/fsyncs
   std::unique_ptr<Env> mem_env;
   std::string db_path = "/bench";
@@ -211,12 +209,12 @@ static int RunFillRandom(const FillRandomConfig& cfg) {
   const InternalStats stats = db->GetStats();
 
   std::printf(
-      "fillrandom: threads=%d ops=%llu background=%d sync=%d env=%s\n"
+      "fillrandom: threads=%d ops=%llu sync=%d env=%s\n"
       "  %.0f ops/s   p50=%.1fus p99=%.1fus max=%.1fus\n"
       "  wal_syncs=%llu group_commits=%llu writes_grouped=%llu "
       "memtable_swaps=%llu bg_jobs=%llu stall_micros=%llu\n",
       cfg.threads, static_cast<unsigned long long>(total_ops),
-      cfg.background ? 1 : 0, cfg.sync ? 1 : 0,
+      cfg.sync ? 1 : 0,
       cfg.db_dir.empty() ? "mem" : cfg.db_dir.c_str(), ops_per_sec,
       latency.Percentile(50.0), latency.Percentile(99.0), latency.Max(),
       static_cast<unsigned long long>(stats.wal_syncs),
@@ -244,7 +242,6 @@ static int RunReadBench(const FillRandomConfig& cfg) {
   constexpr uint64_t kKeySpace = 100000;
 
   Options options = BenchOptions();
-  options.background_compactions = cfg.background;
   options.disable_wal = false;
   std::unique_ptr<Env> mem_env;
   std::string db_path = "/bench";
@@ -357,11 +354,11 @@ static int RunReadBench(const FillRandomConfig& cfg) {
   const InternalStats stats = db->GetStats();
 
   std::printf(
-      "%s: threads=%d ops=%llu background=%d env=%s\n"
+      "%s: threads=%d ops=%llu env=%s\n"
       "  %.0f ops/s   p50=%.1fus p99=%.1fus max=%.1fus\n"
       "  gets=%llu found=%llu bloom_useful=%llu memtable_swaps=%llu\n",
       cfg.mode.c_str(), cfg.threads,
-      static_cast<unsigned long long>(total_ops), cfg.background ? 1 : 0,
+      static_cast<unsigned long long>(total_ops),
       cfg.db_dir.empty() ? "mem" : cfg.db_dir.c_str(), ops_per_sec,
       latency.Percentile(50.0), latency.Percentile(99.0), latency.Max(),
       static_cast<unsigned long long>(stats.gets),
@@ -428,7 +425,6 @@ static int RunMultiGet(const FillRandomConfig& cfg) {
   static constexpr size_t kMaxBatch = 64;
 
   Options options = BenchOptions();
-  options.background_compactions = cfg.background;
   options.disable_wal = false;
   std::unique_ptr<Cache> small_cache(NewLRUCache(64 << 10));
   options.block_cache = small_cache.get();
@@ -591,8 +587,6 @@ int main(int argc, char** argv) {
       cfg.ops = std::strtoull(v, nullptr, 10);
     } else if (acheron::bench::ParseFlag(argv[i], "--value-size", &v)) {
       cfg.value_size = std::atoi(v);
-    } else if (acheron::bench::ParseFlag(argv[i], "--background", &v)) {
-      cfg.background = std::atoi(v) != 0;
     } else if (acheron::bench::ParseFlag(argv[i], "--sync", &v)) {
       cfg.sync = std::atoi(v) != 0;
     } else if (acheron::bench::ParseFlag(argv[i], "--range-delete-fill", &v)) {

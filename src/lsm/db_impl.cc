@@ -1,7 +1,6 @@
 #include "src/lsm/db_impl.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -79,12 +78,6 @@ Options SanitizeOptions(const std::string&, const Options& src) {
   result.vlog_segment_size =
       clamp(result.vlog_segment_size, uint64_t{64} << 10, uint64_t{1} << 30);
   result.vlog_gc_live_ratio = clamp(result.vlog_gc_live_ratio, 0.0, 1.0);
-  // Test hook: ACHERON_BACKGROUND_COMPACTIONS=0|1 forces the scheduling
-  // mode, letting unchanged test binaries (delete_persistence_test) run
-  // against both pipelines without recompilation.
-  if (const char* mode = std::getenv("ACHERON_BACKGROUND_COMPACTIONS")) {
-    result.background_compactions = (mode[0] == '1');
-  }
   return result;
 }
 
@@ -100,7 +93,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       mem_(nullptr),
       imm_(nullptr),
       logfile_number_(0),
-      wal_sync_done_(&mutex_),
       compaction_active_(false),
       bg_compaction_scheduled_(false),
       background_work_finished_signal_(&mutex_),
@@ -1277,9 +1269,9 @@ void DBImpl::ReleaseCompactionSlot() {
 Status DBImpl::RunCompactions() {
   AcquireCompactionSlot();
   Status s;
-  // A round that flushes replays the swap point: every pick and drop in it
-  // uses the horizon captured when the memtable rotated, not wherever the
-  // writers' clock has moved to since.
+  // A round that flushes is pinned to the swap point: every pick and drop
+  // in it uses the horizon captured when the memtable rotated, not wherever
+  // the writers' clock has moved to before the round's thread ran.
   SequenceNumber horizon = versions_->LastSequence();
   if (imm_ != nullptr) {
     horizon = pending_flush_horizon_;
@@ -1302,8 +1294,7 @@ Status DBImpl::RunCompactions() {
 }
 
 void DBImpl::MaybeScheduleCompaction() {
-  if (!options_.background_compactions) return;  // synchronous mode
-  if (bg_compaction_scheduled_) return;          // one round in flight max
+  if (bg_compaction_scheduled_) return;  // one round in flight max
   if (shutting_down_.load(std::memory_order_acquire)) return;
   if (!BackgroundWorkAllowed()) return;  // fatal or degraded: work is paused
   // Rounds are flush-driven, with one exception: while an error episode is
@@ -1356,10 +1347,54 @@ SequenceNumber DBImpl::SmallestSnapshot() const {
                             : snapshots_.oldest()->sequence_number();
 }
 
+Status DBImpl::RotateWal() {
+  if (logfile_ != nullptr) {
+    // Make the outgoing log's acked prefix durable before any write can land
+    // in its successor: a Sync() ack in the new log must not outlive unsynced
+    // records of the old one across a machine crash, or recovery would
+    // replay a sequence with a hole in it (the classic rotation gap). After a
+    // WAL failure this doubles as the retry of the failed sync.
+    Status s = logfile_->Sync();
+    // Close explicitly so a failed close surfaces instead of being swallowed
+    // by the destructor. The synced prefix is already durable, but a close
+    // error still marks the handle unhealthy -- treat it like a failed sync.
+    if (s.ok()) s = logfile_->Close();
+    if (!s.ok()) return s;
+    log_.reset();
+    logfile_.reset();
+  }
+  const uint64_t new_log_number = versions_->NewFileNumber();
+  std::unique_ptr<WritableFile> lfile;
+  Status s = env_->NewWritableFile(LogFileName(dbname_, new_log_number),
+                                   &lfile);  // io: mutex-held -- WAL rotation
+  if (!s.ok()) return s;
+  logfile_ = std::move(lfile);
+  log_ = std::make_unique<wal::Writer>(logfile_.get());
+  logfile_number_ = new_log_number;
+  wal_rotation_pending_ = false;
+  return s;
+}
+
+void DBImpl::RecordErrorAndBackoff(const Status& s, ErrorSubsystem subsystem) {
+  RecordBackgroundError(s, subsystem);
+  if (bg_error_state_ != BackgroundErrorState::kRetrying) return;
+  const uint64_t backoff = retry_backoff_micros_;
+  retry_backoff_micros_ = 0;
+  if (backoff > 0 && !shutting_down_.load(std::memory_order_acquire)) {
+    mutex_.Unlock();
+    env_->SleepForMicroseconds(static_cast<int>(backoff));  // io: unlocked
+    mutex_.Lock();
+  }
+}
+
 Status DBImpl::MakeRoomForWrite(bool force) {
   assert(!writers_.empty());
   bool allow_delay = !force;
   Status s;
+  // A failed step records its error and re-enters the loop: the loop head
+  // then retries after the backoff (kRetrying), probes for space
+  // (kDegradedReadOnly), or stops for good (kFatal) -- the retry budget
+  // bounds the iterations either way.
   while (true) {
     if (bg_error_state_ == BackgroundErrorState::kFatal) {
       s = bg_error_;
@@ -1382,51 +1417,11 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     // number, in order), and the flush that eventually swaps mem_ retires
     // both.
     if (wal_rotation_pending_ && !options_.disable_wal) {
-      // Async syncs still in flight target the outgoing file; drain them
-      // before retiring it (their leaders are off the mutex in WaitFor).
-      while (wal_syncs_inflight_ > 0) {
-        wal_sync_done_.Wait();
-      }
-      if (logfile_ != nullptr) {
-        // Make the old log's acked prefix durable before any ack can land
-        // in its successor (the same rotation-gap argument as the swap
-        // path below); this doubles as the retry of a failed sync.
-        s = logfile_->Sync();
-        if (!s.ok()) {
-          // A failed rotation step re-enters the loop: the loop head
-          // retries the rotation after backoff (kRetrying), probes for
-          // space (kDegradedReadOnly), or stops for good (kFatal) -- the
-          // retry budget bounds the iterations either way.
-          RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-          if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-          (void)BackoffForRetry();
-          continue;
-        }
-        s = logfile_->Close();
-        if (!s.ok()) {
-          RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-          if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-          (void)BackoffForRetry();
-          continue;
-        }
-        log_.reset();
-        logfile_.reset();
-      }
-      const uint64_t rotated_log_number = versions_->NewFileNumber();
-      std::unique_ptr<WritableFile> nfile;
-      // io: mutex-held -- WAL recovery rotation
-      s = env_->NewWritableFile(LogFileName(dbname_, rotated_log_number),
-                                &nfile);
+      s = RotateWal();
       if (!s.ok()) {
-        RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-        if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-        (void)BackoffForRetry();
+        RecordErrorAndBackoff(s, ErrorSubsystem::kWalSync);
         continue;
       }
-      logfile_ = std::move(nfile);
-      log_ = std::make_unique<wal::Writer>(logfile_.get());
-      logfile_number_ = rotated_log_number;
-      wal_rotation_pending_ = false;
       ClearBackgroundError();
       continue;
     }
@@ -1440,9 +1435,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
          vlog_->offset() >= options_.vlog_segment_size)) {
       s = RotateVlogHead();
       if (!s.ok()) {
-        RecordBackgroundError(s, ErrorSubsystem::kFlush);
-        if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-        (void)BackoffForRetry();
+        RecordErrorAndBackoff(s, ErrorSubsystem::kFlush);
         continue;
       }
     }
@@ -1466,15 +1459,16 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // flush once the oldest buffered tombstone has consumed half of level
       // 0's TTL budget (the other half covers its L0 residency).
       //
-      // This trigger is depth-dependent, and with rounds in flight the live
-      // tree lags the synchronous schedule (DeepestNonEmptyLevel() may be
-      // shallower than it would be in sync mode at this write position).
-      // Depth is monotone under pending rounds and a deeper tree only
-      // *shrinks* the L0 TTL, so: firing at the live depth is always
-      // replay-exact, and not firing even at the maximum possible depth is
-      // always replay-exact. Only the band in between is ambiguous -- drain
-      // the pending rounds (the writer runs them inline, horizons captured,
-      // so the work is identical) and re-evaluate against the fresh tree.
+      // This trigger is depth-dependent, and with a round queued or running
+      // the live tree lags the rounds already owed (DeepestNonEmptyLevel()
+      // may be shallower than it will be once they install). Depth is
+      // monotone under pending rounds and a deeper tree only *shrinks* the
+      // L0 TTL, so: firing at the live depth is always correct, and not
+      // firing even at the maximum possible depth is always correct. Only
+      // the band in between depends on when the round's thread runs --
+      // drain the pending rounds (the writer runs them inline, horizons
+      // captured, so the work is identical) and re-evaluate against the
+      // fresh tree.
       if (!flush && planner_.delete_aware() &&
           (mem_->num_tombstones() > 0 || mem_->num_range_tombstones() > 0)) {
         const int depth = versions_->current()->DeepestNonEmptyLevel() + 1;
@@ -1503,9 +1497,8 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       }
     }
 
-    if (allow_delay && options_.background_compactions &&
-        versions_->NumLevelFiles(0) >=
-            options_.level0_slowdown_writes_trigger) {
+    if (allow_delay && versions_->NumLevelFiles(0) >=
+                           options_.level0_slowdown_writes_trigger) {
       // Soft backpressure: L0 is close to the stop trigger. Delay this
       // write group ~1ms (at most once) so the background worker gets CPU,
       // smearing the latency over many writes instead of stalling one
@@ -1525,23 +1518,15 @@ Status DBImpl::MakeRoomForWrite(bool force) {
 
     if (imm_ != nullptr) {
       // The previous memtable is still being flushed.
-      if (options_.background_compactions) {
-        stats_.stall_memtable_waits++;
-        const uint64_t t0 = SystemClock::NowMicros();
-        MaybeScheduleCompaction();
-        background_work_finished_signal_.Wait();
-        stats_.stall_micros += SystemClock::NowMicros() - t0;
-      } else {
-        // Synchronous mode only reaches here via manual compaction paths
-        // that left imm_ populated; flush it inline.
-        s = RunCompactionsWithRetry();
-        if (!s.ok()) break;
-      }
+      stats_.stall_memtable_waits++;
+      const uint64_t t0 = SystemClock::NowMicros();
+      MaybeScheduleCompaction();
+      background_work_finished_signal_.Wait();
+      stats_.stall_micros += SystemClock::NowMicros() - t0;
       continue;
     }
 
-    if (options_.background_compactions &&
-        versions_->NumLevelFiles(0) >= options_.level0_stop_writes_trigger &&
+    if (versions_->NumLevelFiles(0) >= options_.level0_stop_writes_trigger &&
         (bg_compaction_scheduled_ || compaction_active_)) {
       // Hard backpressure: block until the in-flight round thins out L0.
       // Only applied while a round is actually running -- if the planner
@@ -1565,82 +1550,38 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     if (vlog_ != nullptr && vlog_->value_count() > 0) {
       s = RotateVlogHead();
       if (!s.ok()) {
-        RecordBackgroundError(s, ErrorSubsystem::kFlush);
-        if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-        (void)BackoffForRetry();
+        RecordErrorAndBackoff(s, ErrorSubsystem::kFlush);
         continue;
       }
     }
 
     // Rotate the WAL and swap mem_ into the immutable slot. The new log
     // file must exist before any write lands in the new memtable, so this
-    // one Env call stays under the mutex by design.
-    //
-    // Async group syncs submitted by earlier leaders may still be in flight
-    // on the outgoing log file; destroying it under them would hand the
-    // completion thread a dangling WritableFile. Drain them first (their
-    // leaders are off the mutex in WaitFor, so this cannot deadlock).
-    while (wal_syncs_inflight_ > 0) {
-      wal_sync_done_.Wait();
-    }
-    const uint64_t new_log_number = versions_->NewFileNumber();
-    std::unique_ptr<WritableFile> lfile;
-    if (!options_.disable_wal) {
-      if (logfile_ != nullptr) {
-        // Sync the outgoing WAL before any write can land in its
-        // successor: a Sync() ack in the new log must not outlive unsynced
-        // records of the old one across a machine crash, or recovery would
-        // replay a sequence with a hole in it (the classic rotation gap).
-        s = logfile_->Sync();
-        if (!s.ok()) {
-          // Recording the error sets wal_rotation_pending_, so re-entering
-          // the loop routes through the recovery-rotation block above,
-          // which retries (with backoff), degrades, or goes fatal.
-          RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-          if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-          (void)BackoffForRetry();
-          continue;
-        }
-        // Close the outgoing log explicitly so a failed close surfaces
-        // instead of being swallowed by the destructor at the move-assign
-        // below. The synced prefix is already durable, but a close error
-        // still marks the file handle unhealthy -- treat it like a sync
-        // failure.
-        s = logfile_->Close();
-        if (!s.ok()) {
-          RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-          if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-          (void)BackoffForRetry();
-          continue;
-        }
-        log_.reset();
-        logfile_.reset();
-      }
-      s = env_->NewWritableFile(LogFileName(dbname_, new_log_number),
-                                &lfile);  // io: mutex-held -- WAL rotation
+    // one Env call stays under the mutex by design. A failure sets
+    // wal_rotation_pending_, so the retry goes through the recovery
+    // rotation above.
+    if (options_.disable_wal) {
+      logfile_number_ = versions_->NewFileNumber();
+    } else {
+      s = RotateWal();
       if (!s.ok()) {
-        RecordBackgroundError(s, ErrorSubsystem::kWalSync);
-        if (bg_error_state_ == BackgroundErrorState::kFatal) break;
-        (void)BackoffForRetry();
+        RecordErrorAndBackoff(s, ErrorSubsystem::kWalSync);
         continue;
       }
-      logfile_ = std::move(lfile);
-      log_ = std::make_unique<wal::Writer>(logfile_.get());
     }
-    logfile_number_ = new_log_number;
     // The swap also satisfies any pending WAL-recovery rotation, and the
     // flush edit must retire exactly the logs older than *this* log --
     // capture it now; logfile_number_ itself may advance again (recovery
     // rotation) before the flush runs.
     wal_rotation_pending_ = false;
-    pending_log_number_at_swap_ = new_log_number;
+    pending_log_number_at_swap_ = logfile_number_;
     imm_ = mem_;
-    // Capture the replay horizon: the round that flushes this memtable
-    // picks and drops as of now, no matter when it actually runs.
+    // Capture the round's horizon: the round that flushes this memtable
+    // picks and drops as of now, no matter when its thread actually runs.
     pending_flush_horizon_ = versions_->LastSequence();
     // Journal checkpoint for the FADE clock: at this instant the new WAL is
     // empty, so the monitor's written count equals exactly the tombstones
-    // in WALs older than new_log_number. The flush edit that retires those
+    // in WALs older than the new log. The flush edit that retires those
     // WALs carries this value (the edit's log number is the swap-time
     // capture above, so a later WAL-recovery rotation cannot widen the set
     // of logs it retires).
@@ -1669,14 +1610,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     // from here on see the swap atomically.
     PublishReadState();
     force = false;  // the swap satisfied the forced flush
-    if (options_.background_compactions) {
-      MaybeScheduleCompaction();
-    } else {
-      // Synchronous mode: flush + compactions complete before the write
-      // proceeds, preserving the deterministic pre-pipeline behaviour.
-      s = RunCompactionsWithRetry();
-      if (!s.ok()) break;
-    }
+    MaybeScheduleCompaction();
   }
   return s;
 }
@@ -1875,8 +1809,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   assert(versions_->NumLevelFiles(compact->compaction->level()) > 0);
 
   // Both the drop horizon and the monitor's "persisted at" clock use the
-  // round's captured horizon so a background round records exactly what a
-  // synchronous one would have.
+  // round's captured horizon, so what a round records does not depend on
+  // when its thread ran.
   compact->smallest_snapshot = std::min(horizon, SmallestSnapshot());
   stats_.compaction_bytes_read += compact->compaction->TotalInputBytes();
   const SequenceNumber now_seq = horizon;
@@ -2012,8 +1946,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   while (status.ok() && input->Valid() && !sink.failed()) {
     // A memtable swapped out mid-merge stays queued until this round ends:
     // flushing it here would install its L0 file between this round's
-    // picks, diverging from the synchronous schedule (which flushes only
-    // at round boundaries). BackgroundCall reschedules for it.
+    // picks, making the schedule depend on thread timing (flushes land
+    // only at round boundaries). BackgroundCall reschedules for it.
     if ((merge_steps++ & 63) == 0) {
       // Keep the next input blocks in flight while this one merges.
       prefetcher->Pump();
@@ -2092,7 +2026,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
           if (deletion_driven) {
             // Key purge happens when this edit installs; stamp the round's
             // horizon as the purge time (one clock for the whole round,
-            // so background and synchronous schedules agree).
+            // however late the round's thread runs).
             d.purge_count++;
             d.purge_seq = now_seq;
           }
@@ -2254,18 +2188,6 @@ Status DBImpl::RunCompactionsWithRetry() {
     ClearBackgroundError();
   }
   return s;
-}
-
-bool DBImpl::BackoffForRetry() {
-  if (bg_error_state_ != BackgroundErrorState::kRetrying) return false;
-  const uint64_t backoff = retry_backoff_micros_;
-  retry_backoff_micros_ = 0;
-  if (backoff > 0 && !shutting_down_.load(std::memory_order_acquire)) {
-    mutex_.Unlock();
-    env_->SleepForMicroseconds(static_cast<int>(backoff));  // io: unlocked
-    mutex_.Lock();
-  }
-  return bg_error_state_ == BackgroundErrorState::kRetrying;
 }
 
 Status DBImpl::TryResumeFromNoSpace() {
@@ -2444,8 +2366,9 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     }
   }
 
+  // gets_ before gets_found_ (release): see MergeReadPathCounters.
   gets_.fetch_add(1, std::memory_order_relaxed);
-  if (s.ok()) gets_found_.fetch_add(1, std::memory_order_relaxed);
+  if (s.ok()) gets_found_.fetch_add(1, std::memory_order_release);
   table_cache_->AddFilterNegatives(filter_negatives);
   ReleaseReadState(state);
   return s;
@@ -2553,7 +2476,7 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   }
   // One batched counter flush for the whole call.
   gets_.fetch_add(n, std::memory_order_relaxed);
-  if (found > 0) gets_found_.fetch_add(found, std::memory_order_relaxed);
+  if (found > 0) gets_found_.fetch_add(found, std::memory_order_release);
   table_cache_->AddFilterNegatives(filter_negatives);
   ReleaseReadState(state);
   return statuses;
@@ -2703,9 +2626,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   Status status = MakeRoomForWrite(updates == nullptr);
   SequenceNumber last_sequence = versions_->LastSequence();
   Writer* last_writer = &w;
-  bool async_sync = false;
-  CompletionQueue sync_cq;
-  SyncRequest sync_req;
   if (status.ok() && updates != nullptr) {
     WriteBatch* write_batch = BuildBatchGroup(&last_writer);
     WriteBatchInternal::SetSequence(write_batch, last_sequence + 1);
@@ -2716,7 +2636,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     uint64_t wal_syncs = 0;
     uint64_t vlog_appended_bytes = 0;
     uint64_t vlog_appended_values = 0;
-    bool sync_error = false;
     bool vlog_error = false;
     {
       // Apply the group to the WAL and memtable with the mutex released:
@@ -2776,35 +2695,11 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
         if (status.ok() && w.sync) {
           // Group commit's payoff: ONE fsync covers every batch in the
           // group (followers piggyback on the leader's sync; BuildBatchGroup
-          // never puts a sync batch under a non-sync leader).
-          if (options_.async_wal_sync) {
-            // Asynchronous variant: push the buffered record to the OS now
-            // (SyncDurable never touches the user-space buffer), then
-            // submit the fsync and keep going -- the leader applies the
-            // batch, hands off leadership, and only waits for this
-            // completion right before returning.
-            status = logfile->Flush();
-            if (status.ok()) {
-              sync_req.file = logfile;
-              env_->SubmitSync(&sync_req, &sync_cq);  // io: unlocked
-              wal_syncs++;
-              async_sync = true;
-              if (sync_cq.completed() >= 1 && !sync_req.status.ok()) {
-                // Completed inline with an error (e.g. a FaultInjectionEnv
-                // crash at submit): honor it exactly like a blocking sync
-                // failure -- skip the memtable apply.
-                status = sync_req.status;
-                sync_error = true;
-                async_sync = false;
-              }
-            } else {
-              sync_error = true;
-            }
-          } else {
-            status = logfile->Sync();
-            wal_syncs++;
-            if (!status.ok()) sync_error = true;
-          }
+          // never puts a sync batch under a non-sync leader). The leader
+          // blocks on it, so every writer in the group is acked only once
+          // its record is durable.
+          status = logfile->Sync();
+          wal_syncs++;
         }
       }
       if (status.ok()) {
@@ -2822,12 +2717,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       // Force the next leader through RotateVlogHead before any further
       // separation: the current head is poisoned (unknown tail state).
       vlog_rotation_pending_ = true;
-    }
-    if (async_sync) {
-      // Claimed before any successor leader can run MakeRoomForWrite: a WAL
-      // rotation must not destroy logfile_ while the submitted fsync is in
-      // flight on it (the rotation path drains this counter).
-      wal_syncs_inflight_++;
     }
     stats_.wal_bytes_written += wal_bytes;
     stats_.wal_syncs += wal_syncs;
@@ -2850,19 +2739,18 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       // log and continues (the failed group was never acked and never
       // reached the memtable); with retries disabled this poisons the DB
       // exactly as before.
-      (void)sync_error;
       RecordBackgroundError(status, ErrorSubsystem::kWalSync);
     }
     if (write_batch == &tmp_batch_) tmp_batch_.Clear();
 
     // FADE: the logical clock just advanced; fire the compaction machinery
     // the moment a file's tombstone TTL lapses, independent of flushes.
-    // This runs *inline* even in background mode: the persistence bound
-    // means this write may not complete until the expired tombstone has
-    // moved, so there is nothing to gain from handing the work to the
-    // background thread -- and picking the compaction here, at the exact
-    // deadline-crossing sequence number, keeps the TTL schedule identical
-    // to synchronous mode instead of racing the writer's clock.
+    // This runs *inline* in the writer: the persistence bound means this
+    // write may not complete until the expired tombstone has moved, so
+    // there is nothing to gain from handing the work to the background
+    // thread -- and picking the compaction here, at the exact
+    // deadline-crossing sequence number, fixes the TTL schedule instead of
+    // racing the writer's clock.
     // pending_ttl_floor_ covers the deadline a still-queued flush is about
     // to introduce; if the floor (not the installed deadline) fired, the
     // first round flushes and exposes the real deadline, so loop once more.
@@ -2899,40 +2787,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     writers_.front()->cv.Signal();
   }
 
-  if (async_sync) {
-    // Async WAL sync epilogue: the group is applied, its followers are
-    // awake, and the next leader is already running -- only now does this
-    // thread block on its own fsync completion, off the mutex. A failure
-    // here poisons the DB (like any sync error) and is returned to the
-    // caller; followers of this group were released with the pre-sync
-    // status, which is the documented async_wal_sync relaxation.
-    mutex_.Unlock();
-    sync_cq.WaitFor(1);
-    Status sync_status = sync_req.status;
-    if (!sync_status.ok() && options_.max_background_retries > 0) {
-      // Completion-path sync failed. Before acking, fall back to one
-      // blocking Sync() on the same file: the record already reached the
-      // OS (Flush succeeded before submit), so a transient completion
-      // failure is usually recovered by a plain fsync. This must happen
-      // BEFORE the inflight count drops -- that count is what keeps
-      // logfile_ alive against a concurrent rotation.
-      sync_status = sync_req.file->Sync();
-    }
-    mutex_.Lock();
-    wal_syncs_inflight_--;
-    if (wal_syncs_inflight_ == 0) {
-      wal_sync_done_.SignalAll();
-    }
-    if (!sync_status.ok()) {
-      status = sync_status;
-      RecordBackgroundError(status, ErrorSubsystem::kWalSync);
-    } else if (!sync_req.status.ok()) {
-      // The fallback recovered what the completion path could not: the
-      // group is durable and acked. Count the episode.
-      stats_.errors_transient++;
-      stats_.errors_retried++;
-    }
-  }
   return status;
 }
 
@@ -2993,7 +2847,7 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
 
 Status DBImpl::FlushMemTable() {
   // A null batch forces MakeRoomForWrite(force=true): swap mem_ out (if
-  // non-empty) and, in sync mode, flush+compact inline.
+  // non-empty); the wait below drains the round that flushes it.
   Status s = Write(WriteOptions(), nullptr);
   if (s.ok()) {
     s = WaitForCompactions();
@@ -3345,8 +3199,11 @@ DeleteStats DBImpl::GetDeleteStats() {
 void DBImpl::MergeReadPathCounters(InternalStats* merged) const {
   merged->iter_tombstones_skipped =
       iter_tombstones_skipped_.load(std::memory_order_relaxed);
+  // gets_found_ first, with acquire: every found-bump is a release that
+  // follows its own gets_ bump, so the gets_ load below sees at least as
+  // many Gets as the found count just read -- gets >= gets_found always.
+  merged->gets_found = gets_found_.load(std::memory_order_acquire);
   merged->gets = gets_.load(std::memory_order_relaxed);
-  merged->gets_found = gets_found_.load(std::memory_order_relaxed);
   merged->bloom_useful = table_cache_->filter_negatives_total();
   merged->vlog_reads = vlog_reads_.load(std::memory_order_relaxed);
 }

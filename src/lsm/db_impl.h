@@ -10,20 +10,18 @@
 //    applies the merged batch to the WAL and memtable with the mutex
 //    dropped; followers sleep on per-writer condition variables.
 //  * When the memtable fills, MakeRoomForWrite rotates the WAL and moves
-//    mem_ to the immutable imm_ slot. With background_compactions=true the
-//    flush (and any planner-driven compactions) run on the Env's background
-//    thread via Env::Schedule; with background_compactions=false they run
-//    synchronously in the writer, exactly like the original engine.
-//  * The pipeline *replays the synchronous compaction schedule*: work is
-//    organized into rounds (flush imm_, then compact until the planner is
-//    satisfied), each round picks and drops against the sequence horizon
-//    captured when its memtable was swapped out (pending_flush_horizon_),
-//    and imm_ is only flushed at round boundaries. Tombstone-TTL expiry is
-//    enforced inline in the write path in both modes (see
-//    pending_ttl_floor_). Concurrency therefore changes *when* work
-//    executes, not *what* it does: a single-threaded writer produces the
-//    same LSM shape in both modes, which delete_persistence_test and the
-//    EXPERIMENTS.md E-series rely on.
+//    mem_ to the immutable imm_ slot; the flush (and any planner-driven
+//    compactions) then run as one round on the Env's background thread
+//    via Env::Schedule.
+//  * Determinism machinery: a round's result does not depend on when its
+//    thread runs. Each round (flush imm_, then compact until the planner
+//    is satisfied) picks and drops against the sequence horizon captured
+//    when its memtable was swapped out (pending_flush_horizon_), and imm_
+//    is only flushed at round boundaries. Tombstone-TTL expiry is enforced
+//    inline in the write path at the exact deadline-crossing sequence
+//    (see pending_ttl_floor_). So a single-threaded writer produces the
+//    same LSM shape however the rounds are timed, which
+//    delete_persistence_test and the EXPERIMENTS.md E-series rely on.
 //  * All flush/compaction/purge work holds the exclusive "compaction slot"
 //    (compaction_active_), because compaction I/O runs unlocked and two
 //    jobs could otherwise pick overlapping inputs.
@@ -218,7 +216,7 @@ class DBImpl : public DB {
   // (imm_ != nullptr) and none is in flight. Rounds are flush-driven:
   // planner work runs inside the round that flushed, and TTL expiry is
   // enforced inline by the write path, so there is nothing to schedule
-  // without a pending flush. No-op when background_compactions=false.
+  // without a pending flush.
   void MaybeScheduleCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   static void BGWork(void* db);
   void BackgroundCall() LOCKS_EXCLUDED(mutex_);
@@ -293,16 +291,24 @@ class DBImpl : public DB {
            bg_error_state_ == BackgroundErrorState::kRetrying;
   }
 
-  // RunCompactions, plus an inline unlock/backoff/retry loop for the
-  // synchronous-mode call sites (background mode retries by re-scheduling
-  // the round through Env::Schedule instead). Returns the final status;
-  // clears the error episode on success.
+  // RunCompactions, plus an inline unlock/backoff/retry loop for the rounds
+  // a writer runs itself (TTL expiry, the depth-ambiguity drain,
+  // WaitForCompactions); background rounds retry by re-scheduling through
+  // Env::Schedule instead. Returns the final status; clears the error
+  // episode on success.
   Status RunCompactionsWithRetry() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Consume the scheduled backoff for an in-writer retry (mutex released
-  // while sleeping). Returns true if the episode is still kRetrying -- the
-  // caller should re-attempt; false in any other state.
-  bool BackoffForRetry() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Record a failed MakeRoomForWrite step and, while kRetrying, serve the
+  // scheduled backoff with the mutex released. The caller re-enters its
+  // loop, whose head retries, probes for space, or stops when fatal.
+  void RecordErrorAndBackoff(const Status& s, ErrorSubsystem subsystem)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Sync and close the current WAL (if any), then open a fresh one and
+  // install it as log_/logfile_/logfile_number_, clearing
+  // wal_rotation_pending_. On failure nothing is installed; the caller
+  // records the error as kWalSync.
+  Status RotateWal() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Kick off the ENOSPC space watcher if configured and not running.
   void MaybeStartSpaceWatcher() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
@@ -426,8 +432,8 @@ class DBImpl : public DB {
   MemTable* imm_ GUARDED_BY(mutex_);  // memtable being flushed; may be null
   // The sequence horizon captured when mem_ was swapped into imm_: the
   // round that flushes imm_ picks and drops against this value, so the
-  // compaction schedule matches what synchronous mode would have done at
-  // the swap point regardless of how far writers have raced ahead.
+  // compaction schedule is fixed at the swap point regardless of how far
+  // writers have raced ahead before the round's thread runs.
   SequenceNumber pending_flush_horizon_ GUARDED_BY(mutex_) = 0;
   // Conservative lower bound on the TTL deadline the pending imm_ flush
   // will introduce (its earliest tombstone + level-0's cumulative TTL).
@@ -464,14 +470,6 @@ class DBImpl : public DB {
   // pointers are captured under the lock first).
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);  // scratch for group commit
-
-  // Async group-commit WAL syncs (Options::async_wal_sync) still in flight
-  // on logfile_. Incremented by the leader before it promotes a successor
-  // (so no later leader can rotate the WAL out from under the submitted
-  // fsync), decremented when the completion posts; MakeRoomForWrite drains
-  // it to zero before destroying the outgoing log file.
-  int wal_syncs_inflight_ GUARDED_BY(mutex_) = 0;
-  CondVar wal_sync_done_;  // paired with mutex_
 
   // True while a flush/compaction/purge owns the (single) compaction slot.
   bool compaction_active_ GUARDED_BY(mutex_);
@@ -541,6 +539,8 @@ class DBImpl : public DB {
   // atomics rather than fields of the mutex-guarded stats_; they are merged
   // into InternalStats snapshots on read, like iter_tombstones_skipped_
   // above (bloom_useful is merged from the table cache's aggregate).
+  // gets_found_ is bumped with release after gets_ and loaded first with
+  // acquire, so a snapshot never shows more found Gets than Gets.
   std::atomic<uint64_t> gets_{0};
   std::atomic<uint64_t> gets_found_{0};
 
@@ -599,8 +599,8 @@ class DBImpl : public DB {
   // Earliest logical time at which some segment's pending value purges hit
   // the GC deadline (earliest purge_seq + D_th/2); UINT64_MAX when none.
   // Checked by the write path's inline deadline loop alongside
-  // next_ttl_deadline_, so value purges obey the same clock discipline in
-  // both pipeline modes.
+  // next_ttl_deadline_, so value purges obey the same clock discipline as
+  // tombstone TTLs.
   uint64_t next_vlog_gc_deadline_ GUARDED_BY(mutex_) = UINT64_MAX;
   // Durable byte extent per segment as recovered (sealed extent, or the
   // CRC-scanned extent of the unsealed head). Used only during Recover: a

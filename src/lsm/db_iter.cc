@@ -234,6 +234,8 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
             return;
           }
           break;
+        case kTypeRangeDeletion:
+          break;  // stored out of band, never in the point-key stream
       }
     }
     iter_->Next();

@@ -96,19 +96,6 @@ struct Options {
   // lost on machine crash (process crash never loses synced data).
   bool sync_writes = false;
 
-  // When a group commit ends with a WAL sync (sync_writes or
-  // WriteOptions::sync), submit the fsync through Env::SubmitSync instead
-  // of blocking the writer group's leader on Sync(): the leader applies the
-  // batch to the memtable, publishes the sequence, and hands leadership to
-  // the next group while the durability fsync completes on the Env's
-  // completion path; the leader then waits only for its own sync before
-  // returning. Groups still become durable in submission order
-  // (FaultInjectionEnv numbers the sync at submit time), so the crash
-  // matrix's synced-prefix guarantee is unchanged. Default off: the
-  // blocking leader sync is simpler to reason about and is what the
-  // deterministic replay tests were written against.
-  bool async_wal_sync = false;
-
   // Disable the WAL entirely (benchmarks on throwaway data).
   bool disable_wal = false;
 
@@ -140,36 +127,19 @@ struct Options {
 
   // -------- Compaction scheduling --------
 
-  // If true, memtable flushes and compactions run on a background thread
-  // (obtained via Env::Schedule): MakeRoomForWrite swaps the full memtable
-  // into an immutable `imm_`, hands the flush to the worker, and the writer
-  // continues into a fresh memtable; writers are throttled only by the
-  // L0 slowdown/stop triggers below.
-  //
-  // If false (the default), every flush and compaction runs synchronously
-  // inside the writing thread before Write() returns, exactly as before
-  // this knob existed. This mode is deterministic -- the LSM shape after N
-  // writes is a pure function of the write sequence -- and the delete
-  // persistence tests and EXPERIMENTS.md E-series measurements rely on that
-  // reproducibility.
-  //
-  // The background pipeline *replays* the synchronous schedule (picks and
-  // TTL decisions use the sequence horizon captured at memtable swap, and
-  // flushes land only at round boundaries), so a single-threaded writer
-  // produces the identical tree in both modes and the D_th bound holds
-  // unchanged either way. Overridable per-process with the
-  // ACHERON_BACKGROUND_COMPACTIONS=0|1 environment variable.
+  // Inert: nothing in the engine reads it. Memtable flushes and compactions
+  // always run as rounds on the Env's background thread (Env::Schedule);
+  // writers are throttled only by the L0 slowdown/stop triggers below.
+  // Kept so existing callers that assign it still compile.
   bool background_compactions = false;
 
   // Soft backpressure: when L0 holds at least this many files, each writer
   // group is delayed ~1ms (once) to let the background worker catch up,
   // smearing the write cost instead of stalling for whole compactions.
-  // Only consulted when background_compactions is true.
   int level0_slowdown_writes_trigger = 8;
 
   // Hard backpressure: when L0 holds at least this many files, writers block
   // until the background worker reduces the L0 file count.
-  // Only consulted when background_compactions is true.
   int level0_stop_writes_trigger = 12;
 
   // -------- Transient-fault tolerance --------

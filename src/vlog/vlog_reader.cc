@@ -140,14 +140,26 @@ void OnVlogReadComplete(ReadRequest* req) {
 
 }  // namespace
 
-Status ReaderCache::Get(const ValuePointer& ptr, const Slice& expected_key,
-                        std::string* value) {
+Status ReaderCache::ReadRecord(const ValuePointer& ptr, Slice* raw,
+                               char* scratch) {
   std::shared_ptr<RandomAccessFile> file;
   Status s = GetFile(ptr.segment, &file);
   if (!s.ok()) return s;
+  return file->Read(ptr.offset, ptr.size, raw, scratch);
+}
+
+Status ReaderCache::Get(const ValuePointer& ptr, const Slice& expected_key,
+                        std::string* value) {
   std::vector<char> scratch(ptr.size);
   Slice raw;
-  s = file->Read(ptr.offset, ptr.size, &raw, scratch.data());
+  Status s = ReadRecord(ptr, &raw, scratch.data());
+  if (s.ok() && raw.size() != ptr.size) {
+    // The cached handle can predate the record: PosixEnv maps a file at its
+    // open-time length, and the head segment grows after that. Reopen once;
+    // a short read through a fresh handle is corruption (FinishRead).
+    Evict(ptr.segment);
+    s = ReadRecord(ptr, &raw, scratch.data());
+  }
   if (!s.ok()) return s;
   ReadItem item;
   item.ptr = ptr;
@@ -186,6 +198,13 @@ void ReaderCache::MultiGet(ReadItem* items, size_t count) {
   // io: unlocked -- batched pointer dereferences on the MultiGet path
   env_->SubmitReads(reqs.data(), reqs.size(), &cq);
   cq.WaitFor(reqs.size());
+  for (PendingRead& p : pending) {
+    if (p.req.status.ok() && p.req.result.size() != p.item->ptr.size) {
+      // Short read through a stale handle: Get reopens the segment once.
+      p.item->status =
+          Get(p.item->ptr, p.item->expected_key, p.item->value);
+    }
+  }
 }
 
 void ReaderCache::Evict(uint64_t segment) {

@@ -49,7 +49,8 @@ class ReaderCache {
   ReaderCache& operator=(const ReaderCache&) = delete;
 
   // Read, CRC-validate, and key-back-check the record |ptr| names; on OK
-  // |*value| holds the user value.
+  // |*value| holds the user value. A short read reopens the segment once:
+  // the cached handle may predate appends to the head segment.
   [[nodiscard]] Status Get(const ValuePointer& ptr, const Slice& expected_key,
                            std::string* value);
 
@@ -65,6 +66,9 @@ class ReaderCache {
  private:
   [[nodiscard]] Status GetFile(uint64_t segment,
                                std::shared_ptr<RandomAccessFile>* file);
+  // One read of |ptr|'s record bytes through the cached segment handle.
+  [[nodiscard]] Status ReadRecord(const ValuePointer& ptr, Slice* raw,
+                                  char* scratch);
 
   Env* const env_;
   const std::string dbname_;

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/env/env.h"
+#include "src/env/fault_env.h"
 #include "src/lsm/db.h"
 #include "src/util/random.h"
 
@@ -164,8 +167,42 @@ TEST_F(ConcurrencyTest, SnapshotsUnderConcurrentChurn) {
 
 // --------------------------------------------------------------------------
 // Background-compaction pipeline. These tests open their own DB so they can
-// set Options::background_compactions explicitly.
+// choose its options and Env.
 // --------------------------------------------------------------------------
+
+// Starts every background round |delay_micros| late: Schedule queues the
+// job and hands the base Env a trampoline that sleeps on the worker thread
+// before running it, so writers race far ahead of each round.
+class DelayedRoundEnv : public FaultInjectionEnv {
+ public:
+  DelayedRoundEnv(Env* base, int delay_micros)
+      : FaultInjectionEnv(base), delay_micros_(delay_micros) {}
+
+  void Schedule(void (*function)(void*), void* arg) override {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      jobs_.emplace_back(function, arg);
+    }
+    FaultInjectionEnv::Schedule(&DelayedRoundEnv::RunNext, this);
+  }
+
+ private:
+  static void RunNext(void* env) {
+    auto* self = static_cast<DelayedRoundEnv*>(env);
+    self->SleepForMicroseconds(self->delay_micros_);
+    std::pair<void (*)(void*), void*> job;
+    {
+      std::lock_guard<std::mutex> l(self->mu_);
+      job = self->jobs_.front();  // the base worker runs FIFO
+      self->jobs_.pop_front();
+    }
+    job.first(job.second);
+  }
+
+  const int delay_micros_;
+  std::mutex mu_;
+  std::deque<std::pair<void (*)(void*), void*>> jobs_;
+};
 
 class BackgroundConcurrencyTest : public ::testing::Test {
  protected:
@@ -176,28 +213,32 @@ class BackgroundConcurrencyTest : public ::testing::Test {
     return buf;
   }
 
-  // A fresh DB in a fresh mem env; |background| selects the pipeline mode.
+  // A fresh DB in a fresh mem env; a positive |round_delay_micros| starts
+  // every background round that late (DelayedRoundEnv).
   struct TestDB {
-    explicit TestDB(bool background, uint64_t d_th = 0,
-                    bool async_wal_sync = false)
+    explicit TestDB(uint64_t d_th = 0, int round_delay_micros = 0)
         : env(NewMemEnv()) {
       options.env = env.get();
+      if (round_delay_micros > 0) {
+        delayed = std::make_unique<DelayedRoundEnv>(env.get(),
+                                                    round_delay_micros);
+        options.env = delayed.get();
+      }
       options.write_buffer_size = 16 << 10;
-      options.background_compactions = background;
       options.delete_persistence_threshold = d_th;
-      options.async_wal_sync = async_wal_sync;
       DB* raw = nullptr;
       EXPECT_TRUE(DB::Open(options, "/db", &raw).ok());
       db.reset(raw);
     }
     std::unique_ptr<Env> env;
+    std::unique_ptr<DelayedRoundEnv> delayed;
     Options options;
     std::unique_ptr<DB> db;
   };
 };
 
 TEST_F(BackgroundConcurrencyTest, WritersAndReadersUnderBackground) {
-  TestDB t(/*background=*/true);
+  TestDB t;
   const int kWriters = 3, kReaders = 2, kPerThread = 6000;
   std::atomic<int> writers_done{0};
   std::atomic<uint64_t> read_errors{0};
@@ -248,7 +289,7 @@ TEST_F(BackgroundConcurrencyTest, WritersAndReadersUnderBackground) {
 }
 
 TEST_F(BackgroundConcurrencyTest, WaitForCompactionsQuiesces) {
-  TestDB t(/*background=*/true);
+  TestDB t;
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i % 3000), "v" + Key(i)).ok());
   }
@@ -267,14 +308,17 @@ TEST_F(BackgroundConcurrencyTest, WaitForCompactionsQuiesces) {
   EXPECT_EQ(before.compaction_count, after.compaction_count);
 }
 
-TEST_F(BackgroundConcurrencyTest, DeleteBoundsIdenticalAcrossModes) {
-  // The pipeline replays the synchronous compaction schedule: a
+TEST_F(BackgroundConcurrencyTest, DeleteBoundsIndependentOfRoundTiming) {
+  // The determinism machinery (horizon captured at swap, flushes only at
+  // round boundaries, horizon-stamped purge times, inline TTL expiry) makes
+  // a round's result independent of when its thread runs: a
   // single-threaded workload must leave an identical tree -- same level
-  // file counts, same live tombstones, same oldest tombstone age -- in
-  // both modes. This is the regression gate for FADE's D_th bound under
-  // background execution.
-  auto run = [](bool background) {
-    TestDB t(background, /*d_th=*/8000);
+  // files, same live tombstones, same oldest tombstone age -- and identical
+  // delete-persistence counts and latencies whether rounds start at once or
+  // several ms late. This is the regression gate for FADE's D_th bound
+  // under background execution.
+  auto run = [](int round_delay_micros) {
+    TestDB t(/*d_th=*/8000, round_delay_micros);
     Random rnd(11);
     for (int i = 0; i < 25000; i++) {
       uint64_t k = rnd.Uniform(2500);
@@ -286,13 +330,16 @@ TEST_F(BackgroundConcurrencyTest, DeleteBoundsIdenticalAcrossModes) {
       }
     }
     EXPECT_TRUE(t.db->WaitForCompactions().ok());
-    std::string summary, tombstones, age;
+    std::string summary, tombstones, age, deletes;
     EXPECT_TRUE(t.db->GetProperty("acheron.level-summary", &summary));
     EXPECT_TRUE(t.db->GetProperty("acheron.total-tombstones", &tombstones));
     EXPECT_TRUE(t.db->GetProperty("acheron.max-tombstone-age", &age));
-    return summary + "|ts=" + tombstones + "|age=" + age;
+    EXPECT_TRUE(t.db->GetProperty("acheron.delete-stats", &deletes));
+    // The workload must actually persist tombstones for this to gate D_th.
+    EXPECT_GT(t.db->GetDeleteStats().tombstones_persisted, 0u);
+    return summary + "|ts=" + tombstones + "|age=" + age + "|" + deletes;
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(0), run(/*round_delay_micros=*/3000));
 }
 
 // --------------------------------------------------------------------------
@@ -300,7 +347,7 @@ TEST_F(BackgroundConcurrencyTest, DeleteBoundsIdenticalAcrossModes) {
 // iterators pin an atomically published ReadState and never touch the DB
 // mutex. The tests below pin down the zero-mutex property and race reads
 // against every ReadState publish site -- memtable swaps, flush/compaction
-// version installs, and manual CompactRange -- in both pipeline modes.
+// version installs, and manual CompactRange.
 // --------------------------------------------------------------------------
 
 TEST_F(ConcurrencyTest, GetTakesNoMutex) {
@@ -381,92 +428,87 @@ TEST_F(BackgroundConcurrencyTest, GetsRaceMemtableSwaps) {
   // Readers hammer Gets while the writer forces frequent mem_ -> imm_
   // rotations (16KiB buffer): every swap republishes the ReadState under
   // the readers' feet. Values encode their key for integrity checking.
-  for (bool background : {false, true}) {
-    TestDB t(background);
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> read_errors{0};
+  TestDB t;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> read_errors{0};
 
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; r++) {
-      readers.emplace_back([&, r] {
-        Random rnd(80 + r);
-        std::string value;
-        while (!done.load()) {
-          uint64_t k = rnd.Uniform(1500);
-          Status s = t.db->Get(ReadOptions(), Key(k), &value);
-          if (s.ok()) {
-            if (value.rfind("val_" + Key(k) + "_", 0) != 0) {
-              read_errors.fetch_add(1);
-            }
-          } else if (!s.IsNotFound()) {
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      Random rnd(80 + r);
+      std::string value;
+      while (!done.load()) {
+        uint64_t k = rnd.Uniform(1500);
+        Status s = t.db->Get(ReadOptions(), Key(k), &value);
+        if (s.ok()) {
+          if (value.rfind("val_" + Key(k) + "_", 0) != 0) {
             read_errors.fetch_add(1);
           }
+        } else if (!s.IsNotFound()) {
+          read_errors.fetch_add(1);
         }
-      });
-    }
-
-    Random rnd(17);
-    for (int i = 0; i < 20000; i++) {
-      uint64_t k = rnd.Uniform(1500);
-      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(k),
-                            "val_" + Key(k) + "_" + std::to_string(i))
-                      .ok());
-    }
-    done.store(true);
-    for (auto& r : readers) r.join();
-    ASSERT_TRUE(t.db->WaitForCompactions().ok());
-
-    EXPECT_EQ(0u, read_errors.load()) << "background=" << background;
-    // The workload really did rotate memtables (and install the flushed
-    // results as new versions) while readers were live.
-    EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
-    EXPECT_GT(t.db->GetStats().flush_count, 0u);
+      }
+    });
   }
+
+  Random rnd(17);
+  for (int i = 0; i < 20000; i++) {
+    uint64_t k = rnd.Uniform(1500);
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(k),
+                          "val_" + Key(k) + "_" + std::to_string(i))
+                    .ok());
+  }
+  done.store(true);
+  for (auto& r : readers) r.join();
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+
+  EXPECT_EQ(0u, read_errors.load());
+  // The workload really did rotate memtables (and install the flushed
+  // results as new versions) while readers were live.
+  EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
+  EXPECT_GT(t.db->GetStats().flush_count, 0u);
 }
 
 TEST_F(BackgroundConcurrencyTest, GetsRaceCompactRange) {
   // Manual full-range compactions rewrite every level and republish the
   // ReadState once per installed output; readers must never observe a
   // missing or stale value for the stable key range.
-  for (bool background : {false, true}) {
-    TestDB t(background);
-    const int kStable = 400;
-    for (int i = 0; i < kStable; i++) {
-      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i), "stable").ok());
-    }
-    // Churn a disjoint range so compactions have real work.
-    Random rnd(23);
-    for (int i = 0; i < 8000; i++) {
-      ASSERT_TRUE(
-          t.db->Put(WriteOptions(), Key(1000 + rnd.Uniform(1000)), "x").ok());
-    }
-
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> read_errors{0};
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; r++) {
-      readers.emplace_back([&, r] {
-        Random rr(90 + r);
-        std::string value;
-        while (!done.load()) {
-          uint64_t k = rr.Uniform(kStable);
-          Status s = t.db->Get(ReadOptions(), Key(k), &value);
-          if (!s.ok() || value != "stable") read_errors.fetch_add(1);
-        }
-      });
-    }
-
-    for (int round = 0; round < 4; round++) {
-      t.db->CompactRange(nullptr, nullptr);
-    }
-    ASSERT_TRUE(t.db->WaitForCompactions().ok());
-    done.store(true);
-    for (auto& r : readers) r.join();
-
-    EXPECT_EQ(0u, read_errors.load()) << "background=" << background;
-    EXPECT_GT(t.db->GetStats().compaction_count, 0u)
-        << "background=" << background;
+  TestDB t;
+  const int kStable = 400;
+  for (int i = 0; i < kStable; i++) {
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i), "stable").ok());
   }
+  // Churn a disjoint range so compactions have real work.
+  Random rnd(23);
+  for (int i = 0; i < 8000; i++) {
+    ASSERT_TRUE(
+        t.db->Put(WriteOptions(), Key(1000 + rnd.Uniform(1000)), "x").ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> read_errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      Random rr(90 + r);
+      std::string value;
+      while (!done.load()) {
+        uint64_t k = rr.Uniform(kStable);
+        Status s = t.db->Get(ReadOptions(), Key(k), &value);
+        if (!s.ok() || value != "stable") read_errors.fetch_add(1);
+      }
+    });
+  }
+
+  for (int round = 0; round < 4; round++) {
+    t.db->CompactRange(nullptr, nullptr);
+  }
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+  done.store(true);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(0u, read_errors.load());
+  EXPECT_GT(t.db->GetStats().compaction_count, 0u);
 }
 
 TEST_F(BackgroundConcurrencyTest, ReadersRaceTableSinkOutputs) {
@@ -474,62 +516,59 @@ TEST_F(BackgroundConcurrencyTest, ReadersRaceTableSinkOutputs) {
   // table-output worker while writers keep the tree churning. Gets,
   // iterators and GetProperty race those jobs; every output must be
   // complete and durable before a reader can see it.
-  for (bool background : {false, true}) {
-    TestDB t(background);
-    const int kStable = 300;
-    for (int i = 0; i < kStable; i++) {
-      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i), "stable").ok());
-    }
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> errors{0};
-    std::vector<std::thread> readers;
-    readers.emplace_back([&] {
-      Random rr(31);
-      std::string value;
-      while (!done.load()) {
-        Status s = t.db->Get(ReadOptions(), Key(rr.Uniform(kStable)), &value);
-        if (!s.ok() || value != "stable") errors.fetch_add(1);
-      }
-    });
-    readers.emplace_back([&] {
-      while (!done.load()) {
-        std::unique_ptr<Iterator> it(t.db->NewIterator(ReadOptions()));
-        int seen = 0;
-        for (it->SeekToFirst();
-             it->Valid() && it->key().compare(Key(kStable)) < 0; it->Next()) {
-          if (it->value() != Slice("stable")) errors.fetch_add(1);
-          seen++;
-        }
-        if (!it->status().ok() || seen != kStable) errors.fetch_add(1);
-      }
-    });
-    readers.emplace_back([&] {
-      std::string v;
-      while (!done.load()) {
-        if (!t.db->GetProperty("acheron.stats", &v) ||
-            !t.db->GetProperty("acheron.num-files-at-level0", &v)) {
-          errors.fetch_add(1);
-        }
-      }
-    });
-
-    Random rnd(37);
-    for (int i = 0; i < 12000; i++) {
-      const uint64_t k = 1000 + rnd.Uniform(2000);
-      Status s = (i % 5 == 0) ? t.db->Delete(WriteOptions(), Key(k))
-                              : t.db->Put(WriteOptions(), Key(k),
-                                          std::string(60, 'x'));
-      ASSERT_TRUE(s.ok());
-      if (i % 3000 == 2999) t.db->CompactRange(nullptr, nullptr);
-    }
-    ASSERT_TRUE(t.db->WaitForCompactions().ok());
-    done.store(true);
-    for (auto& r : readers) r.join();
-
-    EXPECT_EQ(0u, errors.load()) << "background=" << background;
-    EXPECT_GT(t.db->GetStats().compaction_count, 0u)
-        << "background=" << background;
+  TestDB t;
+  const int kStable = 300;
+  for (int i = 0; i < kStable; i++) {
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(i), "stable").ok());
   }
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {
+    Random rr(31);
+    std::string value;
+    while (!done.load()) {
+      Status s = t.db->Get(ReadOptions(), Key(rr.Uniform(kStable)), &value);
+      if (!s.ok() || value != "stable") errors.fetch_add(1);
+    }
+  });
+  readers.emplace_back([&] {
+    while (!done.load()) {
+      std::unique_ptr<Iterator> it(t.db->NewIterator(ReadOptions()));
+      int seen = 0;
+      for (it->SeekToFirst();
+           it->Valid() && it->key().compare(Key(kStable)) < 0; it->Next()) {
+        if (it->value() != Slice("stable")) errors.fetch_add(1);
+        seen++;
+      }
+      if (!it->status().ok() || seen != kStable) errors.fetch_add(1);
+    }
+  });
+  readers.emplace_back([&] {
+    std::string v;
+    while (!done.load()) {
+      if (!t.db->GetProperty("acheron.stats", &v) ||
+          !t.db->GetProperty("acheron.num-files-at-level0", &v)) {
+        errors.fetch_add(1);
+      }
+    }
+  });
+
+  Random rnd(37);
+  for (int i = 0; i < 12000; i++) {
+    const uint64_t k = 1000 + rnd.Uniform(2000);
+    Status s = (i % 5 == 0) ? t.db->Delete(WriteOptions(), Key(k))
+                            : t.db->Put(WriteOptions(), Key(k),
+                                        std::string(60, 'x'));
+    ASSERT_TRUE(s.ok());
+    if (i % 3000 == 2999) t.db->CompactRange(nullptr, nullptr);
+  }
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+  done.store(true);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(0u, errors.load());
+  EXPECT_GT(t.db->GetStats().compaction_count, 0u);
 }
 
 TEST_F(ConcurrencyTest, MultiGetTakesNoMutex) {
@@ -564,97 +603,58 @@ TEST_F(ConcurrencyTest, MultiGetTakesNoMutex) {
 
 TEST_F(BackgroundConcurrencyTest, MultiGetsRaceWrites) {
   // Batched readers race a writer through memtable swaps and version
-  // installs in both pipeline modes; every returned value must encode its
+  // installs; every returned value must encode its
   // key, and every batch must be internally consistent (one snapshot).
-  for (bool background : {false, true}) {
-    TestDB t(background);
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> read_errors{0};
+  TestDB t;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> read_errors{0};
 
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; r++) {
-      readers.emplace_back([&, r] {
-        Random rnd(70 + r);
-        while (!done.load()) {
-          const size_t n = 1 + rnd.Uniform(8);
-          std::vector<std::string> keys(n);
-          std::vector<Slice> slices(n);
-          for (size_t i = 0; i < n; i++) {
-            keys[i] = Key(rnd.Uniform(1500));
-            slices[i] = keys[i];
-          }
-          std::vector<std::string> values;
-          std::vector<Status> statuses = t.db->MultiGet(
-              ReadOptions(), std::span<const Slice>(slices.data(), n),
-              &values);
-          for (size_t i = 0; i < n; i++) {
-            if (statuses[i].ok()) {
-              if (values[i].rfind("val_" + keys[i] + "_", 0) != 0) {
-                read_errors.fetch_add(1);
-              }
-            } else if (!statuses[i].IsNotFound()) {
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      Random rnd(70 + r);
+      while (!done.load()) {
+        const size_t n = 1 + rnd.Uniform(8);
+        std::vector<std::string> keys(n);
+        std::vector<Slice> slices(n);
+        for (size_t i = 0; i < n; i++) {
+          keys[i] = Key(rnd.Uniform(1500));
+          slices[i] = keys[i];
+        }
+        std::vector<std::string> values;
+        std::vector<Status> statuses = t.db->MultiGet(
+            ReadOptions(), std::span<const Slice>(slices.data(), n),
+            &values);
+        for (size_t i = 0; i < n; i++) {
+          if (statuses[i].ok()) {
+            if (values[i].rfind("val_" + keys[i] + "_", 0) != 0) {
               read_errors.fetch_add(1);
             }
+          } else if (!statuses[i].IsNotFound()) {
+            read_errors.fetch_add(1);
           }
         }
-      });
-    }
-
-    Random rnd(19);
-    for (int i = 0; i < 20000; i++) {
-      uint64_t k = rnd.Uniform(1500);
-      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(k),
-                            "val_" + Key(k) + "_" + std::to_string(i))
-                      .ok());
-    }
-    done.store(true);
-    for (auto& r : readers) r.join();
-    ASSERT_TRUE(t.db->WaitForCompactions().ok());
-
-    EXPECT_EQ(0u, read_errors.load()) << "background=" << background;
-    EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
+      }
+    });
   }
-}
 
-TEST_F(BackgroundConcurrencyTest, AsyncWalSyncConcurrentWriters) {
-  // Options::async_wal_sync submits the group-commit fsync through
-  // Env::SubmitSync and hands off leadership before waiting. Concurrent
-  // sync-writers exercise the in-flight counter, the WAL-rotation drain,
-  // and leadership hand-off under both pipeline modes; no write may be
-  // lost and every leader must still ack only after its fsync completed.
-  for (bool background : {false, true}) {
-    TestDB t(background, /*d_th=*/0, /*async_wal_sync=*/true);
-    const int kWriters = 4, kPerThread = 3000;
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; w++) {
-      writers.emplace_back([&, w] {
-        WriteOptions wo;
-        wo.sync = true;
-        for (int i = 0; i < kPerThread; i++) {
-          ASSERT_TRUE(t.db->Put(wo, Key(w * 1000000 + i), "v").ok());
-        }
-      });
-    }
-    for (auto& w : writers) w.join();
-
-    const InternalStats stats = t.db->GetStats();
-    const uint64_t total = static_cast<uint64_t>(kWriters) * kPerThread;
-    EXPECT_GT(stats.wal_syncs, 0u) << "background=" << background;
-    EXPECT_LT(stats.wal_syncs, total) << "background=" << background;
-
-    std::string value;
-    Random rnd(29);
-    for (int probe = 0; probe < 1000; probe++) {
-      int w = static_cast<int>(rnd.Uniform(kWriters));
-      int i = static_cast<int>(rnd.Uniform(kPerThread));
-      ASSERT_TRUE(t.db->Get(ReadOptions(), Key(w * 1000000 + i), &value).ok())
-          << "background=" << background;
-    }
+  Random rnd(19);
+  for (int i = 0; i < 20000; i++) {
+    uint64_t k = rnd.Uniform(1500);
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(k),
+                          "val_" + Key(k) + "_" + std::to_string(i))
+                    .ok());
   }
+  done.store(true);
+  for (auto& r : readers) r.join();
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+
+  EXPECT_EQ(0u, read_errors.load());
+  EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
 }
 
 TEST_F(BackgroundConcurrencyTest, GroupCommitBatchesWalSyncs) {
-  TestDB t(/*background=*/true);
+  TestDB t;
   const int kWriters = 4, kPerThread = 4000;
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; w++) {

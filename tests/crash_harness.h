@@ -288,29 +288,19 @@ struct RunResult {
 // of the scripted workload.
 class CrashRun {
  public:
-  explicit CrashRun(bool background)
-      : CrashRun(background, std::unique_ptr<Env>(NewMemEnv()), "/crashdb") {}
+  CrashRun() : CrashRun(std::unique_ptr<Env>(NewMemEnv()), "/crashdb") {}
 
   // For shards that crash-simulate against a different base env (e.g. the
   // unbuffered PosixEnv): the caller supplies the base env and a dbname
   // rooted wherever that env can write. The base env must apply Append()
   // immediately (see the FaultInjectionEnv header contract).
-  CrashRun(bool background, std::unique_ptr<Env> base, std::string dbname)
-      : background_(background),
-        dbname_(std::move(dbname)),
+  CrashRun(std::unique_ptr<Env> base, std::string dbname)
+      : dbname_(std::move(dbname)),
         base_(std::move(base)),
         fault_(new FaultInjectionEnv(base_.get())) {}
 
   FaultInjectionEnv* env() { return fault_.get(); }
   const std::string& dbname() const { return dbname_; }
-
-  // Route group-commit WAL fsyncs through Env::SubmitSync for this run.
-  // Safe for the matrix: the harness writes single-threaded, every write is
-  // its own group leader, and the leader still blocks on its completion
-  // before returning -- so a synced ack implies durability exactly as in
-  // the blocking mode, and syncs are numbered at submit time in arrival
-  // order, keeping the file-op schedule deterministic.
-  void set_async_wal_sync(bool v) { async_wal_sync_ = v; }
 
   // Replace the default scripted workload (e.g. with
   // ScriptedRangeDeleteWorkload()). Must be called before RunWorkload.
@@ -336,11 +326,9 @@ class CrashRun {
     o.create_if_missing = true;
     // Large enough that the script never swaps the memtable on its own:
     // flush points are explicit, so the file-op schedule is a pure
-    // function of the script in both compaction modes.
+    // function of the script.
     o.write_buffer_size = 256 << 10;
-    o.background_compactions = background_;
     o.delete_persistence_threshold = kDth;
-    o.async_wal_sync = async_wal_sync_;
     // Crash simulation turns the crash boundary into an injected IOError;
     // retrying it would re-run file ops past the boundary and desync the
     // op schedule, so the state machine is disabled by default here.
@@ -410,8 +398,6 @@ class CrashRun {
   const RunResult& result() const { return result_; }
 
  private:
-  const bool background_;
-  bool async_wal_sync_ = false;
   int max_background_retries_ = 0;
   size_t value_separation_ = 0;
   std::vector<LogicalOp> script_ = ScriptedWorkload();

@@ -42,10 +42,16 @@ class CrashSimTest : public ::testing::Test {
                  const std::string& b = std::string()) {
     std::unique_ptr<WritableFile> f;
     ASSERT_TRUE(env_.NewWritableFile(fname, &f).ok());
-    if (!a.empty()) ASSERT_TRUE(f->Append(a).ok());
-    if (!synced_upto_here.empty()) ASSERT_TRUE(f->Append(synced_upto_here).ok());
+    if (!a.empty()) {
+      ASSERT_TRUE(f->Append(a).ok());
+    }
+    if (!synced_upto_here.empty()) {
+      ASSERT_TRUE(f->Append(synced_upto_here).ok());
+    }
     ASSERT_TRUE(f->Sync().ok());
-    if (!b.empty()) ASSERT_TRUE(f->Append(b).ok());
+    if (!b.empty()) {
+      ASSERT_TRUE(f->Append(b).ok());
+    }
     ASSERT_TRUE(f->Close().ok());
   }
 
@@ -159,56 +165,48 @@ TEST_F(CrashSimTest, RestartRearmsCleanly) {
 
 // ---------------- Pinned regression tests ----------------
 //
-// First surfaced by the matrix (sync mode, crash at the op index right
-// after the MANIFEST sync of the first flush): table files were only
+// First surfaced by the matrix (crash at the op index right after the
+// MANIFEST sync of the first flush): table files were only
 // Sync()ed when Options::sync_writes was set, so the synced manifest could
 // reference a table whose bytes evaporated with the crash.
 
 TEST(CrashRecoveryRegression, FlushedTableSurvivesMachineCrash) {
-  for (bool background : {false, true}) {
-    CrashRun run(background);
-    DB* db = nullptr;
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
-    ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
-    ASSERT_TRUE(db->FlushMemTable().ok());  // acked: durable from here on
-    delete db;
+  CrashRun run;
+  DB* db = nullptr;
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());  // acked: durable from here on
+  delete db;
 
-    ASSERT_TRUE(run.env()->CrashAndRestart().ok());
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok())
-        << "background=" << background;
-    std::string v;
-    ASSERT_TRUE(db->Get(ReadOptions(), "k", &v).ok())
-        << "background=" << background
-        << ": flushed table lost unsynced bytes behind a synced manifest";
-    EXPECT_EQ("v", v);
-    delete db;
-  }
+  ASSERT_TRUE(run.env()->CrashAndRestart().ok());
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  std::string v;
+  ASSERT_TRUE(db->Get(ReadOptions(), "k", &v).ok())
+      << "flushed table lost unsynced bytes behind a synced manifest";
+  EXPECT_EQ("v", v);
+  delete db;
 }
 
 TEST(CrashRecoveryRegression, CompactionOutputSurvivesMachineCrash) {
-  for (bool background : {false, true}) {
-    CrashRun run(background);
-    DB* db = nullptr;
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
-    for (int i = 0; i < 20; i++) {
-      ASSERT_TRUE(
-          db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
-    }
-    ASSERT_TRUE(db->FlushMemTable().ok());
-    db->CompactRange(nullptr, nullptr);  // rewrites into deeper levels
-    ASSERT_TRUE(db->WaitForCompactions().ok());
-    delete db;
-
-    ASSERT_TRUE(run.env()->CrashAndRestart().ok());
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok())
-        << "background=" << background;
-    std::string v;
-    for (int i = 0; i < 20; i++) {
-      EXPECT_TRUE(db->Get(ReadOptions(), "k" + std::to_string(i), &v).ok())
-          << "background=" << background << " key " << i;
-    }
-    delete db;
+  CrashRun run;
+  DB* db = nullptr;
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
   }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  db->CompactRange(nullptr, nullptr);  // rewrites into deeper levels
+  ASSERT_TRUE(db->WaitForCompactions().ok());
+  delete db;
+
+  ASSERT_TRUE(run.env()->CrashAndRestart().ok());
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  std::string v;
+  for (int i = 0; i < 20; i++) {
+    EXPECT_TRUE(db->Get(ReadOptions(), "k" + std::to_string(i), &v).ok())
+        << "key " << i;
+  }
+  delete db;
 }
 
 // ---------------- The matrix ----------------
@@ -292,17 +290,13 @@ void RepairAndCheck(CrashRun& run, const std::string& repro, bool check_ttl,
 //                    default, every byte offset under FULL).
 //   leg C ("keep"):  process crash, everything written survives, reopen.
 //   leg D ("repair"): machine crash, CURRENT+MANIFEST destroyed, RepairDB.
-void RunCrashMatrix(bool background, uint64_t shard, uint64_t nshards,
-                    bool async_wal = false, bool range_delete = false,
+void RunCrashMatrix(uint64_t shard, uint64_t nshards, bool range_delete = false,
                     bool vlog = false) {
   const bool full = FullMatrix();
-  const std::string mode = std::string(background ? "background" : "sync") +
-                           (async_wal ? "+async-wal" : "") +
-                           (range_delete ? "+range-delete" : "") +
-                           (vlog ? "+vlog" : "");
+  const std::string mode =
+      range_delete ? "range-delete" : (vlog ? "vlog" : "point");
   auto make_run = [&] {
-    CrashRun r(background);
-    r.set_async_wal_sync(async_wal);
+    CrashRun r;
     if (range_delete) r.set_script(crash::ScriptedRangeDeleteWorkload());
     if (vlog) {
       r.set_script(crash::ScriptedVlogWorkload());
@@ -409,84 +403,31 @@ void RunCrashMatrix(bool background, uint64_t shard, uint64_t nshards,
   }
 }
 
-TEST(CrashMatrixSync, Shard0) { RunCrashMatrix(false, 0, 4); }
-TEST(CrashMatrixSync, Shard1) { RunCrashMatrix(false, 1, 4); }
-TEST(CrashMatrixSync, Shard2) { RunCrashMatrix(false, 2, 4); }
-TEST(CrashMatrixSync, Shard3) { RunCrashMatrix(false, 3, 4); }
-TEST(CrashMatrixBackground, Shard0) { RunCrashMatrix(true, 0, 4); }
-TEST(CrashMatrixBackground, Shard1) { RunCrashMatrix(true, 1, 4); }
-TEST(CrashMatrixBackground, Shard2) { RunCrashMatrix(true, 2, 4); }
-TEST(CrashMatrixBackground, Shard3) { RunCrashMatrix(true, 3, 4); }
-
-// Async group-commit WAL syncs (Options::async_wal_sync) through the same
-// matrix: the fsync is numbered at submit and the leader still waits for
-// its completion, so the invariants and the determinism assertion must hold
-// unchanged in both pipeline modes.
-TEST(CrashMatrixAsyncWalSync, Shard0) { RunCrashMatrix(false, 0, 2, true); }
-TEST(CrashMatrixAsyncWalSync, Shard1) { RunCrashMatrix(false, 1, 2, true); }
-TEST(CrashMatrixAsyncWalBackground, Shard0) { RunCrashMatrix(true, 0, 2, true); }
-TEST(CrashMatrixAsyncWalBackground, Shard1) { RunCrashMatrix(true, 1, 2, true); }
+TEST(CrashMatrixBackground, Shard0) { RunCrashMatrix(0, 4); }
+TEST(CrashMatrixBackground, Shard1) { RunCrashMatrix(1, 4); }
+TEST(CrashMatrixBackground, Shard2) { RunCrashMatrix(2, 4); }
+TEST(CrashMatrixBackground, Shard3) { RunCrashMatrix(3, 4); }
 
 // The range-delete workload through the same matrix: every crash point, all
-// four legs, in both compaction modes and with async WAL syncs. The
-// invariant set adds "a durable range delete never resurrects a covered
-// key" (checked inside CheckRecoveredState for range entries).
-TEST(CrashMatrixRangeDelete, Shard0) {
-  RunCrashMatrix(false, 0, 2, false, true);
-}
-TEST(CrashMatrixRangeDelete, Shard1) {
-  RunCrashMatrix(false, 1, 2, false, true);
-}
-TEST(CrashMatrixRangeDeleteBackground, Shard0) {
-  RunCrashMatrix(true, 0, 2, false, true);
-}
-TEST(CrashMatrixRangeDeleteBackground, Shard1) {
-  RunCrashMatrix(true, 1, 2, false, true);
-}
-TEST(CrashMatrixRangeDeleteAsyncWal, Shard0) {
-  RunCrashMatrix(false, 0, 2, true, true);
-}
-TEST(CrashMatrixRangeDeleteAsyncWal, Shard1) {
-  RunCrashMatrix(false, 1, 2, true, true);
-}
-TEST(CrashMatrixRangeDeleteAsyncWalBackground, Shard0) {
-  RunCrashMatrix(true, 0, 2, true, true);
-}
-TEST(CrashMatrixRangeDeleteAsyncWalBackground, Shard1) {
-  RunCrashMatrix(true, 1, 2, true, true);
-}
+// four legs. The invariant set adds "a durable range delete never
+// resurrects a covered key" (checked inside CheckRecoveredState for range
+// entries).
+TEST(CrashMatrixRangeDeleteBackground, Shard0) { RunCrashMatrix(0, 2, true); }
+TEST(CrashMatrixRangeDeleteBackground, Shard1) { RunCrashMatrix(1, 2, true); }
 
 // The key-value-separated workload through the same matrix: every crash
 // point, all four legs (the torn leg now also tears vLog segment tails, and
-// the repair leg salvages orphaned segments), in both compaction modes and
-// with async WAL syncs. The invariant set adds number 7: an acked write
-// whose value went to the vLog survives restart, and a persisted delete's
-// value bytes never resurrect (CheckVlogRecoveredState). The enumerated
-// crash points include the vLog appends/syncs, head rotations, seals, and
-// the GC relocation the workload deliberately drives.
-TEST(CrashMatrixVlog, Shard0) {
-  RunCrashMatrix(false, 0, 2, false, false, true);
-}
-TEST(CrashMatrixVlog, Shard1) {
-  RunCrashMatrix(false, 1, 2, false, false, true);
-}
+// the repair leg salvages orphaned segments). The invariant set adds
+// number 7: an acked write whose value went to the vLog survives restart,
+// and a persisted delete's value bytes never resurrect
+// (CheckVlogRecoveredState). The enumerated crash points include the vLog
+// appends/syncs, head rotations, seals, and the GC relocation the workload
+// deliberately drives.
 TEST(CrashMatrixVlogBackground, Shard0) {
-  RunCrashMatrix(true, 0, 2, false, false, true);
+  RunCrashMatrix(0, 2, false, true);
 }
 TEST(CrashMatrixVlogBackground, Shard1) {
-  RunCrashMatrix(true, 1, 2, false, false, true);
-}
-TEST(CrashMatrixVlogAsyncWal, Shard0) {
-  RunCrashMatrix(false, 0, 2, true, false, true);
-}
-TEST(CrashMatrixVlogAsyncWal, Shard1) {
-  RunCrashMatrix(false, 1, 2, true, false, true);
-}
-TEST(CrashMatrixVlogAsyncWalBackground, Shard0) {
-  RunCrashMatrix(true, 0, 2, true, false, true);
-}
-TEST(CrashMatrixVlogAsyncWalBackground, Shard1) {
-  RunCrashMatrix(true, 1, 2, true, false, true);
+  RunCrashMatrix(1, 2, false, true);
 }
 
 // The vLog workload must actually reach the GC-relocation path, or the
@@ -496,52 +437,48 @@ TEST(CrashMatrixVlogAsyncWalBackground, Shard1) {
 // monitor journal round-trips -- a drained value-purge backlog with
 // purges on the books.
 TEST(CrashMatrixVlogWorkload, DrivesGcRelocationAndDrainsBacklog) {
-  for (bool background : {false, true}) {
-    CrashRun run(background);
-    run.set_script(crash::ScriptedVlogWorkload());
-    run.set_value_separation(crash::kVlogThreshold);
-    DB* db = nullptr;
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
-    std::vector<crash::LogicalOp> ops = crash::ScriptedVlogWorkload();
-    for (crash::LogicalOp& op : ops) {
-      switch (op.kind) {
-        case crash::LogicalOp::kWrite: {
-          WriteBatch batch;
-          for (const crash::Entry& e : op.entries) {
-            if (e.is_delete) {
-              batch.Delete(e.key);
-            } else {
-              batch.Put(e.key, e.value);
-            }
+  CrashRun run;
+  run.set_script(crash::ScriptedVlogWorkload());
+  run.set_value_separation(crash::kVlogThreshold);
+  DB* db = nullptr;
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  std::vector<crash::LogicalOp> ops = crash::ScriptedVlogWorkload();
+  for (crash::LogicalOp& op : ops) {
+    switch (op.kind) {
+      case crash::LogicalOp::kWrite: {
+        WriteBatch batch;
+        for (const crash::Entry& e : op.entries) {
+          if (e.is_delete) {
+            batch.Delete(e.key);
+          } else {
+            batch.Put(e.key, e.value);
           }
-          WriteOptions w;
-          w.sync = op.sync;
-          ASSERT_TRUE(db->Write(w, &batch).ok()) << "background=" << background;
-          break;
         }
-        case crash::LogicalOp::kFlush:
-          ASSERT_TRUE(db->FlushMemTable().ok()) << "background=" << background;
-          break;
-        case crash::LogicalOp::kCompact:
-          db->CompactRange(nullptr, nullptr);
-          break;
+        WriteOptions w;
+        w.sync = op.sync;
+        ASSERT_TRUE(db->Write(w, &batch).ok());
+        break;
       }
+      case crash::LogicalOp::kFlush:
+        ASSERT_TRUE(db->FlushMemTable().ok());
+        break;
+      case crash::LogicalOp::kCompact:
+        db->CompactRange(nullptr, nullptr);
+        break;
     }
-    const InternalStats stats = db->GetStats();
-    EXPECT_GT(stats.vlog_gc_runs, 0u)
-        << "background=" << background
-        << ": the scripted vLog workload no longer drives GC";
-    EXPECT_GT(stats.vlog_gc_values_relocated, 0u)
-        << "background=" << background
-        << ": the scripted vLog workload no longer drives a relocation";
-    delete db;
-
-    ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
-    const DeleteStats ds = db->GetDeleteStats();
-    EXPECT_GT(ds.values_purged, 0u) << "background=" << background;
-    EXPECT_EQ(ds.value_purge_backlog, 0u) << "background=" << background;
-    delete db;
   }
+  const InternalStats stats = db->GetStats();
+  EXPECT_GT(stats.vlog_gc_runs, 0u)
+      << "the scripted vLog workload no longer drives GC";
+  EXPECT_GT(stats.vlog_gc_values_relocated, 0u)
+      << "the scripted vLog workload no longer drives a relocation";
+  delete db;
+
+  ASSERT_TRUE(DB::Open(run.DbOptions(), run.dbname(), &db).ok());
+  const DeleteStats ds = db->GetDeleteStats();
+  EXPECT_GT(ds.values_purged, 0u);
+  EXPECT_EQ(ds.value_purge_backlog, 0u);
+  delete db;
 }
 
 }  // namespace

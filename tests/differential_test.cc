@@ -47,7 +47,6 @@ class DifferentialTest : public ::testing::Test {
     o.env = env_.get();
     o.create_if_missing = true;
     o.write_buffer_size = 16 << 10;  // small: steady flush/compaction churn
-    o.background_compactions = background_;
     o.value_separation_threshold = kSepThreshold;
     o.vlog_segment_size = 64 << 10;  // small segments: rotation + GC churn
     return o;
@@ -64,7 +63,7 @@ class DifferentialTest : public ::testing::Test {
   }
 
   std::string Ctx() const {
-    return "[differential seed=" + std::to_string(kSeed) +
+    return "[differential seed=" + std::to_string(seed_) +
            " step=" + std::to_string(step_) + "]";
   }
 
@@ -117,15 +116,15 @@ class DifferentialTest : public ::testing::Test {
 
   std::unique_ptr<Env> env_;
   DB* db_ = nullptr;
-  bool background_ = false;
+  uint32_t seed_ = kSeed;
   std::map<std::string, std::string> model_;
   std::set<std::string> deleted_;  // every key ever deleted
   int step_ = 0;
 };
 
 TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
-  for (bool background : {false, true}) {
-    background_ = background;
+  for (uint32_t seed : {kSeed, kSeed + 1}) {
+    seed_ = seed;
     delete db_;
     db_ = nullptr;
     env_.reset(NewMemEnv());
@@ -133,7 +132,7 @@ TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
     deleted_.clear();
     Open();
 
-    std::mt19937 rng(kSeed + (background ? 1 : 0));
+    std::mt19937 rng(seed);
     for (step_ = 0; step_ < kSteps; step_++) {
       const uint32_t roll = rng() % 1000;
       if (roll < 550) {

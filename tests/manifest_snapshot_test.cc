@@ -169,7 +169,9 @@ TEST_F(ManifestSnapshotTest, CleanCloseReplaysZeroEdits) {
   ASSERT_TRUE(DB::Open(Opts(64), dbname_, &db).ok());
   for (int i = 0; i < 30; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
-    if (i % 10 == 9) ASSERT_TRUE(db->FlushMemTable().ok());
+    if (i % 10 == 9) {
+      ASSERT_TRUE(db->FlushMemTable().ok());
+    }
   }
   delete db;  // writes the clean-close snapshot
 
@@ -280,7 +282,9 @@ TEST_F(ManifestSnapshotTest, TornTailSnapshotFallsBackToEditReplay) {
   ASSERT_TRUE(DB::Open(Opts(0), dbname_, &db).ok());  // no rotation
   for (int i = 0; i < 12; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
-    if (i % 4 == 3) ASSERT_TRUE(db->FlushMemTable().ok());
+    if (i % 4 == 3) {
+      ASSERT_TRUE(db->FlushMemTable().ok());
+    }
   }
   delete db;  // manifest tail = clean-close snapshot
 

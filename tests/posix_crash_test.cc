@@ -27,14 +27,11 @@ namespace {
 using crash::CrashRun;
 
 // Build-directory-relative scratch database, wiped before every run.
-// One directory per mode: ctest runs the two shard tests concurrently.
-std::string ScratchDbName(bool background) {
-  return background ? "posix_crash_scratch_db_bg" : "posix_crash_scratch_db";
-}
+constexpr char kScratchDb[] = "posix_crash_scratch_db";
 
-void WipeScratchDir(bool background) {
+void WipeScratchDir() {
   Env* env = DefaultEnv();
-  const std::string dbname = ScratchDbName(background);
+  const std::string dbname = kScratchDb;
   std::vector<std::string> children;
   if (env->GetChildren(dbname, &children).ok()) {
     for (const std::string& c : children) {
@@ -44,18 +41,17 @@ void WipeScratchDir(bool background) {
   }
 }
 
-CrashRun MakePosixRun(bool background) {
-  WipeScratchDir(background);
-  return CrashRun(background, std::unique_ptr<Env>(NewPosixEnv(true)),
-                  ScratchDbName(background));
+CrashRun MakePosixRun() {
+  WipeScratchDir();
+  return CrashRun(std::unique_ptr<Env>(NewPosixEnv(true)), kScratchDb);
 }
 
-void RunPosixShard(bool background) {
+void RunPosixShard() {
   // Dry run: learn the op count and confirm the schedule matches a fresh
   // execution (the determinism the repro strings depend on).
   uint64_t total = 0;
   {
-    CrashRun dry = MakePosixRun(background);
+    CrashRun dry = MakePosixRun();
     dry.RunWorkload(-1);
     ASSERT_TRUE(dry.result().open_status.ok());
     total = dry.env()->FileOpCount();
@@ -66,10 +62,9 @@ void RunPosixShard(bool background) {
   const uint64_t stride = std::max<uint64_t>(total / 6, 1);
   for (uint64_t k = 0; k <= total; k += stride) {
     const std::string repro =
-        std::string("[posix crash repro: mode=") +
-        (background ? "background" : "sync") + " k=" + std::to_string(k) +
-        "/" + std::to_string(total) + "]";
-    CrashRun run = MakePosixRun(background);
+        "[posix crash repro: k=" + std::to_string(k) + "/" +
+        std::to_string(total) + "]";
+    CrashRun run = MakePosixRun();
     if (::testing::Test::HasFatalFailure()) return;
     run.RunWorkload(static_cast<int64_t>(k));
     ASSERT_TRUE(run.env()->CrashAndRestart().ok()) << repro;
@@ -81,12 +76,10 @@ void RunPosixShard(bool background) {
     delete db;
     if (::testing::Test::HasFatalFailure()) return;
   }
-  WipeScratchDir(background);
+  WipeScratchDir();
 }
 
-TEST(PosixCrashShard, SampledMatrixSync) { RunPosixShard(false); }
-
-TEST(PosixCrashShard, SampledMatrixBackground) { RunPosixShard(true); }
+TEST(PosixCrashShard, SampledMatrixBackground) { RunPosixShard(); }
 
 // --------------------------------------------------------------------------
 // mmap read path under crash simulation. PosixEnv serves RandomAccessFiles
@@ -129,7 +122,9 @@ TEST(PosixMmapCrash, MmapNeverObservesPastSyncedPrefix) {
   std::unique_ptr<Env> base(NewPosixEnv(/*unbuffered_writes=*/true));
   FaultInjectionEnv fenv(base.get());
   ASSERT_TRUE(fenv.CreateDir(dir).ok());
-  if (fenv.FileExists(fname)) ASSERT_TRUE(fenv.RemoveFile(fname).ok());
+  if (fenv.FileExists(fname)) {
+    ASSERT_TRUE(fenv.RemoveFile(fname).ok());
+  }
 
   // 8KiB synced 'A' prefix, then 8KiB of unsynced 'B' that the crash drops.
   const std::string synced(8192, 'A');

@@ -39,12 +39,11 @@ bool FullMatrix() {
 // this many file ops; hitting the bound means the loop failed to converge.
 constexpr uint64_t kMaxRecoveryOps = 10000;
 
-std::string Repro(bool background, uint64_t k, uint64_t total, uint64_t j,
+std::string Repro(uint64_t k, uint64_t total, uint64_t j,
                   const std::string& leg) {
   std::ostringstream out;
-  out << "[recovery-crash repro: mode="
-      << (background ? "background" : "sync") << " k=" << k << "/" << total
-      << " j=" << j << " leg=" << leg << "]";
+  out << "[recovery-crash repro: k=" << k << "/" << total << " j=" << j
+      << " leg=" << leg << "]";
   return out.str();
 }
 
@@ -62,10 +61,10 @@ void CheckFinalState(CrashRun& run, const std::string& repro, bool check_ttl) {
 // Leg A: second crash inside DB::Open. For a fixed first-crash k, walks
 // j = 0,1,2,... until DB::Open completes without reaching the armed crash
 // point; every interrupted recovery is restarted and must then recover.
-void RunOpenLeg(bool background, uint64_t k, uint64_t total, bool full) {
+void RunOpenLeg(uint64_t k, uint64_t total, bool full) {
   for (uint64_t j = 0; j < kMaxRecoveryOps; j++) {
-    const std::string repro = Repro(background, k, total, j, "open");
-    CrashRun run(background);
+    const std::string repro = Repro(k, total, j, "open");
+    CrashRun run;
     run.RunWorkload(static_cast<int64_t>(k));
     ASSERT_TRUE(run.env()->CrashAndRestart().ok()) << repro;
 
@@ -117,10 +116,10 @@ bool StripManifests(CrashRun& run, const std::string& repro) {
 // Leg B: second crash inside RepairDB. CURRENT/MANIFESTs are stripped
 // *before* arming the relative crash point (the strip itself is made of
 // mutating file ops and must not consume the budget).
-void RunRepairLeg(bool background, uint64_t k, uint64_t total, bool full) {
+void RunRepairLeg(uint64_t k, uint64_t total, bool full) {
   for (uint64_t j = 0; j < kMaxRecoveryOps; j++) {
-    const std::string repro = Repro(background, k, total, j, "repair");
-    CrashRun run(background);
+    const std::string repro = Repro(k, total, j, "repair");
+    CrashRun run;
     run.RunWorkload(static_cast<int64_t>(k));
     ASSERT_TRUE(run.env()->CrashAndRestart().ok()) << repro;
     if (!StripManifests(run, repro)) return;  // vacuous at this k
@@ -149,20 +148,19 @@ void RunRepairLeg(bool background, uint64_t k, uint64_t total, bool full) {
   FAIL() << "repair-leg j-loop failed to converge at k=" << k;
 }
 
-void RunRecoveryCrashMatrix(bool background, uint64_t shard,
-                            uint64_t nshards) {
+void RunRecoveryCrashMatrix(uint64_t shard, uint64_t nshards) {
   const bool full = FullMatrix();
 
   // Dry run: learn the workload's total op count (k's domain) and assert
   // the schedule is deterministic, as the outer matrix does.
   uint64_t total = 0;
   {
-    CrashRun dry(background);
+    CrashRun dry;
     dry.RunWorkload(-1);
     ASSERT_TRUE(dry.result().open_status.ok());
     total = dry.env()->FileOpCount();
     ASSERT_GT(total, 0u);
-    CrashRun dry2(background);
+    CrashRun dry2;
     dry2.RunWorkload(-1);
     ASSERT_EQ(total, dry2.env()->FileOpCount())
         << "file-op schedule must be deterministic for (k, j) to be a repro";
@@ -172,29 +170,17 @@ void RunRecoveryCrashMatrix(bool background, uint64_t shard,
   // is offset by the shard so distinct shards cover distinct k.
   const uint64_t stride = full ? nshards : nshards * 3;
   for (uint64_t k = shard; k <= total; k += stride) {
-    RunOpenLeg(background, k, total, full);
+    RunOpenLeg(k, total, full);
     if (::testing::Test::HasFatalFailure()) return;
-    RunRepairLeg(background, k, total, full);
+    RunRepairLeg(k, total, full);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(RecoveryCrashMatrixSync, Shard0) { RunRecoveryCrashMatrix(false, 0, 4); }
-TEST(RecoveryCrashMatrixSync, Shard1) { RunRecoveryCrashMatrix(false, 1, 4); }
-TEST(RecoveryCrashMatrixSync, Shard2) { RunRecoveryCrashMatrix(false, 2, 4); }
-TEST(RecoveryCrashMatrixSync, Shard3) { RunRecoveryCrashMatrix(false, 3, 4); }
-TEST(RecoveryCrashMatrixBackground, Shard0) {
-  RunRecoveryCrashMatrix(true, 0, 4);
-}
-TEST(RecoveryCrashMatrixBackground, Shard1) {
-  RunRecoveryCrashMatrix(true, 1, 4);
-}
-TEST(RecoveryCrashMatrixBackground, Shard2) {
-  RunRecoveryCrashMatrix(true, 2, 4);
-}
-TEST(RecoveryCrashMatrixBackground, Shard3) {
-  RunRecoveryCrashMatrix(true, 3, 4);
-}
+TEST(RecoveryCrashMatrixBackground, Shard0) { RunRecoveryCrashMatrix(0, 4); }
+TEST(RecoveryCrashMatrixBackground, Shard1) { RunRecoveryCrashMatrix(1, 4); }
+TEST(RecoveryCrashMatrixBackground, Shard2) { RunRecoveryCrashMatrix(2, 4); }
+TEST(RecoveryCrashMatrixBackground, Shard3) { RunRecoveryCrashMatrix(3, 4); }
 
 }  // namespace
 }  // namespace acheron

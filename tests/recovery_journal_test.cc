@@ -4,7 +4,7 @@
 // WAL rotation boundary and at mid-WAL points; after reopen the
 // tombstone-age counters -- the full delete-stats line, including the
 // latency percentiles, and the next TTL deadline -- must be bit-identical
-// to the uncrashed run at the same point, in both compaction modes.
+// to the uncrashed run at the same point.
 //
 // Why equality is achievable: every write syncs, so the recovered tree
 // and memtable equal the pre-crash ones; written is journaled at memtable
@@ -57,7 +57,7 @@ std::vector<JournalOp> Script() {
   return ops;
 }
 
-class RecoveryJournalTest : public ::testing::TestWithParam<bool> {
+class RecoveryJournalTest : public ::testing::Test {
  protected:
   Options Opts(Env* env) {
     Options o;
@@ -65,7 +65,6 @@ class RecoveryJournalTest : public ::testing::TestWithParam<bool> {
     o.create_if_missing = true;
     o.write_buffer_size = 256 << 10;  // flush points are explicit
     o.delete_persistence_threshold = 400;
-    o.background_compactions = GetParam();
     return o;
   }
 
@@ -75,7 +74,7 @@ class RecoveryJournalTest : public ::testing::TestWithParam<bool> {
   };
 
   Probe Capture(DB* db) {
-    // Quiesce first so the capture point is deterministic in both modes.
+    // Quiesce first so the capture point does not depend on round timing.
     EXPECT_TRUE(db->WaitForCompactions().ok());
     Probe p;
     EXPECT_TRUE(db->GetProperty("acheron.delete-stats", &p.delete_stats));
@@ -148,8 +147,7 @@ class RecoveryJournalTest : public ::testing::TestWithParam<bool> {
 
   void CheckKillPoint(const std::vector<JournalOp>& ops, size_t kill_at,
                       bool expect_live_identical) {
-    SCOPED_TRACE("kill_at=" + std::to_string(kill_at) +
-                 (GetParam() ? " background" : " sync"));
+    SCOPED_TRACE("kill_at=" + std::to_string(kill_at));
     Probe live;
     const Probe after = CrashedProbe(ops, kill_at, &live);
     if (expect_live_identical) {
@@ -169,7 +167,7 @@ class RecoveryJournalTest : public ::testing::TestWithParam<bool> {
   }
 };
 
-TEST_P(RecoveryJournalTest, KillAtEveryWalRotationBoundary) {
+TEST_F(RecoveryJournalTest, KillAtEveryWalRotationBoundary) {
   const std::vector<JournalOp> ops = Script();
   for (size_t i = 0; i < ops.size(); i++) {
     if (ops[i].kind == JournalOp::kFlush) {
@@ -179,7 +177,7 @@ TEST_P(RecoveryJournalTest, KillAtEveryWalRotationBoundary) {
   }
 }
 
-TEST_P(RecoveryJournalTest, KillMidWal) {
+TEST_F(RecoveryJournalTest, KillMidWal) {
   const std::vector<JournalOp> ops = Script();
   // Mid-WAL points: tombstones live in the WAL suffix and must be exactly
   // recounted on top of the journaled written value.
@@ -192,7 +190,7 @@ TEST_P(RecoveryJournalTest, KillMidWal) {
   }
 }
 
-TEST_P(RecoveryJournalTest, DoubleKillKeepsCountersExact) {
+TEST_F(RecoveryJournalTest, DoubleKillKeepsCountersExact) {
   // Crash, recover, write one more phase, crash again: the journal written
   // by the *recovered* instance must be as exact as the original's.
   const std::vector<JournalOp> ops = Script();
@@ -213,7 +211,9 @@ TEST_P(RecoveryJournalTest, DoubleKillKeepsCountersExact) {
   wo.sync = true;
   for (int i = 0; i < 6; i++) {
     ASSERT_TRUE(db->Put(wo, "x" + std::to_string(i), "v").ok());
-    if (i == 2) ASSERT_TRUE(db->Delete(wo, "k0001").ok());
+    if (i == 2) {
+      ASSERT_TRUE(db->Delete(wo, "k0001").ok());
+    }
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
   const Probe before = Capture(db);
@@ -229,11 +229,6 @@ TEST_P(RecoveryJournalTest, DoubleKillKeepsCountersExact) {
   EXPECT_EQ(before.ttl_deadline, after.ttl_deadline);
   delete db;
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, RecoveryJournalTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Background" : "Sync";
-                         });
 
 }  // namespace
 }  // namespace acheron

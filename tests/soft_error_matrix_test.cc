@@ -131,17 +131,14 @@ void OpenForRun(CrashRun& run, const std::string& repro, DB** dbp) {
 // on vLog appends, syncs, head rotations/seals, and the GC relocation's
 // table rewrites and segment seal -- each of which must honor the same
 // transient-fault contract as every other file op.
-void RunSoftErrorMatrix(bool background, bool async_wal, SoftFaultClass cls,
-                        uint64_t shard, uint64_t nshards, bool vlog = false) {
+void RunSoftErrorMatrix(SoftFaultClass cls, uint64_t shard, uint64_t nshards,
+                        bool vlog = false) {
   const bool full = FullMatrix();
   const char* cls_name =
       cls == SoftFaultClass::kTransientEio ? "eio" : "nospace";
-  const std::string mode = std::string(background ? "background" : "sync") +
-                           (async_wal ? "+async-wal" : "") +
-                           (vlog ? "+vlog" : "");
+  const std::string mode = vlog ? "vlog" : "point";
   auto make_run = [&] {
-    CrashRun r(background);
-    r.set_async_wal_sync(async_wal);
+    CrashRun r;
     r.set_max_background_retries(5);  // the machinery under test
     if (vlog) r.set_value_separation(crash::kVlogThreshold);
     return r;
@@ -260,39 +257,15 @@ void RunSoftErrorMatrix(bool background, bool async_wal, SoftFaultClass cls,
   }
 }
 
-// Transient EIO at every index, both pipeline modes, sharded for ctest.
-TEST(SoftErrorMatrixSync, Shard0) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kTransientEio, 0, 3);
-}
-TEST(SoftErrorMatrixSync, Shard1) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kTransientEio, 1, 3);
-}
-TEST(SoftErrorMatrixSync, Shard2) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kTransientEio, 2, 3);
-}
+// Transient EIO at every index, sharded for ctest.
 TEST(SoftErrorMatrixBackground, Shard0) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kTransientEio, 0, 3);
+  RunSoftErrorMatrix(SoftFaultClass::kTransientEio, 0, 3);
 }
 TEST(SoftErrorMatrixBackground, Shard1) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kTransientEio, 1, 3);
+  RunSoftErrorMatrix(SoftFaultClass::kTransientEio, 1, 3);
 }
 TEST(SoftErrorMatrixBackground, Shard2) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kTransientEio, 2, 3);
-}
-
-// The async group-commit WAL legs: a faulted async fsync must fall back to
-// a blocking sync before acking, so the write still succeeds.
-TEST(SoftErrorMatrixAsyncWalSync, Shard0) {
-  RunSoftErrorMatrix(false, true, SoftFaultClass::kTransientEio, 0, 2);
-}
-TEST(SoftErrorMatrixAsyncWalSync, Shard1) {
-  RunSoftErrorMatrix(false, true, SoftFaultClass::kTransientEio, 1, 2);
-}
-TEST(SoftErrorMatrixAsyncWalBackground, Shard0) {
-  RunSoftErrorMatrix(true, true, SoftFaultClass::kTransientEio, 0, 2);
-}
-TEST(SoftErrorMatrixAsyncWalBackground, Shard1) {
-  RunSoftErrorMatrix(true, true, SoftFaultClass::kTransientEio, 1, 2);
+  RunSoftErrorMatrix(SoftFaultClass::kTransientEio, 2, 3);
 }
 
 // The key-value-separated workload through the matrix: the one-shot fault
@@ -301,46 +274,20 @@ TEST(SoftErrorMatrixAsyncWalBackground, Shard1) {
 // fails only its own write, a faulted rotation or GC retries behind the
 // background-error state machine, and no vLog fault may ever go fatal or
 // lose an acked value.
-TEST(SoftErrorMatrixVlogSync, Shard0) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kTransientEio, 0, 2, true);
-}
-TEST(SoftErrorMatrixVlogSync, Shard1) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kTransientEio, 1, 2, true);
-}
 TEST(SoftErrorMatrixVlogBackground, Shard0) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kTransientEio, 0, 2, true);
+  RunSoftErrorMatrix(SoftFaultClass::kTransientEio, 0, 2, true);
 }
 TEST(SoftErrorMatrixVlogBackground, Shard1) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kTransientEio, 1, 2, true);
-}
-TEST(SoftErrorMatrixVlogAsyncWal, Shard0) {
-  RunSoftErrorMatrix(false, true, SoftFaultClass::kTransientEio, 0, 2, true);
-}
-TEST(SoftErrorMatrixVlogAsyncWal, Shard1) {
-  RunSoftErrorMatrix(false, true, SoftFaultClass::kTransientEio, 1, 2, true);
-}
-TEST(SoftErrorMatrixVlogNoSpace, Sync) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kNoSpace, 0,
-                     FullMatrix() ? 1 : 5, true);
+  RunSoftErrorMatrix(SoftFaultClass::kTransientEio, 1, 2, true);
 }
 TEST(SoftErrorMatrixVlogNoSpace, Background) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kNoSpace, 0,
-                     FullMatrix() ? 1 : 5, true);
+  RunSoftErrorMatrix(SoftFaultClass::kNoSpace, 0, FullMatrix() ? 1 : 5, true);
 }
 
 // One-shot ENOSPC round-trips: degraded read-only in, recovered out.
 // Strided by default (the EIO legs already cover every index).
-TEST(SoftErrorMatrixNoSpace, Sync) {
-  RunSoftErrorMatrix(false, false, SoftFaultClass::kNoSpace, 0,
-                     FullMatrix() ? 1 : 5);
-}
 TEST(SoftErrorMatrixNoSpace, Background) {
-  RunSoftErrorMatrix(true, false, SoftFaultClass::kNoSpace, 0,
-                     FullMatrix() ? 1 : 5);
-}
-TEST(SoftErrorMatrixNoSpace, AsyncWal) {
-  RunSoftErrorMatrix(false, true, SoftFaultClass::kNoSpace, 0,
-                     FullMatrix() ? 1 : 5);
+  RunSoftErrorMatrix(SoftFaultClass::kNoSpace, 0, FullMatrix() ? 1 : 5);
 }
 
 // ---------------- Persistent-ENOSPC degradation legs ----------------

@@ -79,6 +79,67 @@ TEST(VlogWriterTest, AppendScanAndReadBack) {
   EXPECT_TRUE(cache.Get(ptrs[0], "not-the-key", &out).IsCorruption());
 }
 
+// PosixEnv maps a file at its open-time length, and the head segment keeps
+// growing after the reader cached its handle. Records appended later must
+// still read back, through Get and MultiGet alike; a pointer past the end
+// of the file stays Corruption.
+TEST(VlogReaderTest, PosixHeadSegmentReadsRecordsAppendedAfterOpen) {
+  Env* env = DefaultEnv();
+  const std::string dir = "vlog_posix_scratch_db";
+  auto wipe = [&] {
+    std::vector<std::string> children;
+    if (env->GetChildren(dir, &children).ok()) {
+      for (const std::string& c : children) {
+        ASSERT_TRUE(env->RemoveFile(dir + "/" + c).ok());
+      }
+      ASSERT_TRUE(env->RemoveDir(dir).ok());
+    }
+  };
+  wipe();
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile(VlogFileName(dir, 5), &file).ok());
+  vlog::Writer writer(std::move(file), 5);
+  vlog::ReaderCache cache(env, dir);
+
+  const std::string v1(300, 'a'), v2(5000, 'b'), v3(200, 'c');
+  vlog::ValuePointer p1, p2, p3;
+  ASSERT_TRUE(writer.Add("k1", v1, &p1).ok());
+  ASSERT_TRUE(writer.Flush().ok());
+  std::string out;
+  ASSERT_TRUE(cache.Get(p1, "k1", &out).ok());  // caches the handle
+  EXPECT_EQ(out, v1);
+
+  ASSERT_TRUE(writer.Add("k2", v2, &p2).ok());
+  ASSERT_TRUE(writer.Flush().ok());
+  Status s = cache.Get(p2, "k2", &out);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(out, v2);
+
+  ASSERT_TRUE(writer.Add("k3", v3, &p3).ok());
+  ASSERT_TRUE(writer.Flush().ok());
+  std::string o1, o3;
+  vlog::ReadItem items[2];
+  items[0].ptr = p1;
+  items[0].expected_key = "k1";
+  items[0].value = &o1;
+  items[1].ptr = p3;
+  items[1].expected_key = "k3";
+  items[1].value = &o3;
+  cache.MultiGet(items, 2);
+  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
+  ASSERT_TRUE(items[1].status.ok()) << items[1].status.ToString();
+  EXPECT_EQ(o1, v1);
+  EXPECT_EQ(o3, v3);
+
+  vlog::ValuePointer past = p3;
+  past.offset = writer.offset();
+  EXPECT_TRUE(cache.Get(past, "k3", &out).IsCorruption());
+
+  ASSERT_TRUE(writer.Close().ok());
+  wipe();
+}
+
 TEST(VlogWriterTest, TornTailScanStopsAtValidPrefix) {
   std::unique_ptr<Env> env(NewMemEnv());
   ASSERT_TRUE(env->CreateDir("/db").ok());

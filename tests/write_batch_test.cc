@@ -35,6 +35,10 @@ static std::string PrintContents(WriteBatch* b) {
         state.append(")");
         count++;
         break;
+      case kTypeRangeDeletion:
+      case kTypeValuePointer:
+        state.append("Unexpected()");  // never inserted by these batches
+        break;
     }
     state.append("@");
     state.append(std::to_string(ikey.sequence));
