@@ -94,14 +94,21 @@ CompactionPick CompactionPlanner::PickTtlExpiry(
   uint64_t worst_overdue = 0;
   const int deepest = v->DeepestNonEmptyLevel();
   const int depth = deepest + 1;  // levels currently in use
+  const bool tiering = options_.compaction_style == CompactionStyle::kTiering;
   for (int level = 0; level < kNumLevels; level++) {
+    // At the deepest populated level a TTL rewrite stays in place, dropping
+    // its tombstones (they have nothing left to shadow below) -- except L0
+    // under leveling, which always moves to L1 like every other L0
+    // compaction: its runs shadow by recency, and only an L0 -> L1 pick
+    // takes every overlapping run (VersionSet::PickCompaction), so a
+    // tombstone dropped in place could expose an older run's value.
+    const bool in_place = level >= deepest && (level > 0 || tiering);
     for (FileMetaData* f : v->files(level)) {
       if (!FileTtlExpired(*f, level, last_seq, depth)) continue;
-      // An in-place rewrite at the deepest level only helps if the expired
-      // tombstone is actually droppable; a snapshot-pinned tombstone must
-      // wait for the snapshot to be released.
-      if (level >= deepest &&
-          EarliestAnyTombstoneSeq(*f) > droppable_horizon) {
+      // An in-place rewrite only helps if the expired tombstone is
+      // actually droppable; a snapshot-pinned tombstone must wait for the
+      // snapshot to be released.
+      if (in_place && EarliestAnyTombstoneSeq(*f) > droppable_horizon) {
         continue;
       }
       const uint64_t overdue = (last_seq - EarliestAnyTombstoneSeq(*f)) -
@@ -110,11 +117,9 @@ CompactionPick CompactionPlanner::PickTtlExpiry(
         worst_overdue = overdue;
         pick.inputs.assign(1, f);
         pick.level = level;
-        // At the deepest populated level a TTL rewrite stays in place,
-        // dropping its tombstones (they have nothing left to shadow below).
-        pick.output_level = (level >= deepest) ? level : level + 1;
+        pick.output_level = in_place ? level : level + 1;
         pick.reason_tag = static_cast<int>(CompactionReason::kTtlExpiry);
-        if (options_.compaction_style == CompactionStyle::kTiering) {
+        if (tiering) {
           // Tiering: the whole level must move together. Runs at a level
           // overlap, and read correctness rests on "level L is strictly
           // newer than level L+1". Moving one run down would (a) let older
@@ -130,54 +135,64 @@ CompactionPick CompactionPlanner::PickTtlExpiry(
   // A range tombstone only drops when no file *outside* the compaction
   // overlaps its span at any level (see the compaction drop rule). For a
   // deepest-level in-place rewrite driven by range tombstones, rewriting
-  // just the one file would leave the tombstone undropped and expired --
+  // just the picked runs would leave the tombstone undropped and expired --
   // the same pick would repeat forever. Two fixups restore progress:
   // shallower files overlapping the span are pushed down first (shallowest
-  // blocker), and same-level overlaps are folded into the rewrite.
-  if (!pick.inputs.empty() && pick.level == pick.output_level &&
-      options_.compaction_style != CompactionStyle::kTiering &&
-      pick.inputs.size() == 1 && pick.inputs[0]->has_range_tombstones()) {
-    FileMetaData* f = pick.inputs[0];
-    const Comparator* ucmp = icmp_->user_comparator();
-    const Slice span_begin(f->range_del_begin);
-    const Slice span_end(f->range_del_end);
-    auto overlaps_span = [&](const FileMetaData* g) {
-      return ucmp->Compare(g->smallest.user_key(), span_end) < 0 &&
-             ucmp->Compare(g->largest.user_key(), span_begin) >= 0;
-    };
-    for (int bl = 0; bl < pick.level; bl++) {
-      for (FileMetaData* g : v->files(bl)) {
-        if (overlaps_span(g)) {
-          // Push the shallowest blocker down one level instead; repeated
-          // application drains every blocker to the bottom, after which
-          // the rewrite actually drops the tombstone.
-          pick.level = bl;
-          pick.output_level = bl + 1;
-          pick.inputs.assign(1, g);
-          return pick;
-        }
-      }
+  // blocker), and under leveling same-level overlaps are folded into the
+  // rewrite (a tiering pick already holds its whole level).
+  if (pick.inputs.empty() || pick.level != pick.output_level) return pick;
+  const Comparator* ucmp = icmp_->user_comparator();
+  bool has_span = false;
+  Slice span_begin, span_end;  // union of the inputs' range-tombstone spans
+  for (const FileMetaData* f : pick.inputs) {
+    if (!f->has_range_tombstones()) continue;
+    if (!has_span || ucmp->Compare(f->range_del_begin, span_begin) < 0) {
+      span_begin = f->range_del_begin;
     }
-    // No shallower blockers: widen the rewrite across the same level. At
-    // level 0 runs shadow by recency, so a partial merge would reorder
-    // entries -- take every run. At sorted levels take the contiguous
-    // index run spanning |f| and all span-overlapping files (contiguity
-    // keeps the vacated region free of non-input files, which a
-    // range-tombstone-only output needs for its clamped bounds).
-    const std::vector<FileMetaData*>& files = v->files(pick.level);
-    if (pick.level == 0) {
-      pick.inputs = files;
-    } else {
-      size_t lo = files.size(), hi = 0;
-      for (size_t i = 0; i < files.size(); i++) {
-        if (files[i] == f || overlaps_span(files[i])) {
-          lo = std::min(lo, i);
-          hi = std::max(hi, i);
+    if (!has_span || ucmp->Compare(f->range_del_end, span_end) > 0) {
+      span_end = f->range_del_end;
+    }
+    has_span = true;
+  }
+  if (!has_span) return pick;
+  auto overlaps_span = [&](const FileMetaData* g) {
+    return ucmp->Compare(g->smallest.user_key(), span_end) < 0 &&
+           ucmp->Compare(g->largest.user_key(), span_begin) >= 0;
+  };
+  for (int bl = 0; bl < pick.level; bl++) {
+    for (FileMetaData* g : v->files(bl)) {
+      if (overlaps_span(g)) {
+        // Push the shallowest blocker down one level instead (under
+        // tiering its whole level, which moves together); repeated
+        // application drains every blocker to the bottom, after which the
+        // rewrite actually drops the tombstone.
+        pick.level = bl;
+        pick.output_level = bl + 1;
+        if (tiering) {
+          pick.inputs = v->files(bl);
+        } else {
+          pick.inputs.assign(1, g);
         }
+        return pick;
       }
-      pick.inputs.assign(files.begin() + lo, files.begin() + hi + 1);
     }
   }
+  if (tiering) return pick;
+  // No shallower blockers: widen the rewrite across the same (sorted,
+  // level >= 1) level. Take the contiguous index run spanning the picked
+  // file and all span-overlapping files (contiguity keeps the vacated
+  // region free of non-input files, which a range-tombstone-only output
+  // needs for its clamped bounds).
+  const FileMetaData* f = pick.inputs[0];
+  const std::vector<FileMetaData*>& files = v->files(pick.level);
+  size_t lo = files.size(), hi = 0;
+  for (size_t i = 0; i < files.size(); i++) {
+    if (files[i] == f || overlaps_span(files[i])) {
+      lo = std::min(lo, i);
+      hi = std::max(hi, i);
+    }
+  }
+  pick.inputs.assign(files.begin() + lo, files.begin() + hi + 1);
   return pick;
 }
 

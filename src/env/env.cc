@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 namespace acheron {
 
@@ -10,11 +9,12 @@ void Env::SleepForMicroseconds(int micros) {
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
+// ---- AsyncIoPool ----------------------------------------------------------
+
 namespace {
 
-// Runs one request to completion on the calling thread. Shared by the
-// inline default backend and the AsyncIoPool workers so both paths honor
-// the same protocol: fill outputs, run the hook, then post.
+// Runs one request to completion on the calling (worker) thread: fill
+// outputs, run the hook, then post.
 void ExecuteRead(ReadRequest* req, CompletionQueue* cq) {
   req->status = req->file->Read(req->offset, req->n, &req->result,
                                 req->scratch);
@@ -28,25 +28,7 @@ void ExecuteSync(SyncRequest* req, CompletionQueue* cq) {
   cq->Post();
 }
 
-}  // namespace
-
-void Env::SubmitReads(ReadRequest** reqs, size_t count, CompletionQueue* cq) {
-  for (size_t i = 0; i < count; i++) ExecuteRead(reqs[i], cq);
-}
-
-void Env::SubmitSync(SyncRequest* req, CompletionQueue* cq) {
-  ExecuteSync(req, cq);
-}
-
-// ---- AsyncIoPool ----------------------------------------------------------
-
-namespace {
-
 int DefaultAsyncIoThreads() {
-  if (const char* e = std::getenv("ACHERON_ASYNC_IO_THREADS")) {
-    const long v = std::atol(e);
-    if (v >= 1) return static_cast<int>(std::min(v, 64L));
-  }
   // Workers spend their time blocked in pread/fsync, not on a core, so the
   // ceiling tracks the IO queue depth we want in flight rather than the
   // core count; 2x cores with a floor of 8 keeps batched reads overlapping

@@ -39,10 +39,8 @@ class RandomAccessFile {
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
 
-  // File descriptor usable for kernel-side async reads (io_uring), or -1
-  // when reads must go through Read() (mmap views, in-memory files, fault
-  // wrappers that intercept Read). A file returning fd >= 0 promises that
-  // pread(fd, scratch, n, offset) is equivalent to Read().
+  // Inert: nothing reads it and no engine file overrides it. Kept so
+  // existing overrides (perfbench's tracing file decorator) still compile.
   virtual int PreadFd() const { return -1; }
 };
 
@@ -60,7 +58,7 @@ class WritableFile {
   // The durability half of Sync(), for Env::SubmitSync: persists data
   // already handed to the OS without touching any user-space write buffer,
   // so it is safe to run on a completion thread concurrently with Append()
-  // from the owner (the async group-commit WAL path relies on this).
+  // from the owner.
   // Callers must Flush() buffered data before submitting. The default
   // falls back to Sync(), which is only concurrency-safe for
   // implementations without a user-space buffer.
@@ -71,12 +69,10 @@ class WritableFile {
 //
 // Batches of RandomAccessFile reads (and WritableFile syncs) can be
 // submitted to the Env and completed through a CompletionQueue instead of
-// blocking the calling thread per operation. PosixEnv backs this with
-// io_uring when the kernel allows it and a shared thread pool otherwise;
-// MemEnv always uses the thread pool, so every test exercises the same
-// submission/completion protocol everywhere. FaultInjectionEnv overrides
-// submission to keep its op-numbering and synced-prefix crash model exact
-// (see fault_env.h).
+// blocking the calling thread per operation. PosixEnv and MemEnv both back
+// this with an AsyncIoPool, so every test exercises the backend the
+// production env runs. FaultInjectionEnv overrides submission to keep its
+// op-numbering and synced-prefix crash model exact (see fault_env.h).
 
 // Counts completions. One queue is typically stack-allocated per batch;
 // the submitter calls WaitFor(n) after submitting n requests. Post() is
@@ -199,15 +195,13 @@ class Env {
   // --- Asynchronous IO -----------------------------------------------------
   //
   // Submit |count| reads; each posts exactly once to |cq| when complete.
-  // Completion order is unspecified. The base implementation executes the
-  // batch synchronously inline (the portable degenerate case); PosixEnv and
-  // MemEnv override with a real async backend.
+  // Completion order is unspecified.
   virtual void SubmitReads(ReadRequest** reqs, size_t count,
-                           CompletionQueue* cq);
+                           CompletionQueue* cq) = 0;
 
   // Submit one durable sync (WritableFile::SyncDurable); posts exactly once
   // to |cq| when complete. The submitter must Flush() buffered data first.
-  virtual void SubmitSync(SyncRequest* req, CompletionQueue* cq);
+  virtual void SubmitSync(SyncRequest* req, CompletionQueue* cq) = 0;
 
   // Read/write an entire small file; used for CURRENT.
   Status WriteStringToFile(const Slice& data, const std::string& fname);
@@ -246,12 +240,11 @@ class BackgroundScheduler {
   std::thread worker_;
 };
 
-// The portable thread-pool backend for Env::SubmitReads/SubmitSync, shared
-// by MemEnv and (as the non-io_uring fallback) PosixEnv. Worker threads
-// start lazily as submissions arrive, up to a small cap
-// (ACHERON_ASYNC_IO_THREADS overrides it); the destructor drains queued
-// requests -- every accepted submission still posts its completion -- then
-// joins the workers.
+// The thread-pool backend for Env::SubmitReads/SubmitSync, shared by
+// PosixEnv and MemEnv. Worker threads start lazily as submissions arrive,
+// up to clamp(2 * cores, 8, 16); the destructor drains queued requests --
+// every accepted submission still posts its completion -- then joins the
+// workers.
 class AsyncIoPool {
  public:
   AsyncIoPool();
@@ -308,15 +301,7 @@ Env* NewMemEnv();
 // whose mapping fails, fall back to pread transparently. -1 picks the
 // default (1000 on 64-bit, 0 on 32-bit where address space is scarce);
 // 0 disables mmap entirely.
-//
-// |enable_io_uring| lets SubmitReads use the kernel io_uring backend when
-// the runtime probe succeeds (it can fail under seccomp or old kernels, in
-// which case the thread-pool fallback is used transparently). Setting it
-// false -- or setting ACHERON_NO_IO_URING=1 in the environment -- forces
-// the portable fallback, which is how the async tests pin down identical
-// behavior everywhere (see TESTING.md).
-Env* NewPosixEnv(bool unbuffered_writes, int mmap_budget = -1,
-                 bool enable_io_uring = true);
+Env* NewPosixEnv(bool unbuffered_writes, int mmap_budget = -1);
 
 }  // namespace acheron
 

@@ -261,10 +261,9 @@ Status FaultInjectionEnv::RenameFile(const std::string& src,
 
 void FaultInjectionEnv::SubmitReads(ReadRequest** reqs, size_t count,
                                     CompletionQueue* cq) {
-  // The base env's backend (thread pool) runs the batch; every request's
-  // file is a FaultRandomAccessFile, so the read-fault hooks still apply
-  // on the completing thread, and PreadFd() == -1 keeps io_uring out of
-  // the fault path entirely.
+  // The base env's pool runs the batch; every request's file is a
+  // FaultRandomAccessFile, so the read-fault hooks still apply on the
+  // completing thread.
   base_->SubmitReads(reqs, count, cq);
 }
 

@@ -220,14 +220,14 @@ class FaultInjectionEnv : public Env {
     base_->SleepForMicroseconds(micros);
   }
 
-  // Async IO. Reads forward to the base env's backend: each request's file
-  // is a fault wrapper whose Read() applies the read-fault hooks and whose
-  // PreadFd() of -1 keeps kernel-side reads from bypassing them. Syncs are
-  // numbered at SUBMIT time under mu_ (arrival order, like every other
-  // mutating op, so crash replay stays deterministic) and credit
-  // durability at COMPLETION time only up to the bytes written when the
-  // sync was submitted; a completion-time crash re-check makes a crash at
-  // op k fail every in-flight sync with IOError and no durability effect.
+  // Async IO. Reads forward to the base env's pool: each request's file
+  // is a fault wrapper whose Read() applies the read-fault hooks on the
+  // completing thread. Syncs are numbered at SUBMIT time under mu_
+  // (arrival order, like every other mutating op, so crash replay stays
+  // deterministic) and credit durability at COMPLETION time only up to the
+  // bytes written when the sync was submitted; a completion-time crash
+  // re-check makes a crash at op k fail every in-flight sync with IOError
+  // and no durability effect.
   void SubmitReads(ReadRequest** reqs, size_t count,
                    CompletionQueue* cq) override;
   void SubmitSync(SyncRequest* req, CompletionQueue* cq) override;

@@ -144,9 +144,8 @@ class MemEnv : public Env {
     t.detach();
   }
 
-  // The portable async backend: MemEnv always uses the thread pool, so
-  // every test exercises the same submission/completion protocol as the
-  // non-uring PosixEnv fallback.
+  // The same AsyncIoPool backend as PosixEnv, so every MemEnv test
+  // exercises the production submission/completion protocol.
   void SubmitReads(ReadRequest** reqs, size_t count,
                    CompletionQueue* cq) override {
     pool_.SubmitReads(reqs, count, cq);

@@ -4,26 +4,13 @@
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <memory>
-
-#if defined(__linux__)
-#include <linux/io_uring.h>
-#include <sys/syscall.h>
-#endif
-#if defined(__linux__) && defined(__NR_io_uring_setup) && \
-    defined(__NR_io_uring_enter)
-#define ACHERON_HAS_IO_URING 1
-#else
-#define ACHERON_HAS_IO_URING 0
-#endif
 
 #include "src/env/env.h"
 
@@ -88,10 +75,6 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     *result = Slice(scratch, read_size);
     return Status::OK();
   }
-
-  // pread(fd_, ...) is exactly Read() here, so the io_uring backend may
-  // read this file kernel-side.
-  int PreadFd() const override { return fd_; }
 
  private:
   const int fd_;
@@ -235,8 +218,8 @@ class PosixWritableFile final : public WritableFile {
   }
 
   // Durability half only: no buf_ access, so a completion thread may run
-  // this concurrently with the owner's Append (the async WAL-sync path
-  // does). The submitter Flush()es first, per the SubmitSync contract.
+  // this concurrently with the owner's Append. The submitter Flush()es
+  // first, per the SubmitSync contract.
   Status SyncDurable() override {
     if (::fdatasync(fd_) < 0) {
       return PosixError(filename_, errno);
@@ -273,320 +256,14 @@ class PosixWritableFile final : public WritableFile {
   const std::string filename_;
 };
 
-#if ACHERON_HAS_IO_URING
-
-int IoUringSetup(unsigned entries, struct ::io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int IoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
-                 unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-// Raw-syscall io_uring read backend (the toolchain has no liburing). One
-// ring per env, set up lazily on first use: io_uring_setup can fail under
-// seccomp filters or pre-5.1 kernels, in which case the backend reports
-// itself unavailable once and PosixEnv stays on the thread-pool fallback
-// permanently.
-//
-// Submission happens under mu_ (the SQ tail is single-producer); a
-// dedicated reaper thread blocks in io_uring_enter(GETEVENTS) and drains
-// the CQ, running each request's completion hook and posting to its
-// CompletionQueue. IORING_OP_READV keeps the kernel baseline at 5.1; the
-// per-request iovec lives in the heap-allocated Pending that doubles as
-// the cqe user_data.
-class UringIo {
- public:
-  UringIo() = default;
-
-  ~UringIo() {
-    mu_.Lock();
-    if (!ok_) {
-      mu_.Unlock();
-      return;
-    }
-    shutting_down_ = true;
-    // Wake the reaper with a NOP completion (user_data 0); it exits once
-    // the flag is set and every in-flight op, the NOP included, drained.
-    // The SQ always has room here: SubmitReads leaves no staged entries
-    // behind, and the CQ bound below reserves the NOP's slot.
-    const unsigned tail = std::atomic_ref<unsigned>(*ring_->sq_tail)
-                              .load(std::memory_order_relaxed);
-    struct ::io_uring_sqe* sqe = &ring_->sqes[tail & ring_->sq_mask];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode = IORING_OP_NOP;
-    sqe->user_data = 0;
-    ring_->sq_array[tail & ring_->sq_mask] = tail & ring_->sq_mask;
-    std::atomic_ref<unsigned>(*ring_->sq_tail)
-        .store(tail + 1, std::memory_order_release);
-    in_flight_++;
-    unsigned pending = 1;
-    (void)FlushLocked(&pending);  // cannot fail on a healthy ring
-    mu_.Unlock();
-    reaper_.join();
-    ring_.reset();
-  }
-
-  UringIo(const UringIo&) = delete;
-  UringIo& operator=(const UringIo&) = delete;
-
-  // Submits as long a prefix of |reqs| as the ring can take. Every file
-  // must expose PreadFd() >= 0 (the caller filters). Returns the accepted
-  // prefix length -- 0 when the kernel probe failed -- and the caller
-  // routes the remainder to the thread-pool fallback.
-  size_t SubmitReads(ReadRequest** reqs, size_t count, CompletionQueue* cq) {
-    MutexLock l(&mu_);
-    if (!InitLocked() || shutting_down_) return 0;
-    size_t accepted = 0;
-    unsigned pending = 0;  // staged SQEs not yet handed to the kernel
-    while (accepted < count) {
-      // Never out-run the CQ (completions would drop), and keep one slot
-      // reserved for the shutdown NOP.
-      if (in_flight_ + 1 >= ring_->cq_entries) break;
-      const unsigned tail = std::atomic_ref<unsigned>(*ring_->sq_tail)
-                                .load(std::memory_order_relaxed);
-      const unsigned head = std::atomic_ref<unsigned>(*ring_->sq_head)
-                                .load(std::memory_order_acquire);
-      if (tail - head == ring_->sq_entries) {
-        // SQ full mid-batch: hand the staged entries to the kernel first.
-        if (!FlushLocked(&pending)) break;
-        continue;
-      }
-      ReadRequest* req = reqs[accepted];
-      auto owned = std::make_unique<Pending>();
-      Pending* p = owned.get();
-      p->req = req;
-      p->cq = cq;
-      p->iov.iov_base = req->scratch;
-      p->iov.iov_len = req->n;
-      struct ::io_uring_sqe* sqe = &ring_->sqes[tail & ring_->sq_mask];
-      std::memset(sqe, 0, sizeof(*sqe));
-      sqe->opcode = IORING_OP_READV;
-      sqe->fd = req->file->PreadFd();
-      sqe->off = req->offset;
-      sqe->addr = reinterpret_cast<uint64_t>(&p->iov);
-      sqe->len = 1;
-      sqe->user_data = reinterpret_cast<uint64_t>(p);
-      ring_->sq_array[tail & ring_->sq_mask] = tail & ring_->sq_mask;
-      std::atomic_ref<unsigned>(*ring_->sq_tail)
-          .store(tail + 1, std::memory_order_release);
-      staged_.push_back(std::move(owned));
-      pending++;
-      in_flight_++;
-      accepted++;
-    }
-    if (!FlushLocked(&pending)) {
-      // The kernel refused part of the batch (consumption is in SQ order,
-      // so the refused entries are exactly the staged suffix): rewind the
-      // SQ tail and hand those requests back to the caller. The refused
-      // entries are still owned by staged_ and die with it below; the
-      // flushed prefix already belongs to the kernel (Complete frees it)
-      // and is released, not destroyed.
-      const unsigned tail = std::atomic_ref<unsigned>(*ring_->sq_tail)
-                                .load(std::memory_order_relaxed);
-      std::atomic_ref<unsigned>(*ring_->sq_tail)
-          .store(tail - pending, std::memory_order_release);
-      in_flight_ -= pending;
-      accepted -= pending;
-    }
-    const size_t flushed = staged_.size() - pending;
-    for (size_t i = 0; i < flushed; i++) (void)staged_[i].release();
-    staged_.clear();
-    return accepted;
-  }
-
- private:
-  static constexpr unsigned kSqEntries = 64;
-
-  struct Pending {
-    ReadRequest* req = nullptr;
-    CompletionQueue* cq = nullptr;
-    struct ::iovec iov = {};
-  };
-
-  // All kernel-shared ring state; built once at probe time, then read
-  // lock-free by the reaper (thread creation orders the writes before it).
-  struct Ring {
-    ~Ring() {
-      // io: unlocked -- ring mappings die with the env
-      if (sqes != nullptr) ::munmap(sqes, sqes_len);
-      if (cq_ptr != nullptr && cq_ptr != sq_ptr) ::munmap(cq_ptr, cq_len);
-      // io: unlocked -- ring mappings die with the env
-      if (sq_ptr != nullptr) ::munmap(sq_ptr, sq_len);
-      if (fd >= 0) ::close(fd);
-    }
-
-    int fd = -1;
-    unsigned sq_entries = 0;
-    unsigned cq_entries = 0;
-    void* sq_ptr = nullptr;
-    size_t sq_len = 0;
-    void* cq_ptr = nullptr;  // == sq_ptr under IORING_FEAT_SINGLE_MMAP
-    size_t cq_len = 0;
-    struct ::io_uring_sqe* sqes = nullptr;
-    size_t sqes_len = 0;
-    unsigned* sq_head = nullptr;
-    unsigned* sq_tail = nullptr;
-    unsigned sq_mask = 0;
-    unsigned* sq_array = nullptr;
-    unsigned* cq_head = nullptr;
-    unsigned* cq_tail = nullptr;
-    unsigned cq_mask = 0;
-    struct ::io_uring_cqe* cqes = nullptr;
-  };
-
-  // One-shot probe + ring construction. A kernel refusal (ENOSYS, seccomp
-  // EPERM, mapping failure) is remembered and never retried.
-  bool InitLocked() EXCLUSIVE_LOCKS_REQUIRED(mu_) {
-    if (probed_) return ok_;
-    probed_ = true;
-    struct ::io_uring_params params;
-    std::memset(&params, 0, sizeof(params));
-    const int fd = IoUringSetup(kSqEntries, &params);
-    if (fd < 0) return false;
-    auto ring = std::make_unique<Ring>();
-    ring->fd = fd;
-    ring->sq_entries = params.sq_entries;
-    ring->cq_entries = params.cq_entries;
-    ring->sq_len = params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    ring->cq_len =
-        params.cq_off.cqes + params.cq_entries * sizeof(struct ::io_uring_cqe);
-    bool single_mmap = false;
-#ifdef IORING_FEAT_SINGLE_MMAP
-    single_mmap = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-#endif
-    if (single_mmap) {
-      ring->sq_len = ring->cq_len = std::max(ring->sq_len, ring->cq_len);
-    }
-    // io: unlocked -- one-time kernel ring mapping at probe
-    void* sq_ptr = ::mmap(nullptr, ring->sq_len, PROT_READ | PROT_WRITE,
-                          MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_SQ_RING);
-    if (sq_ptr == MAP_FAILED) return false;  // Ring dtor closes fd
-    ring->sq_ptr = sq_ptr;
-    if (single_mmap) {
-      ring->cq_ptr = sq_ptr;
-    } else {
-      // io: unlocked -- one-time kernel ring mapping at probe
-      void* cq_ptr = ::mmap(nullptr, ring->cq_len, PROT_READ | PROT_WRITE,
-                            MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_CQ_RING);
-      if (cq_ptr == MAP_FAILED) return false;
-      ring->cq_ptr = cq_ptr;
-    }
-    ring->sqes_len = params.sq_entries * sizeof(struct ::io_uring_sqe);
-    // io: unlocked -- one-time kernel ring mapping at probe
-    void* sqes_ptr = ::mmap(nullptr, ring->sqes_len, PROT_READ | PROT_WRITE,
-                            MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_SQES);
-    if (sqes_ptr == MAP_FAILED) return false;
-    ring->sqes = static_cast<struct ::io_uring_sqe*>(sqes_ptr);
-    char* sq = static_cast<char*>(ring->sq_ptr);
-    char* cq = static_cast<char*>(ring->cq_ptr);
-    ring->sq_head = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    ring->sq_tail = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    ring->sq_mask = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    ring->sq_array = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    ring->cq_head = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    ring->cq_tail = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    ring->cq_mask = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    ring->cqes =
-        reinterpret_cast<struct ::io_uring_cqe*>(cq + params.cq_off.cqes);
-    ring_ = std::move(ring);
-    ok_ = true;
-    // Start the reaper only after ring_ is fully built: thread creation
-    // gives it a happens-before edge to every field.
-    reaper_ = std::thread(&UringIo::ReaperEntry, this);
-    return true;
-  }
-
-  // Hands |*pending| staged SQEs to the kernel, decrementing as they are
-  // consumed. Returns false on an unexpected submit error, leaving the
-  // still-staged suffix for the caller to rewind.
-  bool FlushLocked(unsigned* pending) EXCLUSIVE_LOCKS_REQUIRED(mu_) {
-    while (*pending > 0) {
-      const int ret = IoUringEnter(ring_->fd, *pending, 0, 0);
-      if (ret < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EBUSY) continue;
-        return false;
-      }
-      *pending -= static_cast<unsigned>(ret);
-    }
-    return true;
-  }
-
-  static void ReaperEntry(void* self) {
-    static_cast<UringIo*>(self)->ReaperLoop();
-  }
-
-  void ReaperLoop() {
-    while (true) {
-      const int ret =
-          IoUringEnter(ring_->fd, 0, 1, IORING_ENTER_GETEVENTS);
-      if (ret < 0 && errno != EINTR) {
-        // Unreachable with a healthy ring; avoid a hot spin just in case.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      unsigned reaped = 0;
-      unsigned head = std::atomic_ref<unsigned>(*ring_->cq_head)
-                          .load(std::memory_order_relaxed);
-      while (head != std::atomic_ref<unsigned>(*ring_->cq_tail)
-                         .load(std::memory_order_acquire)) {
-        const struct ::io_uring_cqe* cqe = &ring_->cqes[head & ring_->cq_mask];
-        if (cqe->user_data != 0) {
-          Complete(reinterpret_cast<Pending*>(cqe->user_data), cqe->res);
-        }
-        head++;
-        reaped++;
-      }
-      std::atomic_ref<unsigned>(*ring_->cq_head)
-          .store(head, std::memory_order_release);
-      MutexLock l(&mu_);
-      in_flight_ -= reaped;
-      if (shutting_down_ && in_flight_ == 0) return;
-    }
-  }
-
-  static void Complete(Pending* p, int res) {
-    const std::unique_ptr<Pending> owned(p);  // kernel is done with it
-    ReadRequest* req = p->req;
-    if (res < 0) {
-      req->result = Slice();
-      req->status = PosixError("io_uring read", -res);
-    } else {
-      // Short reads at EOF are pread semantics; callers detect truncation
-      // by result size.
-      req->result = Slice(req->scratch, static_cast<size_t>(res));
-      req->status = Status::OK();
-    }
-    if (req->on_complete != nullptr) (*req->on_complete)(req);
-    p->cq->Post();
-  }
-
-  Mutex mu_;
-  bool probed_ GUARDED_BY(mu_) = false;
-  bool ok_ GUARDED_BY(mu_) = false;
-  bool shutting_down_ GUARDED_BY(mu_) = false;
-  uint64_t in_flight_ GUARDED_BY(mu_) = 0;  // includes the shutdown NOP
-  // Scratch for SubmitReads: owns entries until they are flushed to the
-  // kernel (then released; Complete adopts and frees them).
-  std::vector<std::unique_ptr<Pending>> staged_ GUARDED_BY(mu_);
-  std::unique_ptr<Ring> ring_;  // set once at probe; reaper reads lock-free
-  std::thread reaper_;          // joined by ~UringIo
-};
-
-#endif  // ACHERON_HAS_IO_URING
-
 // Up to 1000 mmapped files on 64-bit (virtual address space is effectively
 // free there); 0 on 32-bit, where maps of multi-MB tables would exhaust it.
 constexpr int kDefaultMmapBudget = (sizeof(void*) >= 8) ? 1000 : 0;
 
 class PosixEnv : public Env {
  public:
-  explicit PosixEnv(bool unbuffered_writes = false, int mmap_budget = -1,
-                    bool enable_io_uring = true)
+  explicit PosixEnv(bool unbuffered_writes = false, int mmap_budget = -1)
       : unbuffered_writes_(unbuffered_writes),
-        io_uring_enabled_(enable_io_uring &&
-                          std::getenv("ACHERON_NO_IO_URING") == nullptr),
         mmap_limiter_(mmap_budget >= 0 ? mmap_budget : kDefaultMmapBudget) {}
 
   Status NewSequentialFile(const std::string& filename,
@@ -629,8 +306,10 @@ class PosixEnv : public Env {
 #if defined(POSIX_FADV_RANDOM)
     // pread-served files get random-access advice: point lookups read one
     // block at a time, and the default kernel readahead would drag in up to
-    // 128KiB around every 4KiB block read. Sequential consumers (compaction
-    // inputs) keep their own reads ahead via Env::SubmitReads instead.
+    // 128KiB around every 4KiB block read. The trade-off: a compaction
+    // input served by pread gets no read-ahead at all, one block read at a
+    // time. Such inputs exist only once the mmap budget (1000 maps by
+    // default) is spent.
     ::posix_fadvise(fd, 0, 0, POSIX_FADV_RANDOM);
 #endif
     result->reset(new PosixRandomAccessFile(filename, fd));
@@ -720,49 +399,23 @@ class PosixEnv : public Env {
     t.detach();
   }
 
+  // Reads and syncs both run on the pool: a pool worker's Read is a pointer
+  // computation on an mmap-served file and one pread otherwise, and
+  // SyncDurable is one fdatasync.
   void SubmitReads(ReadRequest** reqs, size_t count,
                    CompletionQueue* cq) override {
-    if (count == 0) return;
-#if ACHERON_HAS_IO_URING
-    if (io_uring_enabled_) {
-      // Split the batch: files exposing a pread fd go kernel-side, the
-      // rest (mmap views) to the pool. Anything the ring cannot take
-      // (failed probe, capacity) falls through to the pool too.
-      std::vector<ReadRequest*> ring;
-      std::vector<ReadRequest*> pooled;
-      for (size_t i = 0; i < count; i++) {
-        (reqs[i]->file->PreadFd() >= 0 ? ring : pooled).push_back(reqs[i]);
-      }
-      if (!ring.empty()) {
-        const size_t accepted = uring_.SubmitReads(ring.data(), ring.size(),
-                                                   cq);
-        for (size_t i = accepted; i < ring.size(); i++) {
-          pooled.push_back(ring[i]);
-        }
-      }
-      if (!pooled.empty()) pool_.SubmitReads(pooled.data(), pooled.size(), cq);
-      return;
-    }
-#endif
     pool_.SubmitReads(reqs, count, cq);
   }
 
   void SubmitSync(SyncRequest* req, CompletionQueue* cq) override {
-    // Syncs always ride the pool: SyncDurable is one fdatasync, and the
-    // one caller that overlaps it (group-commit WAL) needs exactly one in
-    // flight at a time -- not worth a ring round-trip.
     pool_.SubmitSync(req, cq);
   }
 
  private:
   const bool unbuffered_writes_;
-  const bool io_uring_enabled_;
   Limiter mmap_limiter_;
   BackgroundScheduler scheduler_;
   AsyncIoPool pool_;
-#if ACHERON_HAS_IO_URING
-  UringIo uring_;
-#endif
 };
 
 }  // namespace
@@ -772,12 +425,9 @@ Env* DefaultEnv() {
   return &env;
 }
 
-Env* NewPosixEnv(bool unbuffered_writes, int mmap_budget,
-                 bool enable_io_uring) {
+Env* NewPosixEnv(bool unbuffered_writes, int mmap_budget) {
   // Ownership passes to the caller (see the declaration in env.h).
-  return std::make_unique<PosixEnv>(unbuffered_writes, mmap_budget,
-                                    enable_io_uring)
-      .release();
+  return std::make_unique<PosixEnv>(unbuffered_writes, mmap_budget).release();
 }
 
 }  // namespace acheron

@@ -46,12 +46,6 @@ struct DBImpl::Writer {
   CondVar cv;
 };
 
-namespace {
-// Size of the compaction read-ahead window (CompactionPrefetcher); each DB
-// allocates it once and reuses it for every compaction.
-constexpr size_t kCompactionReadAheadBytes = 1 << 20;
-}  // namespace
-
 Options SanitizeOptions(const std::string&, const Options& src) {
   Options result = src;
   if (result.comparator == nullptr) result.comparator = BytewiseComparator();
@@ -97,7 +91,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       bg_compaction_scheduled_(false),
       background_work_finished_signal_(&mutex_),
       output_worker_(std::make_unique<TableSinkWorker>(env_)),
-      compaction_read_ahead_(new char[kCompactionReadAheadBytes]),
       planner_(options_, &internal_comparator_),
       vlog_readers_(env_, dbname) {
   // The Options copy held by the DB (and handed to tables) always carries a
@@ -1669,6 +1662,11 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
       c->edit()->RemoveFile(c->level(), f->number);
       FileMetaData moved = *f;
       moved.refs = 0;
+      if (options_.compaction_style == CompactionStyle::kTiering) {
+        // The moved run is newer than every run already at the output
+        // level; a fresh run_id says so (its old one may be lower).
+        moved.run_id = versions_->NewFileNumber();
+      }
       c->edit()->AddFile(c->output_level(), moved);
       s = versions_->LogAndApply(c->edit(), &mutex_);
       if (!s.ok()) {
@@ -1708,101 +1706,6 @@ Status DBImpl::InstallCompactionResults(
   return s;
 }
 
-namespace {
-// Keeps the next chunks of the compaction's input files in flight while the
-// merge loop drains the current ones. The chunk reads go through the Env's
-// asynchronous submission path and their bytes are discarded: the value is
-// the overlapped IO / warmed page cache ahead of the table iterators, not
-// the data. Reads are non-mutating, so the crash matrix's op numbering and
-// synced-prefix guarantees are untouched. The chunk buffers are the DB's
-// (|buffer|, kCompactionReadAheadBytes), reused by every compaction: a
-// fresh megabyte per compaction would pay its page faults every time.
-class CompactionPrefetcher {
- public:
-  static constexpr size_t kChunkSize = 256 * 1024;
-  static constexpr size_t kMaxInflight = kCompactionReadAheadBytes / kChunkSize;
-
-  CompactionPrefetcher(Env* env, const std::string& dbname, Compaction* c,
-                       char* buffer)
-      : env_(env) {
-    for (int which = 0; which < 2; which++) {
-      for (int i = 0; i < c->num_input_files(which); i++) {
-        const FileMetaData* f = c->input(which, i);
-        if (f->file_size == 0) continue;
-        Input in;
-        in.size = f->file_size;
-        // The input version is pinned for the whole compaction, so the
-        // file cannot be unlinked while this handle is open. A failed open
-        // just means no read-ahead for that file.
-        if (env_->NewRandomAccessFile(TableFileName(dbname, f->number),
-                                      &in.file)  // io: unlocked
-                .ok()) {
-          inputs_.push_back(std::move(in));
-        }
-      }
-    }
-    for (size_t i = 0; i < kMaxInflight; i++) {
-      slots_[i].buf = buffer + i * kChunkSize;
-    }
-    Pump();
-  }
-
-  CompactionPrefetcher(const CompactionPrefetcher&) = delete;
-  CompactionPrefetcher& operator=(const CompactionPrefetcher&) = delete;
-
-  ~CompactionPrefetcher() {
-    // Every slot's reads must have posted before the files close.
-    for (Slot& slot : slots_) {
-      slot.cq.WaitFor(slot.submits);
-    }
-  }
-
-  // Top the in-flight window back up to kMaxInflight. Non-blocking: a slot
-  // is reusable only once its previous read posted (checked through the
-  // slot's own completion count), so the merge loop never waits here.
-  void Pump() {
-    for (Slot& slot : slots_) {
-      if (cur_ >= inputs_.size()) return;  // all input bytes staged
-      if (slot.cq.completed() < slot.submits) continue;  // still in flight
-      Input& in = inputs_[cur_];
-      slot.req = ReadRequest();
-      slot.req.file = in.file.get();
-      slot.req.offset = offset_;
-      slot.req.n = static_cast<size_t>(
-          std::min<uint64_t>(kChunkSize, in.size - offset_));
-      slot.req.scratch = slot.buf;
-      ReadRequest* r = &slot.req;
-      env_->SubmitReads(&r, 1, &slot.cq);  // io: unlocked
-      slot.submits++;
-      offset_ += slot.req.n;
-      if (offset_ >= in.size) {
-        offset_ = 0;
-        cur_++;
-      }
-    }
-  }
-
- private:
-  struct Input {
-    std::unique_ptr<RandomAccessFile> file;
-    uint64_t size = 0;
-  };
-  struct Slot {
-    char* buf = nullptr;
-    ReadRequest req;
-    CompletionQueue cq;
-    uint64_t submits = 0;
-  };
-
-  Env* const env_;
-  std::vector<Input> inputs_;
-  Slot slots_[kMaxInflight];
-  size_t cur_ = 0;       // index into inputs_ of the next chunk's file
-  uint64_t offset_ = 0;  // next chunk offset within inputs_[cur_]
-};
-}  // namespace
-
-
 Status DBImpl::DoCompactionWork(CompactionState* compact,
                                 SequenceNumber horizon) {
   assert(compaction_active_);
@@ -1823,8 +1726,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // slot keeps rival compactions out. Guarded counters are accumulated
   // locally and folded back in after relocking.
   mutex_.Unlock();
-  auto prefetcher = std::make_unique<CompactionPrefetcher>(
-      env_, dbname_, c, compaction_read_ahead_.get());
 
   // Range tombstones ride in dedicated blocks, not the merged key stream:
   // load every input file's raw tombstones up front. Queried at
@@ -1916,7 +1817,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
                  output_worker_.get());
   sink.BeginRun(std::move(run));
 
-  uint64_t merge_steps = 0;
   uint64_t shadowed_dropped = 0;
   uint64_t tombstones_dropped = 0;
   // Monitor deltas are accumulated locally and journaled on the compaction's
@@ -1943,15 +1843,11 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
   ValueType last_type_for_key = kTypeValue;
 
+  // A memtable swapped out mid-merge stays queued until this round ends:
+  // flushing it here would install its L0 file between this round's
+  // picks, making the schedule depend on thread timing (flushes land
+  // only at round boundaries). BackgroundCall reschedules for it.
   while (status.ok() && input->Valid() && !sink.failed()) {
-    // A memtable swapped out mid-merge stays queued until this round ends:
-    // flushing it here would install its L0 file between this round's
-    // picks, making the schedule depend on thread timing (flushes land
-    // only at round boundaries). BackgroundCall reschedules for it.
-    if ((merge_steps++ & 63) == 0) {
-      // Keep the next input blocks in flight while this one merges.
-      prefetcher->Pump();
-    }
     Slice key = input->key();
     bool drop = false;
     if (!ParseInternalKey(key, &ikey)) {
@@ -2049,9 +1945,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   }
   delete input;
   input = nullptr;
-  // Drain the read-ahead window (and close its file handles) while still
-  // off the mutex; the waits must not run under the lock.
-  prefetcher.reset();
   // The install wait: every output is built, synced and closed (or, on an
   // input error, abandoned and removed) before the edit can name it.
   Status finished = sink.Finish(status);
@@ -2424,7 +2317,7 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   if (unresolved > 0) {
     // Fan the remaining lookups out level by level; within a level every
     // needed table-block read of a probe round goes down as one
-    // Env::SubmitReads batch (io_uring or the thread pool).
+    // Env::SubmitReads batch on the Env's async-IO pool.
     state->current->MultiGet(options, items.data(), n, &filter_negatives);
   }
 

@@ -493,10 +493,6 @@ class DBImpl : public DB {
   // any other thread exists.
   const std::unique_ptr<TableSinkWorker> output_worker_;
 
-  // Compaction read-ahead buffers, reused by every compaction (the
-  // compaction slot serializes them).
-  const std::unique_ptr<char[]> compaction_read_ahead_;
-
   // Former level of each dead table file awaiting unlink, recorded when the
   // VersionEdit that retired it installed. RemoveObsoleteFiles unlinks dead
   // tables deepest-level-first (oldest run first within a level): entries

@@ -255,8 +255,17 @@ static void SaveValue(void* arg, const Slice& ikey, const Slice& v) {
   }
 }
 
+// Recency order of the runs at an overlapping level (L0 / tiering). A
+// run's recency is its run_id, not its file number: a vLog-GC or purge
+// rewrite gets a fresh number but keeps the run_id of the run it replaces,
+// whose data it still holds.
+static bool OlderRun(const FileMetaData* a, const FileMetaData* b) {
+  return a->run_id != b->run_id ? a->run_id < b->run_id
+                                : a->number < b->number;
+}
+
 static bool NewestFirst(FileMetaData* a, FileMetaData* b) {
-  return a->number > b->number;
+  return OlderRun(b, a);
 }
 
 Status Version::Get(const ReadOptions& options, const LookupKey& k,
@@ -827,13 +836,11 @@ class VersionSet::Builder {
         MaybeAddFile(v, level, *base_iter);
       }
 
-      // Overlapping levels (L0 / tiering) are kept ordered by file number
-      // (creation order) so "newest run" is simply the highest number.
+      // Overlapping levels (L0 / tiering) are kept oldest run first, so
+      // the newest run is the last file.
       if (IsOverlappingLevel(vset_->options_, level)) {
         std::sort(v->files_[level].begin(), v->files_[level].end(),
-                  [](FileMetaData* a, FileMetaData* b) {
-                    return a->number < b->number;
-                  });
+                  OlderRun);
       }
 
 #ifndef NDEBUG

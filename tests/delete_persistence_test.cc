@@ -6,6 +6,8 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "src/env/env.h"
 #include "src/lsm/db.h"
@@ -237,6 +239,147 @@ TEST(DeletePersistenceSnapshotTest, SnapshotPinsWithoutLivelock) {
   EXPECT_LE(std::stoull(age_str), 3000u + 2);
   delete db;
 }
+
+namespace {
+
+// Preloads 2,000 keys x 100 B, runs 20,000 ops (60% Put, 20% Delete, 20%
+// Get) drawn from |seed|, and checks every Get against a std::map; then
+// reopens and checks a full scan position by position.
+void CheckAgainstModel(const Options& base, uint64_t seed) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options = base;
+  options.env = env.get();
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  constexpr int kKeys = 2000;
+  auto key = [](uint64_t i) {
+    std::string k = std::to_string(i);
+    return "key" + std::string(6 - k.size(), '0') + k;
+  };
+  auto value = [](int version) {
+    std::string v = "v" + std::to_string(version);
+    v.resize(100, '.');
+    return v;
+  };
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), key(i), value(i)).ok());
+    model[key(i)] = value(i);
+  }
+
+  Random rnd(seed);
+  int wrong_gets = 0;
+  std::string first_wrong;
+  for (int op = 0; op < 20000; op++) {
+    const std::string k = key(rnd.Uniform(kKeys));
+    const uint64_t dice = rnd.Uniform(100);
+    if (dice < 60) {
+      const std::string v = value(kKeys + op);
+      ASSERT_TRUE(db->Put(WriteOptions(), k, v).ok());
+      model[k] = v;
+    } else if (dice < 80) {
+      ASSERT_TRUE(db->Delete(WriteOptions(), k).ok());
+      model.erase(k);
+    } else {
+      std::string got;
+      const Status s = db->Get(ReadOptions(), k, &got);
+      ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+      const auto it = model.find(k);
+      const bool right = it == model.end() ? s.IsNotFound()
+                                           : (s.ok() && got == it->second);
+      if (!right && wrong_gets++ == 0) {
+        first_wrong = "op " + std::to_string(op) + " key " + k + " got " +
+                      (s.ok() ? got.substr(0, 8) : s.ToString());
+      }
+    }
+  }
+  EXPECT_EQ(0, wrong_gets) << "first: " << first_wrong;
+
+  db.reset();
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  db.reset(raw);
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  auto expected = model.begin();
+  int wrong_positions = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    if (expected == model.end() || it->key().ToString() != expected->first ||
+        it->value().ToString() != expected->second) {
+      wrong_positions++;
+    }
+    if (expected != model.end()) ++expected;
+  }
+  ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(0, wrong_positions);
+  EXPECT_TRUE(expected == model.end()) << "scan ended early";
+}
+
+struct ModelConfig {
+  uint64_t dth;
+  uint64_t seed;
+};
+
+std::string ModelName(const ModelConfig& cfg) {
+  return "Dth" + std::to_string(cfg.dth) + "Seed" + std::to_string(cfg.seed);
+}
+
+std::string ModelTestName(
+    const ::testing::TestParamInfo<ModelConfig>& info) {
+  return ModelName(info.param);
+}
+
+// Names the parameter in ctest's discovered test names (GoogleTest would
+// otherwise print the struct's raw bytes).
+void PrintTo(const ModelConfig& cfg, std::ostream* os) {
+  *os << ModelName(cfg);
+}
+
+}  // namespace
+
+// With default Options the 4 MiB memtable keeps this whole workload in L0:
+// only FADE's TTL flushes cut runs, so L0 is the deepest level throughout.
+// An expired L0 run must then move to L1 with every run it overlaps; a
+// rewrite of that one run in place would drop its point tombstones while an
+// older run still holds the deleted value, and the next Get would return it.
+class DeletePersistenceL0Test : public ::testing::TestWithParam<ModelConfig> {
+};
+
+TEST_P(DeletePersistenceL0Test, DeletedKeysStayDeletedWhenL0IsDeepest) {
+  Options options;
+  options.delete_persistence_threshold = GetParam().dth;
+  CheckAgainstModel(options, GetParam().seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Thresholds, DeletePersistenceL0Test,
+    ::testing::Values(ModelConfig{500, 1}, ModelConfig{500, 2},
+                      ModelConfig{2000, 1}, ModelConfig{2000, 2},
+                      ModelConfig{5000, 1}, ModelConfig{5000, 2}),
+    ModelTestName);
+
+// Under tiering a run's recency is its run_id. A TTL expiry at a level
+// holding one run moves that run down without rewriting it, and it must
+// land as the newest run of its new level: keeping its old run_id could
+// rank it below a run that an in-place rewrite produced from older data,
+// whose stale values would then win every Get.
+class DeletePersistenceTieringTest
+    : public ::testing::TestWithParam<ModelConfig> {};
+
+TEST_P(DeletePersistenceTieringTest, MovedRunsStayNewest) {
+  Options options;
+  options.compaction_style = CompactionStyle::kTiering;
+  options.write_buffer_size = 16 << 10;
+  options.delete_persistence_threshold = GetParam().dth;
+  CheckAgainstModel(options, GetParam().seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, DeletePersistenceTieringTest,
+                         ::testing::Values(ModelConfig{100, 2},
+                                           ModelConfig{100, 4},
+                                           ModelConfig{100, 5},
+                                           ModelConfig{100, 6}),
+                         ModelTestName);
 
 // Delete persistence state must survive restarts: tombstone metadata is in
 // the MANIFEST, so a reopened DB keeps enforcing deadlines for old

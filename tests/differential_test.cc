@@ -8,16 +8,21 @@
 // fixed constant so a failure reproduces exactly, and the seed is printed
 // in every assertion for when someone changes it.
 //
-// Key-value separation is ON with value lengths randomized across the
-// threshold: roughly half the puts route their value through the value log
-// and half stay inline, so every read path (Get, MultiGet, scans), every
-// overwrite/delete, and every reopen continuously crosses the
-// pointer/inline boundary while the value-log GC churns underneath.
+// DifferentialTest's one history runs FADE off, leveling, with key-value
+// separation ON and value lengths randomized across the threshold: roughly
+// half the puts route their value through the value log and half stay
+// inline, so every read path (Get, MultiGet, scans), every overwrite/delete,
+// and every reopen continuously crosses the pointer/inline boundary while
+// the value-log GC churns underneath. DifferentialGridTest runs the same
+// history over the rest of the grid D_th x compaction style x separation,
+// which puts FADE's TTL compactions under the model. Every history starts
+// from an empty DB, so each passes through a tree that is L0 alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <set>
 #include <span>
@@ -37,6 +42,22 @@ constexpr int kKeySpace = 400;  // small enough to force overwrite/delete churn
 // [1, 2 * kSepThreshold], so puts land on both sides of it.
 constexpr size_t kSepThreshold = 64;
 
+struct DiffConfig {
+  uint64_t dth;  // delete_persistence_threshold; 0 turns FADE off
+  CompactionStyle style;
+  bool separation;
+};
+
+std::string DiffName(const DiffConfig& cfg) {
+  return "Dth" + std::to_string(cfg.dth) +
+         (cfg.style == CompactionStyle::kLeveling ? "Leveling" : "Tiering") +
+         (cfg.separation ? "Separated" : "Inline");
+}
+
+// Names the parameter in ctest's discovered test names (GoogleTest would
+// otherwise print the struct's raw bytes, padding included).
+void PrintTo(const DiffConfig& cfg, std::ostream* os) { *os << DiffName(cfg); }
+
 class DifferentialTest : public ::testing::Test {
  protected:
   DifferentialTest() : env_(NewMemEnv()) {}
@@ -47,8 +68,12 @@ class DifferentialTest : public ::testing::Test {
     o.env = env_.get();
     o.create_if_missing = true;
     o.write_buffer_size = 16 << 10;  // small: steady flush/compaction churn
-    o.value_separation_threshold = kSepThreshold;
-    o.vlog_segment_size = 64 << 10;  // small segments: rotation + GC churn
+    o.compaction_style = cfg_.style;
+    o.delete_persistence_threshold = cfg_.dth;
+    if (cfg_.separation) {
+      o.value_separation_threshold = kSepThreshold;
+      o.vlog_segment_size = 64 << 10;  // small segments: rotation + GC churn
+    }
     return o;
   }
 
@@ -63,8 +88,8 @@ class DifferentialTest : public ::testing::Test {
   }
 
   std::string Ctx() const {
-    return "[differential seed=" + std::to_string(seed_) +
-           " step=" + std::to_string(step_) + "]";
+    return "[differential " + DiffName(cfg_) + " seed=" +
+           std::to_string(seed_) + " step=" + std::to_string(step_) + "]";
   }
 
   static std::string KeyAt(int idx) {
@@ -114,6 +139,10 @@ class DifferentialTest : public ::testing::Test {
         << Ctx() << " scan ended early; missing key " << expect->first;
   }
 
+  // Runs the randomized history for both seeds under |cfg|.
+  void RunHistory(const DiffConfig& cfg);
+
+  DiffConfig cfg_{0, CompactionStyle::kLeveling, true};
   std::unique_ptr<Env> env_;
   DB* db_ = nullptr;
   uint32_t seed_ = kSeed;
@@ -122,7 +151,8 @@ class DifferentialTest : public ::testing::Test {
   int step_ = 0;
 };
 
-TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
+void DifferentialTest::RunHistory(const DiffConfig& cfg) {
+  cfg_ = cfg;
   for (uint32_t seed : {kSeed, kSeed + 1}) {
     seed_ = seed;
     delete db_;
@@ -232,6 +262,42 @@ TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
     ASSERT_NO_FATAL_FAILURE(CheckPointReads());
   }
 }
+
+TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
+  RunHistory(DiffConfig{0, CompactionStyle::kLeveling, true});
+}
+
+class DifferentialGridTest : public DifferentialTest,
+                             public ::testing::WithParamInterface<DiffConfig> {
+};
+
+TEST_P(DifferentialGridTest, DbMatchesModelOverRandomHistory) {
+  RunHistory(GetParam());
+}
+
+// Every other point of D_th {0, 200, 2000} x {leveling, tiering} x
+// {inline, separated}; DifferentialTest covers D_th 0, leveling, separated.
+std::vector<DiffConfig> GridConfigs() {
+  std::vector<DiffConfig> configs;
+  for (uint64_t dth : {0, 200, 2000}) {
+    for (CompactionStyle style :
+         {CompactionStyle::kLeveling, CompactionStyle::kTiering}) {
+      for (bool separation : {false, true}) {
+        if (dth == 0 && style == CompactionStyle::kLeveling && separation) {
+          continue;
+        }
+        configs.push_back(DiffConfig{dth, style, separation});
+      }
+    }
+  }
+  return configs;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, DifferentialGridTest, ::testing::ValuesIn(GridConfigs()),
+    [](const ::testing::TestParamInfo<DiffConfig>& info) {
+      return DiffName(info.param);
+    });
 
 }  // namespace
 }  // namespace acheron

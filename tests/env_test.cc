@@ -392,8 +392,11 @@ namespace {
 
 // Submits |kReads| overlapping reads of |contents| (written to |fname|
 // beforehand) in one batch and checks every completion. Shared across envs
-// so MemEnv's thread pool and PosixEnv's backend run the same leg.
-void CheckBatchedReads(Env* env, const std::string& fname) {
+// so MemEnv and both kinds of PosixEnv file run the same leg. With
+// |pread_served| every result must be a copy in its own scratch buffer,
+// which proves the file is not an mmap view.
+void CheckBatchedReads(Env* env, const std::string& fname,
+                       bool pread_served = false) {
   const std::string contents = "0123456789abcdef";
   ASSERT_TRUE(env->WriteStringToFile(contents, fname).ok());
   std::unique_ptr<RandomAccessFile> file;
@@ -418,6 +421,9 @@ void CheckBatchedReads(Env* env, const std::string& fname) {
     ASSERT_TRUE(reqs[i].status.ok()) << "read " << i;
     EXPECT_EQ(contents.substr(i % 13, 4), reqs[i].result.ToString())
         << "read " << i;
+    if (pread_served) {
+      EXPECT_EQ(scratch[i].data(), reqs[i].result.data()) << "read " << i;
+    }
   }
 }
 
@@ -429,6 +435,14 @@ TEST_F(MemEnvTest, SubmitReadsBatchCompletesAll) {
 
 TEST_F(PosixEnvTest, SubmitReadsBatchCompletesAll) {
   CheckBatchedReads(env_, Path("async_reads"));
+}
+
+// The default env serves tables by mmap; a zero mmap budget makes every
+// file pread-served, the path a tree past the budget takes.
+TEST_F(PosixEnvTest, SubmitReadsBatchCompletesAllPreadServed) {
+  std::unique_ptr<Env> env(NewPosixEnv(/*unbuffered_writes=*/false,
+                                       /*mmap_budget=*/0));
+  CheckBatchedReads(env.get(), Path("async_reads"), /*pread_served=*/true);
 }
 
 TEST_F(PosixEnvTest, SubmitSyncCompletes) {

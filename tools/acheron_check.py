@@ -1314,8 +1314,8 @@ OUTPUT_NAME_HINTS = {"TableFileName", "DescriptorFileName", "VlogFileName"}
 # Async durability (Env::SubmitSync): the submission alone leaves the fsync
 # merely in flight -- only a later CompletionQueue::WaitFor observes its
 # completion. The pair therefore counts as a sync; a bare SubmitSync never
-# does, even though the resolved callee (the pool worker / uring reaper
-# body) contains the actual SyncDurable call. The submission may sit in a
+# does, even though the resolved callee (the pool worker body) contains
+# the actual SyncDurable call. The submission may sit in a
 # callee (a function that returns with a sync still in flight -- e.g. a
 # table sink's builder, which submits each output's fsync and leaves the
 # wait to the sink's Finish); the wait then completes it in the caller.
