@@ -32,9 +32,9 @@ struct DeleteStats {
   // Tombstones superseded before persisting (e.g. the key was re-inserted,
   // making the tombstone obsolete; the delete never became observable).
   uint64_t tombstones_superseded = 0;
-  // Live tombstones currently in the tree (memtable excluded).
+  // Live tombstones currently in the tables and memtables.
   uint64_t tombstones_live = 0;
-  // Age (in logical ops) of the oldest live tombstone in the tree.
+  // Age (in logical ops) of the oldest live tombstone there.
   uint64_t oldest_live_tombstone_age = 0;
 
   // Persistence latency distribution in logical ops (seq delta between

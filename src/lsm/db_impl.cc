@@ -12,7 +12,6 @@
 #include "src/lsm/table_sink.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
-#include "src/table/table_builder.h"
 #include "src/util/bloom.h"
 #include "src/util/clock.h"
 #include "src/wal/log_reader.h"
@@ -272,32 +271,7 @@ Status DBImpl::NewDB() {
   new_db.SetLogNumber(0);
   new_db.SetNextFile(2);
   new_db.SetLastSequence(0);
-
-  const std::string manifest = DescriptorFileName(dbname_, 1);
-  std::unique_ptr<WritableFile> file;
-  Status s = env_->NewWritableFile(manifest, &file);  // io: open/recovery
-  if (!s.ok()) {
-    return s;
-  }
-  {
-    wal::Writer log(file.get());
-    std::string record;
-    new_db.EncodeTo(&record);
-    s = log.AddRecord(record);
-    if (s.ok()) {
-      s = file->Sync();
-    }
-    if (s.ok()) {
-      s = file->Close();
-    }
-  }
-  if (s.ok()) {
-    // Make "CURRENT" file that points to the new manifest file.
-    s = SetCurrentFile(env_, dbname_, 1);
-  } else {
-    (void)env_->RemoveFile(manifest);  // io: open/recovery cleanup
-  }
-  return s;
+  return WriteDescriptor(env_, dbname_, 1, new_db);
 }
 
 void DBImpl::RemoveObsoleteFiles() {
@@ -489,33 +463,6 @@ class ValueSeparator : public WriteBatch::Handler {
   std::string encoded_;
 };
 
-/// WAL-replay guard: a pointer referencing bytes beyond a segment's durable
-// extent (or an unknown segment) belongs to a record that was never acked --
-// the vLog syncs strictly before the WAL on the ack path -- so replay stops
-// at the first such batch, torn-tail style.
-class VlogPointerCheck : public WriteBatch::Handler {
- public:
-  explicit VlogPointerCheck(const std::map<uint64_t, uint64_t>* extents)
-      : extents_(extents) {}
-  bool ok = true;
-  void Put(const Slice&, const Slice&) override {}
-  void PutPointer(const Slice&, const Slice& pointer) override {
-    vlog::ValuePointer ptr;
-    if (!vlog::DecodeValuePointerStrict(pointer, &ptr)) {
-      ok = false;
-      return;
-    }
-    auto it = extents_->find(ptr.segment);
-    if (it == extents_->end() || ptr.offset + ptr.size > it->second) {
-      ok = false;
-    }
-  }
-  void Delete(const Slice&) override {}
-  void DeleteRange(const Slice&, const Slice&) override {}
-
- private:
-  const std::map<uint64_t, uint64_t>* const extents_;
-};
 }  // namespace
 
 Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
@@ -709,9 +656,8 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool, bool* save_manifest,
       // of the final WAL: stop replaying here. (Only the crash-time head
       // can have a short extent, and only the last WAL references it --
       // rotation seals the head before a new WAL accepts records.)
-      VlogPointerCheck check(&recovered_vlog_extents_);
-      (void)batch.Iterate(&check);
-      if (!check.ok) {
+      if (!WriteBatchInternal::PointersWithin(&batch,
+                                              recovered_vlog_extents_)) {
         break;
       }
     }
@@ -783,17 +729,9 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
     // A range-only memtable must still become an L0 file (the tombstones
     // have to reach the tree to age and drop). L0 files may overlap freely,
     // so span-derived bounds are safe here.
-    const RangeTombstone* lo = &run.range_tombstones[0];
-    const RangeTombstone* hi = lo;
-    SequenceNumber max_seq = 0;
-    for (const RangeTombstone& t : run.range_tombstones) {
-      if (ucmp->Compare(t.begin, lo->begin) < 0) lo = &t;
-      if (ucmp->Compare(t.end, hi->end) > 0) hi = &t;
-      max_seq = std::max(max_seq, t.seq);
-    }
-    run.range_only_smallest =
-        InternalKey(lo->begin, max_seq, kValueTypeForSeek);
-    run.range_only_largest = InternalKey(hi->end, 0, kTypeDeletion);
+    TableSink::RangeOnlyBounds(run.range_tombstones, ucmp,
+                               &run.range_only_smallest,
+                               &run.range_only_largest);
   }
   sink.BeginRun(std::move(run));
   std::unique_ptr<Iterator> iter(mem->NewIterator());
@@ -1097,6 +1035,7 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
   Status finished = sink.Finish(s);
   if (s.ok()) s = finished;
   mutex_.Lock();
+  AddRewriteBytesWritten(sink);
   if (s.ok()) {
     for (size_t i = 0; i < targets.size(); i++) {
       edit.RemoveFile(targets[i].level, targets[i].f->number);
@@ -1175,6 +1114,14 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
   }
   base->Unref();
   return s;
+}
+
+void DBImpl::AddRewriteBytesWritten(const TableSink& sink) {
+  // Table rewrites are compaction writes to every write-amplification
+  // figure, whichever job made them.
+  for (const TableSink::Output& out : sink.outputs()) {
+    stats_.compaction_bytes_written += out.meta.file_size;
+  }
 }
 
 Status DBImpl::BeginRewriteRun(const FileMetaData& f, TableSink* sink) {
@@ -2947,23 +2894,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = std::to_string(age);
     return true;
   } else if (in == "delete-stats") {
-    DeleteStats ds;
-    uint64_t live = versions_->current()->TotalTombstones() +
-                    mem_->num_tombstones();
-    uint64_t range_live = versions_->current()->TotalRangeTombstones() +
-                          mem_->num_range_tombstones();
-    if (imm_ != nullptr) {
-      live += imm_->num_tombstones();
-      range_live += imm_->num_range_tombstones();
-    }
-    uint64_t age =
-        versions_->current()->MaxTombstoneAge(versions_->LastSequence());
-    uint64_t backlog = 0;
-    for (const auto& entry : versions_->vlog_registry()) {
-      backlog += entry.second.pending_count();
-    }
-    monitor_.Snapshot(&ds, live, age, range_live, backlog);
-    *value = ds.ToString();
+    *value = ComputeDeleteStats().ToString();
     return true;
   } else if (in == "vlog-stats") {
     // Key-value separation observability: the segment registry plus the GC
@@ -3062,6 +2993,10 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
 
 DeleteStats DBImpl::GetDeleteStats() {
   MutexLock l(&mutex_);
+  return ComputeDeleteStats();
+}
+
+DeleteStats DBImpl::ComputeDeleteStats() {
   DeleteStats ds;
   uint64_t live =
       versions_->current()->TotalTombstones() + mem_->num_tombstones();
@@ -3200,6 +3135,7 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   Status finished = sink.Finish(s);
   if (s.ok()) s = finished;
   mutex_.Lock();
+  AddRewriteBytesWritten(sink);
   if (s.ok()) {
     for (const Rewrite& rw : rewrites) {
       edit.RemoveFile(rw.level, rw.f->number);

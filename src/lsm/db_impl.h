@@ -61,7 +61,6 @@
 namespace acheron {
 
 class MemTable;
-class TableBuilder;
 class TableCache;
 
 class DBImpl : public DB {
@@ -327,6 +326,11 @@ class DBImpl : public DB {
   // level's cumulative TTL.
   void ComputeNextTtlDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
+  // The delete-persistence summary GetDeleteStats and the
+  // "acheron.delete-stats" property report: tombstones live and the oldest
+  // live age across the tables, the memtable and the immutable memtable.
+  DeleteStats ComputeDeleteStats() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
   // Stream |f| into one run of |sink|, dropping value entries whose
   // secondary key is below |threshold| (counted in |*dropped|); an empty
   // run leaves no replacement. Runs unlocked: the caller holds the
@@ -339,6 +343,11 @@ class DBImpl : public DB {
   // |f|'s range tombstones, wall stamps and bounds.
   Status BeginRewriteRun(const FileMetaData& f, TableSink* sink)
       LOCKS_EXCLUDED(mutex_);
+
+  // Count a finished GC or purge rewrite's outputs in
+  // compaction_bytes_written.
+  void AddRewriteBytesWritten(const TableSink& sink)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
   //
@@ -603,7 +612,7 @@ class DBImpl : public DB {
   // replayed WAL pointer past its segment's extent proves the write was
   // never acked (the vLog syncs before the WAL on the ack path), so replay
   // stops there -- the vLog analogue of torn-WAL-tail truncation.
-  std::map<uint64_t, uint64_t> recovered_vlog_extents_ GUARDED_BY(mutex_);
+  vlog::Extents recovered_vlog_extents_ GUARDED_BY(mutex_);
 };
 
 // Sanitize db options: clamp user-supplied values to reasonable ranges and

@@ -1,35 +1,38 @@
 // RepairDB: best-effort recovery of a database whose MANIFEST/CURRENT is
 // lost or corrupted. Repair runs in two tiers:
 //
-// Bounded repair (tried first): replay the newest MANIFEST whose record
-// stream yields a consistent picture -- seek to the last valid snapshot
-// record (each carries an inner CRC32C over its body, so validity is
-// independent of WAL framing and survives the tolerant checksum-off read),
-// apply the edit suffix, stop at the first torn record, and verify every
-// referenced table actually exists at (at least) its recorded size. On
-// success a fresh descriptor is written that preserves the level structure
-// and the persistence-monitor journal, and the original log number, so the
-// subsequent DB::Open replays the surviving WALs itself.
+// Bounded repair (tried first): VersionSet::Replay the newest MANIFEST
+// whose record stream yields a consistent picture -- the same replay
+// DB::Open runs, with framing checksums off and the first torn record
+// ending it (snapshot records carry an inner CRC32C over their body, so
+// restart points stay trustworthy) -- then verify every referenced table
+// and sealed vLog segment actually exists at (at least) its recorded size.
+// On success a fresh descriptor holding the replayed version's snapshot
+// record is written: it preserves the level structure, compaction pointers,
+// persistence-monitor journal, vLog registry and the original log number,
+// so the subsequent DB::Open replays the surviving WALs itself.
 //
 // Full salvage (fallback): the classic leveldb-style repair. The repairer
-//   (1) replays any WAL files into fresh L0 tables,
-//   (2) inspects every table file, re-deriving its key range and tombstone
-//       metadata from the file itself (the properties block, falling back
-//       to a full scan),
-//   (3) salvages orphaned vLog segments: every .vlog file is CRC-scanned
+//   (1) salvages orphaned vLog segments: every .vlog file is CRC-scanned
 //       and re-registered, sealed at its valid prefix, so surviving value
-//       pointers dereference again (pointers into lost bytes fail cleanly
-//       at read time -- the record CRC and keyed back-check reject them),
+//       pointers dereference again,
+//   (2) replays any WAL files into fresh L0 tables through a TableSink,
+//       each up to its first value pointer past the salvaged extents,
+//   (3) inspects every table file, re-deriving its key range and tombstone,
+//       secondary-key and vLog metadata from the file itself by the table
+//       sink's own fold (a full scan, which validates every block), and
+//       leaves out a table pointing past the salvaged extents,
 //   (4) writes a new MANIFEST placing every surviving table in level 0
 //       (conservatively correct: L0 runs may overlap; subsequent
 //       compactions restructure the tree), and
 //   (5) leaves undecodable files in place but outside the new version.
 //
-// Sequence numbers embedded in the tables are preserved, so snapshots of
-// logical time -- and with them Acheron's delete-persistence clock --
-// survive the repair.
+// Both tiers write their descriptor through WriteDescriptor, which points
+// CURRENT at it before the superseded manifests are removed. Sequence
+// numbers embedded in the tables are preserved, so snapshots of logical
+// time -- and with them Acheron's delete-persistence clock -- survive the
+// repair.
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -37,15 +40,14 @@
 #include "src/lsm/db.h"
 #include "src/lsm/dbformat.h"
 #include "src/lsm/filename.h"
-#include "src/lsm/version_edit.h"
+#include "src/lsm/table_sink.h"
+#include "src/lsm/version_set.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
 #include "src/table/table.h"
-#include "src/table/table_builder.h"
 #include "src/vlog/vlog_format.h"
 #include "src/vlog/vlog_reader.h"
 #include "src/wal/log_reader.h"
-#include "src/wal/log_writer.h"
 
 namespace acheron {
 namespace {
@@ -73,10 +75,10 @@ class Repairer {
       if (BoundedRepair().ok()) {
         return Status::OK();
       }
+      SalvageVlogSegments();
       ConvertLogFilesToTables();
       ExtractMetaData();
-      SalvageVlogSegments();
-      status = WriteDescriptor();
+      status = WriteSalvagedDescriptor();
     }
     return status;
   }
@@ -84,37 +86,10 @@ class Repairer {
  private:
   struct TableInfo {
     FileMetaData meta;
-    SequenceNumber max_sequence;
-  };
-
-  // Accumulated state of one MANIFEST's tolerant replay: the file set per
-  // level plus the persistence-monitor journal, exactly as
-  // VersionSet::Recover would have built them.
-  struct ReplayedVersion {
-    std::map<int, std::map<uint64_t, FileMetaData>> levels;
-    uint64_t log_number = 0;
-    uint64_t next_file = 0;
-    SequenceNumber last_sequence = 0;
-    bool have_log = false;
-    bool have_next = false;
-    bool have_last = false;
-    uint64_t journal_written = 0;
-    uint64_t journal_persisted = 0;
-    uint64_t journal_superseded = 0;
-    Histogram journal_latency;
-    uint64_t journal_range_written = 0;
-    uint64_t journal_range_persisted = 0;
-    uint64_t journal_range_superseded = 0;
-    Histogram journal_range_latency;
-    vlog::Registry vlog_registry;
-    uint64_t journal_vlog_purged = 0;
-    Histogram journal_vlog_latency;
+    SequenceNumber max_sequence = 0;
   };
 
   Status BoundedRepair() {
-    if (manifests_.empty()) {
-      return Status::NotFound(dbname_, "no MANIFEST to replay");
-    }
     // Newest incarnation first: a higher-numbered manifest supersedes the
     // ones before it, so fall back down the list only when replay or table
     // verification fails.
@@ -127,146 +102,49 @@ class Repairer {
       }
     }
     if (ordered.empty()) {
-      return Status::NotFound(dbname_, "no parsable MANIFEST name");
+      return Status::NotFound(dbname_, "no MANIFEST to replay");
     }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const std::pair<uint64_t, std::string>& a,
-                 const std::pair<uint64_t, std::string>& b) {
-                return a.first > b.first;
-              });
+    std::sort(ordered.rbegin(), ordered.rend());
     // Floor for the repaired manifest's own number: above every existing
     // manifest (never truncate one we might still fall back to) and above
     // every salvageable log/table number.
     const uint64_t min_new_number =
         std::max(ordered.front().first + 1, next_file_number_);
 
-    Status status = Status::Corruption(dbname_, "no consistent MANIFEST");
+    Status status;
     for (const auto& entry : ordered) {
-      ReplayedVersion v;
-      status = ReplayManifest(entry.second, &v);
-      if (status.ok()) status = VerifyTables(v);
-      if (status.ok()) status = VerifyVlogSegments(&v);
-      if (status.ok()) return WriteBoundedDescriptor(min_new_number, v);
+      VersionSet versions(dbname_, &options_, /*table_cache=*/nullptr,
+                          &icmp_);
+      status = versions.Replay(entry.second, /*stop_at_bad_record=*/true);
+      if (status.ok()) status = VerifyTables(*versions.current());
+      if (status.ok()) status = VerifyVlogSegments(versions.vlog_registry());
+      if (status.ok()) {
+        // The descriptor's recorded next-file number must exceed its own
+        // number, or the next Open would allocate the same number for its
+        // manifest and truncate this one.
+        const uint64_t manifest_number =
+            std::max(versions.ManifestFileNumber(), min_new_number);
+        versions.MarkFileNumberUsed(manifest_number);
+        VersionEdit edit;
+        versions.SnapshotEdit(&edit);
+        return InstallDescriptor(manifest_number, edit);
+      }
     }
     return status;
   }
 
-  Status ReplayManifest(const std::string& fname, ReplayedVersion* v) {
-    struct SilentReporter : public wal::Reader::Reporter {
-      void Corruption(size_t, const Status&) override {}
-    };
-    std::unique_ptr<SequentialFile> file;
-    Status status =
-        env_->NewSequentialFile(dbname_ + "/" + fname, &file);  // io: repair
-    if (!status.ok()) return status;
-    SilentReporter reporter;
-    // Framing checksums off: after a torn append the tail record's WAL CRC
-    // is garbage but the prefix still parses. Restart points are still
-    // never trusted blindly -- snapshot records carry their own inner
-    // CRC32C, which DecodeFrom verifies.
-    wal::Reader reader(file.get(), &reporter, false /*checksum*/);
-
-    std::string scratch;
-    Slice record;
-    int records = 0;
-    while (reader.ReadRecord(&record, &scratch)) {
-      VersionEdit edit;
-      Status s = edit.DecodeFrom(record);
-      if (!s.ok()) {
-        // An undecodable head record leaves nothing to build on. A torn
-        // record later on (snapshot or ordinary edit) just ends the useful
-        // prefix: everything before it is a consistent version.
-        if (records == 0) return s;
-        break;
-      }
-      records++;
-      if (edit.IsSnapshot()) {
-        // Self-describing restart point: discard the replay so far. The
-        // snapshot's own content re-populates it below (its monitor fields
-        // carry cumulative state, i.e. deltas from zero).
-        v->levels.clear();
-        v->journal_written = 0;
-        v->journal_persisted = 0;
-        v->journal_superseded = 0;
-        v->journal_latency.Clear();
-        v->journal_range_written = 0;
-        v->journal_range_persisted = 0;
-        v->journal_range_superseded = 0;
-        v->journal_range_latency.Clear();
-        v->vlog_registry.clear();
-        v->journal_vlog_purged = 0;
-        v->journal_vlog_latency.Clear();
-      }
-      for (const auto& dead : edit.deleted_files()) {
-        v->levels[dead.first].erase(dead.second);
-      }
-      for (const auto& added : edit.new_files()) {
-        v->levels[added.first][added.second.number] = added.second;
-      }
-      if (edit.has_log_number()) {
-        v->log_number = edit.log_number();
-        v->have_log = true;
-      }
-      if (edit.has_next_file_number()) {
-        v->next_file = edit.next_file_number();
-        v->have_next = true;
-      }
-      if (edit.has_last_sequence()) {
-        v->last_sequence = edit.last_sequence();
-        v->have_last = true;
-      }
-      if (edit.has_monitor_written()) {
-        v->journal_written = edit.monitor_written();
-      }
-      if (edit.has_monitor_delta()) {
-        v->journal_persisted += edit.monitor_persisted();
-        v->journal_superseded += edit.monitor_superseded();
-        v->journal_latency.Merge(edit.monitor_latency());
-      }
-      if (edit.has_monitor_range_written()) {
-        v->journal_range_written = edit.monitor_range_written();
-      }
-      if (edit.has_monitor_range_delta()) {
-        v->journal_range_persisted += edit.monitor_range_persisted();
-        v->journal_range_superseded += edit.monitor_range_superseded();
-        v->journal_range_latency.Merge(edit.monitor_range_latency());
-      }
-      if (edit.has_vlog_monitor_delta()) {
-        v->journal_vlog_purged += edit.vlog_monitor_purged();
-        v->journal_vlog_latency.Merge(edit.vlog_monitor_latency());
-      }
-      // vLog registry replay, same fold-in as VersionSet::Recover.
-      for (const vlog::SegmentInfo& info : edit.vlog_segments()) {
-        v->vlog_registry[info.number] = info;
-      }
-      for (uint64_t seg : edit.vlog_removed_segments()) {
-        v->vlog_registry.erase(seg);
-      }
-      for (const vlog::SegmentDelta& delta : edit.vlog_deltas()) {
-        vlog::ApplyDelta(&v->vlog_registry, delta);
-      }
-    }
-    if (records == 0) {
-      return Status::Corruption(fname, "empty MANIFEST");
-    }
-    if (!v->have_log || !v->have_next || !v->have_last) {
-      return Status::Corruption(fname, "MANIFEST missing meta fields");
-    }
-    return Status::OK();
-  }
-
-  Status VerifyTables(const ReplayedVersion& v) {
+  Status VerifyTables(const Version& v) {
     // Every table the replayed version references must exist at no less
     // than its recorded size; a shorter file would fail at read time (the
     // footer offset comes from file_size), so reject it here and let the
     // salvage tier rebuild from what is actually on disk.
-    for (const auto& level : v.levels) {
-      for (const auto& f : level.second) {
-        const std::string fname = TableFileName(dbname_, f.first);
+    for (int level = 0; level < kNumLevels; level++) {
+      for (const FileMetaData* f : v.files(level)) {
+        const std::string fname = TableFileName(dbname_, f->number);
         uint64_t size = 0;
         Status s = env_->GetFileSize(fname, &size);  // io: repair
         if (!s.ok()) return s;
-        if (size < f.second.file_size) {
+        if (size < f->file_size) {
           return Status::Corruption(fname, "table shorter than recorded");
         }
       }
@@ -274,118 +152,45 @@ class Repairer {
     return Status::OK();
   }
 
-  // Mirror of DBImpl::RecoverVlog for the bounded tier. A sealed segment
-  // with values must exist at no less than its recorded extent (pointers
-  // into it would dangle otherwise -- fall back to salvage). The unsealed
-  // head (or an empty sealed segment) that never made it to disk is simply
-  // dropped; a present unsealed head is CRC-scanned and sealed at its valid
-  // prefix, exactly like a torn WAL tail.
-  Status VerifyVlogSegments(ReplayedVersion* v) {
-    for (auto it = v->vlog_registry.begin(); it != v->vlog_registry.end();) {
-      vlog::SegmentInfo& info = it->second;
+  // A sealed segment with values must exist at no less than its recorded
+  // extent, or pointers into it would dangle: fall back to salvage. The
+  // crash-time head (unsealed) and empty segments are left as recorded;
+  // DB::Open's RecoverVlog drops the missing ones and seals a present head
+  // at its valid prefix, as after any crash.
+  Status VerifyVlogSegments(const vlog::Registry& registry) {
+    for (const auto& entry : registry) {
+      const vlog::SegmentInfo& info = entry.second;
+      if (!info.sealed) continue;
       const std::string fname = VlogFileName(dbname_, info.number);
       uint64_t size = 0;
       Status s = env_->GetFileSize(fname, &size);  // io: repair
-      if (!s.ok()) {
-        if (info.sealed && info.value_count > 0) {
-          return Status::Corruption(fname, "missing value log segment");
-        }
-        it = v->vlog_registry.erase(it);
-        continue;
+      if (!s.ok() && info.value_count > 0) {
+        return Status::Corruption(fname, "missing value log segment");
       }
-      if (info.sealed) {
-        if (size < info.total_bytes) {
-          return Status::Corruption(fname, "value log shorter than recorded");
-        }
-      } else {
-        uint64_t valid_bytes = 0;
-        uint64_t value_count = 0;
-        // io: repair -- torn-tail scan of the crash-time head
-        s = vlog::ScanSegment(env_, fname, &valid_bytes, &value_count);
-        if (!s.ok()) return s;
-        info.sealed = true;
-        info.total_bytes = valid_bytes;
-        info.value_count = value_count;
+      if (s.ok() && size < info.total_bytes) {
+        return Status::Corruption(fname, "value log shorter than recorded");
       }
-      ++it;
     }
     return Status::OK();
   }
 
-  Status WriteBoundedDescriptor(uint64_t min_new_number,
-                                const ReplayedVersion& v) {
-    // The descriptor's recorded next_file must exceed its own number, or
-    // the next Open would allocate the same number for its manifest and
-    // truncate this one (same ordering constraint as rotation in
-    // VersionSet::LogAndApply).
-    const uint64_t manifest_number = std::max(v.next_file, min_new_number);
-
-    VersionEdit edit;
-    edit.SetSnapshot();
-    edit.SetComparatorName(icmp_.user_comparator()->Name());
-    // Preserve the log number: DB::Open replays the surviving WALs itself,
-    // so unflushed writes are not lost by the repair.
-    edit.SetLogNumber(v.log_number);
-    edit.SetNextFile(manifest_number + 1);
-    edit.SetLastSequence(v.last_sequence);
-    edit.SetMonitorWritten(v.journal_written);
-    edit.SetMonitorDelta(v.journal_persisted, v.journal_superseded,
-                         v.journal_latency);
-    edit.SetMonitorRangeWritten(v.journal_range_written);
-    edit.SetMonitorRangeDelta(v.journal_range_persisted,
-                              v.journal_range_superseded,
-                              v.journal_range_latency);
-    if (v.journal_vlog_purged > 0) {
-      edit.SetVlogMonitorDelta(v.journal_vlog_purged, v.journal_vlog_latency);
-    }
-    for (const auto& seg : v.vlog_registry) {
-      edit.AddVlogSegment(seg.second);
-    }
-    for (const auto& level : v.levels) {
-      for (const auto& f : level.second) {
-        edit.AddFile(level.first, f.second);
-      }
-    }
-
-    std::string manifest_name = DescriptorFileName(dbname_, manifest_number);
-    std::unique_ptr<WritableFile> manifest_file;
-    Status status =
-        env_->NewWritableFile(manifest_name, &manifest_file);  // io: repair
+  // Write the repaired descriptor (which points CURRENT at it), then
+  // discard the manifests found at startup. Never touches the descriptor
+  // just written, even if a stale file of the same name was in the startup
+  // listing.
+  Status InstallDescriptor(uint64_t manifest_number, const VersionEdit& edit) {
+    Status status = WriteDescriptor(env_, dbname_, manifest_number, edit);
     if (!status.ok()) return status;
-    {
-      wal::Writer manifest_log(manifest_file.get());
-      std::string record;
-      edit.EncodeTo(&record);
-      status = manifest_log.AddRecord(record);
-    }
-    if (status.ok()) status = manifest_file->Sync();
-    if (status.ok()) status = manifest_file->Close();
-    if (!status.ok()) {
-      (void)env_->RemoveFile(manifest_name);  // io: repair cleanup
-      return status;
-    }
-    // Point CURRENT at the repaired manifest *before* discarding the old
-    // ones (same crash-ordering argument as the salvage tier).
-    status = SetCurrentFile(env_, dbname_, manifest_number);
-    if (status.ok()) {
-      RemoveSupersededManifests(manifest_number);
-    }
-    return status;
-  }
-
-  // Discard the manifests found at startup; the repaired descriptor
-  // supersedes them. Never touches the descriptor just written, even if a
-  // stale file of the same name was in the startup listing.
-  void RemoveSupersededManifests(uint64_t new_manifest_number) {
     uint64_t number;
     FileType type;
     for (const std::string& old_manifest : manifests_) {
       if (ParseFileName(old_manifest, &number, &type) &&
-          number == new_manifest_number) {
+          number == manifest_number) {
         continue;
       }
       (void)env_->RemoveFile(dbname_ + "/" + old_manifest);  // io: repair
     }
+    return status;
   }
 
   Status FindFiles() {
@@ -403,22 +208,18 @@ class Repairer {
         // Descriptors count toward next_file_number_ too: a crashed earlier
         // repair can leave a (possibly empty) MANIFEST behind, and reusing
         // its number would truncate it -- and then the old-manifest cleanup
-        // below would unlink the descriptor we just wrote under that name.
+        // would unlink the descriptor we just wrote under that name.
         if (number + 1 > next_file_number_) {
           next_file_number_ = number + 1;
         }
         if (type == kDescriptorFile) {
           manifests_.push_back(filename);
-        } else {
-          if (type == kLogFile) {
-            logs_.push_back(number);
-          } else if (type == kTableFile) {
-            table_numbers_.push_back(number);
-          } else if (type == kVlogFile) {
-            vlog_numbers_.push_back(number);
-          } else {
-            // Ignore other files
-          }
+        } else if (type == kLogFile) {
+          logs_.push_back(number);
+        } else if (type == kTableFile) {
+          table_numbers_.push_back(number);
+        } else if (type == kVlogFile) {
+          vlog_numbers_.push_back(number);
         }
       }
     }
@@ -454,67 +255,61 @@ class Repairer {
     WriteBatch batch;
     MemTable* mem = new MemTable(icmp_);
     mem->Ref();
-    int counter = 0;
     while (reader.ReadRecord(&record, &scratch)) {
       if (record.size() < 12) continue;
       WriteBatchInternal::SetContents(&batch, record);
-      Status s = WriteBatchInternal::InsertInto(&batch, mem);
-      if (s.ok()) {
-        counter += WriteBatchInternal::Count(&batch);
-      }
+      // A pointer past the salvaged vLog extents marks the log's unacked
+      // suffix: stop here, as DB::Open's replay does.
+      if (!WriteBatchInternal::PointersWithin(&batch, vlog_extents_)) break;
       // Ignore per-batch errors: salvage what parses.
+      (void)WriteBatchInternal::InsertInto(&batch, mem);
     }
 
-    if (mem->num_entries() > 0 || mem->num_range_tombstones() > 0) {
-      uint64_t number = next_file_number_++;
-      status = BuildTableFromMemTable(mem, number);
-      if (status.ok()) {
-        table_numbers_.push_back(number);
+    // The table is built like a flush output; the sink derives its
+    // metadata. An empty memtable yields no output.
+    const Comparator* ucmp = icmp_.user_comparator();
+    TableSink sink(options_, ucmp, env_, dbname_,
+                   [this] { return next_file_number_++; }, /*worker=*/nullptr);
+    TableSink::Run run;
+    mem->CollectRangeTombstones(&run.range_tombstones);
+    SequenceNumber max_sequence = 0;
+    for (const RangeTombstone& t : run.range_tombstones) {
+      max_sequence = std::max(max_sequence, t.seq);
+    }
+    if (!run.range_tombstones.empty()) {
+      TableSink::RangeOnlyBounds(run.range_tombstones, ucmp,
+                                 &run.range_only_smallest,
+                                 &run.range_only_largest);
+    }
+    sink.BeginRun(std::move(run));
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    for (iter->SeekToFirst(); iter->Valid() && !sink.failed(); iter->Next()) {
+      sink.Add(iter->key(), iter->value());
+      max_sequence = std::max(max_sequence, ExtractSequence(iter->key()));
+    }
+    status = sink.Finish(iter->status());
+    iter.reset();
+    mem->Unref();
+    if (status.ok()) {
+      for (const TableSink::Output& out : sink.outputs()) {
+        TableInfo t;
+        t.meta = out.meta;
+        t.meta.run_id = t.meta.number;
+        t.max_sequence = max_sequence;
+        tables_.push_back(t);
       }
     }
-    mem->Unref();
-    (void)counter;
     return status;
-  }
-
-  Status BuildTableFromMemTable(MemTable* mem, uint64_t number) {
-    std::string fname = TableFileName(dbname_, number);
-    std::unique_ptr<WritableFile> file;
-    Status s = env_->NewWritableFile(fname, &file);  // io: repair
-    if (!s.ok()) return s;
-    TableBuilder builder(options_, file.get());
-    std::unique_ptr<Iterator> iter(mem->NewIterator());
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      builder.Add(iter->key(), iter->value(), ExtractUserKey(iter->key()));
-    }
-    std::vector<RangeTombstone> range_dels;
-    mem->CollectRangeTombstones(&range_dels);
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                icmp_.user_comparator());
-    }
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = mem->num_tombstones();
-    props->earliest_tombstone_time = mem->earliest_tombstone_seq();
-    s = builder.Finish();
-    if (s.ok()) s = file->Sync();
-    if (s.ok()) s = file->Close();
-    if (!s.ok()) (void)env_->RemoveFile(fname);  // io: repair cleanup
-    return s;
   }
 
   void ExtractMetaData() {
     for (uint64_t number : table_numbers_) {
       TableInfo t;
       t.meta.number = number;
-      Status status = ScanTable(&t);
-      if (!status.ok()) {
-        // Unreadable table: exclude from the repaired version. The file is
-        // left on disk for forensics; DB::Open's garbage collection will
-        // not see it as live and removes it.
-        continue;
-      }
-      tables_.push_back(t);
+      // An unreadable table is excluded from the repaired version. The file
+      // is left on disk for forensics; DB::Open's garbage collection will
+      // not see it as live and removes it.
+      if (ScanTable(&t).ok()) tables_.push_back(t);
     }
   }
 
@@ -526,90 +321,67 @@ class Repairer {
     std::unique_ptr<RandomAccessFile> file;
     status = env_->NewRandomAccessFile(fname, &file);  // io: repair
     if (!status.ok()) return status;
-    Table* table = nullptr;
-    status = Table::Open(options_, file.get(), t->meta.file_size, &table);
+    Table* raw_table = nullptr;
+    status = Table::Open(options_, file.get(), t->meta.file_size, &raw_table);
     if (!status.ok()) return status;
+    std::unique_ptr<Table> table(raw_table);
 
-    // Re-derive the key range, counts, and tombstone metadata by scanning;
+    // Re-derive the metadata by scanning, through the table sink's fold:
     // per-entry data beats a possibly stale properties block and validates
     // every block checksum along the way.
     std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
-    bool empty = true;
     bool bad_key = false;
-    t->max_sequence = 0;
+    bool dangling = false;
     ParsedInternalKey parsed;
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      Slice key = iter->key();
-      if (!ParseInternalKey(key, &parsed)) {
+      if (!ParseInternalKey(iter->key(), &parsed)) {
         bad_key = true;
         continue;
       }
-      if (empty) {
-        empty = false;
-        t->meta.smallest.DecodeFrom(key);
+      if (parsed.type == kTypeValuePointer &&
+          !vlog::PointerWithin(iter->value(), vlog_extents_)) {
+        dangling = true;
       }
-      t->meta.largest.DecodeFrom(key);
-      t->meta.num_entries++;
-      if (parsed.sequence > t->max_sequence) {
-        t->max_sequence = parsed.sequence;
-      }
-      if (parsed.type == kTypeDeletion) {
-        t->meta.num_tombstones++;
-        if (parsed.sequence < t->meta.earliest_tombstone_seq) {
-          t->meta.earliest_tombstone_seq = parsed.sequence;
-        }
-      } else if (parsed.type == kTypeValuePointer) {
-        // Re-derive the table's vLog span so obsolete-file collection keeps
-        // the referenced segments alive after the repair.
-        vlog::FoldVlogSpan(iter->value(), &t->meta.min_vlog_segment,
-                           &t->meta.max_vlog_segment);
-      }
+      TableSink::FoldEntry(options_, iter->key(), iter->value(), &t->meta);
+      t->max_sequence = std::max(t->max_sequence, parsed.sequence);
     }
-    Status iter_status = iter->status();
+    status = iter->status();
     iter.reset();
 
-    // Range tombstones live in their own block; re-derive their metadata
-    // too. (A table whose range-del block failed to decode never passed
-    // Table::Open, so raw_range_tombstones() here is trustworthy.)
+    // Range tombstones live in their own block. (A table whose range-del
+    // block failed to decode never passed Table::Open, so
+    // raw_range_tombstones() here is trustworthy.)
     const std::vector<RangeTombstone>& range_dels =
         table->raw_range_tombstones();
     const Comparator* ucmp = icmp_.user_comparator();
-    SequenceNumber max_range_seq = 0;
     for (const RangeTombstone& rt : range_dels) {
-      t->meta.num_range_tombstones++;
-      t->meta.earliest_range_tombstone_seq =
-          std::min(t->meta.earliest_range_tombstone_seq, rt.seq);
-      max_range_seq = std::max(max_range_seq, rt.seq);
-      if (rt.seq > t->max_sequence) t->max_sequence = rt.seq;
-      if (t->meta.range_del_begin.empty() ||
-          ucmp->Compare(Slice(rt.begin), Slice(t->meta.range_del_begin)) < 0) {
-        t->meta.range_del_begin = rt.begin;
-      }
-      if (t->meta.range_del_end.empty() ||
-          ucmp->Compare(Slice(rt.end), Slice(t->meta.range_del_end)) > 0) {
-        t->meta.range_del_end = rt.end;
-      }
+      TableSink::FoldRangeTombstone(ucmp, rt, &t->meta);
+      t->max_sequence = std::max(t->max_sequence, rt.seq);
     }
-    if (t->meta.num_range_tombstones > 0) {
+    if (!range_dels.empty()) {
       t->meta.earliest_range_tombstone_wall_micros =
           table->properties().earliest_range_tombstone_wall_micros;
+      if (t->meta.num_entries == 0) {
+        // Salvaged tables all land in level 0, where overlap is legal.
+        TableSink::RangeOnlyBounds(range_dels, ucmp, &t->meta.smallest,
+                                   &t->meta.largest);
+      }
     }
-    delete table;
 
-    if (!iter_status.ok()) return iter_status;
-    if (empty && range_dels.empty()) {
+    if (!status.ok()) return status;
+    if (t->meta.num_entries == 0 && range_dels.empty()) {
       return Status::Corruption("table holds no decodable entries");
-    }
-    if (empty) {
-      // A range-tombstone-only table: derive bounds from the tombstone
-      // span. Salvaged tables all land in level 0, where overlap is legal.
-      t->meta.smallest = InternalKey(Slice(t->meta.range_del_begin),
-                                     max_range_seq, kValueTypeForSeek);
-      t->meta.largest =
-          InternalKey(Slice(t->meta.range_del_end), 0, kTypeDeletion);
     }
     if (bad_key && options_.paranoid_checks) {
       return Status::Corruption("table holds undecodable keys");
+    }
+    if (dangling) {
+      // Sync-before-install: no table that ever went live points past a
+      // durable extent. This one never installed (a vLog-GC rewrite whose
+      // relocation segment was not yet synced) or is an obsolete leftover
+      // whose segment was collected; including it would shadow the live
+      // copy of its entries with unreadable values.
+      return Status::Corruption("table points past the salvaged value log");
     }
     t->meta.run_id = t->meta.number;
     return Status::OK();
@@ -636,55 +408,26 @@ class Repairer {
       info.total_bytes = valid_bytes;
       info.value_count = value_count;
       salvaged_vlog_.push_back(info);
+      vlog_extents_[number] = valid_bytes;
     }
   }
 
-  Status WriteDescriptor() {
-    // Highest sequence across all salvaged tables.
-    SequenceNumber max_sequence = 0;
-    for (const TableInfo& t : tables_) {
-      if (t.max_sequence > max_sequence) max_sequence = t.max_sequence;
-    }
-
+  Status WriteSalvagedDescriptor() {
     VersionEdit edit;
     edit.SetComparatorName(icmp_.user_comparator()->Name());
     edit.SetLogNumber(next_file_number_);  // beyond every salvaged log
     edit.SetNextFile(next_file_number_ + 1);
-    edit.SetLastSequence(max_sequence);
+    // Highest sequence across all salvaged tables.
+    SequenceNumber max_sequence = 0;
     for (const TableInfo& t : tables_) {
+      max_sequence = std::max(max_sequence, t.max_sequence);
       edit.AddFile(0, t.meta);
     }
+    edit.SetLastSequence(max_sequence);
     for (const vlog::SegmentInfo& info : salvaged_vlog_) {
       edit.AddVlogSegment(info);
     }
-
-    const uint64_t manifest_number = next_file_number_ + 2;
-    std::string manifest_name = DescriptorFileName(dbname_, manifest_number);
-    std::unique_ptr<WritableFile> manifest_file;
-    Status status =
-        env_->NewWritableFile(manifest_name, &manifest_file);  // io: repair
-    if (!status.ok()) return status;
-    {
-      wal::Writer manifest_log(manifest_file.get());
-      std::string record;
-      edit.EncodeTo(&record);
-      status = manifest_log.AddRecord(record);
-    }
-    if (status.ok()) status = manifest_file->Sync();
-    if (status.ok()) status = manifest_file->Close();
-    if (!status.ok()) {
-      (void)env_->RemoveFile(manifest_name);  // io: repair cleanup
-      return status;
-    }
-    // Point CURRENT at the repaired manifest *before* discarding the old
-    // ones: if we crash between the two steps the DB still opens from a
-    // manifest CURRENT actually names. (The reverse order left a window
-    // where CURRENT referenced an already-unlinked file.)
-    status = SetCurrentFile(env_, dbname_, manifest_number);
-    if (status.ok()) {
-      RemoveSupersededManifests(manifest_number);
-    }
-    return status;
+    return InstallDescriptor(next_file_number_ + 2, edit);
   }
 
   const std::string dbname_;
@@ -698,6 +441,7 @@ class Repairer {
   std::vector<uint64_t> vlog_numbers_;
   std::vector<TableInfo> tables_;
   std::vector<vlog::SegmentInfo> salvaged_vlog_;
+  vlog::Extents vlog_extents_;  // valid prefix of each salvaged segment
   uint64_t next_file_number_;
 };
 

@@ -287,9 +287,6 @@ void TableSink::AddEntry(const Slice& key, const Slice& value) {
     OpenOutput();
     if (!status_.ok()) return;
   }
-  FileMetaData* meta = &outputs_.back().meta;
-  if (builder_->NumEntries() == 0) meta->smallest.DecodeFrom(key);
-  meta->largest.DecodeFrom(key);
   builder_->Add(key, value, ExtractUserKey(key));
   if (!builder_->status().ok()) {
     Fail(builder_->status());
@@ -297,35 +294,70 @@ void TableSink::AddEntry(const Slice& key, const Slice& value) {
     builder_.reset();
     return;
   }
-
-  ParsedInternalKey ikey;
-  if (ParseInternalKey(key, &ikey)) {
-    if (ikey.type == kTypeDeletion) {
-      meta->num_tombstones++;
-      meta->earliest_tombstone_seq =
-          std::min(meta->earliest_tombstone_seq, ikey.sequence);
-    } else if (ikey.type == kTypeValuePointer) {
-      // Track the [min,max] vLog segment span: RemoveObsoleteFiles keeps
-      // every segment inside a live file's span alive. (The secondary-key
-      // extractor must never see a pointer payload.)
-      vlog::FoldVlogSpan(value, &meta->min_vlog_segment,
-                         &meta->max_vlog_segment);
-    } else if (ikey.type == kTypeValue && options_.secondary_key_extractor) {
-      std::string sec = options_.secondary_key_extractor(ikey.user_key, value);
-      if (!sec.empty()) {
-        if (meta->min_secondary_key.empty() || sec < meta->min_secondary_key) {
-          meta->min_secondary_key = sec;
-        }
-        if (meta->max_secondary_key.empty() || sec > meta->max_secondary_key) {
-          meta->max_secondary_key = sec;
-        }
-      }
-    }
-  }
-
+  FoldEntry(options_, key, value, &outputs_.back().meta);
   if (builder_->FileSize() >= runs_.back().max_output_size) {
     FinishOutput();
   }
+}
+
+void TableSink::FoldEntry(const Options& options, const Slice& key,
+                          const Slice& value, FileMetaData* meta) {
+  if (meta->num_entries++ == 0) meta->smallest.DecodeFrom(key);
+  meta->largest.DecodeFrom(key);
+  ParsedInternalKey ikey;
+  if (!ParseInternalKey(key, &ikey)) return;
+  if (ikey.type == kTypeDeletion) {
+    meta->num_tombstones++;
+    meta->earliest_tombstone_seq =
+        std::min(meta->earliest_tombstone_seq, ikey.sequence);
+  } else if (ikey.type == kTypeValuePointer) {
+    // Track the [min,max] vLog segment span: RemoveObsoleteFiles keeps
+    // every segment inside a live file's span alive. (The secondary-key
+    // extractor must never see a pointer payload.)
+    vlog::FoldVlogSpan(value, &meta->min_vlog_segment,
+                       &meta->max_vlog_segment);
+  } else if (ikey.type == kTypeValue && options.secondary_key_extractor) {
+    std::string sec = options.secondary_key_extractor(ikey.user_key, value);
+    if (!sec.empty()) {
+      if (meta->min_secondary_key.empty() || sec < meta->min_secondary_key) {
+        meta->min_secondary_key = sec;
+      }
+      if (meta->max_secondary_key.empty() || sec > meta->max_secondary_key) {
+        meta->max_secondary_key = sec;
+      }
+    }
+  }
+}
+
+void TableSink::FoldRangeTombstone(const Comparator* ucmp,
+                                   const RangeTombstone& t,
+                                   FileMetaData* meta) {
+  meta->num_range_tombstones++;
+  meta->earliest_range_tombstone_seq =
+      std::min(meta->earliest_range_tombstone_seq, t.seq);
+  if (meta->range_del_begin.empty() ||
+      ucmp->Compare(Slice(t.begin), Slice(meta->range_del_begin)) < 0) {
+    meta->range_del_begin = t.begin;
+  }
+  if (meta->range_del_end.empty() ||
+      ucmp->Compare(Slice(t.end), Slice(meta->range_del_end)) > 0) {
+    meta->range_del_end = t.end;
+  }
+}
+
+void TableSink::RangeOnlyBounds(const std::vector<RangeTombstone>& tombstones,
+                                const Comparator* ucmp, InternalKey* smallest,
+                                InternalKey* largest) {
+  const RangeTombstone* lo = &tombstones[0];
+  const RangeTombstone* hi = lo;
+  SequenceNumber max_seq = 0;
+  for (const RangeTombstone& t : tombstones) {
+    if (ucmp->Compare(t.begin, lo->begin) < 0) lo = &t;
+    if (ucmp->Compare(t.end, hi->end) > 0) hi = &t;
+    max_seq = std::max(max_seq, t.seq);
+  }
+  *smallest = InternalKey(lo->begin, max_seq, kValueTypeForSeek);
+  *largest = InternalKey(hi->end, 0, kTypeDeletion);
 }
 
 void TableSink::FinishRun() {
@@ -337,17 +369,7 @@ void TableSink::FinishRun() {
       FileMetaData* meta = &outputs_.back().meta;
       for (const RangeTombstone& t : run.range_tombstones) {
         builder_->AddRangeTombstone(t.begin, t.end, t.seq, ucmp_);
-        meta->num_range_tombstones++;
-        meta->earliest_range_tombstone_seq =
-            std::min(meta->earliest_range_tombstone_seq, t.seq);
-        if (meta->range_del_begin.empty() ||
-            ucmp_->Compare(Slice(t.begin), Slice(meta->range_del_begin)) < 0) {
-          meta->range_del_begin = t.begin;
-        }
-        if (meta->range_del_end.empty() ||
-            ucmp_->Compare(Slice(t.end), Slice(meta->range_del_end)) > 0) {
-          meta->range_del_end = t.end;
-        }
+        FoldRangeTombstone(ucmp_, t, meta);
       }
       meta->earliest_range_tombstone_wall_micros =
           run.range_tombstone_wall_micros;
@@ -401,7 +423,6 @@ void TableSink::FinishOutput() {
   props->max_secondary_key = meta->max_secondary_key;
   Status s = builder_->Finish();
   meta->file_size = builder_->FileSize();
-  meta->num_entries = builder_->NumEntries();
   builder_.reset();
   // Always synced, independent of Options::sync_writes: the manifest record
   // that makes the table live is synced at install, so the table must be

@@ -1,10 +1,13 @@
 // TableSink: the one table-output path. Flush, compaction, vLog-GC
-// relocation and the secondary purge stream the entries they keep into a
-// sink, in sorted order. The sink builds the tables, cuts an output once
-// its file reaches the run's size limit, derives every FileMetaData field
-// from the entries it saw (bounds, point-tombstone count and earliest seq,
-// vLog span, secondary-key range, range-tombstone count/seq/span) and
-// mirrors them into the table's properties block. Each finished output is
+// relocation, the secondary purge and RepairDB's WAL salvage stream the
+// entries they keep into a sink, in sorted order. The sink builds the
+// tables, cuts an output once its file reaches the run's size limit,
+// derives every FileMetaData field from the entries it saw (bounds,
+// point-tombstone count and earliest seq, vLog span, secondary-key range,
+// range-tombstone count/seq/span) and mirrors them into the table's
+// properties block. FoldEntry and FoldRangeTombstone are that derivation;
+// RepairDB re-derives an orphan table's metadata through them too, so every
+// table's metadata follows one rule. Each finished output is
 // flushed and its fsync submitted through Env::SubmitSync, so the next
 // output builds while the previous one syncs. Finish() waits for every
 // submitted sync and closes the files: it is the single sync-before-install
@@ -115,6 +118,19 @@ class TableSink {
     size_t run = 0;  // index of the run (in BeginRun order)
     FileMetaData meta;
   };
+
+  // The metadata derivation: fold one stored entry (internal key, in key
+  // order) or one range tombstone into |meta|.
+  static void FoldEntry(const Options& options, const Slice& key,
+                        const Slice& value, FileMetaData* meta);
+  static void FoldRangeTombstone(const Comparator* ucmp,
+                                 const RangeTombstone& t, FileMetaData* meta);
+  // Bounds of a table holding only |tombstones| (non-empty): their user-key
+  // span, above every entry they cover. Only level 0 may hold such a table
+  // unclipped, since it may overlap its neighbours.
+  static void RangeOnlyBounds(const std::vector<RangeTombstone>& tombstones,
+                              const Comparator* ucmp, InternalKey* smallest,
+                              InternalKey* largest);
 
   // Bounded hand-off between the caller and the worker.
   static constexpr size_t kBatchBytes = 256 << 10;

@@ -1001,9 +1001,8 @@ Status VersionSet::LogAndApply(VersionEdit* edit, Mutex* mu) {
   // Install the new version
   if (s.ok()) {
     AppendVersion(v);
-    log_number_ = edit->log_number_;
     edits_since_snapshot_++;
-    FoldEditIntoJournal(*edit);
+    FoldEdit(*edit);
   } else {
     delete v;
     // Whatever failed -- the record append, the sync, or installing a fresh
@@ -1032,22 +1031,12 @@ Status VersionSet::LogAndApply(VersionEdit* edit, Mutex* mu) {
   return s;
 }
 
-// Fold an edit's vLog registry fields into |registry|. Shared by
-// LogAndApply (live state) and Recover (replay), so the recovered registry
-// is bit-identical to the pre-crash one.
-static void ApplyVlogEditTo(const VersionEdit& edit, vlog::Registry* registry) {
-  for (const vlog::SegmentInfo& info : edit.vlog_segments()) {
-    (*registry)[info.number] = info;
+void VersionSet::FoldEdit(const VersionEdit& edit) {
+  if (edit.has_log_number_) log_number_ = edit.log_number_;
+  if (edit.has_next_file_number_) next_file_number_ = edit.next_file_number_;
+  if (edit.has_last_sequence_) {
+    last_sequence_.store(edit.last_sequence_, std::memory_order_release);
   }
-  for (uint64_t seg : edit.vlog_removed_segments()) {
-    registry->erase(seg);
-  }
-  for (const vlog::SegmentDelta& delta : edit.vlog_deltas()) {
-    vlog::ApplyDelta(registry, delta);
-  }
-}
-
-void VersionSet::FoldEditIntoJournal(const VersionEdit& edit) {
   if (edit.has_monitor_written()) {
     journal_state_.written = edit.monitor_written();
   }
@@ -1068,7 +1057,15 @@ void VersionSet::FoldEditIntoJournal(const VersionEdit& edit) {
     journal_state_.vlog_purged += edit.vlog_monitor_purged();
     journal_state_.vlog_latency.Merge(edit.vlog_monitor_latency());
   }
-  ApplyVlogEditTo(edit, &vlog_registry_);
+  for (const vlog::SegmentInfo& info : edit.vlog_segments()) {
+    vlog_registry_[info.number] = info;
+  }
+  for (uint64_t seg : edit.vlog_removed_segments()) {
+    vlog_registry_.erase(seg);
+  }
+  for (const vlog::SegmentDelta& delta : edit.vlog_deltas()) {
+    vlog::ApplyDelta(&vlog_registry_, delta);
+  }
 }
 
 Status VersionSet::WriteCleanCloseSnapshot() {
@@ -1084,13 +1081,6 @@ Status VersionSet::WriteCleanCloseSnapshot() {
 }
 
 Status VersionSet::Recover(bool* save_manifest) {
-  struct LogReporter : public wal::Reader::Reporter {
-    Status* status;
-    void Corruption(size_t, const Status& s) override {
-      if (this->status->ok()) *this->status = s;
-    }
-  };
-
   // Read "CURRENT" file, which contains a pointer to the current manifest
   // file.
   std::string current;
@@ -1103,11 +1093,23 @@ Status VersionSet::Recover(bool* save_manifest) {
     return Status::Corruption("CURRENT file does not end with newline");
   }
   current.resize(current.size() - 1);
+  s = Replay(current, /*stop_at_bad_record=*/false);
+  // A new MANIFEST is always written on open (no manifest reuse).
+  if (s.ok()) *save_manifest = true;
+  return s;
+}
 
-  std::string dscname = dbname_ + "/" + current;
+Status VersionSet::Replay(const std::string& fname, bool stop_at_bad_record) {
+  struct LogReporter : public wal::Reader::Reporter {
+    Status* status = nullptr;  // null: framing damage is not an error
+    void Corruption(size_t, const Status& s) override {
+      if (status != nullptr && status->ok()) *status = s;
+    }
+  };
+
   std::unique_ptr<SequentialFile> file;
-  // io: open/recovery
-  s = env_->NewSequentialFile(dscname, &file);
+  // io: open/recovery (RepairDB's bounded tier too)
+  Status s = env_->NewSequentialFile(dbname_ + "/" + fname, &file);
   if (!s.ok()) {
     if (s.IsNotFound()) {
       return Status::Corruption("CURRENT points to a non-existent file",
@@ -1119,97 +1121,68 @@ Status VersionSet::Recover(bool* save_manifest) {
   bool have_log_number = false;
   bool have_next_file = false;
   bool have_last_sequence = false;
-  uint64_t next_file = 0;
-  uint64_t last_sequence = 0;
-  uint64_t log_number = 0;
   std::unique_ptr<Builder> builder(new Builder(this, current_));
-  MonitorJournal journal;
-  vlog::Registry registry;
   uint64_t edits_replayed = 0;
   int read_records = 0;
-
   {
     LogReporter reporter;
-    reporter.status = &s;
-    wal::Reader reader(file.get(), &reporter, true /*checksum*/);
+    if (!stop_at_bad_record) reporter.status = &s;
+    // Without framing checksums a torn tail record's WAL CRC is garbage but
+    // the prefix still parses. Restart points are still never trusted
+    // blindly: snapshot records carry their own inner CRC32C, which
+    // DecodeFrom verifies.
+    wal::Reader reader(file.get(), &reporter, !stop_at_bad_record);
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch) && s.ok()) {
       ++read_records;
       VersionEdit edit;
       s = edit.DecodeFrom(record);
-      if (!s.ok() && edit.IsSnapshot() && read_records > 1) {
-        // A non-head snapshot record that failed its inner CRC: skip it and
-        // keep the state accumulated so far (previous snapshot + suffix
-        // edits). A later snapshot adds no information the preceding records
-        // lack, so dropping it is always safe -- unlike a corrupt ordinary
-        // edit, which leaves a hole in the delta chain and stays fatal. A
-        // corrupt HEAD snapshot is the file-set baseline itself and remains
-        // fatal (RepairDB then falls back to an older MANIFEST or salvage).
-        torn_snapshots_skipped_++;
-        s = Status::OK();
-        continue;
-      }
-      if (s.ok()) {
-        if (edit.has_comparator_ &&
-            edit.comparator_ != icmp_.user_comparator()->Name()) {
-          s = Status::InvalidArgument(
-              edit.comparator_ + " does not match existing comparator ",
-              icmp_.user_comparator()->Name());
+      if (!s.ok() && read_records > 1) {
+        if (stop_at_bad_record) {
+          // A torn record ends the useful prefix: everything before it is
+          // a consistent version.
+          s = Status::OK();
+          break;
         }
-      }
-
-      if (s.ok()) {
         if (edit.IsSnapshot()) {
-          // Valid snapshot: restart replay from here. The record carries the
-          // complete file set and cumulative monitor state, so everything
-          // accumulated before it is superseded.
-          builder.reset();
-          builder.reset(new Builder(this, new Version(this)));
-          journal = MonitorJournal();
-          registry.clear();
-          edits_replayed = 0;
-        } else {
-          edits_replayed++;
+          // A non-head snapshot record that failed its inner CRC: skip it
+          // and keep the state accumulated so far (previous snapshot +
+          // suffix edits). A later snapshot adds no information the
+          // preceding records lack, so dropping it is always safe -- unlike
+          // a corrupt ordinary edit, which leaves a hole in the delta chain
+          // and stays fatal. A corrupt HEAD snapshot is the file-set
+          // baseline itself and remains fatal (RepairDB then falls back to
+          // an older MANIFEST or salvage).
+          torn_snapshots_skipped_++;
+          s = Status::OK();
+          continue;
         }
-        builder->Apply(&edit);
-        if (edit.has_monitor_written()) {
-          journal.written = edit.monitor_written();
-        }
-        if (edit.has_monitor_delta()) {
-          journal.persisted += edit.monitor_persisted();
-          journal.superseded += edit.monitor_superseded();
-          journal.latency.Merge(edit.monitor_latency());
-        }
-        if (edit.has_monitor_range_written()) {
-          journal.range_written = edit.monitor_range_written();
-        }
-        if (edit.has_monitor_range_delta()) {
-          journal.range_persisted += edit.monitor_range_persisted();
-          journal.range_superseded += edit.monitor_range_superseded();
-          journal.range_latency.Merge(edit.monitor_range_latency());
-        }
-        if (edit.has_vlog_monitor_delta()) {
-          journal.vlog_purged += edit.vlog_monitor_purged();
-          journal.vlog_latency.Merge(edit.vlog_monitor_latency());
-        }
-        ApplyVlogEditTo(edit, &registry);
       }
-
-      if (edit.has_log_number_) {
-        log_number = edit.log_number_;
-        have_log_number = true;
+      if (s.ok() && edit.has_comparator_ &&
+          edit.comparator_ != icmp_.user_comparator()->Name()) {
+        s = Status::InvalidArgument(
+            edit.comparator_ + " does not match existing comparator ",
+            icmp_.user_comparator()->Name());
       }
-
-      if (edit.has_next_file_number_) {
-        next_file = edit.next_file_number_;
-        have_next_file = true;
+      if (!s.ok()) break;
+      if (edit.IsSnapshot()) {
+        // Valid snapshot: restart replay from here. The record carries the
+        // complete file set and cumulative monitor state, so everything
+        // accumulated before it is superseded.
+        builder.reset();
+        builder.reset(new Builder(this, new Version(this)));
+        journal_state_ = MonitorJournal();
+        vlog_registry_.clear();
+        edits_replayed = 0;
+      } else {
+        edits_replayed++;
       }
-
-      if (edit.has_last_sequence_) {
-        last_sequence = edit.last_sequence_;
-        have_last_sequence = true;
-      }
+      builder->Apply(&edit);
+      FoldEdit(edit);
+      have_log_number |= edit.has_log_number_;
+      have_next_file |= edit.has_next_file_number_;
+      have_last_sequence |= edit.has_last_sequence_;
     }
   }
   file.reset();
@@ -1222,8 +1195,6 @@ Status VersionSet::Recover(bool* save_manifest) {
     } else if (!have_last_sequence) {
       s = Status::Corruption("no last-sequence-number entry in descriptor");
     }
-
-    MarkFileNumberUsed(log_number);
   }
 
   if (s.ok()) {
@@ -1231,16 +1202,10 @@ Status VersionSet::Recover(bool* save_manifest) {
     builder->SaveTo(v);
     // Install recovered version
     AppendVersion(v);
-    manifest_file_number_ = next_file;
-    next_file_number_ = next_file + 1;
-    last_sequence_.store(last_sequence, std::memory_order_release);
-    log_number_ = log_number;
-    journal_state_ = journal;
-    vlog_registry_ = std::move(registry);
+    // The next descriptor takes the recorded next-file number.
+    manifest_file_number_ = next_file_number_;
+    next_file_number_ = manifest_file_number_ + 1;
     manifest_edits_replayed_ = edits_replayed;
-
-    // A new MANIFEST is always written on open (no manifest reuse).
-    *save_manifest = true;
   }
 
   return s;
@@ -1252,48 +1217,65 @@ void VersionSet::MarkFileNumberUsed(uint64_t number) {
   }
 }
 
-Status VersionSet::WriteSnapshot(wal::Writer* log) {
-  // Save metadata. The snapshot is a self-contained restart point: beyond
-  // the file set it records log/next-file/last-sequence and the cumulative
-  // monitor journal, and its body is wrapped in an inner CRC32C (see
-  // version_edit.cc) so recovery can trust it independently of WAL framing.
-  VersionEdit edit;
-  edit.SetSnapshot();
-  edit.SetComparatorName(icmp_.user_comparator()->Name());
-  edit.SetLogNumber(log_number_);
-  edit.SetNextFile(next_file_number_);
-  edit.SetLastSequence(LastSequence());
-  edit.SetMonitorWritten(journal_state_.written);
-  edit.SetMonitorDelta(journal_state_.persisted, journal_state_.superseded,
-                       journal_state_.latency);
-  edit.SetMonitorRangeWritten(journal_state_.range_written);
-  edit.SetMonitorRangeDelta(journal_state_.range_persisted,
-                            journal_state_.range_superseded,
-                            journal_state_.range_latency);
-  edit.SetVlogMonitorDelta(journal_state_.vlog_purged,
-                           journal_state_.vlog_latency);
+Status WriteDescriptor(Env* env, const std::string& dbname, uint64_t number,
+                       const VersionEdit& edit) {
+  const std::string fname = DescriptorFileName(dbname, number);
+  std::unique_ptr<WritableFile> file;
+  Status s = env->NewWritableFile(fname, &file);  // io: open/recovery
+  if (!s.ok()) return s;
+  std::string record;
+  edit.EncodeTo(&record);
+  s = wal::Writer(file.get()).AddRecord(record);
+  if (s.ok()) s = file->Sync();
+  if (s.ok()) s = file->Close();
+  if (!s.ok()) {
+    (void)env->RemoveFile(fname);  // io: open/recovery cleanup
+    return s;
+  }
+  // CURRENT moves only once the descriptor is durable, so a crash between
+  // the two steps leaves CURRENT naming the previous, complete MANIFEST.
+  return SetCurrentFile(env, dbname, number);
+}
+
+void VersionSet::SnapshotEdit(VersionEdit* edit) const {
+  // The snapshot is a self-contained restart point: beyond the file set it
+  // records log/next-file/last-sequence and the cumulative monitor journal,
+  // and its body is wrapped in an inner CRC32C (see version_edit.cc) so
+  // recovery can trust it independently of WAL framing.
+  edit->SetSnapshot();
+  edit->SetComparatorName(icmp_.user_comparator()->Name());
+  edit->SetLogNumber(log_number_);
+  edit->SetNextFile(next_file_number_);
+  edit->SetLastSequence(LastSequence());
+  edit->SetMonitorWritten(journal_state_.written);
+  edit->SetMonitorDelta(journal_state_.persisted, journal_state_.superseded,
+                        journal_state_.latency);
+  edit->SetMonitorRangeWritten(journal_state_.range_written);
+  edit->SetMonitorRangeDelta(journal_state_.range_persisted,
+                             journal_state_.range_superseded,
+                             journal_state_.range_latency);
+  edit->SetVlogMonitorDelta(journal_state_.vlog_purged,
+                            journal_state_.vlog_latency);
   // Snapshot the vLog segment registry (cumulative: replay resets on the
   // snapshot record, then upserts each segment).
   for (const auto& entry : vlog_registry_) {
-    edit.AddVlogSegment(entry.second);
+    edit->AddVlogSegment(entry.second);
   }
-
-  // Save compaction pointers
   for (int level = 0; level < kNumLevels; level++) {
     if (!compact_pointer_[level].empty()) {
       InternalKey key;
       key.DecodeFrom(compact_pointer_[level]);
-      edit.SetCompactPointer(level, key);
+      edit->SetCompactPointer(level, key);
     }
-  }
-
-  // Save files
-  for (int level = 0; level < kNumLevels; level++) {
     for (FileMetaData* f : current_->files_[level]) {
-      edit.AddFile(level, *f);
+      edit->AddFile(level, *f);
     }
   }
+}
 
+Status VersionSet::WriteSnapshot(wal::Writer* log) {
+  VersionEdit edit;
+  SnapshotEdit(&edit);
   std::string record;
   edit.EncodeTo(&record);
   Status s = log->AddRecord(record);

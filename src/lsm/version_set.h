@@ -37,6 +37,13 @@ class Version;
 class VersionSet;
 class WritableFile;
 
+// Write a fresh descriptor |number| whose only record is |edit|: create
+// it, append, sync, close, then point CURRENT at it. A failed write removes
+// the descriptor. Database creation and both RepairDB tiers start their
+// MANIFEST this way.
+Status WriteDescriptor(Env* env, const std::string& dbname, uint64_t number,
+                       const VersionEdit& edit);
+
 // Return the smallest index i such that files[i]->largest >= key.
 // Return files.size() if there is no such file.
 // REQUIRES: "files" contains a sorted list of non-overlapping files.
@@ -207,11 +214,26 @@ class VersionSet {
   Status LogAndApply(VersionEdit* edit, Mutex* mu)
       EXCLUSIVE_LOCKS_REQUIRED(mu);
 
-  // Recover the last saved descriptor from persistent storage. Replay
-  // restarts from the last valid snapshot record; a snapshot record that
-  // fails its inner CRC is skipped (state falls back to the previous
-  // snapshot plus the edits in between).
+  // Recover the last saved descriptor (the one CURRENT names) through
+  // Replay with a bad record failing the recovery.
   Status Recover(bool* save_manifest);
+
+  // Replay the MANIFEST |fname| (a name inside the DB directory) and
+  // install the state it describes. Replay restarts from the last valid
+  // snapshot record. With |stop_at_bad_record| false (DB::Open) a damaged
+  // record fails the replay, except a non-head snapshot record that fails
+  // its inner CRC, which is skipped (state falls back to the previous
+  // snapshot plus the edits in between). With it true (RepairDB's bounded
+  // tier) framing checksums are off and the first undecodable record after
+  // the head ends the replay: the prefix before a torn tail is a consistent
+  // version. An undecodable head record, a comparator mismatch or missing
+  // log/next-file/last-sequence fields fail either way.
+  Status Replay(const std::string& fname, bool stop_at_bad_record);
+
+  // Fill |edit| with a self-contained snapshot of the current state: the
+  // file set, compaction pointers, log/next-file/last-sequence, the monitor
+  // journal and the vLog registry. Every snapshot record is this edit.
+  void SnapshotEdit(VersionEdit* edit) const;
 
   // Append a snapshot record to the current MANIFEST and sync it, so a
   // clean reopen replays zero edits. Called by DBImpl's destructor once all
@@ -373,8 +395,10 @@ class VersionSet {
   // record alone is a complete restart point). Resets the rotation counter.
   Status WriteSnapshot(wal::Writer* log);
 
-  // Fold an installed edit's piggybacked monitor fields into journal_state_.
-  void FoldEditIntoJournal(const VersionEdit& edit);
+  // Fold an edit's log/next-file/last-sequence, monitor journal and vLog
+  // registry fields into this set (the file set goes through a Builder).
+  // LogAndApply folds each installed edit, Replay each replayed one.
+  void FoldEdit(const VersionEdit& edit);
 
   void AppendVersion(Version* v);
 

@@ -164,7 +164,29 @@ class MemTableInserter : public WriteBatch::Handler {
     sequence_++;
   }
 };
+
+class PointerCheck : public WriteBatch::Handler {
+ public:
+  explicit PointerCheck(const vlog::Extents* extents) : extents_(extents) {}
+  bool ok = true;
+  void Put(const Slice&, const Slice&) override {}
+  void PutPointer(const Slice&, const Slice& pointer) override {
+    if (!vlog::PointerWithin(pointer, *extents_)) ok = false;
+  }
+  void Delete(const Slice&) override {}
+  void DeleteRange(const Slice&, const Slice&) override {}
+
+ private:
+  const vlog::Extents* const extents_;
+};
 }  // namespace
+
+bool WriteBatchInternal::PointersWithin(const WriteBatch* b,
+                                        const vlog::Extents& extents) {
+  PointerCheck check(&extents);
+  (void)b->Iterate(&check);
+  return check.ok;
+}
 
 Status WriteBatchInternal::InsertInto(const WriteBatch* b, MemTable* memtable) {
   MemTableInserter inserter;

@@ -5,6 +5,7 @@
 
 #include "src/lsm/dbformat.h"
 #include "src/lsm/write_batch.h"
+#include "src/vlog/vlog_format.h"
 
 namespace acheron {
 
@@ -32,6 +33,11 @@ class WriteBatchInternal {
   static void SetContents(WriteBatch* batch, const Slice& contents);
 
   static Status InsertInto(const WriteBatch* batch, MemTable* memtable);
+
+  // True if every value pointer in |batch| lies inside |extents| (see
+  // vlog::PointerWithin).
+  static bool PointersWithin(const WriteBatch* batch,
+                             const vlog::Extents& extents);
 
   static void Append(WriteBatch* dst, const WriteBatch* src);
 };

@@ -21,6 +21,7 @@
 #define ACHERON_VLOG_VLOG_FORMAT_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "src/util/coding.h"
@@ -73,6 +74,20 @@ inline void FoldVlogSpan(const Slice& payload, uint64_t* min_segment,
     *min_segment = ptr.segment;
   }
   if (ptr.segment > *max_segment) *max_segment = ptr.segment;
+}
+
+// Durable extent (valid bytes) of each readable segment, by number.
+using Extents = std::map<uint64_t, uint64_t>;
+
+// True if |payload| decodes to a pointer inside its segment's extent.
+// Pointers are acked only after their value bytes are synced, so a pointer
+// past the extent was never durable: recovery stops a WAL replay at it, and
+// RepairDB's salvage leaves out a table holding one.
+inline bool PointerWithin(const Slice& payload, const Extents& extents) {
+  ValuePointer ptr;
+  if (!DecodeValuePointerStrict(payload, &ptr)) return false;
+  auto it = extents.find(ptr.segment);
+  return it != extents.end() && ptr.offset + ptr.size <= it->second;
 }
 
 }  // namespace vlog

@@ -421,6 +421,21 @@ TEST_F(DBTest, GetPropertySurface) {
   EXPECT_FALSE(db_->GetProperty("unknown.prefix", &value));
 }
 
+TEST_F(DBTest, DeleteStatsPropertyMatchesApiWithMemtableTombstone) {
+  ASSERT_TRUE(Open().ok());
+  ASSERT_TRUE(Delete("gone").ok());
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(Put("key" + std::to_string(i), "v").ok());
+  }
+  // The tombstone is still in the memtable, 100 writes old.
+  const DeleteStats stats = db_->GetDeleteStats();
+  EXPECT_EQ(1u, stats.tombstones_live);
+  EXPECT_EQ(100u, stats.oldest_live_tombstone_age);
+  std::string value;
+  ASSERT_TRUE(db_->GetProperty("acheron.delete-stats", &value));
+  EXPECT_EQ(stats.ToString(), value);
+}
+
 TEST_F(DBTest, StatsTrackWrites) {
   ASSERT_TRUE(Open().ok());
   for (int i = 0; i < 1000; i++) {

@@ -1,7 +1,7 @@
 // The crash-during-recovery matrix (recovery of recovery): after a first
 // machine crash at file-op index k of the scripted workload, arm a second
 // crash at every file-op index j *inside* the recovery path itself --
-// DB::Open in one leg, RepairDB in the other -- restart again, and require
+// DB::Open in one leg, RepairDB in the others -- restart again, and require
 // that the final recovery still satisfies the five invariants from
 // DESIGN.md. J_k (the number of file ops a recovery performs) is not known
 // a priori; the j-loop discovers it dynamically: it ends at the first j
@@ -95,16 +95,18 @@ void RunOpenLeg(uint64_t k, uint64_t total, bool full) {
   FAIL() << "open-leg j-loop failed to converge at k=" << k;
 }
 
-// Strip CURRENT and every MANIFEST (the precondition of the repair
-// invariant). Returns false if nothing else remains -- the crash predates
-// any WAL or table, so repair is vacuous at this k.
-bool StripManifests(CrashRun& run, const std::string& repro) {
+// Strip CURRENT, and unless |keep_manifests| every MANIFEST too (the
+// precondition of the repair invariant). Returns false if nothing else
+// remains -- the crash predates any file, so repair is vacuous at this k.
+bool StripDescriptors(CrashRun& run, const std::string& repro,
+                      bool keep_manifests) {
   Env* env = run.env();
   std::vector<std::string> children;
   if (!env->GetChildren(run.dbname(), &children).ok()) return false;
   size_t remaining = 0;
   for (const std::string& c : children) {
-    if (c == "CURRENT" || c.rfind("MANIFEST-", 0) == 0) {
+    if (c == "CURRENT" ||
+        (!keep_manifests && c.rfind("MANIFEST-", 0) == 0)) {
       EXPECT_TRUE(env->RemoveFile(run.dbname() + "/" + c).ok()) << repro;
     } else {
       remaining++;
@@ -115,14 +117,18 @@ bool StripManifests(CrashRun& run, const std::string& repro) {
 
 // Leg B: second crash inside RepairDB. CURRENT/MANIFESTs are stripped
 // *before* arming the relative crash point (the strip itself is made of
-// mutating file ops and must not consume the budget).
-void RunRepairLeg(uint64_t k, uint64_t total, bool full) {
+// mutating file ops and must not consume the budget). With every MANIFEST
+// gone the repair runs the salvage tier; the "repair-bounded" variant
+// strips only CURRENT, so the repair replays the surviving MANIFESTs
+// (bounded tier) and is crashed inside that tier.
+void RunRepairLeg(uint64_t k, uint64_t total, bool full, bool bounded) {
+  const std::string leg = bounded ? "repair-bounded" : "repair";
   for (uint64_t j = 0; j < kMaxRecoveryOps; j++) {
-    const std::string repro = Repro(k, total, j, "repair");
+    const std::string repro = Repro(k, total, j, leg);
     CrashRun run;
     run.RunWorkload(static_cast<int64_t>(k));
     ASSERT_TRUE(run.env()->CrashAndRestart().ok()) << repro;
-    if (!StripManifests(run, repro)) return;  // vacuous at this k
+    if (!StripDescriptors(run, repro, bounded)) return;  // vacuous at this k
 
     run.env()->CrashAfterRelativeOps(j);
     Status s = RepairDB(run.dbname(), run.DbOptions());
@@ -145,7 +151,7 @@ void RunRepairLeg(uint64_t k, uint64_t total, bool full) {
       return;
     }
   }
-  FAIL() << "repair-leg j-loop failed to converge at k=" << k;
+  FAIL() << leg << "-leg j-loop failed to converge at k=" << k;
 }
 
 void RunRecoveryCrashMatrix(uint64_t shard, uint64_t nshards) {
@@ -172,7 +178,9 @@ void RunRecoveryCrashMatrix(uint64_t shard, uint64_t nshards) {
   for (uint64_t k = shard; k <= total; k += stride) {
     RunOpenLeg(k, total, full);
     if (::testing::Test::HasFatalFailure()) return;
-    RunRepairLeg(k, total, full);
+    RunRepairLeg(k, total, full, /*bounded=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
+    RunRepairLeg(k, total, full, /*bounded=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

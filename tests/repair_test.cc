@@ -2,7 +2,9 @@
 // mishaps, preserving data and the delete-persistence clock.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "src/env/env.h"
 #include "src/lsm/db.h"
@@ -311,6 +313,49 @@ TEST_F(RepairTest, TornTailSnapshotFallsBackToPreviousSnapshot) {
       << "expected a level > 0 after bounded repair:\n" << summary;
 }
 
+TEST_F(RepairTest, SalvagedTablesKeepSecondaryKeyRange) {
+  // Values carry an 8-digit timestamp prefix, the secondary key. The
+  // timestamps are a permutation of the key order, so every table and the
+  // WAL-only tail straddle the purge threshold.
+  options_.secondary_key_extractor = [](const Slice&, const Slice& value) {
+    return value.size() < 8 ? std::string() : std::string(value.data(), 8);
+  };
+  auto timestamp = [](int t) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08d", t);
+    return std::string(buf);
+  };
+  const int kKeys = 200;
+  const int kFlushed = 160;
+  ASSERT_TRUE(Open().ok());
+  for (int i = 0; i < kKeys; i++) {
+    if (i == kFlushed) {
+      ASSERT_TRUE(db_->FlushMemTable().ok());
+    }
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i),
+                         timestamp(i * 37 % kKeys) + "|v")
+                    .ok());
+  }
+  Close();
+  RemoveManifestAndCurrent();
+
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+  ASSERT_TRUE(Open().ok());
+  {
+    std::string files;
+    ASSERT_TRUE(db_->GetProperty("acheron.num-files-at-level0", &files));
+    ASSERT_LT(std::stoi(files), options_.level0_compaction_trigger)
+        << "test premise: the salvaged tables are not compacted";
+  }
+  ASSERT_TRUE(db_->PurgeSecondaryRange(timestamp(kKeys / 2)).ok());
+  for (int i = 0; i < kKeys; i++) {
+    const int t = i * 37 % kKeys;
+    EXPECT_EQ(t < kKeys / 2 ? "NOT_FOUND" : timestamp(t) + "|v",
+              Get("k" + std::to_string(i)))
+        << "key " << i << " timestamp " << t;
+  }
+}
+
 TEST_F(RepairTest, SalvagesOrphanedTable) {
   // An SSTable that no manifest ever referenced (e.g. a flush output whose
   // version-edit install crashed) must still be picked up by repair.
@@ -345,6 +390,50 @@ TEST_F(RepairTest, SalvagesOrphanedTable) {
   ASSERT_TRUE(Open().ok());
   EXPECT_EQ("yes", Get("tracked"));
   EXPECT_EQ("rescued", Get("orphan"));
+}
+
+TEST_F(RepairTest, LeavesOutTableWithUnreadableValuePointers) {
+  // A table whose value pointers reach no salvaged vLog bytes never went
+  // live (e.g. a vLog-GC rewrite whose relocation segment was lost in the
+  // crash); the salvage must leave it out rather than let its pointers
+  // shadow the live copy of its keys.
+  ASSERT_TRUE(Open().ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "live").ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  Close();
+  {
+    // The orphan comes from a value-separating scratch DB and holds "k" at
+    // a higher sequence; only its table is copied, so its pointer names a
+    // segment /db lacks.
+    Options scratch_opts = options_;
+    scratch_opts.value_separation_threshold = 16;
+    DB* scratch = nullptr;
+    ASSERT_TRUE(DB::Open(scratch_opts, "/scratch", &scratch).ok());
+    for (int i = 0; i < 5; i++) {
+      ASSERT_TRUE(scratch->Put(WriteOptions(), "pad" + std::to_string(i),
+                               "p").ok());
+    }
+    ASSERT_TRUE(
+        scratch->Put(WriteOptions(), "k", std::string(100, 'o')).ok());
+    ASSERT_TRUE(scratch->FlushMemTable().ok());
+    delete scratch;
+    std::vector<std::string> children;
+    ASSERT_TRUE(env_->GetChildren("/scratch", &children).ok());
+    std::string table;
+    for (const auto& c : children) {
+      if (c.size() > 4 && c.substr(c.size() - 4) == ".sst") table = c;
+    }
+    ASSERT_FALSE(table.empty());
+    std::string contents;
+    ASSERT_TRUE(env_->ReadFileToString("/scratch/" + table, &contents).ok());
+    ASSERT_TRUE(env_->WriteStringToFile(contents, "/db/000099.sst").ok());
+  }
+  RemoveManifestAndCurrent();
+
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+  ASSERT_TRUE(Open().ok());
+  EXPECT_EQ("live", Get("k"));
+  EXPECT_EQ("NOT_FOUND", Get("pad0"));
 }
 
 }  // namespace acheron
