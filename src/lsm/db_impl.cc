@@ -909,53 +909,44 @@ void DBImpl::ComputeNextVlogGcDeadline() {
 
 Status DBImpl::MaybeVlogGc() {
   assert(compaction_active_);
-  Status s;
-  // A few segments can come due at once (e.g. after a large range delete
-  // compacts); collect until no victim qualifies. The registry shrinks by
-  // one segment per iteration, so this terminates.
-  while (s.ok() && !shutting_down_.load(std::memory_order_acquire)) {
-    const vlog::Registry& registry = versions_->vlog_registry();
-    const SequenceNumber now = versions_->LastSequence();
-    const uint64_t dth = options_.delete_persistence_threshold;
-    const uint64_t head =
-        (vlog_ != nullptr) ? vlog_->segment_number() : 0;
-    uint64_t victim = 0;
-    uint64_t best_deadline = UINT64_MAX;
-    double best_ratio = 2.0;
-    for (const auto& entry : registry) {
-      const vlog::SegmentInfo& info = entry.second;
-      if (!info.sealed || info.number == head) continue;
-      bool eligible = false;
-      uint64_t deadline = UINT64_MAX;
-      if (info.value_count == 0 && info.pending.empty()) {
-        // Empty segment (aborted rotation, or all values relocated):
-        // nothing can reference it; reclaim immediately.
-        eligible = true;
-        deadline = 0;
-      }
-      if (dth > 0 && !info.pending.empty()) {
-        // FADE trigger: the oldest key purge charged to this segment is
-        // waiting on its value bytes.
-        deadline = info.earliest_pending_seq() + dth / 2;
-        eligible = eligible || now >= deadline;
-      }
-      if (!eligible && info.garbage_bytes > 0 &&
-          info.live_ratio() <= options_.vlog_gc_live_ratio) {
-        // Space trigger (Scavenger-style), independent of the delete clock.
-        eligible = true;
-      }
-      if (!eligible) continue;
-      // Earliest purge deadline wins; live-byte ratio breaks ties (and
-      // orders the space-triggered victims, which all carry UINT64_MAX).
-      if (deadline < best_deadline ||
-          (deadline == best_deadline && info.live_ratio() < best_ratio)) {
-        victim = info.number;
-        best_deadline = deadline;
-        best_ratio = info.live_ratio();
-      }
+  const vlog::Registry& registry = versions_->vlog_registry();
+  const SequenceNumber now = versions_->LastSequence();
+  const uint64_t dth = options_.delete_persistence_threshold;
+  const uint64_t head = (vlog_ != nullptr) ? vlog_->segment_number() : 0;
+  std::set<uint64_t> victims;
+  std::set<uint64_t> owing;  // segments carrying a pending purge
+  bool deadline_reached = false;
+  for (const auto& entry : registry) {
+    const vlog::SegmentInfo& info = entry.second;
+    if (!info.sealed || info.number == head) continue;
+    if (!info.pending.empty()) {
+      owing.insert(info.number);
+      // FADE trigger: the oldest key purge charged to this segment is
+      // waiting on its value bytes.
+      deadline_reached = deadline_reached ||
+                         (dth > 0 && now >= info.earliest_pending_seq() +
+                                                dth / 2);
+    } else if (info.value_count == 0) {
+      // Empty segment (aborted rotation, or all values relocated):
+      // nothing can reference it; reclaim immediately.
+      victims.insert(info.number);
     }
-    if (victim == 0) break;
-    s = CollectVlogSegment(victim);
+    if (info.garbage_bytes > 0 &&
+        info.live_ratio() <= options_.vlog_gc_live_ratio) {
+      // Space trigger (Scavenger-style), independent of the delete clock.
+      victims.insert(info.number);
+    }
+  }
+  if (deadline_reached) {
+    // Every segment that owes a purge has its deadline within D_th/2 of
+    // now; collecting the rest early only shortens their key-purge ->
+    // value-purge latency, and each table spanning them is rewritten once
+    // instead of once per deadline.
+    victims.insert(owing.begin(), owing.end());
+  }
+  Status s;
+  if (!victims.empty() && !shutting_down_.load(std::memory_order_acquire)) {
+    s = CollectVlogSegments(victims);
   }
   if (!s.ok()) {
     RecordBackgroundError(s, ErrorSubsystem::kCompaction);
@@ -964,136 +955,122 @@ Status DBImpl::MaybeVlogGc() {
   return s;
 }
 
-Status DBImpl::CollectVlogSegment(uint64_t segment) {
+Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims) {
   assert(compaction_active_);
   const vlog::Registry& registry = versions_->vlog_registry();
-  auto reg_it = registry.find(segment);
-  if (reg_it == registry.end()) {
-    return Status::OK();
-  }
-  // Copy: LogAndApply below replaces the registry entry set.
-  const vlog::SegmentInfo victim_info = reg_it->second;
   const SequenceNumber now_seq = versions_->LastSequence();
 
-  // Files in the current version whose segment span admits the victim.
-  // Rotation-at-swap confines a sealed segment's pointers to one memtable
-  // generation, and a segment only becomes eligible (garbage, purges, or
-  // emptiness) after that generation flushed -- so scanning tables covers
-  // every live pointer; no memtable can hold one.
+  // The victims' pending purges complete the moment the edit that drops
+  // them installs: only then are the value bytes provably unreachable and
+  // the files reclaimable. Latency = value-purge time - key-purge time, on
+  // the same logical clock as the tombstone persistence bound.
+  VersionEdit edit;
+  uint64_t purged = 0;
+  Histogram purge_latency;
+  for (uint64_t segment : victims) {
+    edit.RemoveVlogSegment(segment);
+    for (const auto& p : registry.at(segment).pending) {
+      purged += p.count;
+      const double latency =
+          now_seq >= p.purge_seq ? static_cast<double>(now_seq - p.purge_seq)
+                                 : 0.0;
+      for (uint64_t i = 0; i < p.count; i++) purge_latency.Add(latency);
+    }
+  }
+  if (purged > 0) {
+    edit.SetVlogMonitorDelta(purged, purge_latency);
+  }
+
+  // Tables in the current version whose segment span admits a victim; the
+  // job rewrites those that really point into one. Rotation-at-swap
+  // confines a sealed segment's pointers to one memtable generation, and a
+  // segment only becomes eligible (garbage, purges, or emptiness) after
+  // that generation flushed -- so scanning tables covers every live
+  // pointer; no memtable can hold one.
   Version* base = versions_->current();
   base->Ref();
-  struct Target {
-    FileMetaData* f;
-    int level;
-  };
-  std::vector<Target> targets;
+  std::vector<RewriteTarget> targets;
   for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : base->files(level)) {
-      if (f->has_vlog_pointers() && f->min_vlog_segment <= segment &&
-          segment <= f->max_vlog_segment) {
+    for (const FileMetaData* f : base->files(level)) {
+      auto v = victims.lower_bound(f->min_vlog_segment);
+      if (f->has_vlog_pointers() && v != victims.end() &&
+          *v <= f->max_vlog_segment) {
         targets.push_back({f, level});
       }
     }
   }
 
-  VersionEdit edit;
-  Status s;
-
-  // Live values relocate into a fresh sealed segment. Its number rides
-  // pending_outputs_ until the edit installs so RemoveObsoleteFiles cannot
-  // unlink the half-built file.
-  std::unique_ptr<vlog::Writer> reloc;
+  // Live values relocate into one fresh segment, opened at the first
+  // relocation. Its number rides pending_outputs_ until the edit installs
+  // so RemoveObsoleteFiles cannot unlink the half-built file.
   uint64_t reloc_number = 0;
   if (!targets.empty()) {
     reloc_number = versions_->NewFileNumber();
     pending_outputs_.insert(reloc_number);
-    std::unique_ptr<WritableFile> file;
-    // io: mutex-held -- GC relocation segment creation (slot held; cheap)
-    s = env_->NewWritableFile(VlogFileName(dbname_, reloc_number), &file);
-    if (s.ok()) {
-      reloc = std::make_unique<vlog::Writer>(std::move(file), reloc_number);
-    } else {
-      pending_outputs_.erase(reloc_number);
-    }
   }
-
-  // The rewrites run unlocked: the compaction slot is held and |base| pins
-  // the targets. The sink builds inline on this thread, because the
-  // relocation appends share its entry stream; its Finish is the wait that
-  // makes the replacements durable before the edit below names them.
+  std::unique_ptr<vlog::Writer> reloc;
   uint64_t relocated_values = 0;
   uint64_t relocated_bytes = 0;
-  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
-                 dbname_, [this] { return NewOutputFileNumber(); },
-                 /*worker=*/nullptr);
-  mutex_.Unlock();
-  for (const Target& t : targets) {
-    if (!s.ok()) break;
-    s = RewriteFileForVlogGc(*t.f, segment, reloc.get(), &sink,
-                             &relocated_values, &relocated_bytes);
-  }
-  Status finished = sink.Finish(s);
-  if (s.ok()) s = finished;
-  mutex_.Lock();
-  AddRewriteBytesWritten(sink);
-  if (s.ok()) {
-    for (size_t i = 0; i < targets.size(); i++) {
-      edit.RemoveFile(targets[i].level, targets[i].f->number);
+  std::string relocated_value;
+  std::string pointer_scratch;
+  RewriteTransform gc;
+  gc.match = [&victims](const ParsedInternalKey& key, const Slice& value) {
+    vlog::ValuePointer ptr;
+    // A pointer that fails to decode matches, so apply reports it.
+    return key.type == kTypeValuePointer &&
+           (!vlog::DecodeValuePointerStrict(value, &ptr) ||
+            victims.count(ptr.segment) > 0);
+  };
+  gc.apply = [&](const ParsedInternalKey& key, Slice* value, bool*) {
+    vlog::ValuePointer ptr;
+    if (!vlog::DecodeValuePointerStrict(*value, &ptr)) {
+      return Status::Corruption("bad value pointer in table");
     }
-    for (const TableSink::Output& out : sink.outputs()) {
-      const Target& t = targets[out.run];
-      FileMetaData meta = out.meta;
-      meta.run_id = t.f->run_id;  // preserve recency ordering within the level
-      edit.AddFile(t.level, meta);
-    }
-  }
-
-  if (s.ok() && reloc != nullptr) {
-    if (reloc->value_count() > 0) {
-      // Sync-before-install: the relocated bytes must be durable before
-      // the manifest edit that points rewritten tables at them.
-      // io: mutex-held -- sealing the GC relocation segment
-      s = reloc->Flush();
-      if (s.ok()) s = reloc->Sync();
-      if (s.ok()) s = reloc->Close();
+    // Keyed back-check: the record must still carry this user key, or the
+    // pointer and segment disagree and relocating would graft the wrong
+    // bytes under the key. ReaderCache::Get enforces it.
+    relocated_value.clear();
+    Status s = vlog_readers_.Get(ptr, key.user_key, &relocated_value);
+    if (s.ok() && reloc == nullptr) {
+      std::unique_ptr<WritableFile> file;
+      // io: unlocked -- GC relocation segment creation
+      s = env_->NewWritableFile(VlogFileName(dbname_, reloc_number), &file);
       if (s.ok()) {
-        vlog::SegmentInfo rinfo;
-        rinfo.number = reloc_number;
-        rinfo.sealed = true;
-        rinfo.total_bytes = reloc->offset();
-        rinfo.value_count = reloc->value_count();
-        edit.AddVlogSegment(rinfo);
+        reloc = std::make_unique<vlog::Writer>(std::move(file), reloc_number);
       }
-    } else {
-      (void)reloc->Close();
-      // io: mutex-held -- discarding an unused relocation segment
-      (void)env_->RemoveFile(VlogFileName(dbname_, reloc_number));
-      reloc_number = 0;
     }
-  }
-
-  // The victim's pending purges complete the moment the edit that drops the
-  // segment installs: only then are the value bytes provably unreachable
-  // and the file reclaimable. Latency = value-purge time - key-purge time,
-  // on the same logical clock as the tombstone persistence bound.
-  uint64_t purged = 0;
-  Histogram purge_latency;
-  for (const auto& p : victim_info.pending) {
-    purged += p.count;
-    const double latency =
-        now_seq >= p.purge_seq
-            ? static_cast<double>(now_seq - p.purge_seq)
-            : 0.0;
-    for (uint64_t i = 0; i < p.count; i++) purge_latency.Add(latency);
-  }
-
-  if (s.ok()) {
-    edit.RemoveVlogSegment(segment);
-    if (purged > 0) {
-      edit.SetVlogMonitorDelta(purged, purge_latency);
+    vlog::ValuePointer moved;
+    if (s.ok()) s = reloc->Add(key.user_key, relocated_value, &moved);
+    if (!s.ok()) return s;
+    pointer_scratch.clear();
+    vlog::EncodeValuePointer(&pointer_scratch, moved);
+    *value = Slice(pointer_scratch);
+    relocated_values++;
+    relocated_bytes += moved.size;
+    return Status::OK();
+  };
+  gc.finish = [&] {
+    if (reloc == nullptr) return Status::OK();
+    // Sync-before-install: the relocated bytes must be durable before the
+    // manifest edit that points rewritten tables at them.
+    Status s = reloc->Flush();
+    if (s.ok()) s = reloc->Sync();
+    if (s.ok()) s = reloc->Close();
+    if (s.ok()) {
+      vlog::SegmentInfo rinfo;
+      rinfo.number = reloc_number;
+      rinfo.sealed = true;
+      rinfo.total_bytes = reloc->offset();
+      rinfo.value_count = reloc->value_count();
+      edit.AddVlogSegment(rinfo);
     }
-    s = versions_->LogAndApply(&edit, &mutex_);
-  }
+    return s;
+  };
+  // The sink builds inline on this thread (no worker), so the relocation
+  // appends and the table writes interleave in one deterministic order.
+  Status s = RewriteTables(targets, gc, /*worker=*/nullptr, &edit);
+  if (reloc_number != 0) pending_outputs_.erase(reloc_number);
+  base->Unref();
   if (s.ok()) {
     if (purged > 0) {
       monitor_.ApplyVlogDelta(purged, purge_latency);
@@ -1104,92 +1081,100 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
     // Relocation writes count toward write amplification like any other
     // vLog append; GC is not free and the WA metric must say so.
     stats_.vlog_bytes_written += relocated_bytes;
-    RecordDeadTableLevels(edit);
-    PublishReadState();
-    RemoveObsoleteFiles();
   }
-  if (reloc_number != 0) pending_outputs_.erase(reloc_number);
-  for (const TableSink::Output& out : sink.outputs()) {
-    pending_outputs_.erase(out.meta.number);
-  }
-  base->Unref();
   return s;
 }
 
-void DBImpl::AddRewriteBytesWritten(const TableSink& sink) {
-  // Table rewrites are compaction writes to every write-amplification
-  // figure, whichever job made them.
-  for (const TableSink::Output& out : sink.outputs()) {
-    stats_.compaction_bytes_written += out.meta.file_size;
-  }
-}
-
-Status DBImpl::BeginRewriteRun(const FileMetaData& f, TableSink* sink) {
-  // The replacement inherits |f|'s wall stamps and, should every point
-  // entry go, its key range (it fills the same slot in the level). Range
-  // tombstones are carried verbatim: losing them would resurrect every key
-  // they cover.
-  TableSink::Run run;
-  if (f.has_range_tombstones()) {
-    Status s = table_cache_->GetRangeTombstones(f.number, f.file_size,
-                                                &run.range_tombstones);
-    if (!s.ok()) return s;
-  }
-  run.tombstone_wall_micros = f.earliest_tombstone_wall_micros;
-  run.range_tombstone_wall_micros = f.earliest_range_tombstone_wall_micros;
-  run.range_only_smallest = f.smallest;
-  run.range_only_largest = f.largest;
-  sink->BeginRun(std::move(run));
-  return Status::OK();
-}
-
-Status DBImpl::RewriteFileForVlogGc(const FileMetaData& f, uint64_t victim,
-                                    vlog::Writer* reloc, TableSink* sink,
-                                    uint64_t* relocated_values,
-                                    uint64_t* relocated_bytes) {
-  // Rewrites |f|, relocating every pointer into |victim| to |reloc| (all
-  // other entries are carried verbatim, sequences included, so snapshot
-  // reads through the replacement are unchanged).
-  Status s = BeginRewriteRun(f, sink);
-  if (!s.ok()) return s;
+Status DBImpl::RewriteTables(const std::vector<RewriteTarget>& targets,
+                             const RewriteTransform& transform,
+                             TableSinkWorker* worker, VersionEdit* edit) {
+  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
+                 dbname_, [this] { return NewOutputFileNumber(); }, worker);
+  std::vector<RewriteTarget> rewritten;  // in sink run order
+  ParsedInternalKey parsed;
+  auto matches = [&](Iterator* it) {
+    return ParseInternalKey(it->key(), &parsed) &&
+           transform.match(parsed, it->value());
+  };
   ReadOptions ropts;
   ropts.fill_cache = false;
-  std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f.number, f.file_size));
-  std::string relocated_value;
-  std::string pointer_scratch;
-  for (it->SeekToFirst(); it->Valid() && !sink->failed(); it->Next()) {
-    Slice key = it->key();
-    Slice value = it->value();
-    ParsedInternalKey parsed;
-    if (ParseInternalKey(key, &parsed) && parsed.type == kTypeValuePointer) {
-      vlog::ValuePointer ptr;
-      if (!vlog::DecodeValuePointerStrict(value, &ptr)) {
-        s = Status::Corruption("bad value pointer in table",
-                               TableFileName(dbname_, f.number));
-        break;
-      }
-      if (ptr.segment == victim) {
-        // Keyed back-check: the record must still carry this user key, or
-        // the pointer and segment disagree and relocating would graft the
-        // wrong bytes under the key. ReaderCache::Get enforces it.
-        relocated_value.clear();
-        s = vlog_readers_.Get(ptr, parsed.user_key, &relocated_value);
-        if (!s.ok()) break;
-        vlog::ValuePointer moved;
-        s = reloc->Add(parsed.user_key, relocated_value, &moved);
-        if (!s.ok()) break;
-        pointer_scratch.clear();
-        vlog::EncodeValuePointer(&pointer_scratch, moved);
-        value = Slice(pointer_scratch);
-        (*relocated_values)++;
-        *relocated_bytes += moved.size;
-      }
+  Status s;
+  mutex_.Unlock();
+  for (const RewriteTarget& t : targets) {
+    if (sink.failed()) break;  // Finish reports the error
+    const FileMetaData& f = *t.f;
+    std::unique_ptr<Iterator> it(
+        table_cache_->NewIterator(ropts, f.number, f.file_size));
+    // A table the transform leaves unchanged keeps its file: probe up to
+    // the first match before writing anything.
+    it->SeekToFirst();
+    while (it->Valid() && !matches(it.get())) it->Next();
+    s = it->status();
+    if (!s.ok()) break;
+    if (!it->Valid()) continue;
+
+    // The replacement inherits |f|'s wall stamps and, should every point
+    // entry go, its key range (it fills the same slot in the level). Range
+    // tombstones are carried verbatim: losing them would resurrect every
+    // key they cover.
+    TableSink::Run run;
+    if (f.has_range_tombstones()) {
+      s = table_cache_->GetRangeTombstones(f.number, f.file_size,
+                                           &run.range_tombstones);
+      if (!s.ok()) break;
     }
-    sink->Add(key, value);
+    run.tombstone_wall_micros = f.earliest_tombstone_wall_micros;
+    run.range_tombstone_wall_micros = f.earliest_range_tombstone_wall_micros;
+    run.range_only_smallest = f.smallest;
+    run.range_only_largest = f.largest;
+    sink.BeginRun(std::move(run));
+    rewritten.push_back(t);
+    // Unmatched entries are carried verbatim, sequences included, so
+    // snapshot reads through the replacement are unchanged.
+    for (it->SeekToFirst(); it->Valid() && !sink.failed(); it->Next()) {
+      Slice value = it->value();
+      bool keep = true;
+      if (matches(it.get())) {
+        s = transform.apply(parsed, &value, &keep);
+        if (!s.ok()) break;
+      }
+      if (keep) sink.Add(it->key(), value);
+    }
+    if (s.ok()) s = it->status();
+    if (!s.ok()) break;
+    sink.EndRun();
   }
-  if (s.ok()) s = it->status();
-  if (s.ok()) sink->EndRun();
+  if (s.ok() && transform.finish) s = transform.finish();
+  // Finish is the wait that makes the replacements durable before the
+  // edit below names them.
+  Status finished = sink.Finish(s);
+  if (s.ok()) s = finished;
+  mutex_.Lock();
+  for (const TableSink::Output& out : sink.outputs()) {
+    // Table rewrites are compaction writes to every write-amplification
+    // figure, whichever job made them.
+    stats_.compaction_bytes_written += out.meta.file_size;
+  }
+  if (s.ok()) {
+    for (const RewriteTarget& t : rewritten) {
+      edit->RemoveFile(t.level, t.f->number);
+    }
+    for (const TableSink::Output& out : sink.outputs()) {
+      const RewriteTarget& t = rewritten[out.run];
+      FileMetaData meta = out.meta;
+      meta.run_id = t.f->run_id;  // preserve recency ordering in the level
+      edit->AddFile(t.level, meta);
+    }
+    s = versions_->LogAndApply(edit, &mutex_);
+  }
+  if (s.ok()) {
+    RecordDeadTableLevels(*edit);
+    PublishReadState();
+    RemoveObsoleteFiles();
+  }
+  for (const TableSink::Output& out : sink.outputs()) {
+    pending_outputs_.erase(out.meta.number);
+  }
   return s;
 }
 
@@ -1999,16 +1984,20 @@ void DBImpl::RecordBackgroundError(const Status& s, ErrorSubsystem subsystem) {
   }
 }
 
-void DBImpl::ClearBackgroundError() {
-  if (bg_error_state_ != BackgroundErrorState::kRetrying) {
-    return;  // nothing in flight, or a state only Resume/space can clear
-  }
+void DBImpl::ReturnToOk(uint64_t* recoveries) {
   bg_error_state_ = BackgroundErrorState::kOk;
   bg_error_ = Status::OK();
   bg_error_attempts_ = 0;
   retry_backoff_micros_ = 0;
-  stats_.errors_retried++;
+  (*recoveries)++;
   monitor_.SetDthAtRisk(false);
+}
+
+void DBImpl::ClearBackgroundError() {
+  if (bg_error_state_ != BackgroundErrorState::kRetrying) {
+    return;  // nothing in flight, or a state only Resume/space can clear
+  }
+  ReturnToOk(&stats_.errors_retried);
 }
 
 Status DBImpl::RunCompactionsWithRetry() {
@@ -2060,12 +2049,7 @@ Status DBImpl::TryResumeFromNoSpace() {
     return bg_error_;  // still out of space (or worse); stay degraded
   }
   if (bg_error_state_ == BackgroundErrorState::kDegradedReadOnly) {
-    bg_error_state_ = BackgroundErrorState::kOk;
-    bg_error_ = Status::OK();
-    bg_error_attempts_ = 0;
-    retry_backoff_micros_ = 0;
-    stats_.resume_count++;
-    monitor_.SetDthAtRisk(false);
+    ReturnToOk(&stats_.resume_count);
     // Anything that stalled while degraded (a pending imm_, planner debt)
     // resumes now.
     MaybeScheduleCompaction();
@@ -3048,35 +3032,6 @@ InternalStats DBImpl::GetStats() {
 
 // ---------------- Secondary (retention) purge, KiWi-lite ----------------
 
-Status DBImpl::RewriteFileForPurge(const FileMetaData& f,
-                                   const Slice& threshold, TableSink* sink,
-                                   uint64_t* dropped) {
-  // Rewrites |f| skipping every value entry whose secondary key sorts
-  // below |threshold|. Tombstones are preserved.
-  Status s = BeginRewriteRun(f, sink);
-  if (!s.ok()) return s;
-  ReadOptions ropts;
-  ropts.fill_cache = false;
-  std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f.number, f.file_size));
-  for (it->SeekToFirst(); it->Valid() && !sink->failed(); it->Next()) {
-    Slice key = it->key();
-    ParsedInternalKey parsed;
-    if (ParseInternalKey(key, &parsed) && parsed.type == kTypeValue) {
-      std::string sec =
-          options_.secondary_key_extractor(parsed.user_key, it->value());
-      if (!sec.empty() && Slice(sec).compare(threshold) < 0) {
-        (*dropped)++;
-        continue;
-      }
-    }
-    sink->Add(key, it->value());
-  }
-  s = it->status();
-  if (s.ok()) sink->EndRun();
-  return s;
-}
-
 Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   if (!options_.secondary_key_extractor) {
     return Status::NotSupported(
@@ -3093,13 +3048,9 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   VersionEdit edit;
   Version* base = versions_->current();
   base->Ref();
-  struct Rewrite {
-    const FileMetaData* f;
-    int level;
-  };
-  std::vector<Rewrite> rewrites;
+  std::vector<RewriteTarget> targets;
   for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : base->files(level)) {
+    for (const FileMetaData* f : base->files(level)) {
       if (f->max_secondary_key.empty()) {
         // File holds no secondary-keyed values (e.g. all tombstones); skip.
         continue;
@@ -3115,51 +3066,30 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
       }
       if (Slice(f->min_secondary_key).compare(threshold) < 0) {
         // Straddles the threshold: rewrite, skipping dead entries.
-        rewrites.push_back({f, level});
+        targets.push_back({f, level});
       }
     }
   }
 
-  // The rewrites run unlocked (|base| pins the files); the sink's worker
-  // builds and writes the replacements while this thread filters, and its
-  // Finish is the wait that makes them durable before the edit names them.
-  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
-                 dbname_, [this] { return NewOutputFileNumber(); },
-                 output_worker_.get());
+  // Drop every value entry whose secondary key sorts below |threshold|;
+  // tombstones are preserved. The sink's worker builds and writes the
+  // replacements while this thread filters.
   uint64_t dropped = 0;
-  mutex_.Unlock();
-  for (const Rewrite& rw : rewrites) {
-    s = RewriteFileForPurge(*rw.f, threshold, &sink, &dropped);
-    if (!s.ok()) break;
-  }
-  Status finished = sink.Finish(s);
-  if (s.ok()) s = finished;
-  mutex_.Lock();
-  AddRewriteBytesWritten(sink);
-  if (s.ok()) {
-    for (const Rewrite& rw : rewrites) {
-      edit.RemoveFile(rw.level, rw.f->number);
-    }
-    for (const TableSink::Output& out : sink.outputs()) {
-      const Rewrite& rw = rewrites[out.run];
-      FileMetaData meta = out.meta;
-      meta.run_id = rw.f->run_id;  // preserve recency ordering in the level
-      edit.AddFile(rw.level, meta);
-    }
-    stats_.blocks_purged_secondary += dropped;
-  }
+  RewriteTransform purge;
+  purge.match = [&](const ParsedInternalKey& key, const Slice& value) {
+    if (key.type != kTypeValue) return false;
+    const std::string sec =
+        options_.secondary_key_extractor(key.user_key, value);
+    return !sec.empty() && Slice(sec).compare(threshold) < 0;
+  };
+  purge.apply = [&dropped](const ParsedInternalKey&, Slice*, bool* keep) {
+    *keep = false;
+    dropped++;
+    return Status::OK();
+  };
+  s = RewriteTables(targets, purge, output_worker_.get(), &edit);
   base->Unref();
-  if (s.ok()) {
-    s = versions_->LogAndApply(&edit, &mutex_);
-  }
-  if (s.ok()) {
-    PublishReadState();
-    RecordDeadTableLevels(edit);
-    RemoveObsoleteFiles();
-  }
-  for (const TableSink::Output& out : sink.outputs()) {
-    pending_outputs_.erase(out.meta.number);
-  }
+  if (s.ok()) stats_.blocks_purged_secondary += dropped;
   ReleaseCompactionSlot();
   return s;
 }

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -269,10 +270,16 @@ class DBImpl : public DB {
   enum class BackgroundErrorState { kOk, kRetrying, kDegradedReadOnly, kFatal };
 
   // Classify |s| and advance the state machine. All transitions happen
-  // here, in ClearBackgroundError, and in TryResumeFromNoSpace -- each
-  // under mutex_ (checked by tools/acheron_check.py).
+  // here and in ReturnToOk (reached from ClearBackgroundError and
+  // TryResumeFromNoSpace) -- each under mutex_ (checked by
+  // tools/acheron_check.py).
   void RecordBackgroundError(const Status& s, ErrorSubsystem subsystem)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // The one reset to kOk: clears the error, its attempt count and backoff,
+  // lowers the monitor's dth_at_risk flag, and counts the recovery in
+  // |*recoveries| (errors_retried or resume_count).
+  void ReturnToOk(uint64_t* recoveries) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // A background round completed while kRetrying: the episode recovered.
   // No-op in any other state.
@@ -331,22 +338,35 @@ class DBImpl : public DB {
   // live age across the tables, the memtable and the immutable memtable.
   DeleteStats ComputeDeleteStats() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Stream |f| into one run of |sink|, dropping value entries whose
-  // secondary key is below |threshold| (counted in |*dropped|); an empty
-  // run leaves no replacement. Runs unlocked: the caller holds the
-  // compaction slot and a reference on |f|'s version.
-  Status RewriteFileForPurge(const FileMetaData& f, const Slice& threshold,
-                             TableSink* sink, uint64_t* dropped)
-      LOCKS_EXCLUDED(mutex_);
+  // A table the one rewrite job replaces, and the level it sits at.
+  struct RewriteTarget {
+    const FileMetaData* f;
+    int level;
+  };
 
-  // Begin |f|'s replacement run in |sink| (GC and purge rewrites): carries
-  // |f|'s range tombstones, wall stamps and bounds.
-  Status BeginRewriteRun(const FileMetaData& f, TableSink* sink)
-      LOCKS_EXCLUDED(mutex_);
+  // The per-entry step of a table rewrite. |match| is a pure test for an
+  // entry the rewrite changes; |apply|, called on matches only, replaces
+  // *value or clears *keep to drop the entry. |finish|, if set, runs
+  // unlocked after the last table and before the install (vLog GC seals
+  // its relocation segment there).
+  struct RewriteTransform {
+    std::function<bool(const ParsedInternalKey&, const Slice& value)> match;
+    std::function<Status(const ParsedInternalKey&, Slice* value, bool* keep)>
+        apply;
+    std::function<Status()> finish;
+  };
 
-  // Count a finished GC or purge rewrite's outputs in
-  // compaction_bytes_written.
-  void AddRewriteBytesWritten(const TableSink& sink)
+  // The one table-rewrite job (vLog GC and the secondary purge). With the
+  // mutex released, each target holding a |transform| match streams
+  // through it into a TableSink run (range tombstones, wall stamps and
+  // bounds carried over); a target without one keeps its file. Then the
+  // replacements join |edit| at their targets' levels and run_ids, and
+  // |edit| installs. The caller holds the compaction slot and a reference
+  // on the targets' version. |worker| is the sink's output thread, or
+  // nullptr to build inline.
+  Status RewriteTables(const std::vector<RewriteTarget>& targets,
+                       const RewriteTransform& transform,
+                       TableSinkWorker* worker, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
@@ -381,26 +401,20 @@ class DBImpl : public DB {
   // Recompute next_vlog_gc_deadline_ from the registry's pending purges.
   void ComputeNextVlogGcDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Collect every GC-eligible sealed segment: FADE deadline reached
-  // (earliest pending purge_seq + D_th/2 <= now) or live-byte ratio at or
-  // below Options::vlog_gc_live_ratio. Caller holds the compaction slot.
+  // One GC pass: collect every eligible sealed segment -- empty, FADE
+  // deadline reached (earliest pending purge_seq + D_th/2 <= now), or
+  // live-byte ratio at or below Options::vlog_gc_live_ratio -- and, when
+  // any deadline is reached, every other segment that owes a purge.
+  // Caller holds the compaction slot.
   Status MaybeVlogGc() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Relocate |segment|'s live values (keyed back-check through the tables
-  // that still point at it) into a fresh sealed segment, then drop it from
-  // the registry and journal the value-purge latencies of its pending
-  // purges. Caller holds the compaction slot.
-  Status CollectVlogSegment(uint64_t segment) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  // Stream |f| into one run of |sink|, redirecting every pointer into
-  // |victim| at |reloc|; all other entries are copied verbatim (the caller
-  // installs it at the same level with |f|'s run_id -- mirrors
-  // RewriteFileForPurge). Runs unlocked, like RewriteFileForPurge.
-  Status RewriteFileForVlogGc(const FileMetaData& f, uint64_t victim,
-                              vlog::Writer* reloc, TableSink* sink,
-                              uint64_t* relocated_values,
-                              uint64_t* relocated_bytes)
-      LOCKS_EXCLUDED(mutex_);
+  // Relocate the live values of |victims| (keyed back-check through the
+  // tables that still point at them) into one fresh sealed segment, drop
+  // the victims from the registry, and journal the value-purge latencies
+  // of their pending purges: one rewrite job, one edit. Caller holds the
+  // compaction slot.
+  Status CollectVlogSegments(const std::set<uint64_t>& victims)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Recovery: reconcile the recovered registry against the .vlog files on
   // disk. The unsealed head (if any) is CRC-scanned and logically sealed at

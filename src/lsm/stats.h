@@ -70,7 +70,8 @@ struct InternalStats {
   uint64_t vlog_bytes_written = 0;      // record bytes appended to the vLog
   uint64_t vlog_values_written = 0;     // values routed through the vLog
   uint64_t vlog_segments_created = 0;   // head segments opened
-  uint64_t vlog_gc_runs = 0;            // GC passes that collected a segment
+  uint64_t vlog_gc_runs = 0;            // GC passes; one pass may collect
+                                        // several segments
   uint64_t vlog_gc_values_relocated = 0;  // live values rewritten by GC
   uint64_t vlog_gc_bytes_relocated = 0;   // record bytes rewritten by GC
   uint64_t vlog_reads = 0;              // pointer dereferences served

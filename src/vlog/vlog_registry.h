@@ -5,11 +5,11 @@
 // Each segment carries, besides its physical extent, the *FADE clock* that
 // drives delete-compliant garbage collection: every compaction that drops a
 // deletion-shadowed pointer into the segment appends a pending-purge entry
-// (key-purge logical time + count). GC picks the segment whose earliest
-// pending purge is oldest -- the value bytes a user's delete is still
-// waiting on -- with the live-byte ratio as tiebreak, and reports
-// key-purge -> value-purge latency to the persistence monitor when the
-// segment dies.
+// (key-purge logical time + count). Once the earliest pending purge of
+// any segment reaches its deadline, GC collects every segment that owes
+// a purge -- the value bytes users' deletes are still waiting on -- in one
+// pass, and reports key-purge -> value-purge latency to the persistence
+// monitor when each segment dies.
 #ifndef ACHERON_VLOG_VLOG_REGISTRY_H_
 #define ACHERON_VLOG_VLOG_REGISTRY_H_
 

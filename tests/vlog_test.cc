@@ -2,10 +2,13 @@
 // pointers, and FADE-driven GC reclaims value bytes of persisted deletes.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/env/env.h"
@@ -209,6 +212,37 @@ class VlogDBTest : public ::testing::Test {
     return n;
   }
 
+  // Table number -> size for every table in the current version, parsed
+  // from "acheron.sstables" (" <number>:<size>[<smallest> .. <largest>]").
+  std::map<uint64_t, uint64_t> LiveTables() {
+    std::map<uint64_t, uint64_t> tables;
+    std::istringstream lines(Property("acheron.sstables"));
+    std::string line;
+    while (std::getline(lines, line)) {
+      unsigned long long number = 0, size = 0;
+      if (std::sscanf(line.c_str(), " %llu:%llu[", &number, &size) == 2) {
+        tables[number] = size;
+      }
+    }
+    return tables;
+  }
+
+  // Small inline puts advance the logical clock until a GC pass runs;
+  // returns the stats from just before and just after the write that ran
+  // it.
+  std::pair<InternalStats, InternalStats> WriteUntilGc() {
+    InternalStats before = db_->GetStats();
+    for (int i = 0; i < 100000; i++) {
+      EXPECT_TRUE(
+          db_->Put(WriteOptions(), "pad" + std::to_string(i), "x").ok());
+      InternalStats after = db_->GetStats();
+      if (after.vlog_gc_runs != before.vlog_gc_runs) return {before, after};
+      before = after;
+    }
+    ADD_FAILURE() << "no GC pass ran";
+    return {before, before};
+  }
+
   std::unique_ptr<Env> env_;
   Options options_;
   DB* db_;
@@ -395,6 +429,103 @@ TEST_F(VlogDBTest, SpaceGcRewritesLowLiveRatioSegments) {
     ASSERT_TRUE(db_->Get(ReadOptions(), "ow" + std::to_string(i), &v).ok());
     EXPECT_EQ(v, large);
   }
+}
+
+TEST_F(VlogDBTest, DueSegmentsShareOneGcPass) {
+  options_.delete_persistence_threshold = 2000;
+  options_.write_buffer_size = 1 << 20;  // flush only where the test does
+  options_.vlog_gc_live_ratio = 0.0;     // deadline-driven GC only
+  Open();
+  const std::string large(1024, 'v');
+  // Two sealed segments, each holding a doomed value and a keeper.
+  for (const std::string seg : {"a", "b"}) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), seg + "-doomed", large).ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), seg + "-keeper", large).ok());
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "a-doomed").ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "b-doomed").ok());
+  // One compaction purges both keys, so both segments owe a value purge
+  // with the same deadline, and every table left points into both.
+  db_->CompactRange(nullptr, nullptr);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 2u)
+      << Property("acheron.vlog-stats");
+  const std::map<uint64_t, uint64_t> spanning = LiveTables();
+  ASSERT_FALSE(spanning.empty());
+
+  auto [before, after] = WriteUntilGc();
+  EXPECT_EQ(after.vlog_gc_runs - before.vlog_gc_runs, 1u);
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u)
+      << Property("acheron.vlog-stats");
+  // Each spanning table was rewritten once: the pass wrote exactly the
+  // bytes of the tables that replaced them.
+  uint64_t replacement_bytes = 0;
+  for (const auto& [number, size] : LiveTables()) {
+    EXPECT_EQ(spanning.count(number), 0u) << number;
+    replacement_bytes += size;
+  }
+  EXPECT_EQ(after.compaction_bytes_written - before.compaction_bytes_written,
+            replacement_bytes);
+
+  std::string v;
+  for (const char* key : {"a-keeper", "b-keeper"}) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), key, &v).ok()) << key;
+    EXPECT_EQ(v, large);
+  }
+  for (const char* key : {"a-doomed", "b-doomed"}) {
+    EXPECT_TRUE(db_->Get(ReadOptions(), key, &v).IsNotFound()) << key;
+  }
+}
+
+TEST_F(VlogDBTest, GcKeepsTablesWithoutVictimPointers) {
+  options_.delete_persistence_threshold = 2000;
+  options_.write_buffer_size = 1 << 20;  // flush only where the test does
+  options_.vlog_gc_live_ratio = 0.0;     // deadline-driven GC only
+  Open();
+  const std::string large(1024, 'v');
+  // Three segments, one flush each: a1 | b1 b2 | a2.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a1", large).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b1", large).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b2", large).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a2", large).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  // Merge the a-tables alone: their table spans the first through the
+  // third segment but holds no pointer into the second.
+  const std::string a_begin = "a", a_end = "a9";
+  const Slice a_begin_slice(a_begin), a_end_slice(a_end);
+  db_->CompactRange(&a_begin_slice, &a_end_slice);
+  const std::map<uint64_t, uint64_t> after_a = LiveTables();
+  // Purging b1 makes the second segment owe a value purge.
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "b1").ok());
+  const std::string b_begin = "b", b_end = "b9";
+  const Slice b_begin_slice(b_begin), b_end_slice(b_end);
+  db_->CompactRange(&b_begin_slice, &b_end_slice);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  const std::map<uint64_t, uint64_t> before_gc = LiveTables();
+  std::vector<uint64_t> a_tables;
+  for (const auto& [number, size] : before_gc) {
+    if (after_a.count(number) > 0) a_tables.push_back(number);
+  }
+  ASSERT_EQ(a_tables.size(), 1u) << Property("acheron.sstables");
+  ASSERT_EQ(before_gc.size(), 2u) << Property("acheron.sstables");
+
+  WriteUntilGc();
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u);
+  const std::map<uint64_t, uint64_t> after_gc = LiveTables();
+  // The a-table kept its file; the b-table, which points into the victim,
+  // was rewritten.
+  EXPECT_EQ(after_gc.count(a_tables[0]), 1u) << Property("acheron.sstables");
+  EXPECT_EQ(after_gc.size(), 2u) << Property("acheron.sstables");
+
+  std::string v;
+  for (const char* key : {"a1", "a2", "b2"}) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), key, &v).ok()) << key;
+    EXPECT_EQ(v, large);
+  }
+  EXPECT_TRUE(db_->Get(ReadOptions(), "b1", &v).IsNotFound());
 }
 
 TEST_F(VlogDBTest, SeparationOffNeverCreatesSegments) {

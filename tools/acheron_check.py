@@ -27,9 +27,10 @@ a check the way the old line-oriented awk passes could):
                        or the line above it.
   state-transition     Every call to a background-error state transition
                        (RecordBackgroundError / ClearBackgroundError /
-                       TryResumeFromNoSpace) must hold mutex_ at the call
-                       site, and the transition functions themselves must
-                       be declared EXCLUSIVE_LOCKS_REQUIRED(mutex_).
+                       TryResumeFromNoSpace / ReturnToOk) must hold mutex_
+                       at the call site, and the transition functions
+                       themselves must be declared
+                       EXCLUSIVE_LOCKS_REQUIRED(mutex_).
 
 This driver is the *portable subset* of tools/acheron_check/ (the clang-tidy
 plugin implements the same invariants on the real AST, with CFG dominance
@@ -1522,7 +1523,7 @@ def check_sync_before_install(models, reporter, reg):
 # is mutated only through these entry points; each must run under mutex_ so
 # a transition is never interleaved with a concurrent reader of the state.
 TRANSITION_CALLS = {"RecordBackgroundError", "ClearBackgroundError",
-                    "TryResumeFromNoSpace"}
+                    "TryResumeFromNoSpace", "ReturnToOk"}
 TRANSITION_MUTEX = "mutex_"
 
 
