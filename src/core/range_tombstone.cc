@@ -1,6 +1,7 @@
 #include "src/core/range_tombstone.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/coding.h"
 
@@ -77,6 +78,9 @@ void FragmentedRangeTombstoneList::BuildFromRefs(
   ucmp_ = ucmp;
   fragments_.clear();
   seqs_.clear();
+  end_keys_.clear();
+  prefix_len_ = 0;
+  bytewise_ = false;
   std::erase_if(tombstones, [ucmp](const RangeTombstoneRef& t) {
     return ucmp->Compare(t.begin, t.end) >= 0;
   });
@@ -137,21 +141,91 @@ void FragmentedRangeTombstoneList::BuildFromRefs(
   }
   fragments_.shrink_to_fit();
   seqs_.shrink_to_fit();
+  // A comparator's name is the ordering the MANIFEST records, so a wrapper
+  // that keeps the bytewise name (a counting one, say) keeps its order.
+  if (ucmp == BytewiseComparator() ||
+      std::strcmp(ucmp->Name(), BytewiseComparator()->Name()) == 0) {
+    BuildBytewiseIndex();
+  }
+}
+
+// The 8 bytes of |s| from |offset| on as a big-endian integer, zero-padded
+// past the end of |s|. For keys sharing their first |offset| bytes,
+// a <= b bytewise implies Key8(a) <= Key8(b): the integers order the keys
+// up to ties.
+static uint64_t Key8(const Slice& s, size_t offset) {
+  uint64_t k = 0;
+  for (size_t i = offset; i < offset + 8; i++) {
+    k = (k << 8) | (i < s.size() ? static_cast<unsigned char>(s[i]) : 0);
+  }
+  return k;
+}
+
+void FragmentedRangeTombstoneList::BuildBytewiseIndex() {
+  // The ends are sorted, so the first and last share the common prefix of
+  // them all.
+  const Slice first = fragments_.front().end;
+  const Slice last = fragments_.back().end;
+  const size_t limit = std::min(first.size(), last.size());
+  size_t p = 0;
+  while (p < limit && first[p] == last[p]) p++;
+  prefix_len_ = p;
+  end_keys_.reserve(fragments_.size());
+  for (const Fragment& f : fragments_) end_keys_.push_back(Key8(f.end, p));
+  bytewise_ = true;
+}
+
+size_t FragmentedRangeTombstoneList::UpperBound(const Slice& user_key) const {
+  auto it = std::upper_bound(
+      fragments_.begin(), fragments_.end(), user_key,
+      [this](const Slice& k, const Fragment& f) {
+        return ucmp_->Compare(k, f.end) < 0;
+      });
+  return static_cast<size_t>(it - fragments_.begin());
+}
+
+size_t FragmentedRangeTombstoneList::BytewiseUpperBound(
+    const Slice& user_key) const {
+  const char* prefix = fragments_.front().end.data();
+  const size_t m = std::min(user_key.size(), prefix_len_);
+  const int c = std::memcmp(user_key.data(), prefix, m);
+  // A key below the prefix sorts before every end; one above it sorts
+  // after every end. A proper prefix of the prefix gets integer 0 and
+  // lands in the search below like any other key.
+  if (c < 0) return 0;
+  if (c > 0) return fragments_.size();
+  const uint64_t k = Key8(user_key, prefix_len_);
+  // Ends whose integer exceeds the key's lie past the key; those below it
+  // lie at or before it. Only the ties need the bytes.
+  const size_t hi = static_cast<size_t>(
+      std::upper_bound(end_keys_.begin(), end_keys_.end(), k) -
+      end_keys_.begin());
+  if (hi == 0 || end_keys_[hi - 1] != k) return hi;
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(end_keys_.begin(), end_keys_.begin() + hi, k) -
+      end_keys_.begin());
+  auto it = std::upper_bound(fragments_.begin() + lo,
+                             fragments_.begin() + hi, user_key,
+                             [](const Slice& key, const Fragment& f) {
+                               return key.compare(f.end) < 0;
+                             });
+  return static_cast<size_t>(it - fragments_.begin());
 }
 
 SequenceNumber FragmentedRangeTombstoneList::MaxCoveringSeq(
     const Slice& user_key, SequenceNumber snapshot) const {
   if (fragments_.empty()) return 0;
   // First fragment whose end is past the key...
-  auto it = std::upper_bound(
-      fragments_.begin(), fragments_.end(), user_key,
-      [this](const Slice& k, const Fragment& f) {
-        return ucmp_->Compare(k, f.end) < 0;
-      });
-  if (it == fragments_.end()) return 0;
+  const size_t i =
+      bytewise_ ? BytewiseUpperBound(user_key) : UpperBound(user_key);
+  if (i == fragments_.size()) return 0;
   // ...must also start at or before it.
-  if (ucmp_->Compare(user_key, it->begin) < 0) return 0;
-  return MaxVisibleSeq(*it, snapshot);
+  const Fragment& f = fragments_[i];
+  if (bytewise_ ? user_key.compare(f.begin) < 0
+                : ucmp_->Compare(user_key, f.begin) < 0) {
+    return 0;
+  }
+  return MaxVisibleSeq(f, snapshot);
 }
 
 SequenceNumber FragmentedRangeTombstoneList::MaxVisibleSeq(
@@ -180,7 +254,8 @@ SequenceNumber FragmentedRangeTombstoneList::Cursor::MaxCoveringSeq(
 
 size_t FragmentedRangeTombstoneList::ApproximateMemoryUsage() const {
   return fragments_.capacity() * sizeof(Fragment) +
-         seqs_.capacity() * sizeof(SequenceNumber);
+         seqs_.capacity() * sizeof(SequenceNumber) +
+         end_keys_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace acheron

@@ -11,6 +11,14 @@
 // comparator calls for n tombstones, plus one copy of each fragment's
 // covering seqs.
 //
+// Under the bytewise comparator the search does not chase a Slice per
+// probe: the list keeps, for every fragment end, the 8 bytes that follow
+// the common prefix of all ends as one big-endian integer in a contiguous
+// array. Order on those integers is order on the ends up to ties, so
+// MaxCoveringSeq binary-searches the array and memcmp-compares keys only
+// among the ends that tie with the query. Other comparators keep the
+// comparator-driven search.
+//
 // Block wire format (written by TableBuilder behind the standard
 // type+crc32c trailer, handle persisted in TableProperties):
 //   num_tombstones: varint32
@@ -101,8 +109,8 @@ class FragmentedRangeTombstoneList {
   SequenceNumber MaxCoveringSeq(const Slice& user_key,
                                 SequenceNumber snapshot) const;
 
-  // Heap bytes held by the fragments and their seqs; key bytes are not
-  // counted.
+  // Heap bytes held by the fragments, their seqs and the bytewise search
+  // array; key bytes are not counted.
   size_t ApproximateMemoryUsage() const;
 
   // MaxCoveringSeq for keys queried in ascending order (a compaction's
@@ -127,6 +135,19 @@ class FragmentedRangeTombstoneList {
   std::vector<Fragment> fragments_;
   std::vector<SequenceNumber> seqs_;
   std::vector<RangeTombstone> owned_;  // Build's copy of the keys
+  // Bytewise search (see the file comment): the ends share their first
+  // |prefix_len_| bytes, and end_keys_[i] holds fragments_[i].end's next 8
+  // bytes, big-endian, zero-padded past the end of the key.
+  bool bytewise_ = false;
+  size_t prefix_len_ = 0;
+  std::vector<uint64_t> end_keys_;
+
+  // Index of the first fragment whose end is past |user_key|, or
+  // fragments_.size() when none is.
+  size_t UpperBound(const Slice& user_key) const;
+  size_t BytewiseUpperBound(const Slice& user_key) const;
+  // Fill prefix_len_ and end_keys_ from the built fragments.
+  void BuildBytewiseIndex();
 
   // Largest seq <= |snapshot| among |f|'s covering seqs, or 0.
   SequenceNumber MaxVisibleSeq(const Fragment& f,

@@ -105,9 +105,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
     mutable_options->filter_policy =
         NewBloomFilterPolicy(options_.filter_bits_per_key);
   }
-  table_cache_ = std::make_unique<TableCache>(
-      dbname_, options_, options_.max_open_files,
-      internal_comparator_.user_comparator());
+  table_cache_ = std::make_unique<TableCache>(dbname_, options_,
+                                             options_.max_open_files);
   versions_ = std::make_unique<VersionSet>(dbname_, &options_,
                                            table_cache_.get(),
                                            &internal_comparator_);
@@ -663,7 +662,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool, bool* save_manifest,
     }
 
     if (mem == nullptr) {
-      mem = new MemTable(internal_comparator_);
+      mem = new MemTable(internal_comparator_, options_.write_buffer_size);
       mem->Ref();
     }
     status = WriteBatchInternal::InsertInto(&batch, mem);
@@ -1526,7 +1525,7 @@ Status DBImpl::MakeRoomForWrite(bool force) {
                             imm_->earliest_range_tombstone_seq()) +
                        planner_.CumulativeTtl(0, depth));
     }
-    mem_ = new MemTable(internal_comparator_);
+    mem_ = new MemTable(internal_comparator_, options_.write_buffer_size);
     mem_->Ref();
     stats_.memtable_swaps++;
     // Publish {new mem_, imm_, current} before the leader's batch lands in
@@ -2124,14 +2123,14 @@ Status DBImpl::DerefValuePointer(const Slice& encoded, const Slice& user_key,
   return s;
 }
 
-SequenceNumber DBImpl::RangeCoveringSeq(const ReadState& state,
-                                        const Slice& key,
-                                        SequenceNumber snapshot) {
-  SequenceNumber rcov = state.mem->MaxRangeCoveringSeq(key, snapshot);
+Status DBImpl::RangeCoveringSeq(const ReadState& state, const Slice& key,
+                                SequenceNumber snapshot, SequenceNumber* seq) {
+  Status s = state.current->MaxRangeCoveringSeq(key, snapshot, seq);
+  *seq = std::max(*seq, state.mem->MaxRangeCoveringSeq(key, snapshot));
   if (state.imm != nullptr) {
-    rcov = std::max(rcov, state.imm->MaxRangeCoveringSeq(key, snapshot));
+    *seq = std::max(*seq, state.imm->MaxRangeCoveringSeq(key, snapshot));
   }
-  return std::max(rcov, state.current->MaxRangeCoveringSeq(key, snapshot));
+  return s;
 }
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
@@ -2175,10 +2174,14 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // have found below the deciding one has a smaller sequence and is hidden
   // by the same covering tombstone. Only a found value needs the test (a
   // point deletion stays NotFound either way).
+  // A table that cannot be opened fails the read rather than reading as
+  // uncovered.
   if (s.ok()) {
-    if (RangeCoveringSeq(*state, key, snapshot) > found_seq) {
+    SequenceNumber covering_seq = 0;
+    s = RangeCoveringSeq(*state, key, snapshot, &covering_seq);
+    if (!s.ok() || covering_seq > found_seq) {
       value->clear();
-      s = Status::NotFound(Slice());
+      if (s.ok()) s = Status::NotFound(Slice());
     } else if (is_pointer) {
       // The raw hit is an encoded vLog pointer; swap in the value bytes.
       // Safe off the mutex: the pinned ReadState keeps the deciding
@@ -2255,10 +2258,12 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   for (size_t i = 0; i < n; i++) {
     // Same global coverage test as Get: a found value whose sequence is
     // below a covering range tombstone (<= the batch snapshot) is hidden.
-    if (items[i].status.ok() &&
-        RangeCoveringSeq(*state, keys[i], snapshot) > items[i].seq) {
+    if (!items[i].status.ok()) continue;
+    SequenceNumber covering_seq = 0;
+    Status s = RangeCoveringSeq(*state, keys[i], snapshot, &covering_seq);
+    if (!s.ok() || covering_seq > items[i].seq) {
       items[i].value->clear();
-      items[i].status = Status::NotFound(Slice());
+      items[i].status = s.ok() ? Status::NotFound(Slice()) : s;
       items[i].is_pointer = false;
     }
   }
@@ -2763,6 +2768,10 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     }
     c->ReleaseInputs();
     RemoveObsoleteFiles();
+    // The install may have moved tombstones and charged value purges to
+    // vLog segments; re-arm both FADE clocks as a background round does.
+    ComputeNextTtlDeadline();
+    ComputeNextVlogGcDeadline();
   }
   ReleaseCompactionSlot();
 }
@@ -3120,7 +3129,8 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
     if (s.ok()) {
       edit.SetLogNumber(new_log_number);
       impl->logfile_number_ = new_log_number;
-      impl->mem_ = new MemTable(impl->internal_comparator_);
+      impl->mem_ = new MemTable(impl->internal_comparator_,
+                                impl->options_.write_buffer_size);
       impl->mem_->Ref();
     }
   }

@@ -253,7 +253,7 @@ class Repairer {
     std::string scratch;
     Slice record;
     WriteBatch batch;
-    MemTable* mem = new MemTable(icmp_);
+    MemTable* mem = new MemTable(icmp_, options_.write_buffer_size);
     mem->Ref();
     while (reader.ReadRecord(&record, &scratch)) {
       if (record.size() < 12) continue;

@@ -25,12 +25,10 @@ static void UnrefEntry(void* arg1, void* arg2) {
 }
 
 TableCache::TableCache(const std::string& dbname, const Options& options,
-                       int entries, const Comparator* user_comparator)
+                       int entries)
     : env_(options.env),
       dbname_(dbname),
       options_(options),
-      user_comparator_(user_comparator != nullptr ? user_comparator
-                                                  : BytewiseComparator()),
       cache_(NewLRUCache(entries)) {}
 
 TableCache::~TableCache() { delete cache_; }
@@ -57,8 +55,6 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
       // or somebody repairs the file, we recover automatically.
     } else {
       table->SetFilterNegativesSink(&filter_negatives_total_);
-      // Fragment range tombstones once, before the table is shared.
-      table->BuildRangeFragments(user_comparator_);
       TableAndFile* tf = new TableAndFile;
       tf->file = file.release();
       tf->table = table;
@@ -105,19 +101,6 @@ Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
     cache_->Release(handle);
   }
   return s;
-}
-
-SequenceNumber TableCache::MaxRangeCoveringSeq(uint64_t file_number,
-                                               uint64_t file_size,
-                                               const Slice& user_key,
-                                               SequenceNumber snapshot) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (!s.ok()) return 0;
-  Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  SequenceNumber seq = t->range_tombstones().MaxCoveringSeq(user_key, snapshot);
-  cache_->Release(handle);
-  return seq;
 }
 
 Status TableCache::GetRangeTombstones(uint64_t file_number, uint64_t file_size,

@@ -22,12 +22,7 @@ class Env;
 
 class TableCache {
  public:
-  // |user_comparator| orders bare user keys and drives range-tombstone
-  // fragmentation on open (the Options comparator is the internal-key
-  // comparator, which cannot compare user keys); nullptr selects the
-  // bytewise comparator.
-  TableCache(const std::string& dbname, const Options& options, int entries,
-             const Comparator* user_comparator = nullptr);
+  TableCache(const std::string& dbname, const Options& options, int entries);
 
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
@@ -54,13 +49,6 @@ class TableCache {
              void* arg,
              void (*handle_result)(void*, const Slice&, const Slice&),
              uint64_t* filter_negatives = nullptr);
-
-  // Largest range-tombstone sequence <= |snapshot| covering |user_key| in
-  // the specified file, or 0 when uncovered (also on open errors: the point
-  // read against the same file reports them; coverage degrades to "none").
-  SequenceNumber MaxRangeCoveringSeq(uint64_t file_number, uint64_t file_size,
-                                     const Slice& user_key,
-                                     SequenceNumber snapshot);
 
   // Append the specified file's raw range tombstones to |*out|.
   Status GetRangeTombstones(uint64_t file_number, uint64_t file_size,
@@ -96,7 +84,6 @@ class TableCache {
   Env* const env_;
   const std::string dbname_;
   const Options& options_;
-  const Comparator* const user_comparator_;
   Cache* cache_;
   // Aggregate sink installed on every table right after Table::Open.
   std::atomic<uint64_t> filter_negatives_total_{0};

@@ -113,6 +113,7 @@ Version::~Version() {
       }
     }
   }
+  delete range_dels_.load(std::memory_order_acquire);
 }
 
 void Version::Ref() { ++refs_; }
@@ -605,25 +606,29 @@ bool Version::IsBaseLevelForKey(int level, const Slice& user_key) const {
   return true;
 }
 
-SequenceNumber Version::MaxRangeCoveringSeq(const Slice& user_key,
-                                            SequenceNumber snapshot) const {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  SequenceNumber best = 0;
-  for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
-      if (!f->has_range_tombstones()) continue;
-      // Metadata span test first: [range_del_begin, range_del_end) must
-      // contain the key before the block is worth opening.
-      if (ucmp->Compare(user_key, f->range_del_begin) < 0 ||
-          ucmp->Compare(user_key, f->range_del_end) >= 0) {
-        continue;
-      }
-      SequenceNumber seq = vset_->table_cache_->MaxRangeCoveringSeq(
-          f->number, f->file_size, user_key, snapshot);
-      if (seq > best) best = seq;
+Status Version::MaxRangeCoveringSeq(const Slice& user_key,
+                                    SequenceNumber snapshot,
+                                    SequenceNumber* seq) const {
+  *seq = 0;
+  const FragmentedRangeTombstoneList* list =
+      range_dels_.load(std::memory_order_acquire);
+  if (list == nullptr) {
+    std::vector<RangeTombstone> raw;
+    Status s = CollectRangeTombstones(&raw);
+    if (!s.ok()) return s;  // never cached: the next query retries
+    auto built = std::make_unique<FragmentedRangeTombstoneList>();
+    built->Build(vset_->icmp_.user_comparator(), std::move(raw));
+    const FragmentedRangeTombstoneList* published = nullptr;
+    if (range_dels_.compare_exchange_strong(published, built.get(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+      list = built.release();
+    } else {
+      list = published;  // a concurrent query won; |built| is dropped
     }
   }
-  return best;
+  *seq = list->MaxCoveringSeq(user_key, snapshot);
+  return Status::OK();
 }
 
 Status Version::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {

@@ -134,13 +134,15 @@ class Version {
   // can be dropped).
   bool IsBaseLevelForKey(int level, const Slice& user_key) const;
 
-  // Largest range-tombstone sequence <= |snapshot| covering |user_key|
-  // across every file of this version, or 0 when uncovered. Sequence
-  // numbers are global, so a covering tombstone at any level hides every
-  // entry with a smaller sequence regardless of level placement; files
-  // whose metadata span excludes the key are skipped without opening.
-  SequenceNumber MaxRangeCoveringSeq(const Slice& user_key,
-                                     SequenceNumber snapshot) const;
+  // Set |*seq| to the largest range-tombstone sequence <= |snapshot|
+  // covering |user_key| across every file of this version, or 0 when
+  // uncovered. Sequence numbers are global, so a covering tombstone at any
+  // level hides every entry with a smaller sequence regardless of level
+  // placement. The first query fragments the tombstones of every file into
+  // one list that the version keeps (see range_dels_); a table that cannot
+  // be opened fails the query, and the next query tries again.
+  Status MaxRangeCoveringSeq(const Slice& user_key, SequenceNumber snapshot,
+                             SequenceNumber* seq) const;
 
   // Append every raw range tombstone stored in this version's files to
   // |*out| (iterator construction, compaction planning diagnostics).
@@ -184,6 +186,14 @@ class Version {
 
   // List of files per level.
   std::vector<FileMetaData*> files_[kNumLevels];
+
+  // Every file's range tombstones, fragmented into one list on the first
+  // MaxRangeCoveringSeq; null until then. Lock-free: concurrent first
+  // queries each build one and the first to publish wins (release CAS,
+  // acquire load). Freed with the version, which a reader's pinned
+  // ReadState keeps alive.
+  mutable std::atomic<const FragmentedRangeTombstoneList*> range_dels_{
+      nullptr};
 };
 
 // VersionSet is externally synchronized: it is owned by DBImpl and every

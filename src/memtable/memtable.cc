@@ -4,6 +4,7 @@
 
 #include "src/util/clock.h"
 #include "src/util/coding.h"
+#include "src/util/hash.h"
 
 namespace acheron {
 
@@ -14,10 +15,18 @@ static Slice GetLengthPrefixedSliceAt(const char* data) {
   return Slice(p, len);
 }
 
-MemTable::MemTable(const InternalKeyComparator& comparator)
+// One filter bit per 4 bytes of write buffer: 512 bits a line.
+static size_t FilterLines(size_t write_buffer_size) {
+  return std::max<size_t>(1, write_buffer_size / (4 * 512));
+}
+
+MemTable::MemTable(const InternalKeyComparator& comparator,
+                   size_t write_buffer_size)
     : comparator_(comparator),
       refs_(0),
       table_(comparator_, &arena_),
+      filter_lines_(FilterLines(write_buffer_size)),
+      filter_(std::make_unique<FilterLine[]>(filter_lines_)),
       range_head_(nullptr),
       range_index_(nullptr),
       range_unindexed_(0),
@@ -83,6 +92,12 @@ Iterator* MemTable::NewIterator() { return new MemTableIterator(&table_); }
 
 void MemTable::Add(SequenceNumber s, ValueType type, const Slice& key,
                    const Slice& value) {
+  // The filter line is usually out of cache: fetch it while the skiplist
+  // insert below chases its own pointers.
+  uint32_t probe;
+  FilterLine& line = FilterLineFor(key, &probe);
+  __builtin_prefetch(&line, 1);
+
   // Format of an entry is concatenation of:
   //  key_size     : varint32 of internal_key.size()
   //  key bytes    : char[internal_key.size()]
@@ -105,6 +120,13 @@ void MemTable::Add(SequenceNumber s, ValueType type, const Slice& key,
   std::memcpy(p, value.data(), val_size);
   assert(p + val_size == buf + encoded_len);
   table_.Insert(buf);
+  for (int i = 0; i < kFilterProbes; i++) {
+    probe *= 0x9e3779b9u;
+    std::atomic<uint64_t>& word = line.words[probe >> 29];
+    const uint64_t bit = uint64_t{1} << ((probe >> 23) & 63);
+    word.store(word.load(std::memory_order_relaxed) | bit,
+               std::memory_order_relaxed);
+  }
 
   // Relaxed stores: only one thread (the write-group leader) mutates the
   // memtable at a time; other threads read these counters concurrently.
@@ -117,6 +139,30 @@ void MemTable::Add(SequenceNumber s, ValueType type, const Slice& key,
                                             std::memory_order_relaxed);
     }
   }
+}
+
+// A key's 64-bit hash picks its line (high half, by multiply-shift) and
+// seeds its probe positions (low half, a multiplicative sequence whose top
+// 9 bits index the line's 512 bits).
+MemTable::FilterLine& MemTable::FilterLineFor(const Slice& user_key,
+                                              uint32_t* probe) const {
+  const uint64_t h = Hash64(user_key.data(), user_key.size(), 0);
+  *probe = static_cast<uint32_t>(h);
+  return filter_[((h >> 32) * filter_lines_) >> 32];
+}
+
+bool MemTable::KeyMayMatch(const Slice& user_key) const {
+  uint32_t probe;
+  const FilterLine& line = FilterLineFor(user_key, &probe);
+  for (int i = 0; i < kFilterProbes; i++) {
+    probe *= 0x9e3779b9u;
+    const uint64_t bit = uint64_t{1} << ((probe >> 23) & 63);
+    if ((line.words[probe >> 29].load(std::memory_order_relaxed) & bit) ==
+        0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void MemTable::AddRange(SequenceNumber s, const Slice& begin,
@@ -239,6 +285,7 @@ void MemTable::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {
 
 bool MemTable::Get(const LookupKey& key, std::string* value, Status* s,
                    SequenceNumber* seq_out, bool* is_pointer) {
+  if (!KeyMayMatch(key.user_key())) return false;
   Slice memkey = key.memtable_key();
   Table::Iterator iter(&table_);
   iter.Seek(memkey.data());

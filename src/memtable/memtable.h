@@ -1,6 +1,13 @@
 // MemTable: in-memory write buffer over a skiplist, keyed by internal keys.
 // Tracks tombstone statistics (count + oldest tombstone sequence number) so
 // flushes can seed the SSTable's delete-persistence metadata.
+//
+// A whole-key Bloom filter sits in front of the skiplist: every Add sets a
+// user key's bits, and Get returns "not here" without a skiplist seek when
+// one of them is clear. It is blocked (all of a key's probes land in one
+// 64-byte line) and sized from the write buffer, one bit per 4 bytes. It
+// lives outside the arena, so ApproximateMemoryUsage -- the flush trigger --
+// does not see it and the flush points stay where they were.
 #ifndef ACHERON_MEMTABLE_MEMTABLE_H_
 #define ACHERON_MEMTABLE_MEMTABLE_H_
 
@@ -21,8 +28,9 @@ namespace acheron {
 class MemTable {
  public:
   // MemTables are reference counted. The initial reference count is zero
-  // and the caller must call Ref() at least once.
-  explicit MemTable(const InternalKeyComparator& comparator);
+  // and the caller must call Ref() at least once. |write_buffer_size| (the
+  // Options field) sizes the key filter.
+  MemTable(const InternalKeyComparator& comparator, size_t write_buffer_size);
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -68,7 +76,8 @@ class MemTable {
 
   // If memtable contains a value for key, store it in *value and return
   // true. If memtable contains a deletion for key, store a NotFound() error
-  // in *status and return true. Else, return false. A non-null |seq_out|
+  // in *status and return true. Else, return false; a key the filter rules
+  // out returns false without touching the skiplist. A non-null |seq_out|
   // receives the matched entry's sequence number so callers can test it
   // against range-tombstone coverage. When the matched entry is a vLog
   // pointer (kTypeValuePointer), |*value| receives the *encoded pointer*
@@ -170,7 +179,19 @@ class MemTable {
     FragmentedRangeTombstoneList fragments;  // keys point into the arena
   };
 
+  // One 64-byte line of the key filter.
+  struct alignas(64) FilterLine {
+    std::atomic<uint64_t> words[8];
+  };
+  static constexpr int kFilterProbes = 6;
+
   ~MemTable();  // Private since only Unref() should be used to delete it
+
+  // The filter line |user_key|'s probes land in; |*probe| receives the
+  // seed of its probe positions.
+  FilterLine& FilterLineFor(const Slice& user_key, uint32_t* probe) const;
+  // False only if |user_key| was never added.
+  bool KeyMayMatch(const Slice& user_key) const;
 
   // Writer side of AddRange: index the unindexed tail (see RangeDelRun).
   void RebuildRangeIndex();
@@ -182,6 +203,12 @@ class MemTable {
   int refs_;
   Arena arena_;
   Table table_;
+  // The key filter. Only the write-group leader sets bits, with a relaxed
+  // load and store (no read-modify-write); a reader whose snapshot admits
+  // a key's sequence sees its bits through last-sequence's release store
+  // and acquire load, as it sees the skiplist nodes.
+  const size_t filter_lines_;
+  const std::unique_ptr<FilterLine[]> filter_;
   // Push-front list head: the writer publishes with a release store;
   // readers acquire-load and walk nodes that never change afterwards.
   std::atomic<RangeDelNode*> range_head_;

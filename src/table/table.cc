@@ -56,11 +56,8 @@ struct Table::Rep {
   // tables), bumped alongside the per-table filter_negatives.
   std::atomic<uint64_t>* filter_negatives_sink;
   std::atomic<uint64_t> filter_negatives{0};
-  // Range tombstones decoded from the file's dedicated block at Open, and
-  // their fragmented form (built once via BuildRangeFragments, immutable
-  // and lock-free to query afterwards).
+  // Range tombstones decoded from the file's dedicated block at Open.
   std::vector<RangeTombstone> raw_range_dels;
-  FragmentedRangeTombstoneList range_dels;
 };
 
 Status Table::Open(const Options& options, RandomAccessFile* file,
@@ -463,16 +460,6 @@ const TableProperties& Table::properties() const { return rep_->properties; }
 
 const std::vector<RangeTombstone>& Table::raw_range_tombstones() const {
   return rep_->raw_range_dels;
-}
-
-void Table::BuildRangeFragments(const Comparator* ucmp) {
-  if (!rep_->raw_range_dels.empty()) {
-    rep_->range_dels.Build(ucmp, rep_->raw_range_dels);
-  }
-}
-
-const FragmentedRangeTombstoneList& Table::range_tombstones() const {
-  return rep_->range_dels;
 }
 
 uint64_t Table::filter_negatives() const {

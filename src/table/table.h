@@ -85,16 +85,6 @@ class Table {
   // silently dropping a range tombstone would resurrect covered keys.
   const std::vector<RangeTombstone>& raw_range_tombstones() const;
 
-  // Fragment the raw range tombstones under |ucmp|. |ucmp| must be the
-  // USER-key comparator: the table's own options carry the internal-key
-  // comparator, which cannot compare bare user keys. Must be called before
-  // the table is shared across threads (TableCache calls it right after
-  // Open); a no-op for tables without range tombstones.
-  void BuildRangeFragments(const Comparator* ucmp);
-
-  // Fragmented coverage structure; empty until BuildRangeFragments runs.
-  const FragmentedRangeTombstoneList& range_tombstones() const;
-
   // Calls (*handle_result)(arg, internal_key, value) for the first entry at
   // or past |key| in this table, after consulting the Bloom filter with
   // |filter_key|. No callback is made if the filter rules the key out or the

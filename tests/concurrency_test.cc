@@ -4,6 +4,7 @@
 // basic read-your-writes visibility under contention.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -467,6 +468,51 @@ TEST_F(BackgroundConcurrencyTest, GetsRaceMemtableSwaps) {
   // results as new versions) while readers were live.
   EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
   EXPECT_GT(t.db->GetStats().flush_count, 0u);
+}
+
+TEST_F(BackgroundConcurrencyTest, GetsOfHotKeysRaceTheirInsert) {
+  // The writer sets a key's memtable filter bits with plain relaxed stores;
+  // a reader sees them through the last-sequence release/acquire, as it
+  // sees the skiplist node. Readers chase the writer: every key it has
+  // acknowledged must be found with its value (read-your-writes, also for
+  // the writer itself), and the key it is adding right now is found whole
+  // or not at all. Keys land scattered, and the 16 KiB buffer swaps
+  // memtables under the readers.
+  TestDB t;
+  constexpr int kKeys = 20000;
+  auto key_at = [](int i) { return Key((uint64_t{7919} * i) % kKeys); };
+  auto value_at = [&](int i) { return "val_" + key_at(i); };
+  std::atomic<int> acked{0};  // keys [0, acked) are written
+  std::atomic<uint64_t> read_errors{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&] {
+      std::string value;
+      for (int n = 0; n < kKeys; n = acked.load(std::memory_order_acquire)) {
+        for (int i = std::max(0, n - 3); i <= n && i < kKeys; i++) {
+          Status s = t.db->Get(ReadOptions(), key_at(i), &value);
+          const bool must_exist = i < n;
+          if (s.ok() ? value != value_at(i)
+                     : (must_exist || !s.IsNotFound())) {
+            read_errors.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(t.db->Put(WriteOptions(), key_at(i), value_at(i)).ok());
+    ASSERT_TRUE(t.db->Get(ReadOptions(), key_at(i), &value).ok());
+    ASSERT_EQ(value, value_at(i));
+    acked.store(i + 1, std::memory_order_release);
+  }
+  for (auto& r : readers) r.join();
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+  EXPECT_EQ(0u, read_errors.load());
+  EXPECT_GT(t.db->GetStats().memtable_swaps, 10u);
 }
 
 TEST_F(BackgroundConcurrencyTest, GetsRaceCompactRange) {

@@ -57,18 +57,30 @@ TEST(Crc32c, StandardResultsHardwareKernel) {
   ExpectStandardResults(internal::ExtendHardware);
 }
 
-// The hardware kernel against the byte-table oracle: every length 0..1100 at
-// every start offset 0..15 (so the 8-byte loads are misaligned in every way
-// and every tail length is hit), from a zero and a non-zero running CRC.
+// The hardware kernel against the byte-table oracle: every length 0..1024,
+// and every length within 16 bytes of a multiple of 768 (the three-stream
+// round of 3 x 256 bytes) up to 8 rounds, so rounds, the single-stream
+// remainder and the byte tail meet in every combination. Each runs at
+// every start offset 0..15 (so the 8-byte loads are misaligned in every
+// way), from a zero and a non-zero running CRC.
 TEST(Crc32c, HardwareKernelMatchesPortableOracle) {
   if (!internal::HardwareAvailable()) GTEST_SKIP() << "CPU lacks SSE4.2";
-  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kRound = 768;
+  constexpr size_t kMaxRounds = 8;
+  constexpr size_t kSlack = 16;
   constexpr size_t kMaxOffset = 15;
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 1024; len++) lengths.push_back(len);
+  for (size_t r = 2; r <= kMaxRounds; r++) {
+    for (size_t len = r * kRound - kSlack; len <= r * kRound + kSlack; len++) {
+      lengths.push_back(len);
+    }
+  }
   Random rnd(301);
-  std::vector<char> buf(kMaxLen + kMaxOffset);
+  std::vector<char> buf(kMaxRounds * kRound + kSlack + kMaxOffset);
   for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
   for (size_t offset = 0; offset <= kMaxOffset; offset++) {
-    for (size_t len = 0; len <= kMaxLen; len++) {
+    for (size_t len : lengths) {
       const char* p = buf.data() + offset;
       for (uint32_t init : {0u, 0xdeadbeefu}) {
         ASSERT_EQ(internal::ExtendPortable(init, p, len),

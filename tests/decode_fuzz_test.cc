@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/range_tombstone.h"
+#include "src/lsm/options.h"
 #include "src/lsm/version_edit.h"
 #include "src/lsm/write_batch.h"
 #include "src/lsm/write_batch_internal.h"
@@ -140,7 +141,7 @@ TEST_P(DecodeFuzz, WriteBatchIterateSurvivesMutations) {
     }
     WriteBatch batch;
     WriteBatchInternal::SetContents(&batch, mutated);
-    MemTable* mem = new MemTable(icmp);
+    MemTable* mem = new MemTable(icmp, Options().write_buffer_size);
     mem->Ref();
     (void)WriteBatchInternal::InsertInto(&batch, mem);  // ok or corruption
     mem->Unref();

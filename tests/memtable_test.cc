@@ -6,17 +6,28 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/env/fault_env.h"
+#include "src/lsm/db.h"
+#include "src/lsm/options.h"
+#include "src/lsm/write_batch.h"
+#include "src/lsm/write_batch_internal.h"
 #include "src/util/random.h"
 
 namespace acheron {
 
 class MemTableTest : public ::testing::Test {
  protected:
-  MemTableTest() : icmp_(BytewiseComparator()), mem_(new MemTable(icmp_)) {
+  MemTableTest()
+      : icmp_(BytewiseComparator()),
+        mem_(new MemTable(icmp_, Options().write_buffer_size)) {
     mem_->Ref();
   }
   ~MemTableTest() override { mem_->Unref(); }
@@ -270,7 +281,7 @@ TEST(MemTableRangeIndexTest, CoverageQueryComparisonsAreLogarithmic) {
   const int n = 16000;
   CountingComparator ucmp;
   InternalKeyComparator icmp(&ucmp);
-  MemTable* mem = new MemTable(icmp);
+  MemTable* mem = new MemTable(icmp, Options().write_buffer_size);
   mem->Ref();
   std::vector<RangeTombstone> ts = RandomRanges(31, n, 4 * n);
   for (const RangeTombstone& t : ts) mem->AddRange(t.seq, t.begin, t.end);
@@ -310,6 +321,182 @@ TEST_F(MemTableTest, RangeIndexMemoryStaysWithinBound) {
     ASSERT_LE(static_cast<double>(total), multiple * live)
         << "after " << i + 1 << " tombstones";
   }
+}
+
+// ---- The key filter in front of the skiplist ----
+
+// A random byte string of 0..24 bytes, 0x00 and 0xff included.
+std::string RandomBytesKey(Random* rnd) {
+  std::string key(rnd->Uniform(25), '\0');
+  for (char& c : key) {
+    const uint64_t r = rnd->Uniform(8);
+    c = static_cast<char>(r == 0 ? 0x00 : r == 1 ? 0xff : rnd->Uniform(256));
+  }
+  return key;
+}
+
+// Every added key is found with its own type, whatever the filter's size:
+// a 4 KiB write buffer gives a two-line filter that saturates, the default
+// one a 128 KiB filter that stays sparse. Keys reach the memtable through
+// Add and through a batch re-read from its encoded contents, as WAL replay
+// inserts them.
+TEST(MemTableFilterTest, NoFalseNegatives) {
+  for (size_t write_buffer_size :
+       {size_t{4} << 10, Options().write_buffer_size}) {
+    InternalKeyComparator icmp(BytewiseComparator());
+    MemTable* mem = new MemTable(icmp, write_buffer_size);
+    mem->Ref();
+    Random rnd(static_cast<uint32_t>(write_buffer_size));
+    std::map<std::string, ValueType> added;
+    SequenceNumber seq = 0;
+    WriteBatch batch;
+    for (int i = 0; i < 20000; i++) {
+      const std::string key = RandomBytesKey(&rnd);
+      const uint64_t r = rnd.Uniform(3);
+      const ValueType type = r == 0   ? kTypeDeletion
+                             : r == 1 ? kTypeValuePointer
+                                      : kTypeValue;
+      if (rnd.OneIn(2)) {
+        mem->Add(++seq, type, key, type == kTypeDeletion ? "" : "v");
+      } else {
+        // Replay path: one-entry batches, encoded and decoded.
+        batch.Clear();
+        if (type == kTypeDeletion) {
+          batch.Delete(key);
+        } else if (type == kTypeValuePointer) {
+          batch.PutPointer(key, "v");
+        } else {
+          batch.Put(key, "v");
+        }
+        WriteBatchInternal::SetSequence(&batch, ++seq);
+        WriteBatch replayed;
+        WriteBatchInternal::SetContents(&replayed,
+                                        WriteBatchInternal::Contents(&batch));
+        ASSERT_TRUE(WriteBatchInternal::InsertInto(&replayed, mem).ok());
+      }
+      added[key] = type;
+    }
+    for (const auto& [key, type] : added) {
+      std::string value;
+      Status s;
+      bool is_pointer = false;
+      LookupKey lkey(key, seq);
+      ASSERT_TRUE(mem->Get(lkey, &value, &s, nullptr, &is_pointer))
+          << "write_buffer_size " << write_buffer_size << " key size "
+          << key.size();
+      EXPECT_EQ(type == kTypeDeletion, s.IsNotFound());
+      EXPECT_EQ(type == kTypeValuePointer, is_pointer);
+    }
+    mem->Unref();
+  }
+}
+
+// Runs background rounds only while not held: a memtable the writer swaps
+// out stays the immutable memtable until Release.
+class HeldRoundEnv : public FaultInjectionEnv {
+ public:
+  explicit HeldRoundEnv(Env* base) : FaultInjectionEnv(base) {}
+
+  void Schedule(void (*function)(void*), void* arg) override {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      if (held_) {
+        jobs_.emplace_back(function, arg);
+        return;
+      }
+    }
+    FaultInjectionEnv::Schedule(function, arg);
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> l(mu_);
+    held_ = true;
+  }
+
+  void Release() {
+    std::deque<std::pair<void (*)(void*), void*>> jobs;
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      held_ = false;
+      jobs.swap(jobs_);
+    }
+    for (const auto& [function, arg] : jobs) {
+      FaultInjectionEnv::Schedule(function, arg);
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  bool held_ = false;
+  std::deque<std::pair<void (*)(void*), void*>> jobs_;
+};
+
+// Through the DB: puts, deletes and separated values (vLog pointers in the
+// memtable) are all found in the immutable memtable while its flush is
+// held, in the active memtable, and after a reopen replays the WAL.
+TEST(MemTableFilterTest, DbFindsKeysInMemImmAndAfterReplay) {
+  std::unique_ptr<Env> mem_env(NewMemEnv());
+  HeldRoundEnv env(mem_env.get());
+  Options options;
+  options.env = &env;
+  options.write_buffer_size = 16 << 10;
+  options.value_separation_threshold = 256;
+  std::unique_ptr<DB> db;
+  auto open = [&] {
+    db.reset();
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+    db.reset(raw);
+  };
+  open();
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  // Key i holds a small value (i % 3 == 0), a separated one (1), or a
+  // value and then its delete (2).
+  auto value_of = [](int i) {
+    return std::string(i % 3 == 1 ? 300 : 20, static_cast<char>('a' + i % 26));
+  };
+  auto write = [&](int i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), key(i), value_of(i)).ok());
+    if (i % 3 == 2) {
+      ASSERT_TRUE(db->Delete(WriteOptions(), key(i)).ok());
+    }
+  };
+  auto check = [&](int n, const char* where) {
+    std::string value;
+    for (int i = 0; i < n; i++) {
+      Status s = db->Get(ReadOptions(), key(i), &value);
+      if (i % 3 == 2) {
+        ASSERT_TRUE(s.IsNotFound()) << where << " " << key(i);
+      } else {
+        ASSERT_TRUE(s.ok()) << where << " " << key(i) << " " << s.ToString();
+        ASSERT_EQ(value, value_of(i)) << where << " " << key(i);
+      }
+      // Never-written keys between the written ones stay absent.
+      ASSERT_TRUE(db->Get(ReadOptions(), key(i) + "x", &value).IsNotFound());
+    }
+  };
+
+  env.Hold();
+  const uint64_t swaps = db->GetStats().memtable_swaps;
+  int n = 0;
+  while (db->GetStats().memtable_swaps == swaps) write(n++);
+  // The swapped-out memtable is the immutable one: nothing has flushed.
+  std::string files;
+  ASSERT_TRUE(db->GetProperty("acheron.num-files-at-level0", &files));
+  ASSERT_EQ(files, "0");
+  for (int end = n + 20; n < end; n++) write(n);
+  check(n, "mem+imm");
+
+  env.Release();
+  check(n, "after flush");
+  for (int end = n + 50; n < end; n++) write(n);
+  open();  // the last writes come back from the WAL
+  check(n, "after replay");
+  db.reset();
 }
 
 }  // namespace acheron

@@ -236,5 +236,118 @@ TEST(RangeTombstoneFragmenterTest, BuildComparisonsAreNLogN) {
   EXPECT_FALSE(list.empty());
 }
 
+// ---- The bytewise prefix search ----
+
+class ReverseBytewiseComparator : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    return -a.compare(b);
+  }
+  const char* Name() const override { return "test.ReverseBytewise"; }
+  void FindShortestSeparator(std::string*, const Slice&) const override {}
+  void FindShortSuccessor(std::string*) const override {}
+};
+
+// A key of |prefix| (sometimes cut short or changed in its last byte) plus
+// 0..11 bytes drawn mostly from the extremes 0x00, 0x01, 0x7f, 0x80, 0xfe
+// and 0xff, so keys shorter than the prefix plus 8 bytes, keys that are
+// prefixes of one another, zero bytes against the search's zero padding,
+// and ties on the 8 bytes after the prefix all occur.
+std::string RandomByteKey(Random* rnd, const std::string& prefix) {
+  std::string key = prefix;
+  if (rnd->OneIn(8)) key.resize(rnd->Uniform(prefix.size() + 1));
+  if (!key.empty() && rnd->OneIn(8)) {
+    key.back() = static_cast<char>(key.back() + (rnd->OneIn(2) ? 1 : -1));
+  }
+  static const unsigned char kBytes[] = {0x00, 0x01, 0x7f, 0x80, 0xfe, 0xff};
+  const uint64_t len = rnd->OneIn(4) ? 9 + rnd->Uniform(3) : rnd->Uniform(9);
+  for (uint64_t i = 0; i < len; i++) {
+    key.push_back(static_cast<char>(
+        rnd->OneIn(3) ? rnd->Uniform(256) : kBytes[rnd->Uniform(6)]));
+  }
+  return key;
+}
+
+// MaxCoveringSeq against a linear scan of the raw tombstones, under the
+// bytewise comparator (the prefix search) and a reverse one (the
+// comparator-driven fallback): random byte-string tombstones over a shared
+// prefix of 0..12 bytes, queried at every fragment bound and its
+// neighbours, at random keys inside and outside [first begin, last end),
+// and at snapshots on, between, below and above the tombstones' seqs.
+TEST(RangeTombstoneFragmenterTest, PrefixSearchMatchesLinearScan) {
+  const ReverseBytewiseComparator reverse;
+  Random rnd(305);
+  for (const Comparator* ucmp : {BytewiseComparator(),
+                                 static_cast<const Comparator*>(&reverse)}) {
+    for (int trial = 0; trial < 300; trial++) {
+      std::string prefix;
+      const uint64_t prefix_len = rnd.Uniform(13);
+      for (uint64_t i = 0; i < prefix_len; i++) {
+        prefix.push_back(static_cast<char>(rnd.Uniform(256)));
+      }
+      std::vector<RangeTombstone> tombstones;
+      const int n = 1 + static_cast<int>(rnd.Uniform(40));
+      for (int i = 0; i < n; i++) {
+        std::string a = RandomByteKey(&rnd, prefix);
+        std::string b = RandomByteKey(&rnd, prefix);
+        if (ucmp->Compare(a, b) > 0) std::swap(a, b);
+        tombstones.emplace_back(a, b, 2 * (1 + rnd.Uniform(30)));
+      }
+      FragmentedRangeTombstoneList list;
+      list.Build(ucmp, tombstones);
+
+      std::vector<std::string> queries;
+      for (const auto& f : list.fragments()) {
+        for (const Slice& bound : {f.begin, f.end}) {
+          const std::string b = bound.ToString();
+          queries.push_back(b);
+          queries.push_back(b + '\0');
+          queries.push_back(b + '\xff');
+          if (!b.empty()) queries.push_back(b.substr(0, b.size() - 1));
+        }
+      }
+      for (int i = 0; i < 60; i++) {
+        queries.push_back(RandomByteKey(&rnd, prefix));
+      }
+      queries.push_back("");
+      queries.push_back(std::string(20, '\xff'));
+      for (const std::string& key : queries) {
+        // Seqs are even: odd snapshots fall between them.
+        for (SequenceNumber snapshot :
+             {SequenceNumber{0}, SequenceNumber{1}, 1 + 2 * rnd.Uniform(32),
+              2 * rnd.Uniform(32), kMaxSequenceNumber}) {
+          ASSERT_EQ(OracleCoveringSeq(ucmp, tombstones, key, snapshot),
+                    list.MaxCoveringSeq(key, snapshot))
+              << ucmp->Name() << " trial " << trial << " key size "
+              << key.size() << " snapshot " << snapshot;
+        }
+      }
+    }
+  }
+}
+
+// A comparator that wraps the bytewise one under its name (a counting
+// wrapper, say) keeps its order, so it gets the prefix search: a query
+// then makes no comparator call.
+TEST(RangeTombstoneFragmenterTest, BytewiseNamedWrapperTakesPrefixSearch) {
+  class CountingBytewise : public CountingComparator {
+   public:
+    const char* Name() const override { return BytewiseComparator()->Name(); }
+  };
+  CountingBytewise cmp;
+  Random rnd(306);
+  std::vector<RangeTombstone> tombstones = RandomTombstones(&rnd, 200, 300);
+  FragmentedRangeTombstoneList list;
+  list.Build(&cmp, tombstones);
+  const uint64_t before = cmp.count();
+  for (int i = 0; i < 400; i++) {
+    const std::string key = KeyAt(rnd.Uniform(320));
+    ASSERT_EQ(OracleCoveringSeq(BytewiseComparator(), tombstones, key,
+                                kMaxSequenceNumber),
+              list.MaxCoveringSeq(key, kMaxSequenceNumber));
+  }
+  EXPECT_EQ(before, cmp.count());
+}
+
 }  // namespace
 }  // namespace acheron

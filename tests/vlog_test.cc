@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -14,6 +15,7 @@
 #include "src/env/env.h"
 #include "src/lsm/db.h"
 #include "src/lsm/filename.h"
+#include "src/lsm/snapshot.h"
 #include "src/util/random.h"
 #include "src/vlog/vlog_format.h"
 #include "src/vlog/vlog_reader.h"
@@ -225,6 +227,24 @@ class VlogDBTest : public ::testing::Test {
       }
     }
     return tables;
+  }
+
+  // The engine's current sequence number.
+  SequenceNumber LastSequence() {
+    const Snapshot* snap = db_->GetSnapshot();
+    const SequenceNumber seq =
+        static_cast<const SnapshotImpl*>(snap)->sequence_number();
+    db_->ReleaseSnapshot(snap);
+    return seq;
+  }
+
+  // The next_gc_deadline field of "acheron.vlog-stats".
+  uint64_t NextGcDeadline() {
+    const std::string stats = Property("acheron.vlog-stats");
+    const size_t pos = stats.find("next_gc_deadline=");
+    EXPECT_NE(pos, std::string::npos) << stats;
+    if (pos == std::string::npos) return 0;
+    return std::stoull(stats.substr(pos + strlen("next_gc_deadline=")));
   }
 
   // Small inline puts advance the logical clock until a GC pass runs;
@@ -475,6 +495,36 @@ TEST_F(VlogDBTest, DueSegmentsShareOneGcPass) {
   for (const char* key : {"a-doomed", "b-doomed"}) {
     EXPECT_TRUE(db_->Get(ReadOptions(), key, &v).IsNotFound()) << key;
   }
+}
+
+// A manual compaction that charges a value purge arms the vLog GC clock:
+// the pass runs on the write that reaches the D_th/2 deadline, not at
+// whatever later round next happens to look at the registry.
+TEST_F(VlogDBTest, CompactRangeArmsGcDeadline) {
+  options_.delete_persistence_threshold = 2000;
+  options_.write_buffer_size = 1 << 20;  // flush only where the test does
+  options_.vlog_gc_live_ratio = 0.0;     // deadline-driven GC only
+  Open();
+  const std::string large(1024, 'v');
+  ASSERT_TRUE(db_->Put(WriteOptions(), "doomed", large).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "keeper", large).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "doomed").ok());
+  db_->CompactRange(nullptr, nullptr);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  // The key purge happened at the current sequence, so the value purge is
+  // due D_th/2 later.
+  const uint64_t deadline = NextGcDeadline();
+  ASSERT_EQ(deadline,
+            LastSequence() + options_.delete_persistence_threshold / 2)
+      << Property("acheron.vlog-stats");
+
+  auto [before, after] = WriteUntilGc();
+  EXPECT_EQ(after.vlog_gc_runs - before.vlog_gc_runs, 1u);
+  EXPECT_EQ(LastSequence(), deadline);
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u)
+      << Property("acheron.vlog-stats");
 }
 
 TEST_F(VlogDBTest, GcKeepsTablesWithoutVictimPointers) {

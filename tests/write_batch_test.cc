@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "src/lsm/options.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
 
@@ -11,7 +12,7 @@ namespace acheron {
 
 static std::string PrintContents(WriteBatch* b) {
   InternalKeyComparator cmp(BytewiseComparator());
-  MemTable* mem = new MemTable(cmp);
+  MemTable* mem = new MemTable(cmp, Options().write_buffer_size);
   mem->Ref();
   std::string state;
   Status s = WriteBatchInternal::InsertInto(b, mem);
