@@ -215,10 +215,8 @@ CompactionPick CompactionPlanner::PickLeveling(
   double best_score = 1.0;  // must exceed 1 to trigger
   for (int level = 1; level < kNumLevels - 1; level++) {
     if (v->NumFiles(level) == 0) continue;
-    const double capacity = static_cast<double>(
-        options_.write_buffer_size *
-        std::pow(std::max(2, options_.size_ratio), level));
-    const double score = static_cast<double>(v->NumLevelBytes(level)) / capacity;
+    const double score =
+        static_cast<double>(v->NumLevelBytes(level)) / LevelCapacity(level);
     if (score > best_score) {
       best_score = score;
       best_level = level;
@@ -233,6 +231,43 @@ CompactionPick CompactionPlanner::PickLeveling(
   pick.reason_tag = static_cast<int>(CompactionReason::kLevelSize);
   pick.inputs.assign(1, files[idx]);
   return pick;
+}
+
+double CompactionPlanner::LevelCapacity(int level) const {
+  return static_cast<double>(options_.write_buffer_size *
+                             std::pow(std::max(2, options_.size_ratio), level));
+}
+
+int CompactionPlanner::MaxDepth(const Version* v, uint64_t pending_bytes,
+                                SequenceNumber pending_earliest,
+                                SequenceNumber clock) const {
+  if (options_.compaction_style == CompactionStyle::kTiering) {
+    return kNumLevels;
+  }
+  const int deepest = v->DeepestNonEmptyLevel();
+  if (deepest == 0) {
+    const int l0_files = v->NumFiles(0) + (pending_bytes > 0 ? 1 : 0);
+    bool expired = delete_aware() && pending_earliest < clock &&
+                   clock - pending_earliest > CumulativeTtl(0, 1);
+    for (const FileMetaData* f : v->files(0)) {
+      expired = expired || FileTtlExpired(*f, 0, clock, 1);
+    }
+    if (l0_files < options_.level0_compaction_trigger && !expired) return 1;
+  }
+  uint64_t total = pending_bytes;
+  for (int level = 0; level < kNumLevels; level++) {
+    total += static_cast<uint64_t>(v->NumLevelBytes(level));
+  }
+  // A compaction re-encodes the same or fewer entries; only per-table
+  // overhead (index, filter, footer) can grow with the output count, and an
+  // eighth of the tree covers it.
+  total += total / 8;
+  // PickLeveling never size-picks the last level, so a tree whose deepest
+  // level is kNumLevels - 1 is already as deep as it can get.
+  for (int level = std::max(1, deepest); level < kNumLevels - 1; level++) {
+    if (static_cast<double>(total) <= LevelCapacity(level)) return level + 1;
+  }
+  return kNumLevels;
 }
 
 CompactionPick CompactionPlanner::PickTiering(const Version* v) const {

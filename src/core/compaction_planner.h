@@ -81,6 +81,28 @@ class CompactionPlanner {
     return options_.delete_persistence_threshold > 0;
   }
 
+  // --- Depth bound ---
+
+  // Byte capacity of |level| (>= 1) under leveling: a size pick fires only
+  // once the level holds more than this.
+  double LevelCapacity(int level) const;
+
+  // An upper bound on the depth |v| can reach through the planner-picked
+  // compactions of rounds whose TTL clocks are at most |clock|, once a
+  // queued memtable of |pending_bytes| (its oldest tombstone
+  // |pending_earliest|, kMaxSequenceNumber if none) has landed in L0.
+  // Under leveling the tree deepens only through an L0 -> L1 merge while L0
+  // is the deepest level, or through a size pick of the deepest level:
+  //  * With L0 the deepest level, the merge needs L0 at its file-count
+  //    trigger or a TTL-expired L0 file.
+  //  * Otherwise neither can carry the tree past a level L >= max(1,
+  //    deepest) whose capacity holds every byte of the tree plus
+  //    |pending_bytes| and a re-encoding margin.
+  // Under tiering, and when no level holds everything, the bound is
+  // kNumLevels.
+  int MaxDepth(const Version* v, uint64_t pending_bytes,
+               SequenceNumber pending_earliest, SequenceNumber clock) const;
+
   // --- The pick ---
 
   // Inspect |v| and report the most urgent compaction, or an empty pick.

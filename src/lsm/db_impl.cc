@@ -783,9 +783,6 @@ Status DBImpl::CompactMemTable() {
   if (s.ok()) {
     imm_->Unref();
     imm_ = nullptr;
-    // The flush installed; its TTL deadline (if any) is now visible to
-    // ComputeNextTtlDeadline, so the conservative floor retires.
-    pending_ttl_floor_ = UINT64_MAX;
     // Readers switch to {mem_, no imm, flushed version}; the superseded
     // state keeps the old version's files live until its readers drain.
     PublishReadState();
@@ -906,10 +903,9 @@ void DBImpl::ComputeNextVlogGcDeadline() {
   }
 }
 
-Status DBImpl::MaybeVlogGc() {
+Status DBImpl::MaybeVlogGc(SequenceNumber now) {
   assert(compaction_active_);
   const vlog::Registry& registry = versions_->vlog_registry();
-  const SequenceNumber now = versions_->LastSequence();
   const uint64_t dth = options_.delete_persistence_threshold;
   const uint64_t head = (vlog_ != nullptr) ? vlog_->segment_number() : 0;
   std::set<uint64_t> victims;
@@ -945,7 +941,7 @@ Status DBImpl::MaybeVlogGc() {
   }
   Status s;
   if (!victims.empty() && !shutting_down_.load(std::memory_order_acquire)) {
-    s = CollectVlogSegments(victims);
+    s = CollectVlogSegments(victims, now);
   }
   if (!s.ok()) {
     RecordBackgroundError(s, ErrorSubsystem::kCompaction);
@@ -954,10 +950,10 @@ Status DBImpl::MaybeVlogGc() {
   return s;
 }
 
-Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims) {
+Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims,
+                                   SequenceNumber now_seq) {
   assert(compaction_active_);
   const vlog::Registry& registry = versions_->vlog_registry();
-  const SequenceNumber now_seq = versions_->LastSequence();
 
   // The victims' pending purges complete the moment the edit that drops
   // them installs: only then are the value bytes provably unreachable and
@@ -1193,26 +1189,60 @@ void DBImpl::ReleaseCompactionSlot() {
 Status DBImpl::RunCompactions() {
   AcquireCompactionSlot();
   Status s;
-  // A round that flushes is pinned to the swap point: every pick and drop
-  // in it uses the horizon captured when the memtable rotated, not wherever
-  // the writers' clock has moved to before the round's thread ran.
-  SequenceNumber horizon = versions_->LastSequence();
-  if (imm_ != nullptr) {
-    horizon = pending_flush_horizon_;
-    s = CompactMemTable();
-    // Unthrottle writers waiting for the imm_ slot as soon as it clears,
-    // not only when the whole round finishes.
+  // Each round is pinned to its own horizon: every pick, drop, stamp and
+  // GC deadline in it uses the sequence captured when the round became due,
+  // not wherever the writers' clock has moved to before this thread ran.
+  // Rounds run in horizon order: a memtable swapped before a queued TTL
+  // round's crossing flushes first, one swapped at or after it waits.
+  bool ran = false;
+  while (s.ok() && !shutting_down_.load(std::memory_order_acquire)) {
+    const bool flush_first =
+        imm_ != nullptr && (ttl_round_horizons_.empty() ||
+                            pending_flush_horizon_ < ttl_round_horizons_.front());
+    SequenceNumber horizon;
+    if (flush_first) {
+      horizon = pending_flush_horizon_;
+    } else if (!ttl_round_horizons_.empty()) {
+      horizon = ttl_round_horizons_.front();
+    } else if (!ran) {
+      horizon = versions_->LastSequence();
+    } else {
+      break;
+    }
+    ran = true;
+    running_round_horizon_ = horizon;
+    if (flush_first) {
+      s = CompactMemTable();
+      // Unthrottle writers waiting for the imm_ slot as soon as it clears,
+      // not only when the whole round finishes.
+      background_work_finished_signal_.SignalAll();
+    }
+    // Value-log GC rides the compaction slot: compactions may have charged
+    // new garbage/pending purges, and the FADE deadline check inside picks
+    // up exactly that state. A pass rewrites tables, which can make a size
+    // pick due; the round runs until both are satisfied at its horizon, so
+    // no later round inherits its work.
+    for (uint64_t gc_runs = UINT64_MAX;
+         s.ok() && gc_runs != stats_.vlog_gc_runs;) {
+      gc_runs = stats_.vlog_gc_runs;
+      s = MaybeCompact(horizon);
+      if (s.ok()) s = MaybeVlogGc(horizon);
+    }
+    if (!s.ok()) break;  // the retry re-runs this round at the same horizon
+    running_round_horizon_ = 0;
+    if (!flush_first && !ttl_round_horizons_.empty()) {
+      ttl_round_horizons_.pop_front();
+    }
+    // The rounds still pending leave a tree the floor fresh from here
+    // bounds as well as the one set when they were added; keep the higher.
+    pending_ttl_floor_ = (imm_ != nullptr || !ttl_round_horizons_.empty())
+                             ? std::max(pending_ttl_floor_,
+                                        PendingRoundsTtlFloor())
+                             : UINT64_MAX;
+    // Writers waiting at the floor re-check it after every round.
     background_work_finished_signal_.SignalAll();
   }
-  if (s.ok()) {
-    s = MaybeCompact(horizon);
-  }
-  if (s.ok()) {
-    // Value-log GC rides the compaction slot: compactions above may have
-    // charged new garbage/pending purges, and the FADE deadline check
-    // inside picks up exactly that state.
-    s = MaybeVlogGc();
-  }
+  running_round_horizon_ = 0;
   ReleaseCompactionSlot();
   return s;
 }
@@ -1221,10 +1251,11 @@ void DBImpl::MaybeScheduleCompaction() {
   if (bg_compaction_scheduled_) return;  // one round in flight max
   if (shutting_down_.load(std::memory_order_acquire)) return;
   if (!BackgroundWorkAllowed()) return;  // fatal or degraded: work is paused
-  // Rounds are flush-driven, with one exception: while an error episode is
-  // retrying, the failed round must be re-queued even if its flush already
-  // landed (the failure may have been mid-compaction).
-  if (imm_ == nullptr &&
+  // Rounds are driven by a pending flush or TTL round, with one exception:
+  // while an error episode is retrying, the failed round must be re-queued
+  // even if its flush already landed (the failure may have been
+  // mid-compaction).
+  if (imm_ == nullptr && ttl_round_horizons_.empty() &&
       bg_error_state_ != BackgroundErrorState::kRetrying) {
     return;
   }
@@ -1386,10 +1417,10 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // This trigger is depth-dependent, and with a round queued or running
       // the live tree lags the rounds already owed (DeepestNonEmptyLevel()
       // may be shallower than it will be once they install). Depth is
-      // monotone under pending rounds and a deeper tree only *shrinks* the
-      // L0 TTL, so: firing at the live depth is always correct, and not
-      // firing even at the maximum possible depth is always correct. Only
-      // the band in between depends on when the round's thread runs --
+      // monotone under pending rounds, PendingDepthBound() bounds it, and a
+      // deeper tree only *shrinks* the L0 TTL, so: firing at the live depth
+      // is always correct, and not firing at the bound is always correct.
+      // Only the band in between depends on when the round's thread runs --
       // drain the pending rounds (the writer runs them inline, horizons
       // captured, so the work is identical) and re-evaluate against the
       // fresh tree.
@@ -1405,12 +1436,15 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         const uint64_t age = versions_->LastSequence() - earliest_any;
         if (age > planner_.LevelTtl(0, depth) / 2) {
           flush = true;
-        } else if ((imm_ != nullptr || compaction_active_) &&
-                   age > planner_.LevelTtl(0, options_.num_levels) / 2) {
-          // (A scheduled-but-idle BGWork with no imm_ is a stale wakeup;
-          // the tree is already current, so it is excluded above -- waiting
-          // on it here would spin without releasing the mutex.)
+        } else if (RoundsPending() &&
+                   age > planner_.LevelTtl(0, PendingDepthBound()) / 2) {
+          // (A scheduled-but-idle BGWork with nothing pending is a stale
+          // wakeup; the tree is already current, so it is excluded above --
+          // waiting on it here would spin without releasing the mutex.)
+          stats_.stall_memtable_age_waits++;
+          const uint64_t t0 = SystemClock::NowMicros();
           Status ds = RunCompactionsWithRetry();
+          stats_.stall_micros += SystemClock::NowMicros() - t0;
           if (!ds.ok()) {
             s = ds;
             break;
@@ -1511,20 +1545,9 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     // of logs it retires).
     pending_written_at_swap_ = monitor_.WrittenCount();
     pending_range_written_at_swap_ = monitor_.RangeWrittenCount();
-    if (planner_.delete_aware() &&
-        (imm_->num_tombstones() > 0 || imm_->num_range_tombstones() > 0)) {
-      // Until the flush installs, next_ttl_deadline_ cannot see the L0
-      // file it will create; bound it conservatively so writers cannot
-      // race past that deadline in the meantime. Adding an L0 file never
-      // deepens the tree (DeepestNonEmptyLevel is 0 for an empty one), so
-      // the current depth is the post-install depth.
-      const int depth = versions_->current()->DeepestNonEmptyLevel() + 1;
-      pending_ttl_floor_ =
-          std::min(pending_ttl_floor_,
-                   std::min(imm_->earliest_tombstone_seq(),
-                            imm_->earliest_range_tombstone_seq()) +
-                       planner_.CumulativeTtl(0, depth));
-    }
+    // The flush round just became due: until it installs, the writer
+    // checks the floor of the tree it will leave.
+    pending_ttl_floor_ = PendingRoundsTtlFloor();
     mem_ = new MemTable(internal_comparator_, options_.write_buffer_size);
     mem_->Ref();
     stats_.memtable_swaps++;
@@ -1551,10 +1574,173 @@ void DBImpl::ComputeNextTtlDeadline() {
       // kMaxSequenceNumber, so min() ignores it.
       const SequenceNumber earliest = std::min(
           f->earliest_tombstone_seq, f->earliest_range_tombstone_seq);
+      // FileTtlExpired needs age > CumulativeTtl: the first expired
+      // sequence is one past the budget.
       const uint64_t deadline =
-          earliest + planner_.CumulativeTtl(level, depth);
+          earliest + planner_.CumulativeTtl(level, depth) + 1;
       next_ttl_deadline_ = std::min(next_ttl_deadline_, deadline);
     }
+  }
+}
+
+int DBImpl::PendingDepthBound() {
+  // Every pending round's horizon is at most the current sequence.
+  if (imm_ == nullptr) {
+    return planner_.MaxDepth(versions_->current(), 0, kMaxSequenceNumber,
+                             versions_->LastSequence());
+  }
+  return planner_.MaxDepth(versions_->current(),
+                           imm_->ApproximateMemoryUsage(),
+                           std::min(imm_->earliest_tombstone_seq(),
+                                    imm_->earliest_range_tombstone_seq()),
+                           versions_->LastSequence());
+}
+
+uint64_t DBImpl::PendingRoundsTtlFloor() {
+  if (!planner_.delete_aware()) return UINT64_MAX;
+  Version* v = versions_->current();
+  const int deepest = v->DeepestNonEmptyLevel();
+  const int depth_hi = PendingDepthBound();
+  uint64_t floor = UINT64_MAX;
+  auto bound = [&](SequenceNumber earliest, int level) {
+    floor = std::min(floor,
+                     earliest + planner_.CumulativeTtl(level, depth_hi) + 1);
+  };
+  auto expired = [&](SequenceNumber earliest, int level, SequenceNumber at) {
+    return at > earliest &&
+           at - earliest > planner_.CumulativeTtl(level, deepest + 1);
+  };
+  // An L0 file leaves L0 only whole, through an L0 -> L1 merge, so its
+  // tombstones are credited to L1 when a pending round certainly merges
+  // it: the last queued TTL round, which compacts until nothing is expired
+  // at its horizon, or a flush round that runs next and finds L0 at its
+  // file-count trigger with nothing TTL-expired at its horizon. (A deeper
+  // file gets no such credit: a pending merge into its level can carry its
+  // younger tombstones into an output that is not yet expired, which
+  // stays.)
+  const SequenceNumber last_ttl =
+      ttl_round_horizons_.empty() ? 0 : ttl_round_horizons_.back();
+  const SequenceNumber h = pending_flush_horizon_;
+  const SequenceNumber imm_earliest =
+      imm_ == nullptr ? kMaxSequenceNumber
+                      : std::min(imm_->earliest_tombstone_seq(),
+                                 imm_->earliest_range_tombstone_seq());
+  bool l0_merges =
+      options_.compaction_style == CompactionStyle::kLeveling &&
+      imm_ != nullptr &&
+      v->NumFiles(0) + 1 >= options_.level0_compaction_trigger &&
+      (ttl_round_horizons_.empty() || ttl_round_horizons_.front() > h) &&
+      (running_round_horizon_ == 0 || running_round_horizon_ == h) &&
+      !expired(imm_earliest, 0, h);
+  for (int level = 0; l0_merges && level < kNumLevels; level++) {
+    for (const FileMetaData* f : v->files(level)) {
+      if (planner_.FileTtlExpired(*f, level, h, deepest + 1)) {
+        l0_merges = false;
+      }
+    }
+  }
+  auto leaves_l0 = [&](SequenceNumber earliest) {
+    return l0_merges || (last_ttl != 0 && expired(earliest, 0, last_ttl));
+  };
+  if (imm_earliest != kMaxSequenceNumber) {
+    // imm_ is in L0 for the last TTL round only if swapped before it.
+    const bool credited =
+        l0_merges || (h < last_ttl && expired(imm_earliest, 0, last_ttl));
+    bound(imm_earliest, credited ? 1 : 0);
+  }
+  for (int level = 0; level < kNumLevels; level++) {
+    for (const FileMetaData* f : v->files(level)) {
+      if (!f->has_tombstones() && !f->has_range_tombstones()) continue;
+      const SequenceNumber earliest = std::min(
+          f->earliest_tombstone_seq, f->earliest_range_tombstone_seq);
+      bound(earliest, level == 0 && leaves_l0(earliest) ? 1 : level);
+    }
+  }
+  if (VlogEnabled()) {
+    // A pending round may charge value purges stamped at its horizon; the
+    // vLog GC deadline of those is D_th/2 later.
+    SequenceNumber oldest = kMaxSequenceNumber;
+    for (SequenceNumber pending :
+         {running_round_horizon_,
+          ttl_round_horizons_.empty() ? 0 : ttl_round_horizons_.front(),
+          imm_ != nullptr ? h : 0}) {
+      if (pending != 0) oldest = std::min(oldest, pending);
+    }
+    if (oldest != kMaxSequenceNumber) {
+      floor = std::min<uint64_t>(
+          floor, oldest + options_.delete_persistence_threshold / 2);
+    }
+  }
+  return floor;
+}
+
+bool DBImpl::TtlRoundQueueable(SequenceNumber horizon) {
+  if (options_.compaction_style == CompactionStyle::kTiering ||
+      !snapshots_.empty() || bg_error_state_ != BackgroundErrorState::kOk ||
+      horizon >= next_vlog_gc_deadline_) {
+    return false;
+  }
+  // An expired file at the deepest level (L0 excepted) is rewritten in
+  // place, and the floor has no level below it to credit.
+  Version* v = versions_->current();
+  const int deepest = v->DeepestNonEmptyLevel();
+  if (deepest == 0) return true;
+  for (const FileMetaData* f : v->files(deepest)) {
+    if (planner_.FileTtlExpired(*f, deepest, horizon, deepest + 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status DBImpl::EnforceFadeDeadlines() {
+  while (true) {
+    const SequenceNumber seq = versions_->LastSequence();
+    // With a TTL round queued, next_ttl_deadline_ still shows the deadline
+    // it was queued for; the floor stands in for it until the rounds end.
+    const bool queued = !ttl_round_horizons_.empty();
+    const uint64_t due =
+        std::min({queued ? UINT64_MAX : next_ttl_deadline_,
+                  pending_ttl_floor_, next_vlog_gc_deadline_});
+    if (seq < due) return Status::OK();
+    // This write crossed a deadline or the floor: its sequence is a TTL
+    // round's horizon. Queued behind the pending rounds, the round raises
+    // the floor past every file already expired here.
+    if ((!queued || ttl_round_horizons_.back() < seq) &&
+        TtlRoundQueueable(seq)) {
+      ttl_round_horizons_.push_back(seq);
+      stats_.ttl_rounds_queued++;
+      pending_ttl_floor_ = PendingRoundsTtlFloor();
+      MaybeScheduleCompaction();
+      continue;  // the floor may still be due
+    }
+    if (queued) {
+      // At the floor, or due for a round that cannot be queued: this write
+      // may not return before the pending rounds install.
+      stats_.stall_ttl_waits++;
+      const uint64_t t0 = SystemClock::NowMicros();
+      while (BackgroundWorkAllowed() &&
+             !shutting_down_.load(std::memory_order_acquire) &&
+             ((seq >= pending_ttl_floor_ && RoundsPending()) ||
+              (seq >= next_vlog_gc_deadline_ &&
+               !ttl_round_horizons_.empty()))) {
+        MaybeScheduleCompaction();
+        background_work_finished_signal_.Wait();
+      }
+      stats_.stall_micros += SystemClock::NowMicros() - t0;
+      if (!BackgroundWorkAllowed()) return bg_error_;
+      if (shutting_down_.load(std::memory_order_acquire)) return Status::OK();
+      continue;
+    }
+    ttl_round_horizons_.push_back(seq);
+    stats_.ttl_rounds_inline++;
+    stats_.stall_ttl_waits++;
+    const uint64_t t0 = SystemClock::NowMicros();
+    Status s = RunCompactionsWithRetry();
+    stats_.stall_micros += SystemClock::NowMicros() - t0;
+    // A deadline still due after the round is snapshot-pinned; the next
+    // write retries it rather than this one spinning.
+    return s;
   }
 }
 
@@ -1577,7 +1763,7 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
     }
     if (shutting_down_.load(std::memory_order_acquire)) break;
     std::unique_ptr<Compaction> c(
-        versions_->PickCompaction(planner_, effective));
+        versions_->PickCompaction(planner_, horizon, effective));
     if (c == nullptr) break;
 
     stats_.compaction_count++;
@@ -1978,7 +2164,8 @@ void DBImpl::RecordBackgroundError(const Status& s, ErrorSubsystem subsystem) {
   // TTL deadline is already due while the engine is erroring; the property
   // and delete-stats surface it as dth_at_risk.
   const uint64_t deadline = std::min(next_ttl_deadline_, pending_ttl_floor_);
-  if (deadline != UINT64_MAX && versions_->LastSequence() >= deadline) {
+  if (!ttl_round_horizons_.empty() ||
+      (deadline != UINT64_MAX && versions_->LastSequence() >= deadline)) {
     monitor_.SetDthAtRisk(true);
   }
 }
@@ -2572,32 +2759,8 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     }
     if (write_batch == &tmp_batch_) tmp_batch_.Clear();
 
-    // FADE: the logical clock just advanced; fire the compaction machinery
-    // the moment a file's tombstone TTL lapses, independent of flushes.
-    // This runs *inline* in the writer: the persistence bound means this
-    // write may not complete until the expired tombstone has moved, so
-    // there is nothing to gain from handing the work to the background
-    // thread -- and picking the compaction here, at the exact
-    // deadline-crossing sequence number, fixes the TTL schedule instead of
-    // racing the writer's clock.
-    // pending_ttl_floor_ covers the deadline a still-queued flush is about
-    // to introduce; if the floor (not the installed deadline) fired, the
-    // first round flushes and exposes the real deadline, so loop once more.
-    while (status.ok() &&
-           versions_->LastSequence() >=
-               std::min({next_ttl_deadline_, pending_ttl_floor_,
-                         next_vlog_gc_deadline_})) {
-      const bool flush_pending = (imm_ != nullptr);
-      stats_.stall_ttl_waits++;
-      const uint64_t t0 = SystemClock::NowMicros();
-      status = RunCompactionsWithRetry();
-      stats_.stall_micros += SystemClock::NowMicros() - t0;
-      if (!flush_pending) {
-        // The round ran at the current horizon and the deadline is still
-        // in the past: the tombstone is snapshot-pinned. Do not spin.
-        break;
-      }
-    }
+    // FADE: the logical clock just advanced.
+    if (status.ok()) status = EnforceFadeDeadlines();
   }
 
   // Wake the followers whose batches were bundled into this group, and
@@ -2701,7 +2864,7 @@ Status DBImpl::WaitForCompactions() {
     if (!BackgroundWorkAllowed()) {
       return bg_error_;  // fatal or degraded: nothing will run
     }
-    if (imm_ != nullptr ||
+    if (imm_ != nullptr || !ttl_round_horizons_.empty() ||
         versions_->NeedsCompaction(planner_, SmallestSnapshot()) ||
         bg_error_state_ == BackgroundErrorState::kRetrying) {
       Status s = RunCompactionsWithRetry();
@@ -2770,8 +2933,12 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     RemoveObsoleteFiles();
     // The install may have moved tombstones and charged value purges to
     // vLog segments; re-arm both FADE clocks as a background round does.
+    // It may also have deepened the tree under a queued round's floor.
     ComputeNextTtlDeadline();
     ComputeNextVlogGcDeadline();
+    if (imm_ != nullptr || !ttl_round_horizons_.empty()) {
+      pending_ttl_floor_ = PendingRoundsTtlFloor();
+    }
   }
   ReleaseCompactionSlot();
 }

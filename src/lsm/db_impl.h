@@ -14,14 +14,18 @@
 //    compactions) then run as one round on the Env's background thread
 //    via Env::Schedule.
 //  * Determinism machinery: a round's result does not depend on when its
-//    thread runs. Each round (flush imm_, then compact until the planner
-//    is satisfied) picks and drops against the sequence horizon captured
-//    when its memtable was swapped out (pending_flush_horizon_), and imm_
-//    is only flushed at round boundaries. Tombstone-TTL expiry is enforced
-//    inline in the write path at the exact deadline-crossing sequence
-//    (see pending_ttl_floor_). So a single-threaded writer produces the
-//    same LSM shape however the rounds are timed, which
-//    delete_persistence_test and the EXPERIMENTS.md E-series rely on.
+//    thread runs. A flush round (flush imm_, then compact until the
+//    planner is satisfied) runs against the sequence horizon captured when
+//    its memtable was swapped out (pending_flush_horizon_); a TTL round
+//    against the sequence of the write that crossed a tombstone-TTL
+//    deadline (ttl_round_horizons_). That horizon is every pick's expiry
+//    clock, the drop horizon and the persistence stamp, and pending rounds
+//    run in horizon order. The crossing write queues its TTL round and
+//    returns; writers run on until the clock reaches pending_ttl_floor_, a
+//    lower bound on every deadline the pending rounds can leave, and wait
+//    there. So a single-threaded writer produces the same LSM shape however
+//    the rounds are timed, which delete_persistence_test and the
+//    EXPERIMENTS.md E-series rely on.
 //  * All flush/compaction/purge work holds the exclusive "compaction slot"
 //    (compaction_active_), because compaction I/O runs unlocked and two
 //    jobs could otherwise pick overlapping inputs.
@@ -212,11 +216,10 @@ class DBImpl : public DB {
   WriteBatch* BuildBatchGroup(Writer** last_writer)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Hand a round to the Env's background thread if a flush is pending
-  // (imm_ != nullptr) and none is in flight. Rounds are flush-driven:
-  // planner work runs inside the round that flushed, and TTL expiry is
-  // enforced inline by the write path, so there is nothing to schedule
-  // without a pending flush.
+  // Hand a round to the Env's background thread if a flush (imm_) or a TTL
+  // round (ttl_round_horizons_) is pending and no round is in flight.
+  // Planner work runs inside the round whose horizon made it due, so there
+  // is nothing else to schedule.
   void MaybeScheduleCompaction() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   static void BGWork(void* db);
   void BackgroundCall() LOCKS_EXCLUDED(mutex_);
@@ -226,10 +229,10 @@ class DBImpl : public DB {
   void AcquireCompactionSlot() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   void ReleaseCompactionSlot() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // One round: flush imm_ (if any), then run compactions until the planner
-  // is satisfied, all against the horizon captured when the memtable was
-  // swapped (or the current sequence if there is no pending flush). Takes
-  // the compaction slot for the duration.
+  // Run every pending round in horizon order: a flush round (flush imm_,
+  // then compact and collect the vLog at the swap horizon) and a TTL round
+  // (compact and collect at the crossing horizon); the current sequence
+  // when neither is pending. Takes the compaction slot for the duration.
   Status RunCompactions() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Run planner-picked compactions until nothing is left to do at
@@ -298,7 +301,7 @@ class DBImpl : public DB {
   }
 
   // RunCompactions, plus an inline unlock/backoff/retry loop for the rounds
-  // a writer runs itself (TTL expiry, the depth-ambiguity drain,
+  // a writer runs itself (an inline TTL round, the depth-ambiguity drain,
   // WaitForCompactions); background rounds retry by re-scheduling through
   // Env::Schedule instead. Returns the final status; clears the error
   // episode on success.
@@ -328,10 +331,45 @@ class DBImpl : public DB {
   // iter_tombstones_skipped) into an InternalStats snapshot copy.
   void MergeReadPathCounters(InternalStats* merged) const;
 
-  // Recompute next_ttl_deadline_ from the current version: the earliest
-  // logical time at which some file's oldest tombstone will exceed its
-  // level's cumulative TTL.
+  // Recompute next_ttl_deadline_ from the current version: the first
+  // logical time at which some file's oldest tombstone exceeds its level's
+  // cumulative TTL.
   void ComputeNextTtlDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // A round is queued, running, or owed to imm_: the live tree lags the
+  // tree those rounds will leave.
+  bool RoundsPending() const EXCLUSIVE_LOCKS_REQUIRED(mutex_) {
+    return imm_ != nullptr || !ttl_round_horizons_.empty() ||
+           compaction_active_;
+  }
+
+  // An upper bound on the tree depth once every pending round installs
+  // (CompactionPlanner::MaxDepth, with imm_ still to land and the current
+  // sequence as the latest round clock).
+  int PendingDepthBound() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // The floor: a lower bound on every FADE deadline the tree can have once
+  // the pending rounds install. Each tombstone-bearing file (and imm_, as
+  // an L0 file) contributes earliest + CumulativeTtl(level', depth_hi) + 1,
+  // where depth_hi is PendingDepthBound() and level' is 1 for an L0 file a
+  // pending round certainly merges into L1 (the last queued TTL round finds
+  // it expired, or a flush round finds L0 at its file-count trigger) and
+  // its level otherwise. With a value log, every pending round may charge
+  // value purges at its horizon, due D_th/2 later.
+  uint64_t PendingRoundsTtlFloor() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Whether the TTL round due at |horizon| may run in the background: the
+  // floor must be boundable, which rules out snapshots (a pinned tombstone
+  // ages on), tiering, an in-place rewrite at the deepest level, a due
+  // vLog GC deadline and any error state.
+  bool TtlRoundQueueable(SequenceNumber horizon)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // FADE's write-path step, run by the leader after its group lands: a
+  // write crossing a deadline or the floor queues a TTL round at its
+  // sequence (or runs it inline where the floor cannot be bounded); a write
+  // still at or past pending_ttl_floor_ waits for the pending rounds.
+  Status EnforceFadeDeadlines() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // The delete-persistence summary GetDeleteStats and the
   // "acheron.delete-stats" property report: tombstones live and the oldest
@@ -401,19 +439,20 @@ class DBImpl : public DB {
   // Recompute next_vlog_gc_deadline_ from the registry's pending purges.
   void ComputeNextVlogGcDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // One GC pass: collect every eligible sealed segment -- empty, FADE
-  // deadline reached (earliest pending purge_seq + D_th/2 <= now), or
-  // live-byte ratio at or below Options::vlog_gc_live_ratio -- and, when
-  // any deadline is reached, every other segment that owes a purge.
-  // Caller holds the compaction slot.
-  Status MaybeVlogGc() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // One GC pass at logical time |now| (the round's horizon): collect every
+  // eligible sealed segment -- empty, FADE deadline reached (earliest
+  // pending purge_seq + D_th/2 <= now), or live-byte ratio at or below
+  // Options::vlog_gc_live_ratio -- and, when any deadline is reached, every
+  // other segment that owes a purge. Caller holds the compaction slot.
+  Status MaybeVlogGc(SequenceNumber now) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Relocate the live values of |victims| (keyed back-check through the
   // tables that still point at them) into one fresh sealed segment, drop
   // the victims from the registry, and journal the value-purge latencies
-  // of their pending purges: one rewrite job, one edit. Caller holds the
-  // compaction slot.
-  Status CollectVlogSegments(const std::set<uint64_t>& victims)
+  // of their pending purges as of |now|: one rewrite job, one edit. Caller
+  // holds the compaction slot.
+  Status CollectVlogSegments(const std::set<uint64_t>& victims,
+                             SequenceNumber now)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Recovery: reconcile the recovered registry against the .vlog files on
@@ -459,15 +498,20 @@ class DBImpl : public DB {
   // compaction schedule is fixed at the swap point regardless of how far
   // writers have raced ahead before the round's thread runs.
   SequenceNumber pending_flush_horizon_ GUARDED_BY(mutex_) = 0;
-  // Conservative lower bound on the TTL deadline the pending imm_ flush
-  // will introduce (its earliest tombstone + level-0's cumulative TTL).
-  // next_ttl_deadline_ only learns about a file once its flush installs;
-  // without this floor a writer could race past the deadline while the
-  // flush is still queued behind it. UINT64_MAX when imm_ is null or
-  // tombstone-free. Installs never lower existing deadlines (moving a
-  // file down adds TTL budget), so the floor only needs to track the
-  // pending flush.
+  // While rounds are pending, next_ttl_deadline_ describes the live tree,
+  // not the one they will leave: a flush adds an L0 file it cannot see yet,
+  // and a round that deepens the tree shortens every shallower level's
+  // budget. pending_ttl_floor_ (PendingRoundsTtlFloor) bounds the deadlines
+  // of that future tree from below, so a writer that stops here cannot
+  // race past one. Set fresh whenever a round is added (memtable swap, TTL
+  // round queued, manual compaction), raised as rounds finish, and
+  // UINT64_MAX once none is pending.
   uint64_t pending_ttl_floor_ GUARDED_BY(mutex_) = UINT64_MAX;
+  // Horizons of the queued (or running) TTL rounds, oldest first: the
+  // sequences of the writes that crossed a deadline or the floor.
+  std::deque<SequenceNumber> ttl_round_horizons_ GUARDED_BY(mutex_);
+  // Horizon of the round RunCompactions is running; 0 between rounds.
+  SequenceNumber running_round_horizon_ GUARDED_BY(mutex_) = 0;
   // Monitor written-count captured when mem_ was swapped into imm_. At that
   // instant the new (empty) WAL holds no deletes, so this equals the number
   // of tombstones in all WALs older than the flush edit's log_number; the
@@ -564,9 +608,9 @@ class DBImpl : public DB {
   std::atomic<uint64_t> gets_{0};
   std::atomic<uint64_t> gets_found_{0};
 
-  // Logical time at which the next file-TTL expiry fires; writes past this
-  // point invoke the compaction machinery even without a flush. UINT64_MAX
-  // when no live tombstone is on the clock.
+  // First logical time at which some file's TTL has expired; a write
+  // reaching it queues a TTL round. UINT64_MAX when no live tombstone is on
+  // the clock.
   uint64_t next_ttl_deadline_ GUARDED_BY(mutex_) = UINT64_MAX;
 
   // ---- Background-error state (see the state-machine comment above) ----
@@ -618,8 +662,8 @@ class DBImpl : public DB {
   bool vlog_rotation_pending_ GUARDED_BY(mutex_) = false;
   // Earliest logical time at which some segment's pending value purges hit
   // the GC deadline (earliest purge_seq + D_th/2); UINT64_MAX when none.
-  // Checked by the write path's inline deadline loop alongside
-  // next_ttl_deadline_, so value purges obey the same clock discipline as
+  // Checked by the write path alongside next_ttl_deadline_ (a crossing runs
+  // its round inline), so value purges obey the same clock discipline as
   // tombstone TTLs.
   uint64_t next_vlog_gc_deadline_ GUARDED_BY(mutex_) = UINT64_MAX;
   // Durable byte extent per segment as recovered (sealed extent, or the

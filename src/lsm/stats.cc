@@ -13,7 +13,8 @@ std::string InternalStats::ToString() const {
       "dropped: shadowed=%llu tombstones_bottom=%llu | "
       "reads: gets=%llu found=%llu bloom_useful=%llu iter_ts_skip=%llu | "
       "stalls: slowdown=%llu stop=%llu imm_wait=%llu ttl_wait=%llu "
-      "micros=%llu | bg: jobs=%llu swaps=%llu | "
+      "age_wait=%llu micros=%llu | ttl_rounds: queued=%llu inline=%llu | "
+      "bg: jobs=%llu swaps=%llu | "
       "commit: wal_syncs=%llu groups=%llu grouped_writes=%llu | "
       "recovery: edits_replayed=%llu snapshots=%llu rotations=%llu "
       "torn_skipped=%llu | "
@@ -39,7 +40,10 @@ std::string InternalStats::ToString() const {
       static_cast<unsigned long long>(stall_stop_writes),
       static_cast<unsigned long long>(stall_memtable_waits),
       static_cast<unsigned long long>(stall_ttl_waits),
+      static_cast<unsigned long long>(stall_memtable_age_waits),
       static_cast<unsigned long long>(stall_micros),
+      static_cast<unsigned long long>(ttl_rounds_queued),
+      static_cast<unsigned long long>(ttl_rounds_inline),
       static_cast<unsigned long long>(background_jobs_scheduled),
       static_cast<unsigned long long>(memtable_swaps),
       static_cast<unsigned long long>(wal_syncs),

@@ -42,6 +42,10 @@ struct InternalStats {
   uint64_t stall_memtable_waits = 0;   // writes that waited on imm_ flush
   uint64_t stall_ttl_waits = 0;        // writes that waited for a TTL-deadline
                                        // compaction to finish (FADE bound)
+  uint64_t stall_memtable_age_waits = 0;  // memtable-age checks that drained
+                                          // the pending rounds to decide
+  uint64_t ttl_rounds_queued = 0;  // TTL rounds handed to the background
+  uint64_t ttl_rounds_inline = 0;  // TTL rounds the crossing write ran itself
   uint64_t stall_micros = 0;           // total wall time writers spent stalled
   uint64_t background_jobs_scheduled = 0;  // Env::Schedule handoffs
   uint64_t memtable_swaps = 0;             // mem_ -> imm_ rotations

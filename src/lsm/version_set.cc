@@ -1435,9 +1435,10 @@ bool VersionSet::NeedsCompaction(const CompactionPlanner& planner,
 }
 
 Compaction* VersionSet::PickCompaction(const CompactionPlanner& planner,
+                                       SequenceNumber ttl_clock,
                                        SequenceNumber droppable_horizon) {
-  CompactionPick pick = planner.Pick(current_, LastSequence(),
-                                     droppable_horizon, compact_pointer_);
+  CompactionPick pick = planner.Pick(current_, ttl_clock, droppable_horizon,
+                                     compact_pointer_);
   if (pick.inputs.empty()) {
     return nullptr;
   }

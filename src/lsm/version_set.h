@@ -333,9 +333,12 @@ class VersionSet {
 
   // Ask |planner| for the most urgent compaction and package it as a
   // Compaction object (adding next-level overlaps under leveling). Returns
-  // nullptr if no compaction is needed. |droppable_horizon| is the oldest
-  // sequence number any live reader may need (snapshot gating).
+  // nullptr if no compaction is needed. |ttl_clock| is the logical time TTL
+  // expiry is judged at (a round's captured horizon); |droppable_horizon|
+  // is the oldest sequence number any live reader may need (snapshot
+  // gating).
   Compaction* PickCompaction(const CompactionPlanner& planner,
+                             SequenceNumber ttl_clock,
                              SequenceNumber droppable_horizon);
 
   // True if |planner| would pick some compaction right now. Side-effect-free

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +189,12 @@ class DelayedRoundEnv : public FaultInjectionEnv {
     FaultInjectionEnv::Schedule(&DelayedRoundEnv::RunNext, this);
   }
 
+  // Jobs scheduled whose delay has not yet run out.
+  size_t held() {
+    std::lock_guard<std::mutex> l(mu_);
+    return jobs_.size();
+  }
+
  private:
   static void RunNext(void* env) {
     auto* self = static_cast<DelayedRoundEnv*>(env);
@@ -215,9 +223,11 @@ class BackgroundConcurrencyTest : public ::testing::Test {
   }
 
   // A fresh DB in a fresh mem env; a positive |round_delay_micros| starts
-  // every background round that late (DelayedRoundEnv).
+  // every background round that late (DelayedRoundEnv). |tune| adjusts the
+  // options before the open.
   struct TestDB {
-    explicit TestDB(uint64_t d_th = 0, int round_delay_micros = 0)
+    explicit TestDB(uint64_t d_th = 0, int round_delay_micros = 0,
+                    const std::function<void(Options*)>& tune = nullptr)
         : env(NewMemEnv()) {
       options.env = env.get();
       if (round_delay_micros > 0) {
@@ -227,6 +237,7 @@ class BackgroundConcurrencyTest : public ::testing::Test {
       }
       options.write_buffer_size = 16 << 10;
       options.delete_persistence_threshold = d_th;
+      if (tune) tune(&options);
       DB* raw = nullptr;
       EXPECT_TRUE(DB::Open(options, "/db", &raw).ok());
       db.reset(raw);
@@ -341,6 +352,268 @@ TEST_F(BackgroundConcurrencyTest, DeleteBoundsIndependentOfRoundTiming) {
     return summary + "|ts=" + tombstones + "|age=" + age + "|" + deletes;
   };
   EXPECT_EQ(run(0), run(/*round_delay_micros=*/3000));
+}
+
+// The same gate over a TTL-dominated grid: D_th is a small share of the
+// history, so most compactions are TTL rounds that crossing writes queue
+// (leveling) or run (tiering), and 8 KiB buffers deepen the tree mid-run --
+// where a floor without the depth bound would let a writer race past a
+// deadline the pending rounds create.
+struct TimingGridPoint {
+  const char* name;
+  CompactionStyle style;
+  size_t value_separation_threshold;  // 0: values stay inline
+  int size_ratio;
+  uint64_t d_th;
+  int ops;
+};
+
+class RoundTimingGridTest
+    : public BackgroundConcurrencyTest,
+      public ::testing::WithParamInterface<TimingGridPoint> {};
+
+TEST_P(RoundTimingGridTest, TtlRoundsIndependentOfRoundTiming) {
+  const TimingGridPoint& point = GetParam();
+  auto run = [&](int round_delay_micros) {
+    TestDB t(point.d_th, round_delay_micros, [&](Options* o) {
+      o->write_buffer_size = 8 << 10;
+      o->size_ratio = point.size_ratio;
+      o->compaction_style = point.style;
+      o->value_separation_threshold = point.value_separation_threshold;
+    });
+    Random rnd(29);
+    for (int i = 0; i < point.ops; i++) {
+      const uint64_t k = rnd.Uniform(6000);
+      const uint32_t op = rnd.Uniform(100);
+      Status s;
+      if (op < 68) {
+        s = t.db->Put(WriteOptions(), Key(k),
+                      std::string(40, 'v') + std::to_string(i));
+      } else if (op < 98) {
+        s = t.db->Delete(WriteOptions(), Key(k));
+      } else {
+        s = t.db->DeleteRange(WriteOptions(), Key(k), Key(k + 8));
+      }
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    EXPECT_TRUE(t.db->WaitForCompactions().ok());
+    std::string summary, tombstones, age, deletes, vlog;
+    EXPECT_TRUE(t.db->GetProperty("acheron.level-summary", &summary));
+    EXPECT_TRUE(t.db->GetProperty("acheron.total-tombstones", &tombstones));
+    EXPECT_TRUE(t.db->GetProperty("acheron.max-tombstone-age", &age));
+    EXPECT_TRUE(t.db->GetProperty("acheron.delete-stats", &deletes));
+    EXPECT_TRUE(t.db->GetProperty("acheron.vlog-stats", &vlog));
+    const InternalStats stats = t.db->GetStats();
+    // The grid must exercise what it gates: persisted tombstones, a tree
+    // at least three levels deep, and (under leveling) queued TTL rounds.
+    EXPECT_GT(t.db->GetDeleteStats().tombstones_persisted, 0u);
+    const size_t last_line = summary.rfind('\n', summary.size() - 2);
+    const int deepest = std::stoi(
+        summary.substr(last_line == std::string::npos ? 0 : last_line + 1));
+    EXPECT_GE(deepest, 2) << summary;
+    if (point.style == CompactionStyle::kLeveling) {
+      EXPECT_GT(stats.ttl_rounds_queued, 0u);
+    }
+    char counts[160];
+    std::snprintf(counts, sizeof(counts),
+                  "|flushes=%llu compactions=%llu trivial=%llu written=%llu",
+                  static_cast<unsigned long long>(stats.flush_count),
+                  static_cast<unsigned long long>(stats.compaction_count),
+                  static_cast<unsigned long long>(stats.trivial_move_count),
+                  static_cast<unsigned long long>(
+                      stats.compaction_bytes_written));
+    return summary + "|ts=" + tombstones + "|age=" + age + "|" + deletes +
+           "|" + vlog + counts;
+  };
+  EXPECT_EQ(run(0), run(/*round_delay_micros=*/3000));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, RoundTimingGridTest,
+    ::testing::Values(
+        TimingGridPoint{"LevelingInline", CompactionStyle::kLeveling, 0, 4,
+                        3000, 20000},
+        TimingGridPoint{"LevelingSeparated", CompactionStyle::kLeveling, 32,
+                        4, 3000, 20000},
+        // Tiering runs every TTL round inline and swaps a memtable per
+        // expired tombstone at this depth; a longer D_th and a shorter
+        // history keep its rounds (and the vLog's per-swap segments) few.
+        TimingGridPoint{"TieringInline", CompactionStyle::kTiering, 0, 10,
+                        12000, 12000},
+        TimingGridPoint{"TieringSeparated", CompactionStyle::kTiering, 32,
+                        10, 12000, 12000}),
+    [](const ::testing::TestParamInfo<TimingGridPoint>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_F(BackgroundConcurrencyTest, DeepeningRoundHoldsWritersAtItsFloor) {
+  // A flush round whose L0 -> L1 merge overfills L1 deepens the tree,
+  // which shortens L1's TTL budget: tombstones that merge carries into L1
+  // could fall due soon after the round's horizon, so while the round is
+  // held the floor stops writers there (PendingDepthBound) -- racing on
+  // would fix the next TTL round's horizon by when the round ran. Rounds
+  // start at once, 50 ms late, or run to completion after every write (the
+  // schedule every round at its horizon defines), and nothing may move.
+  auto run = [](int round_delay_micros, bool settle, uint64_t* ttl_waits) {
+    TestDB t(/*d_th=*/2000, round_delay_micros, [](Options* o) {
+      o->write_buffer_size = 64 << 10;
+      o->max_file_size = 16 << 10;
+    });
+    const std::string value(100, 'x');
+    uint64_t next_key = 0;
+    auto put = [&](const std::string& key) {
+      EXPECT_TRUE(t.db->Put(WriteOptions(), key, value).ok());
+      if (settle) {
+        EXPECT_TRUE(t.db->WaitForCompactions().ok());
+      }
+    };
+    auto put_until_swap = [&](uint64_t swaps, uint64_t max_puts) {
+      uint64_t n = 0;
+      while (t.db->GetStats().memtable_swaps < swaps && n < max_puts) {
+        put(Key(next_key++));
+        n++;
+      }
+      return n;
+    };
+    // Four-flush merges grow L1. Before each group's last memtable, settle
+    // the rounds: once that group's merge will overfill L1 (capacity
+    // 10 x 64 KiB), its memtable ends with deletes spread over the keys.
+    auto will_deepen = [&] {
+      std::string summary;
+      EXPECT_TRUE(t.db->GetProperty("acheron.level-summary", &summary));
+      std::istringstream lines(summary);
+      int level = 0, files = 0;
+      int64_t bytes = 0, total = 0, l0 = 0;
+      uint64_t tombstones = 0;
+      while (lines >> level >> files >> bytes >> tombstones) {
+        total += bytes;
+        if (level == 0) l0 = bytes;
+      }
+      return total + l0 / 3 > int64_t{64 << 10} * 10;
+    };
+    const uint64_t per_memtable = put_until_swap(1, 100000);
+    uint64_t group = 0;
+    for (; group < 20; group++) {
+      put_until_swap(4 * group + 3, 100000);
+      EXPECT_TRUE(t.db->WaitForCompactions().ok());
+      if (will_deepen()) break;
+      put_until_swap(4 * group + 4, 100000);
+    }
+    EXPECT_LT(group, 20u);
+    put_until_swap(4 * group + 4, per_memtable - 60);
+    for (uint64_t k = 0; k < 40; k++) {
+      EXPECT_TRUE(
+          t.db->Delete(WriteOptions(), Key(k * next_key / 40)).ok());
+      if (settle) {
+        EXPECT_TRUE(t.db->WaitForCompactions().ok());
+      }
+    }
+    put_until_swap(4 * group + 4, 100000);
+    // Puts only from here: no memtable tombstone can drain the round.
+    for (int i = 0; i < 2000; i++) put(Key(next_key++));
+    EXPECT_TRUE(t.db->WaitForCompactions().ok());
+    *ttl_waits = t.db->GetStats().stall_ttl_waits;
+    std::string summary, deletes;
+    EXPECT_TRUE(t.db->GetProperty("acheron.level-summary", &summary));
+    EXPECT_TRUE(t.db->GetProperty("acheron.delete-stats", &deletes));
+    EXPECT_GT(t.db->GetDeleteStats().tombstones_persisted, 0u);
+    return summary + "|" + deletes;
+  };
+  uint64_t settled_waits = 0, prompt_waits = 0, held_waits = 0;
+  const std::string settled = run(0, /*settle=*/true, &settled_waits);
+  EXPECT_EQ(settled, run(0, /*settle=*/false, &prompt_waits));
+  EXPECT_EQ(settled,
+            run(/*round_delay_micros=*/50000, /*settle=*/false, &held_waits));
+  // The held run shows the floor at work: its writer waited there. (That
+  // merge drops the tombstones at the bottom, so the wait guards a
+  // deadline that never comes; a floor without the depth bound keeps the
+  // schedule here and fails only this check.)
+  EXPECT_GT(held_waits, 0u);
+}
+
+TEST_F(BackgroundConcurrencyTest, CrossingWriteReturnsBeforeItsRound) {
+  // Every round starts 300 ms late. The write that crosses a TTL deadline
+  // queues its round and returns while the round is still held, and the
+  // writes after it run on below the floor without waiting.
+  TestDB t(/*d_th=*/2200, /*round_delay_micros=*/300000,
+           [](Options* o) { o->write_buffer_size = 1 << 20; });
+  const int options_l0_trigger = t.options.level0_compaction_trigger;
+  // Four flushes reach L0's file-count trigger and merge into L1; a fifth
+  // leaves tombstones in L0 above it.
+  for (int f = 0; f < options_l0_trigger; f++) {
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(t.db->Put(WriteOptions(), Key(f * 100 + i), "v").ok());
+    }
+    ASSERT_TRUE(t.db->FlushMemTable().ok());
+  }
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(t.db->Delete(WriteOptions(), Key(i)).ok());
+  }
+  ASSERT_TRUE(t.db->FlushMemTable().ok());
+  std::string l0, l1;
+  ASSERT_TRUE(t.db->GetProperty("acheron.num-files-at-level0", &l0));
+  ASSERT_TRUE(t.db->GetProperty("acheron.num-files-at-level1", &l1));
+  ASSERT_EQ("1", l0);
+  ASSERT_NE("0", l1);
+
+  // Puts only: the memtable holds no tombstone, so only the L0 file's
+  // deadline can fire.
+  const InternalStats before = t.db->GetStats();
+  ASSERT_EQ(0u, t.delayed->held());
+  for (int i = 0; i < 3000 && t.db->GetStats().ttl_rounds_queued ==
+                                  before.ttl_rounds_queued;
+       i++) {
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(1000 + i), "v").ok());
+  }
+  EXPECT_EQ(1u, t.delayed->held());
+  EXPECT_EQ(before.ttl_rounds_queued + 1, t.db->GetStats().ttl_rounds_queued);
+  ASSERT_TRUE(t.db->GetProperty("acheron.num-files-at-level0", &l0));
+  EXPECT_EQ("1", l0);
+  for (int i = 0; i < 10; i++) {
+    ASSERT_TRUE(t.db->Put(WriteOptions(), Key(5000 + i), "v").ok());
+  }
+  EXPECT_EQ(1u, t.delayed->held());
+  const InternalStats after = t.db->GetStats();
+  EXPECT_EQ(before.stall_ttl_waits, after.stall_ttl_waits);
+  EXPECT_EQ(before.ttl_rounds_inline, after.ttl_rounds_inline);
+
+  // Once the round runs, the expired file has left L0.
+  ASSERT_TRUE(t.db->WaitForCompactions().ok());
+  ASSERT_TRUE(t.db->GetProperty("acheron.num-files-at-level0", &l0));
+  EXPECT_EQ("0", l0);
+}
+
+TEST_F(BackgroundConcurrencyTest, TombstoneAgeWithinDthAfterEveryWrite) {
+  // Physical D_th: however late the rounds run, no tombstone is older than
+  // D_th + 1 when a write returns. A queued round's writers stop at its
+  // floor, and a bottom-level purge runs inline in its crossing write.
+  constexpr uint64_t kDth = 3000;
+  for (CompactionStyle style :
+       {CompactionStyle::kLeveling, CompactionStyle::kTiering}) {
+    for (int delay : {0, 3000}) {
+      TestDB t(kDth, delay, [&](Options* o) {
+        o->write_buffer_size = 32 << 10;
+        o->size_ratio = 4;
+        o->compaction_style = style;
+      });
+      Random rnd(37);
+      uint64_t worst = 0;
+      for (int i = 0; i < 12000; i++) {
+        const uint64_t k = rnd.Uniform(5000);
+        Status s = rnd.Uniform(10) < 6
+                       ? t.db->Put(WriteOptions(), Key(k), "v" + Key(i))
+                       : t.db->Delete(WriteOptions(), Key(k));
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        std::string age;
+        ASSERT_TRUE(t.db->GetProperty("acheron.max-tombstone-age", &age));
+        worst = std::max<uint64_t>(worst, std::stoull(age));
+      }
+      EXPECT_LE(worst, kDth + 1) << "style " << static_cast<int>(style)
+                                 << " delay " << delay;
+      // The bound is approached, so the check has teeth.
+      EXPECT_GT(worst, kDth / 2);
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

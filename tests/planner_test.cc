@@ -120,6 +120,31 @@ TEST_P(PlannerSweep, CumulativeTtlBoundedByThreshold) {
   EXPECT_GE(p.CumulativeTtl(L - 1), dth * 9 / 10);
 }
 
+// The write path's floor bounds deadlines with the budgets of the deepest
+// tree the pending rounds can build; that is only a lower bound if no
+// level's budget grows as the tree deepens.
+TEST_P(PlannerSweep, CumulativeTtlShrinksAsTheTreeDeepens) {
+  auto [dth_k, T, L] = GetParam();
+  InternalKeyComparator icmp(BytewiseComparator());
+  for (TtlAllocation allocation :
+       {TtlAllocation::kGeometric, TtlAllocation::kUniform}) {
+    Options options;
+    options.delete_persistence_threshold =
+        static_cast<uint64_t>(dth_k) * 1000;
+    options.size_ratio = T;
+    options.num_levels = L;
+    options.ttl_allocation = allocation;
+    CompactionPlanner p(options, &icmp);
+    for (int level = 0; level < kNumLevels; level++) {
+      for (int depth = 1; depth < kNumLevels; depth++) {
+        EXPECT_LE(p.CumulativeTtl(level, depth + 1),
+                  p.CumulativeTtl(level, depth))
+            << "level " << level << " depth " << depth;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Tunings, PlannerSweep,
                          ::testing::Combine(::testing::Values(10, 100, 10000),
                                             ::testing::Values(2, 4, 10, 32),

@@ -72,7 +72,9 @@ EXTRA_KEYS = {
     },
     # exp_range_delete (E14): range tombstones through the FADE monitor,
     # plus the coverage-cost sweep: comparator calls and p50 latency of a
-    # found Get at 0, 1k, 4k and 16k live memtable range tombstones.
+    # found Get at 0, 1k, 4k and 16k live memtable range tombstones, under
+    # the bytewise search a default DB runs and (cover_fallback_*) under
+    # the comparator-driven search.
     "range_delete": {
         "dth": int,
         "range_deletes_written": int,
@@ -80,12 +82,16 @@ EXTRA_KEYS = {
         "range_persistence_latency_max": (int, float),
         "cover_cmp_per_get_0": (int, float),
         "cover_get_p50_us_0": (int, float),
+        "cover_fallback_cmp_per_get_0": (int, float),
         "cover_cmp_per_get_1k": (int, float),
         "cover_get_p50_us_1k": (int, float),
+        "cover_fallback_cmp_per_get_1k": (int, float),
         "cover_cmp_per_get_4k": (int, float),
         "cover_get_p50_us_4k": (int, float),
+        "cover_fallback_cmp_per_get_4k": (int, float),
         "cover_cmp_per_get_16k": (int, float),
         "cover_get_p50_us_16k": (int, float),
+        "cover_fallback_cmp_per_get_16k": (int, float),
     },
     # exp_kv_sep (E15): key-value separation. The headline record is the
     # 4 KiB separation-on run; baseline/reduction fields compare against
@@ -113,13 +119,19 @@ def gate_range_delete(obj):
     """A found Get's range-coverage cost must stay near-flat as memtable
     range tombstones pile up: the comparator count (deterministic, unlike
     the latency, which is not gated) at 16k tombstones is at most twice the
-    count at 1k. A linear scan of the tombstones fails this by ~16x."""
-    at_1k = obj["cover_cmp_per_get_1k"]
-    at_16k = obj["cover_cmp_per_get_16k"]
-    if at_16k > 2 * at_1k:
-        return [f"cover_cmp_per_get_16k = {at_16k} exceeds 2x "
-                f"cover_cmp_per_get_1k = {at_1k}"]
-    return []
+    count at 1k, under both searches. The bytewise search compares bytes
+    without the comparator, so its count stays at the skiplist lookup's
+    unless the default DB falls back to the comparator; the fallback sweep
+    keeps the comparator-driven search honest. A linear scan of the
+    tombstones fails either by ~16x."""
+    problems = []
+    for prefix in ("cover_cmp_per_get", "cover_fallback_cmp_per_get"):
+        at_1k = obj[prefix + "_1k"]
+        at_16k = obj[prefix + "_16k"]
+        if at_16k > 2 * at_1k:
+            problems.append(f"{prefix}_16k = {at_16k} exceeds 2x "
+                            f"{prefix}_1k = {at_1k}")
+    return problems
 
 
 # Bench name -> check run on each record that passed the schema; returns a
