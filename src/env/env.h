@@ -294,7 +294,10 @@ Env* NewMemEnv();
 // |unbuffered_writes| set, WritableFile::Append bypasses the 64KiB
 // user-space buffer and issues write(2) directly -- required when the env
 // is wrapped in a FaultInjectionEnv for crash simulation, whose durability
-// model assumes appends reach the tracked file immediately.
+// model assumes appends reach the tracked file immediately. The flag does
+// not touch WAL files (*.log): either way they are appended through a
+// mapped, preallocated tail, where every Append reaches the page cache
+// before it returns.
 //
 // |mmap_budget| bounds how many RandomAccessFiles may be served via mmap at
 // once (reads skip the pread syscall + copy); files beyond the budget, or

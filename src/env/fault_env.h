@@ -15,9 +15,10 @@
 //     tail -- modelling a machine crash followed by a reboot.
 //
 // Crash-simulation assumptions (documented, relied on by the crash matrix):
-//   - the base Env applies Append() immediately (true for MemEnv; PosixEnv
-//     buffers 64KiB internally, so crash simulation there would under-count
-//     what reached the OS -- use MemEnv as the base);
+//   - the base Env applies Append() immediately (true for MemEnv and for
+//     NewPosixEnv(/*unbuffered_writes=*/true); the default PosixEnv buffers
+//     64KiB of table, MANIFEST and vLog appends, so crash simulation there
+//     would under-count what reached the OS);
 //   - metadata operations (create, remove, rename) are atomic and durable
 //     the moment they succeed (journaled-metadata filesystem model);
 //   - Close() does NOT imply durability (matches POSIX close(2)).

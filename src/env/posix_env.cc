@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -256,6 +257,167 @@ class PosixWritableFile final : public WritableFile {
   const std::string filename_;
 };
 
+// WritableFile for the live WAL: an Append is a memcpy into a MAP_SHARED
+// window over the file's tail, so appending a record makes no syscall and
+// Flush() has nothing to do. The bytes are in the page cache once the copy
+// ends, so a process crash loses no appended byte -- the same contract as
+// write(2) -- and Sync() is one fdatasync, which writes back pages dirtied
+// through the mapping like any others.
+//
+// A copy only stores to bytes the file already holds: the file is grown
+// ahead of the cursor by size-extending fallocate in kExtendBytes steps, so
+// running out of space surfaces as a Status from Append (NoSpace for
+// ENOSPC), never as SIGBUS from a store past EOF. At least one reserved
+// byte follows a copied append, so the file's size runs up to kExtendBytes
+// past the appended bytes, and that tail reads as zeros; Close() trims it.
+// A crash that skips Close() leaves the zero tail in place, and a kill
+// mid-copy leaves a torn record that only zeros follow: wal::Reader reads
+// either as end-of-log. Extensions stay coarse on purpose: each
+// size-extending fallocate costs tens of microseconds.
+//
+// Each page's first store through the mapping takes a fault, which for a
+// large append costs more than a syscall. So an append of
+// kWriteThroughBytes or more (a large batch's fragments) goes through
+// pwrite(2) instead, extending the file itself past the reserved tail, and
+// so does an append that starts on the page such a pwrite ended in.
+class PosixMappedWalFile final : public WritableFile {
+ public:
+  static constexpr size_t kWindowBytes = 1 << 20;
+  static constexpr size_t kExtendBytes = 256 << 10;
+  static constexpr size_t kWriteThroughBytes = 4096;
+
+  // |fd| is open for reading and writing, holds kExtendBytes reserved bytes
+  // and is mapped at |window| for kWindowBytes from offset 0; ownership of
+  // both passes to this object.
+  PosixMappedWalFile(std::string filename, int fd, char* window)
+      : fd_(fd), window_(window), reserved_(kExtendBytes),
+        page_bytes_(static_cast<uint64_t>(::sysconf(_SC_PAGESIZE))),
+        filename_(std::move(filename)) {}
+
+  ~PosixMappedWalFile() override {
+    if (fd_ >= 0) {
+      (void)Close();  // errors in a destructor have nowhere to go
+    }
+  }
+
+  Status Append(const Slice& data) override {
+    const char* src = data.data();
+    size_t left = data.size();
+    if (left >= kWriteThroughBytes || offset_ < pwrite_page_end_) {
+      while (left > 0) {
+        const ::ssize_t r =
+            ::pwrite(fd_, src, left, static_cast<off_t>(offset_));
+        if (r < 0) {
+          if (errno == EINTR) continue;
+          return PosixError(filename_, errno);
+        }
+        offset_ += r;
+        src += r;
+        left -= r;
+      }
+      reserved_ = std::max(reserved_, offset_);
+      pwrite_page_end_ =
+          (offset_ + page_bytes_ - 1) / page_bytes_ * page_bytes_;
+      return Status::OK();
+    }
+    if (reserved_ - offset_ <= left) {
+      const uint64_t grown =
+          (offset_ + left + kExtendBytes) / kExtendBytes * kExtendBytes;
+      if (::fallocate(fd_, 0, static_cast<off_t>(reserved_),
+                      static_cast<off_t>(grown - reserved_)) != 0) {
+        return PosixError(filename_, errno);
+      }
+      reserved_ = grown;
+    }
+    while (left > 0) {
+      if (window_ == nullptr || offset_ - window_start_ >= kWindowBytes) {
+        Status s = MapWindow();
+        if (!s.ok()) return s;
+      }
+      const size_t n =
+          std::min<uint64_t>(left, window_start_ + kWindowBytes - offset_);
+      std::memcpy(window_ + (offset_ - window_start_), src, n);
+      offset_ += n;
+      src += n;
+      left -= n;
+    }
+    return Status::OK();
+  }
+
+  Status Close() override {
+    Status status;
+    if (window_ != nullptr) {
+      // io: unlocked -- mapping teardown at file close
+      ::munmap(window_, kWindowBytes);
+      window_ = nullptr;
+    }
+    // Trim the reserved tail: a cleanly closed log ends at its last record.
+    if (::ftruncate(fd_, static_cast<off_t>(offset_)) != 0) {
+      status = PosixError(filename_, errno);
+    }
+    if (::close(fd_) < 0 && status.ok()) {
+      status = PosixError(filename_, errno);
+    }
+    fd_ = -1;
+    return status;
+  }
+
+  Status Flush() override { return Status::OK(); }
+
+  Status Sync() override { return SyncDurable(); }
+
+  // Touches only fd_, so a completion thread may run it concurrently with
+  // the owner's Append.
+  Status SyncDurable() override {
+    if (::fdatasync(fd_) < 0) {
+      return PosixError(filename_, errno);
+    }
+    return Status::OK();
+  }
+
+ private:
+  // Moves the window to the one holding offset_; Append calls it when the
+  // cursor leaves the current window.
+  Status MapWindow() {
+    if (window_ != nullptr) {
+      // io: unlocked -- the WAL leader appends with the DB mutex released
+      ::munmap(window_, kWindowBytes);
+      window_ = nullptr;
+    }
+    window_start_ = offset_ - offset_ % kWindowBytes;
+    // io: unlocked -- as above
+    void* base = ::mmap(nullptr, kWindowBytes, PROT_READ | PROT_WRITE,
+                        MAP_SHARED, fd_, static_cast<off_t>(window_start_));
+    if (base == MAP_FAILED) {
+      return PosixError(filename_, errno);
+    }
+    window_ = static_cast<char*>(base);
+    return Status::OK();
+  }
+
+  int fd_;
+  char* window_;               // kWindowBytes mapped at window_start_
+  uint64_t window_start_ = 0;  // file offset of window_[0]
+  uint64_t offset_ = 0;        // bytes appended
+  uint64_t reserved_;          // file size; offset_ <= reserved_
+  // End of the page the last pwrite ended in: the mapping has not faulted
+  // that page in, so appends before it are written through as well.
+  uint64_t pwrite_page_end_ = 0;
+  const uint64_t page_bytes_;
+  const std::string filename_;
+};
+
+// The live WAL is the one file written through PosixMappedWalFile: table,
+// MANIFEST and vLog appends come in large chunks, where one page fault per
+// 4KiB costs more than one write(2) per 64KiB buffer.
+bool IsWalFile(const std::string& filename) {
+  constexpr char kSuffix[] = ".log";
+  constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
+  return filename.size() > kSuffixLen &&
+         filename.compare(filename.size() - kSuffixLen, kSuffixLen,
+                          kSuffix) == 0;
+}
+
 // Up to 1000 mmapped files on 64-bit (virtual address space is effectively
 // free there); 0 on 32-bit, where maps of multi-MB tables would exhaust it.
 constexpr int kDefaultMmapBudget = (sizeof(void*) >= 8) ? 1000 : 0;
@@ -318,11 +480,30 @@ class PosixEnv : public Env {
 
   Status NewWritableFile(const std::string& filename,
                          std::unique_ptr<WritableFile>* result) override {
+    const bool wal = IsWalFile(filename);
+    // A shared writable mapping needs the file open for reading too.
     int fd = ::open(filename.c_str(),
-                    O_TRUNC | O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+                    O_TRUNC | (wal ? O_RDWR : O_WRONLY) | O_CREAT | O_CLOEXEC,
+                    0644);
     if (fd < 0) {
       result->reset();
       return PosixError(filename, errno);
+    }
+    if (wal) {
+      // Any failure to reserve or map the first window (a filesystem
+      // without fallocate, a full disk, no address space) leaves the log on
+      // the buffered writer below; its first write(2) reports a real error.
+      if (::fallocate(fd, 0, 0, PosixMappedWalFile::kExtendBytes) == 0) {
+        // io: caller's side -- maps the first window as the WAL is created
+        void* base = ::mmap(nullptr, PosixMappedWalFile::kWindowBytes,
+                            PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+        if (base != MAP_FAILED) {
+          result->reset(new PosixMappedWalFile(filename, fd,
+                                               static_cast<char*>(base)));
+          return Status::OK();
+        }
+        (void)::ftruncate(fd, 0);
+      }
     }
     result->reset(new PosixWritableFile(filename, fd, !unbuffered_writes_));
     return Status::OK();

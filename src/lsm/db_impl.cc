@@ -1423,7 +1423,9 @@ Status DBImpl::MakeRoomForWrite(bool force) {
       // Only the band in between depends on when the round's thread runs --
       // drain the pending rounds (the writer runs them inline, horizons
       // captured, so the work is identical) and re-evaluate against the
-      // fresh tree.
+      // fresh tree. While a floor is set, the bound computed with it still
+      // holds and is reused rather than walked again over every file on
+      // each write; a round running with no floor set gets a fresh one.
       if (!flush && planner_.delete_aware() &&
           (mem_->num_tombstones() > 0 || mem_->num_range_tombstones() > 0)) {
         const int depth = versions_->current()->DeepestNonEmptyLevel() + 1;
@@ -1437,7 +1439,11 @@ Status DBImpl::MakeRoomForWrite(bool force) {
         if (age > planner_.LevelTtl(0, depth) / 2) {
           flush = true;
         } else if (RoundsPending() &&
-                   age > planner_.LevelTtl(0, PendingDepthBound()) / 2) {
+                   age > planner_.LevelTtl(
+                             0, pending_ttl_floor_ != UINT64_MAX
+                                    ? pending_depth_bound_
+                                    : PendingDepthBound()) /
+                             2) {
           // (A scheduled-but-idle BGWork with nothing pending is a stale
           // wakeup; the tree is already current, so it is excluded above --
           // waiting on it here would spin without releasing the mutex.)
@@ -1601,6 +1607,7 @@ uint64_t DBImpl::PendingRoundsTtlFloor() {
   Version* v = versions_->current();
   const int deepest = v->DeepestNonEmptyLevel();
   const int depth_hi = PendingDepthBound();
+  pending_depth_bound_ = depth_hi;
   uint64_t floor = UINT64_MAX;
   auto bound = [&](SequenceNumber earliest, int level) {
     floor = std::min(floor,

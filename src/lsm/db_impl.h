@@ -507,6 +507,10 @@ class DBImpl : public DB {
   // round queued, manual compaction), raised as rounds finish, and
   // UINT64_MAX once none is pending.
   uint64_t pending_ttl_floor_ GUARDED_BY(mutex_) = UINT64_MAX;
+  // PendingDepthBound() as of the last PendingRoundsTtlFloor(). It holds
+  // until a round is added, which recomputes the floor: the rounds already
+  // pending only move the tree toward the depth it bounds.
+  int pending_depth_bound_ GUARDED_BY(mutex_) = kNumLevels;
   // Horizons of the queued (or running) TTL rounds, oldest first: the
   // sequences of the writes that crossed a deadline or the floor.
   std::deque<SequenceNumber> ttl_round_horizons_ GUARDED_BY(mutex_);

@@ -92,8 +92,11 @@ struct Options {
   // Max number of open table files cached.
   int max_open_files = 1000;
 
-  // If true, every write is followed by a WAL fsync. Slower but no data is
-  // lost on machine crash (process crash never loses synced data).
+  // If true, every write is followed by a WAL fsync, slower but durable.
+  // Either way a process crash loses no acknowledged write: an acked record
+  // is already in the OS page cache. A machine crash may lose the writes
+  // acknowledged since the last sync unless this (or WriteOptions::sync)
+  // is set.
   bool sync_writes = false;
 
   // Disable the WAL entirely (benchmarks on throwaway data).

@@ -6,6 +6,12 @@
 //   type:     uint8   (full / first / middle / last)
 // A user record that does not fit in the remainder of a block is split into
 // first/middle/last fragments. A block trailer of <7 bytes is zero-filled.
+//
+// A log may end in zero fill: the preallocated, never-written tail of a log
+// whose writer died before closing it (see PosixMappedWalFile). A record
+// that does not parse and that only zeros follow is the torn last append
+// into that tail; the reader treats it as the end of the log, not as
+// corruption.
 #ifndef ACHERON_WAL_LOG_FORMAT_H_
 #define ACHERON_WAL_LOG_FORMAT_H_
 

@@ -1,5 +1,6 @@
 #include "src/wal/log_reader.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/util/coding.h"
@@ -104,6 +105,34 @@ void Reader::ReportDrop(uint64_t bytes, const Status& reason) {
   }
 }
 
+bool Reader::OnlyZerosAfter(size_t record_end) {
+  auto all_zero = [](Slice s) {
+    for (size_t i = 0; i < s.size(); i++) {
+      if (s[i] != 0) return false;
+    }
+    return true;
+  };
+  Slice rest = buffer_;
+  rest.remove_prefix(std::min(record_end, rest.size()));
+  buffer_.clear();
+  if (!all_zero(rest)) return false;
+  bool zeros_follow = !rest.empty();
+  while (!eof_) {
+    Status status = file_->Read(kBlockSize, &buffer_, backing_store_);
+    if (!status.ok()) {
+      buffer_.clear();
+      ReportDrop(kBlockSize, status);
+      eof_ = true;
+      return false;
+    }
+    if (buffer_.size() < static_cast<size_t>(kBlockSize)) eof_ = true;
+    if (!all_zero(buffer_)) return false;
+    zeros_follow = zeros_follow || !buffer_.empty();
+  }
+  buffer_.clear();
+  return zeros_follow;
+}
+
 unsigned int Reader::ReadPhysicalRecord(Slice* result) {
   while (true) {
     if (buffer_.size() < static_cast<size_t>(kHeaderSize)) {
@@ -138,22 +167,23 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
     const uint32_t length = a | (b << 8);
     if (kHeaderSize + length > buffer_.size()) {
       size_t drop_size = buffer_.size();
-      buffer_.clear();
-      if (!eof_) {
-        ReportCorruption(drop_size, "bad record length");
-        return kBadRecord;
+      if (eof_) {
+        // If the end of the file has been reached without reading |length|
+        // bytes of payload, assume the writer died in the middle of writing
+        // the record. Don't report a corruption.
+        buffer_.clear();
+        return kEof;
       }
-      // If the end of the file has been reached without reading |length|
-      // bytes of payload, assume the writer died in the middle of writing the
-      // record. Don't report a corruption.
-      return kEof;
+      if (OnlyZerosAfter(drop_size)) return kEof;
+      ReportCorruption(drop_size, "bad record length");
+      return kBadRecord;
     }
 
     if (type == kZeroType && length == 0) {
-      // Skip zero-length records without reporting any drops (they are the
-      // zero-filled block trailer).
-      buffer_.clear();
-      return kBadRecord;
+      // Zero fill: the never-written tail of a preallocated log (end of
+      // log), or, when data follows, a block skipped without reporting any
+      // drops.
+      return OnlyZerosAfter(kHeaderSize) ? kEof : kBadRecord;
     }
 
     // Check crc.
@@ -165,7 +195,7 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
         // corrupted and if we trust it, we could find some fragment of a
         // real log record that just happens to look like a valid record.
         size_t drop_size = buffer_.size();
-        buffer_.clear();
+        if (OnlyZerosAfter(kHeaderSize + length)) return kEof;
         ReportCorruption(drop_size, "checksum mismatch");
         return kBadRecord;
       }

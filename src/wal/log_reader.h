@@ -46,6 +46,17 @@ class Reader {
   // Return type, or one of the preceding special values.
   unsigned int ReadPhysicalRecord(Slice* result);
 
+  // Called on a record that does not parse. Drops the rest of the current
+  // block and returns true when bytes follow the record's first
+  // |record_end| bytes and all of them, to the end of the file, are zero:
+  // the record is then the last, torn append into a preallocated tail, and
+  // the log ends there. A bad record at the very end of the file, with no
+  // zero fill after it, is still reported. Otherwise returns false with
+  // buffer_ holding the first later block that has data (empty if the data
+  // was in the dropped block), so parsing resumes where it would have after
+  // a plain block drop.
+  bool OnlyZerosAfter(size_t record_end);
+
   void ReportCorruption(uint64_t bytes, const char* reason);
   void ReportDrop(uint64_t bytes, const Status& reason);
 

@@ -191,6 +191,94 @@ TEST_F(PosixEnvTest, LargeBufferedWrite) {
   EXPECT_EQ(big, contents.substr(5));
 }
 
+// The WAL (.log) is appended through a mapped window over a preallocated
+// tail (see PosixMappedWalFile): 1MiB windows, grown 256KiB at a time, with
+// appends of 4KiB or more written through by pwrite.
+TEST_F(PosixEnvTest, MappedWalRoundTripsAcrossWindowsAndExtensions) {
+  const std::string fname = Path("000007.log");
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &w).ok());
+
+  // 1B..40KiB appends, ~2.3MiB in all: copies and pwrites interleave, and
+  // both straddle 256KiB extensions and the 1MiB window boundaries.
+  const size_t kSizes[] = {1,    7,     100,   4095, 4096, 4097,
+                           32768, 40960, 3,    2500, 3999, 1000};
+  constexpr size_t kNumSizes = sizeof(kSizes) / sizeof(kSizes[0]);
+  std::string expected;
+  bool saw_reserved_tail = false;
+  for (size_t i = 0; expected.size() < (2300u << 10); i++) {
+    const std::string chunk(kSizes[i % kNumSizes],
+                            static_cast<char>('A' + i % 26));
+    ASSERT_TRUE(w->Append(chunk).ok());
+    ASSERT_TRUE(w->Flush().ok());
+    ASSERT_TRUE(w->Sync().ok());
+    expected += chunk;
+    uint64_t size = 0;
+    ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+    ASSERT_GE(size, expected.size());
+    ASSERT_LE(size - expected.size(), 256u << 10);
+    saw_reserved_tail = saw_reserved_tail || size > expected.size();
+  }
+  EXPECT_TRUE(saw_reserved_tail);
+  ASSERT_TRUE(w->Close().ok());
+  w.reset();
+
+  uint64_t size = 0;
+  ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+  EXPECT_EQ(expected.size(), size) << "Close trims the reserved tail";
+
+  std::unique_ptr<SequentialFile> r;
+  ASSERT_TRUE(env_->NewSequentialFile(fname, &r).ok());
+  std::string actual;
+  std::vector<char> scratch(100000);
+  while (true) {
+    Slice chunk;
+    ASSERT_TRUE(r->Read(scratch.size(), &chunk, scratch.data()).ok());
+    if (chunk.empty()) break;
+    actual.append(chunk.data(), chunk.size());
+  }
+  EXPECT_EQ(expected.size(), actual.size());
+  EXPECT_TRUE(expected == actual);
+}
+
+TEST_F(PosixEnvTest, MappedWalDestructorTrimsLikeClose) {
+  const std::string fname = Path("000008.log");
+  std::string expected = "head" + std::string(300 << 10, 'd');
+  for (int i = 0; i < 2000; i++) expected += "record" + std::to_string(i);
+  {
+    std::unique_ptr<WritableFile> w;
+    ASSERT_TRUE(env_->NewWritableFile(fname, &w).ok());
+    ASSERT_TRUE(w->Append("head").ok());
+    ASSERT_TRUE(w->Append(std::string(300 << 10, 'd')).ok());
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(w->Append("record" + std::to_string(i)).ok());
+    }
+    uint64_t size = 0;
+    ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+    ASSERT_GT(size, expected.size()) << "no reserved tail to trim";
+  }  // no Close
+  std::string contents;
+  ASSERT_TRUE(env_->ReadFileToString(fname, &contents).ok());
+  EXPECT_EQ(expected.size(), contents.size());
+  EXPECT_TRUE(expected == contents);
+}
+
+TEST_F(PosixEnvTest, OnlyTheWalIsMapped) {
+  // Tables, the MANIFEST and vLog segments keep the 64KiB user-space
+  // buffer: a small unflushed append has not reached the file yet.
+  for (const char* name : {"000009.sst", "MANIFEST-000010", "000011.vlog"}) {
+    std::unique_ptr<WritableFile> w;
+    ASSERT_TRUE(env_->NewWritableFile(Path(name), &w).ok());
+    ASSERT_TRUE(w->Append("buffered").ok());
+    uint64_t size = 1;
+    ASSERT_TRUE(env_->GetFileSize(Path(name), &size).ok());
+    EXPECT_EQ(0u, size) << name;
+    ASSERT_TRUE(w->Close().ok());
+    ASSERT_TRUE(env_->GetFileSize(Path(name), &size).ok());
+    EXPECT_EQ(8u, size) << name;
+  }
+}
+
 TEST_F(PosixEnvTest, GetChildrenAndRemove) {
   ASSERT_TRUE(env_->WriteStringToFile("1", Path("a")).ok());
   ASSERT_TRUE(env_->WriteStringToFile("2", Path("b")).ok());

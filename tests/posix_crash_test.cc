@@ -3,7 +3,13 @@
 // FaultInjectionEnv wrapping an unbuffered PosixEnv (see NewPosixEnv).
 // Unbuffered writes are required: the fault env's durability model assumes
 // every Append reaches the tracked file immediately, which the default
-// 64KiB user-space write buffer would violate.
+// 64KiB user-space write buffer would violate. The WAL is written through
+// the same mapped, preallocated file as in production (checked below), and
+// a rebuilt log is closed and so trimmed to its persisted prefix.
+//
+// The process-kill tests below need no simulation: a child writes through
+// the default PosixEnv and is SIGKILLed without closing anything, and the
+// parent reopens what the kernel kept.
 //
 // The k dimension is sampled coarsely (real fsyncs make each run orders of
 // magnitude slower than MemEnv); the MemEnv matrix remains the exhaustive
@@ -11,14 +17,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
+#include <cstdio>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/env/env.h"
 #include "src/env/fault_env.h"
 #include "src/lsm/db.h"
+#include "src/lsm/write_batch.h"
 #include "tests/crash_harness.h"
 
 namespace acheron {
@@ -80,6 +94,160 @@ void RunPosixShard() {
 }
 
 TEST(PosixCrashShard, SampledMatrixBackground) { RunPosixShard(); }
+
+TEST(PosixCrashShard, WalIsMappedUnderTheFaultEnv) {
+  // The shard's env serves .log files through the mapped WAL file: its
+  // size runs ahead of the appended bytes (the preallocated tail) until
+  // Close trims it.
+  const std::string dir = "posix_crash_wal_scratch";
+  const std::string fname = dir + "/000001.log";
+  std::unique_ptr<Env> base(NewPosixEnv(/*unbuffered_writes=*/true));
+  FaultInjectionEnv fenv(base.get());
+  ASSERT_TRUE(fenv.CreateDir(dir).ok());
+  std::unique_ptr<WritableFile> wf;
+  ASSERT_TRUE(fenv.NewWritableFile(fname, &wf).ok());
+  ASSERT_TRUE(wf->Append(std::string(100, 'w')).ok());
+  uint64_t size = 0;
+  ASSERT_TRUE(fenv.GetFileSize(fname, &size).ok());
+  EXPECT_GT(size, 100u);
+  ASSERT_TRUE(wf->Close().ok());
+  ASSERT_TRUE(fenv.GetFileSize(fname, &size).ok());
+  EXPECT_EQ(100u, size);
+  wf.reset();
+  ASSERT_TRUE(fenv.RemoveFile(fname).ok());
+  ASSERT_TRUE(fenv.RemoveDir(dir).ok());
+}
+
+// --------------------------------------------------------------------------
+// Process kill. A process crash must lose no acknowledged write, synced or
+// not: with the WAL appended through a shared mapping, an acked record is in
+// the page cache the moment its copy ends. The child writes through the
+// default PosixEnv and dies by SIGKILL with the DB still open (no Close,
+// so the log keeps its zero-filled preallocated tail); the parent reopens
+// with paranoid checks, so a tail misread as corruption fails the open.
+// --------------------------------------------------------------------------
+
+constexpr int kKillThreads = 4;
+constexpr int kKillTailWrites = 40;
+
+std::string KillKey(int thread, int i) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "t%d-k%06d", thread, i);
+  return buf;
+}
+
+// Values of 1 to 700 bytes, except every 50th: 40KiB, more than one of the
+// WAL's 32KiB blocks on its own.
+std::string KillValue(int thread, int i) {
+  const size_t len = (i % 50 == 49) ? 40 * 1024 : 1 + (i * 37) % 700;
+  return std::string(len, static_cast<char>('a' + (thread + i) % 26));
+}
+
+Options KillOptions() {
+  Options options;
+  options.create_if_missing = true;
+  // One memtable holds the whole run, so every acked write lives only in
+  // the live WAL when the child dies.
+  options.write_buffer_size = 64 << 20;
+  return options;
+}
+
+// Runs in the death-test child: writes |per_thread| entries on each of
+// |threads| threads, every one acknowledged, then dies without closing.
+[[noreturn]] void WriteThenKill(const std::string& dbname, int threads,
+                                int per_thread, bool sync) {
+  DB* db = nullptr;
+  if (!DB::Open(KillOptions(), dbname, &db).ok()) std::_Exit(2);
+  WriteOptions wo;
+  wo.sync = sync;
+  std::atomic<bool> failed{false};
+  auto writer = [&](int t) {
+    for (int i = 0; i < per_thread; i++) {
+      Status s;
+      if (i % 10 == 9) {
+        // A multi-entry batch; with a large value in it, > 32KiB.
+        WriteBatch batch;
+        batch.Put(KillKey(t, i), KillValue(t, i));
+        batch.Put(KillKey(t, i) + "-b", KillValue(t, i + 1));
+        s = db->Write(wo, &batch);
+      } else {
+        s = db->Put(wo, KillKey(t, i), KillValue(t, i));
+      }
+      if (!s.ok()) failed = true;
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int t = 1; t < threads; t++) pool.emplace_back(writer, t);
+  writer(0);
+  for (std::thread& th : pool) th.join();
+  // End on small records (under 1KiB each, more than a page in all): they
+  // are copied through the mapping, so the log keeps a reserved tail.
+  for (int i = 0; i < kKillTailWrites; i++) {
+    if (!db->Put(wo, KillKey(threads, i), KillValue(threads, i)).ok()) {
+      failed = true;
+    }
+  }
+  if (failed) std::_Exit(3);
+  std::raise(SIGKILL);
+  std::_Exit(4);  // not reached
+}
+
+void ExpectAckedWritesSurvive(const std::string& dbname, int threads,
+                              int per_thread, bool sync) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::filesystem::remove_all(dbname);
+  EXPECT_EXIT(WriteThenKill(dbname, threads, per_thread, sync),
+              ::testing::KilledBySignal(SIGKILL), "");
+
+  // The killed writer never closed its log, so the log still ends in the
+  // preallocated zero tail the reader has to treat as end-of-log.
+  bool saw_zero_tail = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dbname)) {
+    if (entry.path().extension() != ".log") continue;
+    const uintmax_t size = entry.file_size();
+    if (size == 0) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(size - 1));
+    saw_zero_tail = saw_zero_tail || in.get() == 0;
+  }
+  EXPECT_TRUE(saw_zero_tail) << "no WAL with a preallocated tail";
+
+  Options options = KillOptions();
+  options.paranoid_checks = true;
+  DB* db = nullptr;
+  Status s = DB::Open(options, dbname, &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  int missing = 0;
+  for (int t = 0; t <= threads; t++) {
+    const int writes = t < threads ? per_thread : kKillTailWrites;
+    for (int i = 0; i < writes; i++) {
+      std::string value;
+      if (!db->Get(ReadOptions(), KillKey(t, i), &value).ok() ||
+          value != KillValue(t, i)) {
+        missing++;
+      }
+      if (t < threads && i % 10 == 9 &&
+          (!db->Get(ReadOptions(), KillKey(t, i) + "-b", &value).ok() ||
+           value != KillValue(t, i + 1))) {
+        missing++;
+      }
+    }
+  }
+  EXPECT_EQ(0, missing);
+  delete db;
+  std::filesystem::remove_all(dbname);
+}
+
+TEST(PosixProcessKill, UnsyncedAckedWritesSurviveSigkill) {
+  // ~2.5MiB of log: crosses several 256KiB extensions and the 1MiB window.
+  ExpectAckedWritesSurvive("posix_kill_unsynced_db", 1, 3000,
+                           /*sync=*/false);
+}
+
+TEST(PosixProcessKill, SyncedGroupCommitsSurviveSigkill) {
+  ExpectAckedWritesSurvive("posix_kill_synced_db", kKillThreads, 150,
+                           /*sync=*/true);
+}
 
 // --------------------------------------------------------------------------
 // mmap read path under crash simulation. PosixEnv serves RandomAccessFiles

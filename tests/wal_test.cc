@@ -283,5 +283,121 @@ TEST_F(LogTest, CorruptionInFirstBlockDoesNotAffectLaterBlocks) {
   EXPECT_GT(DroppedBytes(), 0u);
 }
 
+// ---- Zero tails --------------------------------------------------------
+//
+// A log whose writer died before Close ends in the zero fill of its
+// preallocated tail, and the kill may land mid-append. A record that does
+// not parse and that only zeros follow is that torn last append: end of
+// log, nothing reported. A bad record with data after it is still reported.
+
+class ZeroTailTest : public LogTest {
+ protected:
+  // Cuts the log to |keep| bytes and appends |zeros| zero bytes.
+  void KeepPrefixThenZeros(size_t keep, size_t zeros) {
+    std::string contents = FileContents();
+    ASSERT_LE(keep, contents.size());
+    contents.resize(keep);
+    contents.append(zeros, '\0');
+    RewriteFile(contents);
+  }
+
+  void ExpectNothingReported() {
+    EXPECT_EQ(0u, DroppedBytes());
+    EXPECT_EQ("", ReportMessage());
+  }
+};
+
+TEST_F(ZeroTailTest, AfterFullRecordIsEof) {
+  Write("foo");
+  Write("bar");
+  KeepPrefixThenZeros(2 * (kHeaderSize + 3), 3 * kBlockSize);
+  EXPECT_EQ("foo", Read());
+  EXPECT_EQ("bar", Read());
+  EXPECT_EQ("EOF", Read());
+  ExpectNothingReported();
+}
+
+TEST_F(ZeroTailTest, AfterTornFragmentIsEof) {
+  // "small" then a record whose first fragment fills block 0 exactly; the
+  // writer died before its last fragment reached block 1.
+  Write("small");
+  Write(BigString("x", 2 * kBlockSize));
+  KeepPrefixThenZeros(kBlockSize, 2 * kBlockSize);
+  EXPECT_EQ("small", Read());
+  EXPECT_EQ("EOF", Read());
+  ExpectNothingReported();
+}
+
+TEST_F(ZeroTailTest, TornMiddleFragmentIsEof) {
+  // The second fragment is cut 100 bytes into its payload.
+  Write(BigString("y", 2 * kBlockSize));
+  KeepPrefixThenZeros(kBlockSize + kHeaderSize + 100, kBlockSize);
+  EXPECT_EQ("EOF", Read());
+  ExpectNothingReported();
+}
+
+TEST_F(ZeroTailTest, TornHeaderIsEof) {
+  // Every prefix of the second record's header, and the header with its
+  // payload cut short, reads as the end of the log.
+  const size_t second = kHeaderSize + 5;  // "second" starts after "first"
+  for (size_t keep = 1; keep <= kHeaderSize + 3; keep++) {
+    {
+      std::unique_ptr<WritableFile> file;
+      ASSERT_TRUE(env_->NewWritableFile("/torn", &file).ok());
+      Writer writer(file.get());
+      ASSERT_TRUE(writer.AddRecord("first").ok());
+      ASSERT_TRUE(writer.AddRecord("second").ok());
+    }
+    std::string contents;
+    ASSERT_TRUE(env_->ReadFileToString("/torn", &contents).ok());
+    contents.resize(second + keep);
+    contents.append(kBlockSize, '\0');
+    ASSERT_TRUE(env_->WriteStringToFile(contents, "/torn").ok());
+
+    std::unique_ptr<SequentialFile> file;
+    ASSERT_TRUE(env_->NewSequentialFile("/torn", &file).ok());
+    ReportCollector report;
+    Reader reader(file.get(), &report, true);
+    std::string scratch;
+    Slice record;
+    ASSERT_TRUE(reader.ReadRecord(&record, &scratch)) << keep;
+    EXPECT_EQ("first", record.ToString()) << keep;
+    EXPECT_FALSE(reader.ReadRecord(&record, &scratch)) << keep;
+    EXPECT_EQ(0u, report.dropped_bytes_) << keep;
+    EXPECT_EQ("", report.message_) << keep;
+  }
+}
+
+TEST_F(ZeroTailTest, CorruptRecordBeforeValidOnesStillReports) {
+  // Block 0: "first" (corrupted) then zero fill; block 1: a valid record.
+  // The zeros after the bad record are not the end of the log, since data
+  // follows them.
+  Write("first");
+  Write(BigString("f", kBlockSize - 2 * kHeaderSize - 5));  // fills block 0
+  Write("block1");
+  std::string contents = FileContents();
+  contents[kHeaderSize + 1] = 'X';  // corrupt "first"'s payload
+  std::fill(contents.begin() + kHeaderSize + 5, contents.begin() + kBlockSize,
+            '\0');
+  RewriteFile(contents);
+  EXPECT_EQ("block1", Read());
+  EXPECT_EQ("EOF", Read());
+  EXPECT_GT(DroppedBytes(), 0u);
+  EXPECT_NE(std::string::npos, ReportMessage().find("checksum mismatch"));
+}
+
+TEST_F(ZeroTailTest, ZeroBlockInsideFragmentedRecordStillReports) {
+  // First fragment, a zeroed block where its middle was, then data.
+  Write(BigString("m", 3 * kBlockSize));
+  Write("after");
+  std::string contents = FileContents();
+  std::fill(contents.begin() + kBlockSize, contents.begin() + 2 * kBlockSize,
+            '\0');
+  RewriteFile(contents);
+  EXPECT_EQ("after", Read());
+  EXPECT_EQ("EOF", Read());
+  EXPECT_GT(DroppedBytes(), 0u);
+}
+
 }  // namespace wal
 }  // namespace acheron
