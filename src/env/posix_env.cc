@@ -303,7 +303,8 @@ class PosixMappedWalFile final : public WritableFile {
   Status Append(const Slice& data) override {
     const char* src = data.data();
     size_t left = data.size();
-    if (left >= kWriteThroughBytes || offset_ < pwrite_page_end_) {
+    const bool large = left >= kWriteThroughBytes;
+    if (large || offset_ < pwrite_page_end_) {
       while (left > 0) {
         const ::ssize_t r =
             ::pwrite(fd_, src, left, static_cast<off_t>(offset_));
@@ -316,8 +317,10 @@ class PosixMappedWalFile final : public WritableFile {
         left -= r;
       }
       reserved_ = std::max(reserved_, offset_);
-      pwrite_page_end_ =
-          (offset_ + page_bytes_ - 1) / page_bytes_ * page_bytes_;
+      if (large) {
+        pwrite_page_end_ =
+            (offset_ + page_bytes_ - 1) / page_bytes_ * page_bytes_;
+      }
       return Status::OK();
     }
     if (reserved_ - offset_ <= left) {
@@ -400,8 +403,10 @@ class PosixMappedWalFile final : public WritableFile {
   uint64_t window_start_ = 0;  // file offset of window_[0]
   uint64_t offset_ = 0;        // bytes appended
   uint64_t reserved_;          // file size; offset_ <= reserved_
-  // End of the page the last pwrite ended in: the mapping has not faulted
-  // that page in, so appends before it are written through as well.
+  // End of the page the last large pwrite ended in: the mapping has not
+  // faulted that page in, so appends starting before it are written
+  // through as well. They do not move it, so copies resume on the next
+  // page.
   uint64_t pwrite_page_end_ = 0;
   const uint64_t page_bytes_;
   const std::string filename_;

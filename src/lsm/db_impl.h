@@ -52,6 +52,7 @@
 #include "src/core/persistence_monitor.h"
 #include "src/lsm/db.h"
 #include "src/lsm/dbformat.h"
+#include "src/lsm/memtable_linker.h"
 #include "src/lsm/snapshot.h"
 #include "src/lsm/stats.h"
 #include "src/lsm/table_sink.h"
@@ -113,6 +114,8 @@ class DBImpl : public DB {
   size_t TEST_PendingOutputs();
   // True when the table-output worker has no queued or running work.
   bool TEST_OutputWorkerIdle() const { return output_worker_->Idle(); }
+  // The memtable linker (hold, arm and scan hooks).
+  MemTableLinker* TEST_linker() const { return linker_.get(); }
 
  private:
   friend class DB;
@@ -538,9 +541,14 @@ class DBImpl : public DB {
   std::unique_ptr<wal::Writer> log_ GUARDED_BY(mutex_);
 
   // Writer queue: the front writer is the group leader and the only thread
-  // that touches the WAL/memtable; it does so with the mutex released (the
-  // pointers are captured under the lock first).
+  // that appends to the WAL and adds to the memtable; it does so with the
+  // mutex released (the pointers are captured under the lock first).
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
+
+  // Links the nodes the leader's MemTable::Add pushes, off the write path
+  // (lock-free; see memtable_linker.h). Everything it holds belongs to
+  // mem_: the swap drains it before mem_ becomes imm_.
+  const std::unique_ptr<MemTableLinker> linker_;
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);  // scratch for group commit
 
   // True while a flush/compaction/purge owns the (single) compaction slot.

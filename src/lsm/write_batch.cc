@@ -146,17 +146,18 @@ class MemTableInserter : public WriteBatch::Handler {
  public:
   SequenceNumber sequence_;
   MemTable* mem_;
+  MemTable::LinkQueue* queue_;
 
   void Put(const Slice& key, const Slice& value) override {
-    mem_->Add(sequence_, kTypeValue, key, value);
+    mem_->Add(sequence_, kTypeValue, key, value, queue_);
     sequence_++;
   }
   void PutPointer(const Slice& key, const Slice& pointer) override {
-    mem_->Add(sequence_, kTypeValuePointer, key, pointer);
+    mem_->Add(sequence_, kTypeValuePointer, key, pointer, queue_);
     sequence_++;
   }
   void Delete(const Slice& key) override {
-    mem_->Add(sequence_, kTypeDeletion, key, Slice());
+    mem_->Add(sequence_, kTypeDeletion, key, Slice(), queue_);
     sequence_++;
   }
   void DeleteRange(const Slice& begin, const Slice& end) override {
@@ -188,10 +189,12 @@ bool WriteBatchInternal::PointersWithin(const WriteBatch* b,
   return check.ok;
 }
 
-Status WriteBatchInternal::InsertInto(const WriteBatch* b, MemTable* memtable) {
+Status WriteBatchInternal::InsertInto(const WriteBatch* b, MemTable* memtable,
+                                      MemTable::LinkQueue* queue) {
   MemTableInserter inserter;
   inserter.sequence_ = WriteBatchInternal::Sequence(b);
   inserter.mem_ = memtable;
+  inserter.queue_ = queue;
   return b->Iterate(&inserter);
 }
 

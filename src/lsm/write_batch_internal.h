@@ -5,11 +5,10 @@
 
 #include "src/lsm/dbformat.h"
 #include "src/lsm/write_batch.h"
+#include "src/memtable/memtable.h"
 #include "src/vlog/vlog_format.h"
 
 namespace acheron {
-
-class MemTable;
 
 class WriteBatchInternal {
  public:
@@ -32,7 +31,10 @@ class WriteBatchInternal {
 
   static void SetContents(WriteBatch* batch, const Slice& contents);
 
-  static Status InsertInto(const WriteBatch* batch, MemTable* memtable);
+  // Add every entry of |batch| to |memtable|; with a |queue|, its nodes
+  // are pushed there to be linked (MemTable::Add).
+  static Status InsertInto(const WriteBatch* batch, MemTable* memtable,
+                           MemTable::LinkQueue* queue = nullptr);
 
   // True if every value pointer in |batch| lies inside |extents| (see
   // vlog::PointerWithin).

@@ -1,14 +1,19 @@
 // SkipList: lock-free-read concurrent skip list backing the memtable.
 //
-// Thread safety: writes require external synchronization (the DB mutex);
-// reads only require a guarantee that the SkipList outlives the read, and
+// An insert comes in two halves. Prepare allocates and fills a node at a
+// random height; nothing can reach it yet. Link searches for the node's
+// place and publishes it. One thread prepares at a time and one thread
+// links at a time (the single-linker rule); the two may be different
+// threads, provided each prepared node is handed to the linker through a
+// release/acquire pair. Insert does both halves on the calling thread.
+// Reads only require a guarantee that the SkipList outlives the read, and
 // proceed without locking via release/acquire pointer publication.
 //
 // Invariants:
 // (1) Allocated nodes are never deleted until the SkipList is destroyed
 //     (nodes live in the Arena).
 // (2) A node's contents other than next[] pointers are immutable after
-//     linking.
+//     Prepare.
 #ifndef ACHERON_MEMTABLE_SKIPLIST_H_
 #define ACHERON_MEMTABLE_SKIPLIST_H_
 
@@ -23,10 +28,9 @@ namespace acheron {
 
 template <typename Key, class Comparator>
 class SkipList {
- private:
+ public:
   struct Node;
 
- public:
   // Create a new SkipList object that will use "cmp" for comparing keys,
   // and will allocate memory using "*arena". Objects allocated in the arena
   // must remain allocated for the lifetime of the skiplist object.
@@ -35,9 +39,24 @@ class SkipList {
   SkipList(const SkipList&) = delete;
   SkipList& operator=(const SkipList&) = delete;
 
-  // Insert key into the list.
-  // REQUIRES: nothing that compares equal to key is currently in the list.
-  void Insert(const Key& key);
+  // Allocate a node holding key at a random height (stored in *height);
+  // nothing links it. The arena calls are Insert's, in Insert's order.
+  // Prepare calls are externally serialized.
+  Node* Prepare(const Key& key, int* height);
+
+  // Link a node Prepare returned. Link calls are externally serialized.
+  // REQUIRES: nothing that compares equal to the node's key is in the list.
+  void Link(Node* x, int height);
+
+  // Prepare and Link on the calling thread.
+  void Insert(const Key& key) {
+    int height;
+    Node* x = Prepare(key, &height);
+    Link(x, height);
+  }
+
+  // The key of a prepared or linked node.
+  static const Key& KeyOf(const Node* x) { return x->key; }
 
   // Returns true iff an entry that compares equal to key is in the list.
   bool Contains(const Key& key) const;
@@ -113,11 +132,11 @@ class SkipList {
 
   Node* const head_;
 
-  // Modified only by Insert(). Read racily by readers, but stale
+  // Modified only by Link(). Read racily by readers, but stale
   // values are ok.
   std::atomic<int> max_height_;  // Height of the entire list
 
-  // Read/written only by Insert().
+  // Read/written only by Prepare().
   Random rnd_;
 };
 
@@ -314,16 +333,23 @@ SkipList<Key, Comparator>::SkipList(Comparator cmp, Arena* arena)
 }
 
 template <typename Key, class Comparator>
-void SkipList<Key, Comparator>::Insert(const Key& key) {
+typename SkipList<Key, Comparator>::Node* SkipList<Key, Comparator>::Prepare(
+    const Key& key, int* height) {
+  *height = RandomHeight();
+  return NewNode(key, *height);
+}
+
+template <typename Key, class Comparator>
+void SkipList<Key, Comparator>::Link(Node* x, int height) {
   // We could use a barrier-free variant of FindGreaterOrEqual()
-  // here since Insert() is externally synchronized.
+  // here since Link() is externally synchronized.
   Node* prev[kMaxHeight];
-  Node* x = FindGreaterOrEqual(key, prev);
+  Node* next = FindGreaterOrEqual(x->key, prev);
 
   // Our data structure does not allow duplicate insertion
-  assert(x == nullptr || !Equal(key, x->key));
+  assert(next == nullptr || !Equal(x->key, next->key));
+  (void)next;
 
-  int height = RandomHeight();
   if (height > GetMaxHeight()) {
     for (int i = GetMaxHeight(); i < height; i++) {
       prev[i] = head_;
@@ -337,7 +363,6 @@ void SkipList<Key, Comparator>::Insert(const Key& key) {
     max_height_.store(height, std::memory_order_relaxed);
   }
 
-  x = NewNode(key, height);
   for (int i = 0; i < height; i++) {
     // NoBarrier_SetNext() suffices since we will add a barrier when we
     // publish a pointer to "x" in prev[i].

@@ -20,31 +20,22 @@ Writer::Writer(WritableFile* dest) : dest_(dest), block_offset_(0) {
   InitTypeCrc(type_crc_);
 }
 
-Writer::Writer(WritableFile* dest, uint64_t dest_length)
-    : dest_(dest), block_offset_(dest_length % kBlockSize) {
-  InitTypeCrc(type_crc_);
-}
-
 Status Writer::AddRecord(const Slice& slice) {
   const char* ptr = slice.data();
   size_t left = slice.size();
 
-  // Fragment the record if necessary and emit it. Note that if slice is
-  // empty, we still want to iterate once to emit a single zero-length record.
-  Status s;
+  // Fragment the record if necessary and lay every piece -- block trailers,
+  // headers, payload -- out in record_, so the file sees one Append per
+  // record. Note that if slice is empty, we still want to iterate once to
+  // emit a single zero-length record.
+  record_.clear();
   bool begin = true;
   do {
     const int leftover = kBlockSize - block_offset_;
     assert(leftover >= 0);
     if (leftover < kHeaderSize) {
-      // Switch to a new block.
-      if (leftover > 0) {
-        // Fill the trailer with zeros.
-        static_assert(kHeaderSize == 7, "");
-        // A failed trailer write is deliberately ignored: the next
-        // AddRecord surfaces the error, and readers resync past torn tails.
-        (void)dest_->Append(Slice("\x00\x00\x00\x00\x00\x00", leftover));
-      }
+      // Switch to a new block, filling the trailer with zeros.
+      record_.append(static_cast<size_t>(leftover), '\0');
       block_offset_ = 0;
     }
 
@@ -66,16 +57,23 @@ Status Writer::AddRecord(const Slice& slice) {
       type = kMiddleType;
     }
 
-    s = EmitPhysicalRecord(type, ptr, fragment_length);
+    EmitPhysicalRecord(type, ptr, fragment_length);
     ptr += fragment_length;
     left -= fragment_length;
     begin = false;
-  } while (s.ok() && left > 0);
+  } while (left > 0);
+
+  // The block arithmetic above has moved on whether or not the bytes land;
+  // after a failure the caller opens a fresh log instead of appending here.
+  Status s = dest_->Append(record_);
+  if (s.ok()) {
+    s = dest_->Flush();
+  }
   return s;
 }
 
-Status Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
-                                  size_t length) {
+void Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
+                                size_t length) {
   assert(length <= 0xffff);  // Must fit in two bytes
   assert(block_offset_ + kHeaderSize + static_cast<int>(length) <= kBlockSize);
 
@@ -90,16 +88,9 @@ Status Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
   crc = crc32c::Mask(crc);
   EncodeFixed32(buf, crc);
 
-  // Write the header and the payload.
-  Status s = dest_->Append(Slice(buf, kHeaderSize));
-  if (s.ok()) {
-    s = dest_->Append(Slice(ptr, length));
-    if (s.ok()) {
-      s = dest_->Flush();
-    }
-  }
+  record_.append(buf, kHeaderSize);
+  record_.append(ptr, length);
   block_offset_ += kHeaderSize + length;
-  return s;
 }
 
 }  // namespace wal

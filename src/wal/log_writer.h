@@ -3,6 +3,7 @@
 #define ACHERON_WAL_LOG_WRITER_H_
 
 #include <cstdint>
+#include <string>
 
 #include "src/env/env.h"
 #include "src/util/slice.h"
@@ -18,20 +19,20 @@ class Writer {
   // live while this Writer is in use.
   explicit Writer(WritableFile* dest);
 
-  // Create a writer that appends to "*dest" which has initial length
-  // "dest_length" (reopening an existing log).
-  Writer(WritableFile* dest, uint64_t dest_length);
-
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
+  // Append |slice| as one record: one WritableFile::Append (and Flush)
+  // carrying its fragments, their headers and any block trailer.
   Status AddRecord(const Slice& slice);
 
  private:
-  Status EmitPhysicalRecord(RecordType type, const char* ptr, size_t length);
+  // Lay one fragment, header first, out at the end of record_.
+  void EmitPhysicalRecord(RecordType type, const char* ptr, size_t length);
 
   WritableFile* dest_;
   int block_offset_;  // Current offset in block
+  std::string record_;  // the record being built; capacity is reused
 
   // crc32c values for all supported record types, precomputed to reduce the
   // overhead of computing the crc of the type stored in the header.

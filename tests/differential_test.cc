@@ -17,6 +17,10 @@
 // history over the rest of the grid D_th x compaction style x separation,
 // which puts FADE's TTL compactions under the model. Every history starts
 // from an empty DB, so each passes through a tree that is L0 alone.
+// DbMatchesModelWithLinkerHeld runs DifferentialTest's history with the
+// memtable linker held: written nodes stay in its ring until a memtable
+// swap, an iterator or a full ring links them, so the reads that follow a
+// write are answered from the ring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +35,7 @@
 
 #include "src/env/env.h"
 #include "src/lsm/db.h"
+#include "src/lsm/db_impl.h"
 
 namespace acheron {
 namespace {
@@ -79,6 +84,7 @@ class DifferentialTest : public ::testing::Test {
 
   void Open() {
     ASSERT_TRUE(DB::Open(DbOptions(), "/diffdb", &db_).ok()) << Ctx();
+    static_cast<DBImpl*>(db_)->TEST_linker()->TEST_Hold(hold_linker_);
   }
 
   void Reopen() {
@@ -88,7 +94,8 @@ class DifferentialTest : public ::testing::Test {
   }
 
   std::string Ctx() const {
-    return "[differential " + DiffName(cfg_) + " seed=" +
+    return "[differential " + DiffName(cfg_) +
+           (hold_linker_ ? " linker-held" : "") + " seed=" +
            std::to_string(seed_) + " step=" + std::to_string(step_) + "]";
   }
 
@@ -143,6 +150,8 @@ class DifferentialTest : public ::testing::Test {
   void RunHistory(const DiffConfig& cfg);
 
   DiffConfig cfg_{0, CompactionStyle::kLeveling, true};
+  bool hold_linker_ = false;
+  int reads_with_pending_ = 0;  // Gets issued while linker nodes pended
   std::unique_ptr<Env> env_;
   DB* db_ = nullptr;
   uint32_t seed_ = kSeed;
@@ -198,6 +207,9 @@ void DifferentialTest::RunHistory(const DiffConfig& cfg) {
         // Point-read a random key and compare against the model.
         std::string k = Key(rng);
         std::string v;
+        if (static_cast<DBImpl*>(db_)->TEST_linker()->TEST_Pending() > 0) {
+          reads_with_pending_++;
+        }
         Status s = db_->Get(ReadOptions(), k, &v);
         auto it = model_.find(k);
         if (it == model_.end()) {
@@ -265,6 +277,13 @@ void DifferentialTest::RunHistory(const DiffConfig& cfg) {
 
 TEST_F(DifferentialTest, DbMatchesModelOverRandomHistory) {
   RunHistory(DiffConfig{0, CompactionStyle::kLeveling, true});
+}
+
+TEST_F(DifferentialTest, DbMatchesModelWithLinkerHeld) {
+  hold_linker_ = true;
+  RunHistory(DiffConfig{0, CompactionStyle::kLeveling, true});
+  // Most Gets found nodes in the ring: the leg did read through it.
+  EXPECT_GT(reads_with_pending_, 1000);
 }
 
 class DifferentialGridTest : public DifferentialTest,
