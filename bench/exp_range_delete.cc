@@ -192,6 +192,9 @@ static CoverageCost MeasureCoverage(uint64_t tombstones,
     std::abort();
   }
 
+  // The comparator counts every thread's calls: let the memtable linker
+  // finish linking the Puts before the Gets are counted.
+  CheckOk(db->WaitForCompactions());
   Histogram latency;
   std::string value;
   const uint64_t before = cmp.count();

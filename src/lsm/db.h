@@ -129,8 +129,9 @@ class DB {
   // benchmark hook; also triggers any pending compactions).
   virtual Status FlushMemTable() = 0;
 
-  // Run compactions until no trigger (size, run count, or TTL expiry)
-  // remains outstanding. Useful to settle the tree before measuring.
+  // Link every written memtable entry, then run compactions until no
+  // trigger (size, run count, or TTL expiry) remains outstanding. Useful
+  // to settle the DB before measuring.
   virtual Status WaitForCompactions() = 0;
 
   // Attempt to recover from degraded read-only mode (entered on a space
