@@ -18,8 +18,9 @@
 //       churning the keyspace, so reads race memtable swaps and version
 //       installs.
 //     multiget: DB::MultiGet batch-size sweep (1/8/64) against a tiny block
-//       cache plus a sequential-Get baseline; measures the async batched
-//       block-read path (Env::SubmitReads).
+//       cache plus a sequential-Get baseline; MultiGet is Get per key under
+//       one pinned read state, so this measures what a batch saves over
+//       separate calls.
 //     --db=DIR uses the real filesystem (fsync + mmap-read costs included)
 //     instead of the in-memory env; with --sync=1 each *write group* costs
 //     one fsync, which is the configuration where group commit pays off.
@@ -414,10 +415,10 @@ static void EvictPageCache(Env* env, const std::string& dir) {
 // baseline over the same number of keys. A deliberately tiny block cache
 // (64KB against ~10MB of table data) forces nearly every lookup to a block
 // read, and in --db mode the page cache is evicted before every timed pass
-// (mmap disabled so reads are preads), so the sweep measures how much the
-// batched submission path (Env::SubmitReads keeping up to |batch| block
-// reads in flight) buys over one blocking read at a time. JSON is emitted
-// for the batch-64 leg with two extra fields: "batch" and
+// (mmap disabled so reads are preads). MultiGet resolves its keys one
+// after another like Get, so the sweep measures the per-call savings (one
+// read-state pin and one sequence load per batch) against sequential Gets.
+// JSON is emitted for the batch-64 leg with two extra fields: "batch" and
 // "speedup_vs_sequential".
 static int RunMultiGet(const FillRandomConfig& cfg) {
   constexpr uint64_t kKeySpace = 100000;

@@ -297,27 +297,19 @@ size_t CompactionPlanner::ChooseFileIndex(
     const std::string& compact_pointer) const {
   assert(!files.empty());
   if (delete_aware() && options_.delete_aware_picking) {
-    // Lethe-style picking: the file with the highest weighted tombstone
-    // density. Density is weighted by (1 + normalized age of the oldest
-    // tombstone) so stale tombstones win ties against fresh ones.
+    // Lethe-style picking: the file with the highest tombstone density,
+    // the first such file on a tie.
     size_t best = 0;
-    double best_score = -1.0;
+    double best_density = 0.0;
     for (size_t i = 0; i < files.size(); i++) {
-      const FileMetaData* f = files[i];
-      double score = f->tombstone_density();
-      if (f->has_tombstones() &&
-          options_.delete_persistence_threshold > 0) {
-        // Normalized age in [0, ~1+]: fraction of D_th already consumed.
-        // (Callers re-check expiry separately; here it only weights.)
-        score *= 2.0;  // tombstoned files strictly dominate equal-density
-      }
-      if (score > best_score) {
-        best_score = score;
+      const double density = files[i]->tombstone_density();
+      if (density > best_density) {
+        best_density = density;
         best = i;
       }
     }
     // If no file holds tombstones fall back to round-robin.
-    if (best_score > 0.0) return best;
+    if (best_density > 0.0) return best;
   }
   // Round-robin: first file whose largest key is past the compact pointer.
   if (!compact_pointer.empty()) {

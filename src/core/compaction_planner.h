@@ -10,8 +10,9 @@
 //   2. Structural triggers: L0 run count / level size (leveling) or runs
 //      per level (tiering).
 // Within a size-triggered level, file picking is round-robin by default; with
-// Options::delete_aware_picking the file with the highest weighted tombstone
-// density is chosen instead, so tombstones ride down the tree sooner.
+// Options::delete_aware_picking the file with the highest tombstone density
+// is chosen instead (round-robin when no file holds a tombstone), so
+// tombstones ride down the tree sooner.
 #ifndef ACHERON_CORE_COMPACTION_PLANNER_H_
 #define ACHERON_CORE_COMPACTION_PLANNER_H_
 
@@ -116,18 +117,20 @@ class CompactionPlanner {
                       SequenceNumber droppable_horizon,
                       const std::string* compact_pointer) const;
 
+  // Among |files| (one sorted level), choose the index for a
+  // size-triggered compaction: the first file whose largest key is past
+  // |compact_pointer| (wrapping to 0), or, with delete-aware picking on
+  // and D_th > 0, the file with the highest tombstone density when any
+  // file holds a tombstone.
+  size_t ChooseFileIndex(const std::vector<FileMetaData*>& files,
+                         const std::string& compact_pointer) const;
+
  private:
   CompactionPick PickTtlExpiry(const Version* v, SequenceNumber last_seq,
                                SequenceNumber droppable_horizon) const;
   CompactionPick PickLeveling(const Version* v,
                               const std::string* compact_pointer) const;
   CompactionPick PickTiering(const Version* v) const;
-
-  // Among |files|, choose the index for a size-triggered compaction:
-  // round-robin after |compact_pointer| by default, or highest weighted
-  // tombstone density when delete-aware picking is on.
-  size_t ChooseFileIndex(const std::vector<FileMetaData*>& files,
-                         const std::string& compact_pointer) const;
 
   const Options& options_;
   const InternalKeyComparator* icmp_;

@@ -128,8 +128,7 @@ class CompletionQueue {
 // One asynchronous read of [offset, offset+n) into |scratch| (result may
 // point elsewhere, e.g. an mmap view, exactly like RandomAccessFile::Read).
 // The optional on_complete hook runs on the completing thread after
-// status/result are set and before the completion is posted -- table block
-// CRC checks and parses ride it so they overlap across a batch.
+// status/result are set and before the completion is posted.
 struct ReadRequest {
   RandomAccessFile* file = nullptr;
   uint64_t offset = 0;
@@ -195,7 +194,9 @@ class Env {
   // --- Asynchronous IO -----------------------------------------------------
   //
   // Submit |count| reads; each posts exactly once to |cq| when complete.
-  // Completion order is unspecified.
+  // Completion order is unspecified. The engine reads synchronously and
+  // submits only syncs (TableSink); reads stay part of the Env interface
+  // that Env wrappers override.
   virtual void SubmitReads(ReadRequest** reqs, size_t count,
                            CompletionQueue* cq) = 0;
 

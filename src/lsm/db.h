@@ -78,14 +78,11 @@ class DB {
 
   // Look up a batch of keys in one call. values is resized to keys.size();
   // the returned vector holds one status per key, aligned with |keys| (OK =
-  // found, NotFound, or an error). All lookups observe the same snapshot.
-  // The default implementation loops over Get; DBImpl overrides it to fan
-  // the table-block reads of the whole batch out through the Env's
-  // asynchronous submission path, so large cold-read batches overlap their
-  // IO instead of paying one synchronous round trip per key.
+  // found, NotFound, or an error). All lookups observe the same snapshot,
+  // and each key resolves exactly as Get would at that snapshot.
   virtual std::vector<Status> MultiGet(const ReadOptions& options,
                                        std::span<const Slice> keys,
-                                       std::vector<std::string>* values);
+                                       std::vector<std::string>* values) = 0;
 
   // Return a heap-allocated iterator over the contents of the database.
   // The result of NewIterator() is initially invalid (caller must call one

@@ -2312,17 +2312,6 @@ Status DBImpl::Resume() {
 
 // ---------------- Reads ----------------
 
-Status DBImpl::DerefValuePointer(const Slice& encoded, const Slice& user_key,
-                                 std::string* value) {
-  vlog::ValuePointer ptr;
-  if (!vlog::DecodeValuePointerStrict(encoded, &ptr)) {
-    return Status::Corruption("bad vLog value pointer");
-  }
-  Status s = vlog_readers_.Get(ptr, user_key, value);
-  if (s.ok()) vlog_reads_.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
 Status DBImpl::RangeCoveringSeq(const ReadState& state, const Slice& key,
                                 SequenceNumber snapshot, SequenceNumber* seq) {
   Status s = state.current->MaxRangeCoveringSeq(key, snapshot, seq);
@@ -2333,41 +2322,31 @@ Status DBImpl::RangeCoveringSeq(const ReadState& state, const Slice& key,
   return s;
 }
 
-Status DBImpl::Get(const ReadOptions& options, const Slice& key,
-                   std::string* value) {
-  Status s;
-  // Lock-free fast path: pin the published ReadState, then read the snapshot
-  // sequence. Order matters for read-your-writes — a completed write W both
-  // (a) landed in a memtable that is part of every state published at or
-  // after W and (b) advanced last_sequence with a release store, so a state
-  // acquired *before* the acquire-load of the sequence covers everything
-  // the sequence admits.
-  ReadState* state = AcquireReadState();
-  SequenceNumber snapshot;
+SequenceNumber DBImpl::ReadSequence(const ReadOptions& options) const {
   if (options.snapshot != nullptr) {
-    snapshot =
-        static_cast<const SnapshotImpl*>(options.snapshot)->sequence_number();
-  } else {
-    snapshot = version_set_lockfree_->LastSequenceAcquire();
+    return static_cast<const SnapshotImpl*>(options.snapshot)
+        ->sequence_number();
   }
+  return version_set_lockfree_->LastSequenceAcquire();
+}
+
+Status DBImpl::GetFromState(const ReadOptions& options, const ReadState& state,
+                            SequenceNumber snapshot, const Slice& key,
+                            std::string* value, uint64_t* filter_negatives) {
   // Look in the active memtable, then the flushing one, then the tables.
-  // Counter accounting runs on locals flushed once at the end: the shared
-  // relaxed atomics are touched a bounded number of times per op (not once
-  // per bloom-filtered table), which is what keeps single-thread readrandom
-  // at its pre-counter throughput.
-  uint64_t filter_negatives = 0;
+  Status s;
   LookupKey lkey(key, snapshot);
   SequenceNumber found_seq = 0;
   bool is_pointer = false;
-  if (state->mem->Get(lkey, value, &s, &found_seq, &is_pointer,
-                      linker_.get())) {
+  if (state.mem->Get(lkey, value, &s, &found_seq, &is_pointer,
+                     linker_.get())) {
     // Done
-  } else if (state->imm != nullptr &&
-             state->imm->Get(lkey, value, &s, &found_seq, &is_pointer)) {
+  } else if (state.imm != nullptr &&
+             state.imm->Get(lkey, value, &s, &found_seq, &is_pointer)) {
     // Done
   } else {
-    s = state->current->Get(options, lkey, value, &filter_negatives,
-                            &found_seq, &is_pointer);
+    s = state.current->Get(options, lkey, value, filter_negatives,
+                           &found_seq, &is_pointer);
   }
 
   // Range-tombstone coverage. Sequence numbers are global, so one coverage
@@ -2379,7 +2358,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // uncovered.
   if (s.ok()) {
     SequenceNumber covering_seq = 0;
-    s = RangeCoveringSeq(*state, key, snapshot, &covering_seq);
+    s = RangeCoveringSeq(state, key, snapshot, &covering_seq);
     if (!s.ok() || covering_seq > found_seq) {
       value->clear();
       if (s.ok()) s = Status::NotFound(Slice());
@@ -2390,10 +2369,29 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
       // on disk (RemoveObsoleteFiles' liveness rule).
       std::string encoded;
       encoded.swap(*value);
-      s = DerefValuePointer(encoded, key, value);
+      s = vlog_readers_.Resolve(encoded, key, value);
     }
   }
+  return s;
+}
 
+Status DBImpl::Get(const ReadOptions& options, const Slice& key,
+                   std::string* value) {
+  // Lock-free fast path: pin the published ReadState, then read the snapshot
+  // sequence. Order matters for read-your-writes — a completed write W both
+  // (a) landed in a memtable that is part of every state published at or
+  // after W and (b) advanced last_sequence with a release store, so a state
+  // acquired *before* the acquire-load of the sequence covers everything
+  // the sequence admits.
+  ReadState* state = AcquireReadState();
+  const SequenceNumber snapshot = ReadSequence(options);
+  // Counter accounting runs on locals flushed once at the end: the shared
+  // relaxed atomics are touched a bounded number of times per op (not once
+  // per bloom-filtered table), which is what keeps single-thread readrandom
+  // at its pre-counter throughput.
+  uint64_t filter_negatives = 0;
+  Status s =
+      GetFromState(options, *state, snapshot, key, value, &filter_negatives);
   // gets_ before gets_found_ (release): see MergeReadPathCounters.
   gets_.fetch_add(1, std::memory_order_relaxed);
   if (s.ok()) gets_found_.fetch_add(1, std::memory_order_release);
@@ -2411,97 +2409,15 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   values->resize(n);
   if (n == 0) return statuses;
 
-  // Same lock-free snapshot protocol as Get: pin the ReadState, then read
-  // the sequence, and the whole batch observes one consistent snapshot
-  // without ever touching mutex_.
+  // Get's protocol once for the whole batch: every key resolves against
+  // one pinned ReadState at one sequence, without touching mutex_.
   ReadState* state = AcquireReadState();
-  SequenceNumber snapshot;
-  if (options.snapshot != nullptr) {
-    snapshot =
-        static_cast<const SnapshotImpl*>(options.snapshot)->sequence_number();
-  } else {
-    snapshot = version_set_lockfree_->LastSequenceAcquire();
-  }
-
-  // Memtable probes are memory-only and run synchronously; only the keys
-  // they miss go to the table fan-out.
-  std::vector<std::unique_ptr<LookupKey>> lkeys;
-  lkeys.reserve(n);
-  std::vector<Version::MultiGetItem> items(n);
-  size_t unresolved = 0;
-  for (size_t i = 0; i < n; i++) {
-    lkeys.push_back(std::make_unique<LookupKey>(keys[i], snapshot));
-    items[i].key = lkeys.back().get();
-    items[i].value = &(*values)[i];
-    Status s;
-    if (state->mem->Get(*lkeys[i], items[i].value, &s, &items[i].seq,
-                        &items[i].is_pointer, linker_.get())) {
-      items[i].status = s;
-      items[i].done = true;
-    } else if (state->imm != nullptr &&
-               state->imm->Get(*lkeys[i], items[i].value, &s, &items[i].seq,
-                               &items[i].is_pointer)) {
-      items[i].status = s;
-      items[i].done = true;
-    } else {
-      unresolved++;
-    }
-  }
-
+  const SequenceNumber snapshot = ReadSequence(options);
   uint64_t filter_negatives = 0;
-  if (unresolved > 0) {
-    // Fan the remaining lookups out level by level; within a level every
-    // needed table-block read of a probe round goes down as one
-    // Env::SubmitReads batch on the Env's async-IO pool.
-    state->current->MultiGet(options, items.data(), n, &filter_negatives);
-  }
-
-  for (size_t i = 0; i < n; i++) {
-    // Same global coverage test as Get: a found value whose sequence is
-    // below a covering range tombstone (<= the batch snapshot) is hidden.
-    if (!items[i].status.ok()) continue;
-    SequenceNumber covering_seq = 0;
-    Status s = RangeCoveringSeq(*state, keys[i], snapshot, &covering_seq);
-    if (!s.ok() || covering_seq > items[i].seq) {
-      items[i].value->clear();
-      items[i].status = s.ok() ? Status::NotFound(Slice()) : s;
-      items[i].is_pointer = false;
-    }
-  }
-
-  // Batch-dereference every surviving pointer hit through one SubmitReads
-  // round: vLog resolution pipelines exactly like the table reads above.
-  std::vector<vlog::ReadItem> deref;
-  std::vector<size_t> deref_idx;
-  for (size_t i = 0; i < n; i++) {
-    if (!items[i].status.ok() || !items[i].is_pointer) continue;
-    vlog::ValuePointer ptr;
-    if (!vlog::DecodeValuePointerStrict(Slice(*items[i].value), &ptr)) {
-      items[i].status = Status::Corruption("bad value pointer");
-      items[i].value->clear();
-      continue;
-    }
-    vlog::ReadItem r;
-    r.ptr = ptr;  // decoded by value: overwriting *value below is safe
-    r.expected_key = keys[i];
-    r.value = items[i].value;
-    deref.push_back(r);
-    deref_idx.push_back(i);
-  }
-  if (!deref.empty()) {
-    vlog_readers_.MultiGet(deref.data(), deref.size());
-    vlog_reads_.fetch_add(deref.size(), std::memory_order_relaxed);
-    for (size_t j = 0; j < deref.size(); j++) {
-      if (!deref[j].status.ok()) {
-        items[deref_idx[j]].status = deref[j].status;
-        items[deref_idx[j]].value->clear();
-      }
-    }
-  }
-
   uint64_t found = 0;
   for (size_t i = 0; i < n; i++) {
-    statuses[i] = items[i].status;
+    statuses[i] = GetFromState(options, *state, snapshot, keys[i],
+                               &(*values)[i], &filter_negatives);
     if (statuses[i].ok()) found++;
   }
   // One batched counter flush for the whole call.
@@ -2509,28 +2425,6 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   if (found > 0) gets_found_.fetch_add(found, std::memory_order_release);
   table_cache_->AddFilterNegatives(filter_negatives);
   ReleaseReadState(state);
-  return statuses;
-}
-
-// Portable default for DB subclasses that do not override MultiGet: the
-// same results, one synchronous Get per key, pinned to one snapshot so the
-// batch-consistency contract still holds.
-std::vector<Status> DB::MultiGet(const ReadOptions& options,
-                                 std::span<const Slice> keys,
-                                 std::vector<std::string>* values) {
-  std::vector<Status> statuses(keys.size());
-  values->clear();
-  values->resize(keys.size());
-  ReadOptions ro = options;
-  const Snapshot* owned = nullptr;
-  if (ro.snapshot == nullptr) {
-    owned = GetSnapshot();
-    ro.snapshot = owned;
-  }
-  for (size_t i = 0; i < keys.size(); i++) {
-    statuses[i] = Get(ro, keys[i], &(*values)[i]);
-  }
-  if (owned != nullptr) ReleaseSnapshot(owned);
   return statuses;
 }
 
@@ -2604,8 +2498,7 @@ Iterator* DBImpl::NewIterator(const ReadOptions& options) {
     range_dels->Build(internal_comparator_.user_comparator(), std::move(raw));
   }
   return NewDBIterator(internal_comparator_.user_comparator(), iter, seq,
-                       &iter_tombstones_skipped_, range_dels, &vlog_readers_,
-                       &vlog_reads_);
+                       &iter_tombstones_skipped_, range_dels, &vlog_readers_);
 }
 
 const Snapshot* DBImpl::GetSnapshot() {
@@ -3120,8 +3013,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
         static_cast<unsigned long long>(stats_.vlog_gc_runs),
         static_cast<unsigned long long>(stats_.vlog_gc_values_relocated),
         static_cast<unsigned long long>(stats_.vlog_gc_bytes_relocated),
-        static_cast<unsigned long long>(
-            vlog_reads_.load(std::memory_order_relaxed)),
+        static_cast<unsigned long long>(vlog_readers_.reads()),
         static_cast<unsigned long long>(next_vlog_gc_deadline_));
     value->assign(buf);
     return true;
@@ -3214,7 +3106,7 @@ void DBImpl::MergeReadPathCounters(InternalStats* merged) const {
   merged->gets_found = gets_found_.load(std::memory_order_acquire);
   merged->gets = gets_.load(std::memory_order_relaxed);
   merged->bloom_useful = table_cache_->filter_negatives_total();
-  merged->vlog_reads = vlog_reads_.load(std::memory_order_relaxed);
+  merged->vlog_reads = vlog_readers_.reads();
 }
 
 InternalStats DBImpl::GetStats() {

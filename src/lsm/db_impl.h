@@ -474,10 +474,18 @@ class DBImpl : public DB {
                                  SequenceNumber snapshot,
                                  SequenceNumber* seq);
 
-  // Lock-free: dereference an encoded value pointer (keyed back-check
-  // against |user_key|) through the reader cache.
-  Status DerefValuePointer(const Slice& encoded, const Slice& user_key,
-                           std::string* value);
+  // Lock-free: the sequence a read at |options| observes: its snapshot's,
+  // else last_sequence. Read it after AcquireReadState (see Get).
+  SequenceNumber ReadSequence(const ReadOptions& options) const;
+
+  // Lock-free: resolve |key| at |snapshot| against the pinned |state|: mem
+  // (with the linker's ring), imm, the version, one range-coverage test,
+  // then the vLog dereference of a pointer hit. Get runs it once and
+  // MultiGet once per key. Bloom negatives are added to
+  // |*filter_negatives|.
+  Status GetFromState(const ReadOptions& options, const ReadState& state,
+                      SequenceNumber snapshot, const Slice& key,
+                      std::string* value, uint64_t* filter_negatives);
 
   // Constant after construction.
   Env* const env_;
@@ -660,10 +668,8 @@ class DBImpl : public DB {
   std::unique_ptr<vlog::Writer> vlog_ GUARDED_BY(mutex_);
   // Pointer dereferences on the lock-free read path (provides its own
   // synchronization; a leaf lock under tools/lock_order.txt).
+  // Its reads() count feeds stats snapshots like gets_.
   vlog::ReaderCache vlog_readers_;
-  // Dereferences served; relaxed atomic because Get/iterators never hold
-  // mutex_. Merged into stats snapshots like gets_.
-  std::atomic<uint64_t> vlog_reads_{0};
   // Scratch batch for the leader's value-separation transform (only the
   // leader touches it, through a pointer captured under the lock -- the
   // tmp_batch_ argument).

@@ -21,14 +21,13 @@ class DBIter : public Iterator {
   DBIter(const Comparator* cmp, Iterator* iter, SequenceNumber s,
          std::atomic<uint64_t>* tombstone_skips,
          FragmentedRangeTombstoneList* range_dels,
-         vlog::ReaderCache* vlog_readers, std::atomic<uint64_t>* vlog_reads)
+         vlog::ReaderCache* vlog_readers)
       : user_comparator_(cmp),
         iter_(iter),
         sequence_(s),
         tombstone_skips_(tombstone_skips),
         range_dels_(range_dels),
         vlog_readers_(vlog_readers),
-        vlog_reads_(vlog_reads),
         direction_(kForward),
         valid_(false) {}
 
@@ -83,22 +82,10 @@ class DBIter : public Iterator {
   // Dereference an encoded vLog pointer into resolved_value_. On failure
   // sets status_ and returns false (the caller invalidates the iterator).
   bool ResolvePointer(const Slice& encoded, const Slice& user_key) {
-    vlog::ValuePointer ptr;
-    if (!vlog::DecodeValuePointerStrict(encoded, &ptr)) {
-      status_ = Status::Corruption("bad vLog pointer in iterator");
-      return false;
-    }
-    if (vlog_readers_ == nullptr) {
-      status_ = Status::Corruption("vLog pointer but no value log attached");
-      return false;
-    }
-    Status s = vlog_readers_->Get(ptr, user_key, &resolved_value_);
+    Status s = vlog_readers_->Resolve(encoded, user_key, &resolved_value_);
     if (!s.ok()) {
       status_ = s;
       return false;
-    }
-    if (vlog_reads_ != nullptr) {
-      vlog_reads_->fetch_add(1, std::memory_order_relaxed);
     }
     return true;
   }
@@ -135,8 +122,7 @@ class DBIter : public Iterator {
   SequenceNumber const sequence_;
   std::atomic<uint64_t>* const tombstone_skips_;
   FragmentedRangeTombstoneList* const range_dels_;  // owned; may be null
-  vlog::ReaderCache* const vlog_readers_;           // not owned; may be null
-  std::atomic<uint64_t>* const vlog_reads_;
+  vlog::ReaderCache* const vlog_readers_;           // not owned
   uint64_t pending_tombstone_skips_ = 0;
   Status status_;
   std::string saved_key_;    // == current key when direction_==kReverse
@@ -373,10 +359,9 @@ Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
                         std::atomic<uint64_t>* tombstone_skips,
                         FragmentedRangeTombstoneList* range_dels,
-                        vlog::ReaderCache* vlog_readers,
-                        std::atomic<uint64_t>* vlog_reads) {
+                        vlog::ReaderCache* vlog_readers) {
   return new DBIter(user_key_comparator, internal_iter, sequence,
-                    tombstone_skips, range_dels, vlog_readers, vlog_reads);
+                    tombstone_skips, range_dels, vlog_readers);
 }
 
 }  // namespace acheron

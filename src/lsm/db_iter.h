@@ -24,18 +24,15 @@ namespace acheron {
 // iterator. An entry whose sequence is below a covering fragment at or
 // below |sequence| is suppressed exactly like a point deletion (and counted
 // as a tombstone skip).
-// |vlog_readers| (may be null when key-value separation is off) dereferences
-// kTypeValuePointer entries: the iterator resolves the pointer when it
+// |vlog_readers| dereferences kTypeValuePointer entries
+// (vlog::ReaderCache::Resolve): the iterator resolves the pointer when it
 // accepts the entry, so value() always yields the user value. A failed
 // dereference invalidates the iterator with the error in status().
-// |vlog_reads| (nullable) counts resolved pointers, same contract as
-// |tombstone_skips|.
 Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
                         std::atomic<uint64_t>* tombstone_skips,
-                        FragmentedRangeTombstoneList* range_dels = nullptr,
-                        vlog::ReaderCache* vlog_readers = nullptr,
-                        std::atomic<uint64_t>* vlog_reads = nullptr);
+                        FragmentedRangeTombstoneList* range_dels,
+                        vlog::ReaderCache* vlog_readers);
 
 }  // namespace acheron
 

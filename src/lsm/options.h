@@ -180,8 +180,8 @@ struct Options {
   TtlAllocation ttl_allocation = TtlAllocation::kGeometric;
 
   // When picking a file for a size-triggered compaction, prefer the file
-  // with the highest weighted tombstone density instead of the default
-  // round-robin choice. (Lethe's delete-aware file picking.)
+  // with the highest tombstone density instead of the default round-robin
+  // choice (Lethe's delete-aware file picking). Needs D_th > 0.
   bool delete_aware_picking = false;
 
   // Optional extractor for a secondary delete key stored inside values;

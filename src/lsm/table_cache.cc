@@ -115,19 +115,6 @@ Status TableCache::GetRangeTombstones(uint64_t file_number, uint64_t file_size,
   return s;
 }
 
-Status TableCache::PinTable(uint64_t file_number, uint64_t file_size,
-                            Table** table, Cache::Handle** handle) {
-  *table = nullptr;
-  *handle = nullptr;
-  Status s = FindTable(file_number, file_size, handle);
-  if (s.ok()) {
-    *table = reinterpret_cast<TableAndFile*>(cache_->Value(*handle))->table;
-  }
-  return s;
-}
-
-void TableCache::Unpin(Cache::Handle* handle) { cache_->Release(handle); }
-
 void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);

@@ -3,7 +3,9 @@
 // Thread-safe without external locking: every member is either immutable
 // after construction or the internally sharded+locked Cache (see
 // src/table/cache.cc); callers (reads that dropped DBImpl::mutex_,
-// compactions that hold it) may use it concurrently.
+// compactions that hold it) may use it concurrently. A table stays pinned
+// only for one Get / GetRangeTombstones call or for the life of one
+// iterator; nothing holds a handle across calls.
 #ifndef ACHERON_LSM_TABLE_CACHE_H_
 #define ACHERON_LSM_TABLE_CACHE_H_
 
@@ -53,14 +55,6 @@ class TableCache {
   // Append the specified file's raw range tombstones to |*out|.
   Status GetRangeTombstones(uint64_t file_number, uint64_t file_size,
                             std::vector<RangeTombstone>* out);
-
-  // Pin the Table for |file_number| with a held cache handle so a caller
-  // can run PrepareGet / batched Env::SubmitReads across several tables
-  // before completing any lookup (the MultiGet fan-out). Unpin releases
-  // the handle; *table is valid until then.
-  Status PinTable(uint64_t file_number, uint64_t file_size, Table** table,
-                  Cache::Handle** handle);
-  void Unpin(Cache::Handle* handle);
 
   // Flush a batch of locally-counted bloom negatives into the aggregate
   // (the batched counterpart of the per-miss sink bump).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <array>
-#include <map>
 
 #include "src/core/compaction_planner.h"
 #include "src/env/env.h"
@@ -352,185 +350,6 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
   }
 
   return Status::NotFound(Slice());
-}
-
-namespace {
-// One (item, table) probe within a MultiGet round. Lives in a vector that
-// is fully sized before any PrepareGet call so &req stays pinned for the
-// completion hook.
-struct MultiGetLookup {
-  size_t item = 0;
-  FileMetaData* file = nullptr;
-  Table* table = nullptr;
-  TableReadRequest req;
-};
-}  // namespace
-
-void Version::MultiGet(const ReadOptions& options, MultiGetItem* items,
-                       size_t count, uint64_t* filter_negatives) {
-  const Comparator* ucmp = vset_->icmp_.user_comparator();
-  Env* const env = vset_->options_->env;
-
-  // Per-item candidate files within the current level, newest first.
-  std::vector<std::vector<FileMetaData*>> cand(count);
-
-  for (int level = 0; level < kNumLevels; level++) {
-    const std::vector<FileMetaData*>& files = files_[level];
-    if (files.empty()) continue;
-
-    size_t max_rank = 0;
-    for (size_t i = 0; i < count; i++) {
-      cand[i].clear();
-      if (items[i].done) continue;
-      const Slice user_key = items[i].key->user_key();
-      if (IsOverlappingLevel(vset_->options_, level)) {
-        for (FileMetaData* f : files) {
-          if (ucmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-              ucmp->Compare(user_key, f->largest.user_key()) <= 0) {
-            cand[i].push_back(f);
-          }
-        }
-        std::sort(cand[i].begin(), cand[i].end(), NewestFirst);
-      } else {
-        const uint32_t index =
-            FindFile(vset_->icmp_, files, items[i].key->internal_key());
-        if (index < files.size() &&
-            ucmp->Compare(user_key, files[index]->smallest.user_key()) >= 0) {
-          cand[i].push_back(files[index]);
-        }
-      }
-      max_rank = std::max(max_rank, cand[i].size());
-    }
-
-    // Candidates per key are newest-to-oldest, so probing every unresolved
-    // key's rank-r table before any rank-r+1 table preserves the per-key
-    // order of the sequential Get walk; keys within one rank are
-    // independent, which is what lets their block reads share a batch.
-    for (size_t rank = 0; rank < max_rank; rank++) {
-      std::vector<MultiGetLookup> lookups;
-      lookups.reserve(count);
-      for (size_t i = 0; i < count; i++) {
-        if (items[i].done || rank >= cand[i].size()) continue;
-        lookups.emplace_back();
-        lookups.back().item = i;
-        lookups.back().file = cand[i][rank];
-      }
-      if (lookups.empty()) break;
-
-      // Pin each distinct table once for the round, then prepare every
-      // lookup (bloom + index seek + block-cache check -- no file IO).
-      std::map<uint64_t, std::pair<Table*, Cache::Handle*>> pinned;
-      std::vector<MultiGetLookup*> ready;    // kReady: resolve without IO
-      std::vector<MultiGetLookup*> pending;  // kNeedsRead: block read first
-      ready.reserve(lookups.size());
-      pending.reserve(lookups.size());
-      for (MultiGetLookup& lk : lookups) {
-        MultiGetItem& item = items[lk.item];
-        auto it = pinned.find(lk.file->number);
-        if (it == pinned.end()) {
-          Table* table = nullptr;
-          Cache::Handle* handle = nullptr;
-          Status s = vset_->table_cache_->PinTable(
-              lk.file->number, lk.file->file_size, &table, &handle);
-          if (!s.ok()) {
-            item.status = s;
-            item.done = true;
-            continue;
-          }
-          it = pinned.emplace(lk.file->number, std::make_pair(table, handle))
-                   .first;
-        }
-        lk.table = it->second.first;
-        const TablePrepare prep = lk.table->PrepareGet(
-            options, item.key->internal_key(), item.key->user_key(), &lk.req,
-            filter_negatives);
-        if (prep == TablePrepare::kFilteredOut ||
-            prep == TablePrepare::kNoBlock) {
-          continue;  // no entry in this table; deeper candidates decide
-        }
-        if (prep == TablePrepare::kNeedsRead) {
-          pending.push_back(&lk);
-        } else {
-          ready.push_back(&lk);
-        }
-      }
-
-      // Submit every block read up front, split across a few completion
-      // queues, then resolve group by group: while group g's entries are
-      // seeked and copied out, groups g+1.. still have their reads in
-      // flight. One barrier over the whole rank would instead serialize
-      // all the resolution work after the last (straggler) read.
-      constexpr size_t kReadGroups = 8;
-      std::array<CompletionQueue, kReadGroups> cqs;
-      std::array<std::vector<ReadRequest*>, kReadGroups> group_reads;
-      std::array<std::vector<MultiGetLookup*>, kReadGroups> group_lookups;
-      const size_t per_group =
-          (pending.size() + kReadGroups - 1) / kReadGroups;
-      for (size_t j = 0; j < pending.size(); j++) {
-        const size_t g = j / per_group;
-        group_reads[g].push_back(&pending[j]->req.io);
-        group_lookups[g].push_back(pending[j]);
-      }
-      for (size_t g = 0; g < kReadGroups; g++) {
-        if (group_reads[g].empty()) continue;
-        env->SubmitReads(group_reads[g].data(), group_reads[g].size(),
-                        &cqs[g]);  // io: unlocked
-      }
-
-      auto resolve = [&](MultiGetLookup* lk) {
-        MultiGetItem& item = items[lk->item];
-        Saver saver;
-        saver.state = kNotFound;
-        saver.ucmp = ucmp;
-        saver.user_key = item.key->user_key();
-        saver.value = item.value;
-        Status s = lk->table->ReadInBlock(&lk->req, item.key->internal_key(),
-                                          &saver, SaveValue);
-        if (!s.ok()) {
-          item.status = s;
-          item.done = true;
-          return;
-        }
-        switch (saver.state) {
-          case kNotFound:
-            break;  // keep searching deeper candidates / levels
-          case kFound:
-            item.status = Status::OK();
-            item.seq = saver.seq;
-            item.is_pointer = saver.is_pointer;
-            item.done = true;
-            break;
-          case kDeleted:
-            item.status = Status::NotFound(Slice());
-            item.seq = saver.seq;
-            item.done = true;
-            break;
-          case kCorrupt:
-            item.status =
-                Status::Corruption("corrupted key for ", saver.user_key);
-            item.done = true;
-            break;
-        }
-      };
-      for (MultiGetLookup* lk : ready) resolve(lk);
-      for (size_t g = 0; g < kReadGroups; g++) {
-        if (group_lookups[g].empty()) continue;
-        cqs[g].WaitFor(group_lookups[g].size());
-        for (MultiGetLookup* lk : group_lookups[g]) resolve(lk);
-      }
-
-      for (auto& entry : pinned) {
-        vset_->table_cache_->Unpin(entry.second.second);
-      }
-    }
-  }
-
-  for (size_t i = 0; i < count; i++) {
-    if (!items[i].done) {
-      items[i].status = Status::NotFound(Slice());
-      items[i].done = true;
-    }
-  }
 }
 
 bool Version::OverlapInLevel(int level, const Slice* smallest_user_key,

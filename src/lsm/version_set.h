@@ -83,27 +83,6 @@ class Version {
              SequenceNumber* found_seq = nullptr,
              bool* is_pointer = nullptr);
 
-  // One key of a batched lookup (see MultiGet).
-  struct MultiGetItem {
-    const LookupKey* key = nullptr;  // set by the caller
-    std::string* value = nullptr;    // set by the caller
-    Status status;                   // OK = found; NotFound; or an error
-    bool done = false;               // resolved -- deeper levels skipped
-    // Sequence of the deciding entry (coverage test; 0 when NotFound).
-    SequenceNumber seq = 0;
-    // True when *value holds an encoded vLog pointer the caller must
-    // dereference (kTypeValuePointer entry decided the lookup).
-    bool is_pointer = false;
-  };
-
-  // Batched Get over every not-yet-done item: walks levels shallow to
-  // deep, and within each level fans the required table-block reads of
-  // each probe round out as one Env::SubmitReads submission (per-level,
-  // bloom-filtered) instead of one blocking read per key. Equivalent to
-  // calling Get per key; items already marked done are left untouched.
-  void MultiGet(const ReadOptions&, MultiGetItem* items, size_t count,
-                uint64_t* filter_negatives = nullptr);
-
   // Reference count management (so Versions do not disappear out from
   // under live iterators).
   void Ref();

@@ -59,6 +59,10 @@ Status Footer::DecodeFrom(Slice* input) {
 
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
                  BlockContents* result) {
+  result->data = Slice();
+  result->cachable = false;
+  result->heap_allocated = false;
+
   // Read the block contents as well as the type/crc footer.
   const size_t n = static_cast<size_t>(handle.size());
   char* buf = new char[n + kBlockTrailerSize];
@@ -66,22 +70,9 @@ Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
   Status s =
       file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
   if (!s.ok()) {
-    result->data = Slice();
-    result->cachable = false;
-    result->heap_allocated = false;
     delete[] buf;
     return s;
   }
-  return FinishBlockRead(n, contents, buf, result);
-}
-
-Status FinishBlockRead(uint64_t block_size, const Slice& contents, char* buf,
-                       BlockContents* result) {
-  result->data = Slice();
-  result->cachable = false;
-  result->heap_allocated = false;
-
-  const size_t n = static_cast<size_t>(block_size);
   if (contents.size() != n + kBlockTrailerSize) {
     delete[] buf;
     return Status::Corruption("truncated block read");

@@ -86,15 +86,6 @@ struct BlockContents {
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
                  BlockContents* result);
 
-// Shared tail of ReadBlock, also run by the async table-read completion
-// hook: verifies the type/crc trailer of a completed read of
-// |block_size| + kBlockTrailerSize bytes and classifies ownership (heap
-// buffer vs file-backed view, e.g. mmap). |contents| is what the read
-// returned; |buf| is the heap buffer it was issued into, freed on every
-// path that does not hand it to |result|.
-Status FinishBlockRead(uint64_t block_size, const Slice& contents, char* buf,
-                       BlockContents* result);
-
 }  // namespace acheron
 
 #endif  // ACHERON_TABLE_FORMAT_H_

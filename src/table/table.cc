@@ -16,6 +16,20 @@ namespace acheron {
 static void DeleteCachedBlock(const Slice&, void* value);
 static void DeleteCachedFilter(const Slice&, void* value);
 
+// Block-cache key of the block at |offset| in the table with |cache_id|.
+// Data, index and filter blocks share the scheme; their offsets differ.
+static Slice BlockCacheKey(uint64_t cache_id, uint64_t offset,
+                           char (&buf)[16]) {
+  EncodeFixed64(buf, cache_id);
+  EncodeFixed64(buf + 8, offset);
+  return Slice(buf, sizeof(buf));
+}
+
+static const Comparator* TableComparator(const Options& options) {
+  return options.comparator != nullptr ? options.comparator
+                                       : BytewiseComparator();
+}
+
 struct Table::Rep {
   ~Rep() {
     // Metadata pinned in the block cache is released (the cache's deleter
@@ -122,19 +136,17 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   // handle. Both are consulted on every lookup and live exactly as long as
   // the table either way; inserting them makes the cache's charge account
   // for their footprint instead of hiding it, without any per-read cache
-  // lookups. Keys reuse the BlockReader scheme (cache_id, block offset) —
-  // data blocks live at other offsets, so there is no collision.
+  // lookups.
   if (options.block_cache != nullptr) {
     char key_buffer[16];
-    EncodeFixed64(key_buffer, rep->cache_id);
-    EncodeFixed64(key_buffer + 8, footer.index_handle().offset());
     rep->index_cache_handle = options.block_cache->Insert(
-        Slice(key_buffer, sizeof(key_buffer)), rep->index_block,
-        rep->index_block->size(), &DeleteCachedBlock);
+        BlockCacheKey(rep->cache_id, footer.index_handle().offset(),
+                      key_buffer),
+        rep->index_block, rep->index_block->size(), &DeleteCachedBlock);
     if (rep->filter_data != nullptr) {
-      EncodeFixed64(key_buffer + 8, footer.filter_handle().offset());
       rep->filter_cache_handle = options.block_cache->Insert(
-          Slice(key_buffer, sizeof(key_buffer)),
+          BlockCacheKey(rep->cache_id, footer.filter_handle().offset(),
+                        key_buffer),
           const_cast<char*>(rep->filter_data), rep->filter.size(),
           &DeleteCachedFilter);
     }
@@ -221,9 +233,8 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
     BlockContents contents;
     if (block_cache != nullptr) {
       char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, table->rep_->cache_id);
-      EncodeFixed64(cache_key_buffer + 8, handle.offset());
-      Slice key(cache_key_buffer, sizeof(cache_key_buffer));
+      const Slice key = BlockCacheKey(table->rep_->cache_id, handle.offset(),
+                                      cache_key_buffer);
       cache_handle = block_cache->Lookup(key);
       if (cache_handle != nullptr) {
         block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));
@@ -253,10 +264,7 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
 
   Iterator* iter;
   if (block != nullptr) {
-    const Comparator* cmp = table->rep_->options.comparator
-                                ? table->rep_->options.comparator
-                                : BytewiseComparator();
-    iter = block->NewIterator(cmp);
+    iter = block->NewIterator(TableComparator(table->rep_->options));
     if (cache_handle == nullptr) {
       iter->RegisterCleanup(&DeleteBlock, block, nullptr);
     } else {
@@ -269,11 +277,9 @@ Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
 }
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
-  const Comparator* cmp = rep_->options.comparator ? rep_->options.comparator
-                                                   : BytewiseComparator();
-  return NewTwoLevelIterator(rep_->index_block->NewIterator(cmp),
-                             &Table::BlockReader, const_cast<Table*>(this),
-                             options);
+  return NewTwoLevelIterator(
+      rep_->index_block->NewIterator(TableComparator(rep_->options)),
+      &Table::BlockReader, const_cast<Table*>(this), options);
 }
 
 Status Table::InternalGet(const ReadOptions& options, const Slice& k,
@@ -281,31 +287,6 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k,
                           void (*handle_result)(void*, const Slice&,
                                                 const Slice&),
                           uint64_t* filter_negatives_out) {
-  TableReadRequest req;
-  const TablePrepare prep =
-      PrepareGet(options, k, filter_key, &req, filter_negatives_out);
-  if (prep == TablePrepare::kFilteredOut || prep == TablePrepare::kNoBlock) {
-    return req.status;
-  }
-  if (prep == TablePrepare::kNeedsRead) {
-    // Synchronous completion: run the read and the parse hook inline.
-    req.io.status = req.io.file->Read(req.io.offset, req.io.n, &req.io.result,
-                                      req.io.scratch);
-    ParseBlockOnComplete(&req.io);
-  }
-  return ReadInBlock(&req, k, arg, handle_result);
-}
-
-TablePrepare Table::PrepareGet(const ReadOptions& options, const Slice& k,
-                               const Slice& filter_key, TableReadRequest* req,
-                               uint64_t* filter_negatives_out) {
-  req->table = this;
-  req->options = options;
-  req->buf = nullptr;
-  req->block = nullptr;
-  req->cache_handle = nullptr;
-  req->status = Status::OK();
-
   // Consult the full-file Bloom filter first.
   if (rep_->filter_policy != nullptr && !rep_->filter.empty() &&
       !rep_->filter_policy->KeyMayMatch(filter_key, rep_->filter)) {
@@ -317,117 +298,30 @@ TablePrepare Table::PrepareGet(const ReadOptions& options, const Slice& k,
     } else if (rep_->filter_negatives_sink != nullptr) {
       rep_->filter_negatives_sink->fetch_add(1, std::memory_order_relaxed);
     }
-    return TablePrepare::kFilteredOut;
+    return Status::OK();
   }
 
-  const Comparator* cmp = rep_->options.comparator ? rep_->options.comparator
-                                                   : BytewiseComparator();
-  Iterator* iiter = rep_->index_block->NewIterator(cmp);
+  Status s;
+  Iterator* iiter =
+      rep_->index_block->NewIterator(TableComparator(rep_->options));
   iiter->Seek(k);
-  if (!iiter->Valid()) {
-    // Past the last block, or an index error (kReady completes with it).
-    req->status = iiter->status();
-    delete iiter;
-    return req->status.ok() ? TablePrepare::kNoBlock : TablePrepare::kReady;
-  }
-  Slice input = iiter->value();
-  Status s = req->handle.DecodeFrom(&input);
-  // Extra data after the handle in index values stays allowed, as in
-  // BlockReader.
-  delete iiter;
-  if (!s.ok()) {
-    req->status = s;
-    return TablePrepare::kReady;
-  }
-
-  Cache* block_cache = rep_->options.block_cache;
-  if (block_cache != nullptr) {
-    char cache_key_buffer[16];
-    EncodeFixed64(cache_key_buffer, rep_->cache_id);
-    EncodeFixed64(cache_key_buffer + 8, req->handle.offset());
-    Cache::Handle* h =
-        block_cache->Lookup(Slice(cache_key_buffer, sizeof(cache_key_buffer)));
-    if (h != nullptr) {
-      req->block = reinterpret_cast<Block*>(block_cache->Value(h));
-      req->cache_handle = h;
-      return TablePrepare::kReady;
+  if (iiter->Valid()) {
+    Iterator* block_iter = BlockReader(this, options, iiter->value());
+    block_iter->Seek(k);
+    if (block_iter->Valid()) {
+      (*handle_result)(arg, block_iter->key(), block_iter->value());
     }
+    s = block_iter->status();
+    delete block_iter;
   }
-
-  // Needs IO: one read covering block + trailer. The completion hook
-  // CRC-checks and parses it on whichever thread completes the read, so a
-  // batch of lookups overlaps its parses too.
-  const size_t n = static_cast<size_t>(req->handle.size());
-  req->buf = new char[n + kBlockTrailerSize];
-  req->io.file = rep_->file;
-  req->io.offset = req->handle.offset();
-  req->io.n = n + kBlockTrailerSize;
-  req->io.scratch = req->buf;
-  req->io.on_complete = &Table::ParseBlockOnComplete;
-  req->io.arg = req;
-  return TablePrepare::kNeedsRead;
-}
-
-void Table::ParseBlockOnComplete(ReadRequest* io) {
-  auto* req = static_cast<TableReadRequest*>(io->arg);
-  char* buf = req->buf;
-  req->buf = nullptr;
-  if (!io->status.ok()) {
-    delete[] buf;
-    req->status = io->status;
-    return;
-  }
-  BlockContents contents;
-  Status s = FinishBlockRead(req->handle.size(), io->result, buf, &contents);
-  if (!s.ok()) {
-    req->status = s;
-    return;
-  }
-  req->block = new Block(contents);
-  // Cache the parsed Block under the BlockReader key scheme (view-backed
-  // bytes included -- see the rationale there), so later lookups of this
-  // block resolve as kReady without IO.
-  Cache* block_cache = req->table->rep_->options.block_cache;
-  if (block_cache != nullptr && req->options.fill_cache) {
-    char cache_key_buffer[16];
-    EncodeFixed64(cache_key_buffer, req->table->rep_->cache_id);
-    EncodeFixed64(cache_key_buffer + 8, req->handle.offset());
-    req->cache_handle = block_cache->Insert(
-        Slice(cache_key_buffer, sizeof(cache_key_buffer)), req->block,
-        req->block->size(), &DeleteCachedBlock);
-  }
-}
-
-Status Table::ReadInBlock(TableReadRequest* req, const Slice& k, void* arg,
-                          void (*handle_result)(void*, const Slice&,
-                                                const Slice&)) {
-  if (req->block == nullptr) {
-    // Read/parse failure (status set), or kNoBlock (status OK, no entry).
-    return req->status;
-  }
-  const Comparator* cmp = rep_->options.comparator ? rep_->options.comparator
-                                                   : BytewiseComparator();
-  Iterator* block_iter = req->block->NewIterator(cmp);
-  block_iter->Seek(k);
-  if (block_iter->Valid()) {
-    (*handle_result)(arg, block_iter->key(), block_iter->value());
-  }
-  Status s = block_iter->status();
-  delete block_iter;
-  if (req->cache_handle != nullptr) {
-    rep_->options.block_cache->Release(req->cache_handle);
-    req->cache_handle = nullptr;
-  } else {
-    delete req->block;
-  }
-  req->block = nullptr;
+  if (s.ok()) s = iiter->status();
+  delete iiter;
   return s;
 }
 
 uint64_t Table::ApproximateOffsetOf(const Slice& key) const {
-  const Comparator* cmp = rep_->options.comparator ? rep_->options.comparator
-                                                   : BytewiseComparator();
-  Iterator* index_iter = rep_->index_block->NewIterator(cmp);
+  Iterator* index_iter =
+      rep_->index_block->NewIterator(TableComparator(rep_->options));
   index_iter->Seek(key);
   uint64_t result;
   if (index_iter->Valid()) {

@@ -1,6 +1,8 @@
 // Table: immutable, thread-safe SSTable reader with Bloom-filtered point
 // lookups, block-cache integration, and access to the persisted
-// TableProperties (tombstone metadata).
+// TableProperties (tombstone metadata). A point lookup and an iterator
+// fetch data blocks the same way: block cache first, else one synchronous
+// read, CRC check and parse, inserted into the cache.
 #ifndef ACHERON_TABLE_TABLE_H_
 #define ACHERON_TABLE_TABLE_H_
 
@@ -11,42 +13,11 @@
 #include "src/core/range_tombstone.h"
 #include "src/env/env.h"
 #include "src/lsm/options.h"
-#include "src/table/cache.h"
-#include "src/table/format.h"
 #include "src/table/iterator.h"
 #include "src/table/properties.h"
 #include "src/util/status.h"
 
 namespace acheron {
-
-class Block;
-class Footer;
-class Table;
-
-// Outcome of Table::PrepareGet.
-enum class TablePrepare {
-  kFilteredOut,  // Bloom filter ruled the key out: no entry in this table
-  kNoBlock,      // index has no block at or past the key: no entry here
-  kReady,        // block in hand (cache hit) or early error: ReadInBlock now
-  kNeedsRead,    // submit &req->io via Env::SubmitReads, then ReadInBlock
-};
-
-// One point lookup split into prepare / (async) read / complete so a batch
-// of lookups can keep several block reads in flight at once (MultiGet).
-// PrepareGet fills it; the io request's completion hook verifies the block
-// trailer and parses the Block on the completing thread; ReadInBlock runs
-// the saver callback and releases the block. The struct must stay pinned
-// (no moves) from PrepareGet until ReadInBlock.
-struct TableReadRequest {
-  Table* table = nullptr;
-  ReadOptions options;
-  BlockHandle handle;
-  ReadRequest io;       // valid after PrepareGet returns kNeedsRead
-  char* buf = nullptr;  // heap read buffer; owned until the parse consumes it
-  Block* block = nullptr;                 // parsed block, set by the hook
-  Cache::Handle* cache_handle = nullptr;  // held ref when |block| is cached
-  Status status;
-};
 
 class Table {
  public:
@@ -97,25 +68,6 @@ class Table {
                                            const Slice& v),
                      uint64_t* filter_negatives_out = nullptr);
 
-  // First phase of an asynchronous InternalGet: consults the Bloom filter,
-  // seeks the pinned index block, and checks the block cache -- no file IO.
-  // On kNeedsRead the caller submits &req->io (batched with other lookups)
-  // via Env::SubmitReads; the request's completion hook CRC-checks and
-  // parses the block on the completing thread. On kReady, ReadInBlock can
-  // run immediately. kFilteredOut/kNoBlock resolve the lookup with no
-  // entry (req->status stays OK). |filter_negatives| as in InternalGet.
-  TablePrepare PrepareGet(const ReadOptions&, const Slice& key,
-                          const Slice& filter_key, TableReadRequest* req,
-                          uint64_t* filter_negatives_out = nullptr);
-
-  // Final phase: once req->io has posted (or immediately after kReady),
-  // seeks |key| in the parsed block, invokes |handle_result| like
-  // InternalGet, and releases the block / cache handle. Returns the read,
-  // parse, or seek status.
-  Status ReadInBlock(TableReadRequest* req, const Slice& key, void* arg,
-                     void (*handle_result)(void* arg, const Slice& k,
-                                           const Slice& v));
-
   // Number of point lookups answered negatively by the Bloom filter alone
   // (for cache/IO accounting in benchmarks).
   uint64_t filter_negatives() const;
@@ -130,12 +82,10 @@ class Table {
   // after Open); |sink| must outlive the table.
   void SetFilterNegativesSink(std::atomic<uint64_t>* sink);
 
+  // The one data-block fetch, for iterators and InternalGet: an iterator
+  // over the block an index entry names, from the block cache or else read,
+  // CRC-checked, parsed and (with fill_cache) inserted.
   static Iterator* BlockReader(void*, const ReadOptions&, const Slice&);
-
-  // ReadRequest::on_complete hook installed by PrepareGet: verifies the
-  // trailer, parses the Block, and (fill_cache permitting) inserts it into
-  // the block cache -- all off the submitting thread.
-  static void ParseBlockOnComplete(ReadRequest* io);
 
   explicit Table(Rep* rep) : rep_(rep) {}
 

@@ -100,46 +100,6 @@ Status ReaderCache::GetFile(uint64_t segment,
   return Status::OK();
 }
 
-namespace {
-
-// Validate one completed record read against its pointer and expected key;
-// on success copies the value out.
-Status FinishRead(const ReadItem& item, const Slice& raw, std::string* value) {
-  if (raw.size() != item.ptr.size) {
-    return Status::Corruption("vlog record", "short read");
-  }
-  Slice key;
-  Slice val;
-  Status s = DecodeRecord(raw, &key, &val);
-  if (!s.ok()) return s;
-  if (key != item.expected_key) {
-    // Keyed back-check: the record at this address belongs to another key,
-    // so the pointer is stale (e.g. segment space reused after a bug).
-    return Status::Corruption("vlog record", "key back-check failed");
-  }
-  value->assign(val.data(), val.size());
-  return Status::OK();
-}
-
-struct PendingRead {
-  ReadItem* item = nullptr;
-  std::shared_ptr<RandomAccessFile> file;  // pins the handle past Evict
-  std::vector<char> scratch;
-  ReadRequest req;
-};
-
-void OnVlogReadComplete(ReadRequest* req) {
-  auto* pending = static_cast<PendingRead*>(req->arg);
-  ReadItem* item = pending->item;
-  if (!req->status.ok()) {
-    item->status = req->status;
-    return;
-  }
-  item->status = FinishRead(*item, req->result, item->value);
-}
-
-}  // namespace
-
 Status ReaderCache::ReadRecord(const ValuePointer& ptr, Slice* raw,
                                char* scratch) {
   std::shared_ptr<RandomAccessFile> file;
@@ -156,55 +116,36 @@ Status ReaderCache::Get(const ValuePointer& ptr, const Slice& expected_key,
   if (s.ok() && raw.size() != ptr.size) {
     // The cached handle can predate the record: PosixEnv maps a file at its
     // open-time length, and the head segment grows after that. Reopen once;
-    // a short read through a fresh handle is corruption (FinishRead).
+    // a short read through a fresh handle is corruption.
     Evict(ptr.segment);
     s = ReadRecord(ptr, &raw, scratch.data());
   }
   if (!s.ok()) return s;
-  ReadItem item;
-  item.ptr = ptr;
-  item.expected_key = expected_key;
-  return FinishRead(item, raw, value);
+  if (raw.size() != ptr.size) {
+    return Status::Corruption("vlog record", "short read");
+  }
+  Slice key;
+  Slice val;
+  s = DecodeRecord(raw, &key, &val);
+  if (!s.ok()) return s;
+  if (key != expected_key) {
+    // Keyed back-check: the record at this address belongs to another key,
+    // so the pointer is stale (e.g. segment space reused after a bug).
+    return Status::Corruption("vlog record", "key back-check failed");
+  }
+  value->assign(val.data(), val.size());
+  return Status::OK();
 }
 
-void ReaderCache::MultiGet(ReadItem* items, size_t count) {
-  std::vector<PendingRead> pending;
-  pending.reserve(count);
-  std::vector<ReadRequest*> reqs;
-  reqs.reserve(count);
-  for (size_t i = 0; i < count; i++) {
-    ReadItem* item = &items[i];
-    std::shared_ptr<RandomAccessFile> file;
-    Status s = GetFile(item->ptr.segment, &file);
-    if (!s.ok()) {
-      item->status = s;
-      continue;
-    }
-    pending.emplace_back();
-    PendingRead& p = pending.back();
-    p.item = item;
-    p.file = std::move(file);
-    p.scratch.resize(item->ptr.size);
-    p.req.file = p.file.get();
-    p.req.offset = item->ptr.offset;
-    p.req.n = item->ptr.size;
-    p.req.scratch = p.scratch.data();
-    p.req.on_complete = &OnVlogReadComplete;
-    p.req.arg = &p;
+Status ReaderCache::Resolve(const Slice& encoded, const Slice& user_key,
+                            std::string* value) {
+  ValuePointer ptr;
+  if (!DecodeValuePointerStrict(encoded, &ptr)) {
+    return Status::Corruption("bad vLog value pointer");
   }
-  if (pending.empty()) return;
-  for (PendingRead& p : pending) reqs.push_back(&p.req);
-  CompletionQueue cq;
-  // io: unlocked -- batched pointer dereferences on the MultiGet path
-  env_->SubmitReads(reqs.data(), reqs.size(), &cq);
-  cq.WaitFor(reqs.size());
-  for (PendingRead& p : pending) {
-    if (p.req.status.ok() && p.req.result.size() != p.item->ptr.size) {
-      // Short read through a stale handle: Get reopens the segment once.
-      p.item->status =
-          Get(p.item->ptr, p.item->expected_key, p.item->value);
-    }
-  }
+  Status s = Get(ptr, user_key, value);
+  if (s.ok()) reads_.fetch_add(1, std::memory_order_relaxed);
+  return s;
 }
 
 void ReaderCache::Evict(uint64_t segment) {

@@ -1,13 +1,16 @@
 // Dereferences ValuePointers against vLog segment files.
 //
 // ReaderCache keeps one RandomAccessFile per segment behind its own mutex,
-// so the lock-free read paths (DBImpl::Get / MultiGet / DBIter) never touch
-// the DB mutex to resolve a pointer. Every read CRC-validates the record and
-// back-checks the stored user key against the expected one, so a stale or
-// corrupt pointer surfaces as Corruption instead of a wrong value.
+// so the lock-free read paths never touch the DB mutex to resolve a
+// pointer. Every read CRC-validates the record and back-checks the stored
+// user key against the expected one, so a stale or corrupt pointer surfaces
+// as Corruption instead of a wrong value. Resolve is the one dereference of
+// an encoded pointer that Get, MultiGet and DB iterators share; each
+// pointer is one synchronous read.
 #ifndef ACHERON_VLOG_VLOG_READER_H_
 #define ACHERON_VLOG_VLOG_READER_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,14 +36,6 @@ namespace vlog {
 [[nodiscard]] Status ScanSegment(Env* env, const std::string& fname,
                                  uint64_t* valid_bytes, uint64_t* value_count);
 
-// One pointer dereference of a batched lookup (see ReaderCache::MultiGet).
-struct ReadItem {
-  ValuePointer ptr;
-  Slice expected_key;            // keyed back-check input
-  std::string* value = nullptr;  // output, set on OK
-  Status status;
-};
-
 class ReaderCache {
  public:
   ReaderCache(Env* env, std::string dbname);
@@ -54,11 +49,14 @@ class ReaderCache {
   [[nodiscard]] Status Get(const ValuePointer& ptr, const Slice& expected_key,
                            std::string* value);
 
-  // Batched Get: fans all reads out as one Env::SubmitReads submission so
-  // pointer resolution pipelines with the caller's other IO (MultiGet).
-  // Validation runs on the completion threads; each item's status/value are
-  // final when this returns.
-  void MultiGet(ReadItem* items, size_t count);
+  // Strictly decode |encoded| (a kTypeValuePointer entry's payload) and Get
+  // the value it names for |user_key|. Successful reads are counted in
+  // reads().
+  [[nodiscard]] Status Resolve(const Slice& encoded, const Slice& user_key,
+                               std::string* value);
+
+  // Pointers Resolve has dereferenced successfully.
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
 
   // Drop the cached handle for |segment| (called after GC unlinks it).
   void Evict(uint64_t segment);
@@ -76,6 +74,7 @@ class ReaderCache {
   // while doing IO or acquiring any other lock.
   Mutex mu_;
   std::map<uint64_t, std::shared_ptr<RandomAccessFile>> files_ GUARDED_BY(mu_);
+  std::atomic<uint64_t> reads_{0};
 };
 
 }  // namespace vlog

@@ -10,12 +10,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/env/fault_env.h"
 #include "src/lsm/db.h"
+#include "src/lsm/db_impl.h"
+#include "src/lsm/memtable_linker.h"
 #include "src/lsm/options.h"
 #include "src/lsm/write_batch.h"
 #include "src/lsm/write_batch_internal.h"
@@ -496,6 +499,116 @@ TEST(MemTableFilterTest, DbFindsKeysInMemImmAndAfterReplay) {
   for (int end = n + 50; n < end; n++) write(n);
   open();  // the last writes come back from the WAL
   check(n, "after replay");
+  db.reset();
+}
+
+// MultiGet at an explicit older snapshot returns, key for key, what Get
+// returns at that snapshot. The batch reaches every place a version can
+// live: tables, the immutable memtable (its flush held), the active
+// memtable with its nodes still in the linker's ring, and vLog pointers in
+// all three. It also holds range-covered keys, keys overwritten or deleted
+// after the snapshot, absent keys and one key twice.
+TEST(MultiGetSnapshotTest, MatchesGetAtAnOlderSnapshot) {
+  std::unique_ptr<Env> mem_env(NewMemEnv());
+  HeldRoundEnv env(mem_env.get());
+  Options options;
+  options.env = &env;
+  options.write_buffer_size = 16 << 10;
+  options.value_separation_threshold = 256;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  MemTableLinker* linker = static_cast<DBImpl*>(db.get())->TEST_linker();
+
+  // Key i of a tier gets a small value, a separated one, or a value and
+  // then its delete.
+  std::map<std::string, std::string> model;
+  auto write = [&](const std::string& tier, int i, const std::string& tag) {
+    const std::string key = tier + std::to_string(1000 + i);
+    const std::string value =
+        tag + std::string(i % 3 == 1 ? 300 : 20,
+                          static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    model[key] = value;
+    if (i % 3 == 2) {
+      ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
+      model.erase(key);
+    }
+  };
+  auto delete_range = [&](const std::string& begin, const std::string& end) {
+    ASSERT_TRUE(db->DeleteRange(WriteOptions(), begin, end).ok());
+    model.erase(model.lower_bound(begin), model.lower_bound(end));
+  };
+
+  // Tables: written, then flushed.
+  for (int i = 0; i < 60; i++) write("t", i, "v1");
+  delete_range("t1010", "t1020");
+  ASSERT_TRUE(db->FlushMemTable().ok());
+
+  // The immutable memtable: fill one until it swaps, with its flush held.
+  env.Hold();
+  const uint64_t swaps = db->GetStats().memtable_swaps;
+  int n = 0;
+  while (db->GetStats().memtable_swaps == swaps) write("i", n++, "v1");
+  std::string files;
+  ASSERT_TRUE(db->GetProperty("acheron.num-files-at-level0", &files));
+  ASSERT_EQ(files, "1");  // the first flush only; imm is not flushed
+
+  // The active memtable, with its nodes pending in the linker's ring.
+  linker->TEST_Hold(true);
+  for (int i = 0; i < 30; i++) write("m", i, "v1");
+  delete_range("i1003", "i1007");
+  delete_range("m1020", "m1024");
+  ASSERT_GT(linker->TEST_Pending(), 0u);
+  const Snapshot* snapshot = db->GetSnapshot();
+  const std::map<std::string, std::string> at_snapshot = model;
+
+  // After the snapshot: overwrite, delete and range-delete in every tier.
+  for (const char* tier : {"t", "i", "m"}) {
+    for (int i = 0; i < 30; i += 4) write(tier, i, "v2");
+    ASSERT_TRUE(db->Delete(WriteOptions(), std::string(tier) + "1005").ok());
+  }
+  delete_range("t1030", "t1040");
+  delete_range("m1000", "m1003");
+
+  std::vector<std::string> keys;
+  for (const char* tier : {"t", "i", "m"}) {
+    for (int i = 0; i < 60; i++) {
+      keys.push_back(tier + std::to_string(1000 + i));
+    }
+  }
+  keys.push_back("absent");
+  keys.push_back("m1001");  // twice in one batch
+  std::vector<Slice> slices(keys.begin(), keys.end());
+
+  ReadOptions ro;
+  ro.snapshot = snapshot;
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db->MultiGet(ro, slices, &values);
+  ASSERT_EQ(keys.size(), statuses.size());
+  ASSERT_EQ(keys.size(), values.size());
+  ASSERT_GT(linker->TEST_Pending(), 0u);  // nothing waited on the linker
+  size_t found = 0;
+  for (size_t i = 0; i < keys.size(); i++) {
+    std::string value;
+    Status s = db->Get(ro, keys[i], &value);
+    ASSERT_EQ(s.ToString(), statuses[i].ToString()) << keys[i];
+    ASSERT_EQ(value, values[i]) << keys[i];
+    auto it = at_snapshot.find(keys[i]);
+    if (it == at_snapshot.end()) {
+      ASSERT_TRUE(statuses[i].IsNotFound()) << keys[i];
+    } else {
+      ASSERT_TRUE(statuses[i].ok())
+          << keys[i] << " " << statuses[i].ToString();
+      ASSERT_EQ(it->second, values[i]) << keys[i];
+      found++;
+    }
+  }
+  EXPECT_GT(found, 60u);
+
+  db->ReleaseSnapshot(snapshot);
+  linker->TEST_Hold(false);
+  env.Release();
   db.reset();
 }
 

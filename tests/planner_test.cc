@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/core/persistence_monitor.h"
 
 namespace acheron {
@@ -149,6 +152,46 @@ INSTANTIATE_TEST_SUITE_P(Tunings, PlannerSweep,
                          ::testing::Combine(::testing::Values(10, 100, 10000),
                                             ::testing::Values(2, 4, 10, 32),
                                             ::testing::Values(2, 4, 7, 12)));
+
+// A size-triggered pick takes the first file past the compact pointer, or,
+// with delete-aware picking on, the file with the highest tombstone density.
+TEST_F(PlannerTest, ChooseFileIndexPicksTheDensestTombstonedFile) {
+  std::vector<FileMetaData> metas(4);
+  std::vector<FileMetaData*> files;
+  const char* largest[] = {"b", "d", "f", "h"};
+  for (size_t i = 0; i < metas.size(); i++) {
+    metas[i].num_entries = 100;
+    metas[i].largest = InternalKey(largest[i], 100, kTypeValue);
+    files.push_back(&metas[i]);
+  }
+  const std::string pointer =
+      InternalKey("d", 100, kTypeValue).Encode().ToString();
+
+  options_.delete_aware_picking = true;
+  CompactionPlanner p = Make(1000, 10, 5);
+  // No file holds a tombstone: the compact-pointer file.
+  EXPECT_EQ(2u, p.ChooseFileIndex(files, pointer));
+  EXPECT_EQ(0u, p.ChooseFileIndex(files, ""));
+
+  metas[0].num_tombstones = 5;
+  metas[1].num_tombstones = 30;
+  metas[3].num_tombstones = 30;
+  EXPECT_EQ(1u, p.ChooseFileIndex(files, pointer));  // first of a tie
+  metas[3].num_entries = 50;
+  EXPECT_EQ(3u, p.ChooseFileIndex(files, pointer));
+
+  // Picking off: round-robin whatever the tombstones.
+  options_.delete_aware_picking = false;
+  EXPECT_EQ(2u, p.ChooseFileIndex(files, pointer));
+  // Picking on without D_th: round-robin too.
+  options_.delete_aware_picking = true;
+  CompactionPlanner vanilla = Make(0, 10, 5);
+  EXPECT_EQ(2u, vanilla.ChooseFileIndex(files, pointer));
+  // A pointer past every file wraps to the first.
+  const std::string past_end =
+      InternalKey("z", 100, kTypeValue).Encode().ToString();
+  EXPECT_EQ(0u, vanilla.ChooseFileIndex(files, past_end));
+}
 
 TEST(PersistenceMonitorTest, CountsAndLatency) {
   DeletePersistenceMonitor m;

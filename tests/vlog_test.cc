@@ -82,12 +82,26 @@ TEST(VlogWriterTest, AppendScanAndReadBack) {
   // pointer, not a value.
   std::string out;
   EXPECT_TRUE(cache.Get(ptrs[0], "not-the-key", &out).IsCorruption());
+
+  // Resolve takes the encoded pointer an LSM entry carries: it decodes
+  // strictly, back-checks the key, and counts only successful reads.
+  std::string encoded;
+  vlog::EncodeValuePointer(&encoded, ptrs[1]);
+  ASSERT_TRUE(cache.Resolve(encoded, "key1", &out).ok());
+  EXPECT_EQ(out, values[1]);
+  EXPECT_EQ(cache.reads(), 1u);
+  EXPECT_TRUE(cache.Resolve(encoded, "key2", &out).IsCorruption());
+  EXPECT_TRUE(cache.Resolve(encoded + "x", "key1", &out).IsCorruption());
+  EXPECT_TRUE(
+      cache.Resolve(Slice(encoded.data(), encoded.size() - 1), "key1", &out)
+          .IsCorruption());
+  EXPECT_EQ(cache.reads(), 1u);
 }
 
 // PosixEnv maps a file at its open-time length, and the head segment keeps
 // growing after the reader cached its handle. Records appended later must
-// still read back, through Get and MultiGet alike; a pointer past the end
-// of the file stays Corruption.
+// still read back, whichever handle is cached when they are read; a pointer
+// past the end of the file stays Corruption.
 TEST(VlogReaderTest, PosixHeadSegmentReadsRecordsAppendedAfterOpen) {
   Env* env = DefaultEnv();
   const std::string dir = "vlog_posix_scratch_db";
@@ -124,16 +138,10 @@ TEST(VlogReaderTest, PosixHeadSegmentReadsRecordsAppendedAfterOpen) {
   ASSERT_TRUE(writer.Add("k3", v3, &p3).ok());
   ASSERT_TRUE(writer.Flush().ok());
   std::string o1, o3;
-  vlog::ReadItem items[2];
-  items[0].ptr = p1;
-  items[0].expected_key = "k1";
-  items[0].value = &o1;
-  items[1].ptr = p3;
-  items[1].expected_key = "k3";
-  items[1].value = &o3;
-  cache.MultiGet(items, 2);
-  ASSERT_TRUE(items[0].status.ok()) << items[0].status.ToString();
-  ASSERT_TRUE(items[1].status.ok()) << items[1].status.ToString();
+  s = cache.Get(p1, "k1", &o1);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  s = cache.Get(p3, "k3", &o3);
+  ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(o1, v1);
   EXPECT_EQ(o3, v3);
 
@@ -334,7 +342,7 @@ TEST_F(VlogDBTest, ValuesSurviveFlushCompactionAndReopen) {
   };
   check_all();
 
-  // MultiGet batches the pointer dereferences through one submission.
+  // MultiGet dereferences every pointer like Get does.
   std::vector<Slice> keys;
   std::vector<std::string> owned;
   owned.reserve(model.size());
