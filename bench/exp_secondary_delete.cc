@@ -1,6 +1,8 @@
 // E11 -- Secondary (retention) deletes: purging everything older than a
 // timestamp threshold via the KiWi-style secondary-key purge (whole-file
-// drops + straddling-file rewrites) versus the naive full-tree rewrite.
+// drops + in-place compactions of the straddling files) versus the naive
+// full-tree rewrite. Acceptance (abort on failure): the secondary purge
+// writes at most 1/10 of the naive path's bytes.
 #include "bench/bench_common.h"
 
 namespace acheron {
@@ -85,6 +87,15 @@ static void Main() {
                     static_cast<double>(kiwi.bytes_written));
   } else {
     std::printf("write savings: inf (pure whole-file drops)\n");
+  }
+  if (naive.bytes_written == 0 ||
+      kiwi.bytes_written * 10 > naive.bytes_written) {
+    std::fprintf(stderr,
+                 "E11: secondary purge wrote %llu bytes, more than 1/10 of "
+                 "the full rewrite's %llu\n",
+                 static_cast<unsigned long long>(kiwi.bytes_written),
+                 static_cast<unsigned long long>(naive.bytes_written));
+    std::abort();
   }
 }
 

@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -396,11 +397,11 @@ static void EvictPageCache(Env* env, const std::string& dir) {
 #if defined(__linux__)
   std::vector<std::string> children;
   if (!env->GetChildren(dir, &children).ok()) return;
-  ::sync();  // fadvise only evicts clean pages
   for (const std::string& c : children) {
     const std::string path = dir + "/" + c;
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) continue;
+    ::fdatasync(fd);  // fadvise only evicts clean pages
     ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
     ::close(fd);
   }
@@ -418,12 +419,15 @@ static void EvictPageCache(Env* env, const std::string& dir) {
 // (mmap disabled so reads are preads). MultiGet resolves its keys one
 // after another like Get, so the sweep measures the per-call savings (one
 // read-state pin and one sequence load per batch) against sequential Gets.
+// Each leg's keys/second is the median of kPasses passes, the legs
+// alternating within each pass, since one pass swings with the machine.
 // JSON is emitted for the batch-64 leg with two extra fields: "batch" and
 // "speedup_vs_sequential".
 static int RunMultiGet(const FillRandomConfig& cfg) {
   constexpr uint64_t kKeySpace = 100000;
-  static constexpr size_t kBatches[] = {1, 8, 64};
+  static constexpr size_t kLegs[] = {0, 1, 8, 64};  // 0: sequential Gets
   static constexpr size_t kMaxBatch = 64;
+  constexpr int kPasses = 5;
 
   Options options = BenchOptions();
   options.disable_wal = false;
@@ -470,8 +474,8 @@ static int RunMultiGet(const FillRandomConfig& cfg) {
   const uint64_t total_ops = cfg.ops < kMaxBatch ? kMaxBatch : cfg.ops;
   const uint64_t round_ops =
       cfg.db_dir.empty() ? total_ops : std::min<uint64_t>(total_ops, 1000);
-  auto run_pass = [&](size_t batch, Histogram* latency) -> double {
-    Random rnd(2000 + static_cast<int>(batch));
+  auto run_pass = [&](size_t batch, int pass, Histogram* latency) -> double {
+    Random rnd(2000 + static_cast<int>(batch) + 100 * pass);
     ReadOptions ro;
     char key[32];
     double secs = 0;
@@ -524,27 +528,34 @@ static int RunMultiGet(const FillRandomConfig& cfg) {
     return secs > 0 ? total_ops / secs : 0;
   };
 
-  Histogram seq_latency;
-  const double seq_ops_per_sec = run_pass(0, &seq_latency);
-  double batch64_ops_per_sec = 0;
-  Histogram batch64_latency;
-  std::printf("multiget: threads=%d ops=%llu env=%s\n",
+  constexpr size_t kNumLegs = std::size(kLegs);
+  std::vector<double> passes[kNumLegs];
+  Histogram latency[kNumLegs];  // every pass's calls
+  for (int pass = 0; pass < kPasses; pass++) {
+    for (size_t leg = 0; leg < kNumLegs; leg++) {
+      passes[leg].push_back(run_pass(kLegs[leg], pass, &latency[leg]));
+    }
+  }
+  double median[kNumLegs];
+  for (size_t leg = 0; leg < kNumLegs; leg++) {
+    std::sort(passes[leg].begin(), passes[leg].end());
+    median[leg] = passes[leg][kPasses / 2];
+  }
+  const double seq_ops_per_sec = median[0];
+  const double batch64_ops_per_sec = median[kNumLegs - 1];
+  const Histogram& batch64_latency = latency[kNumLegs - 1];
+  std::printf("multiget: threads=%d ops=%llu env=%s (keys/s: median of %d "
+              "passes)\n",
               cfg.threads, static_cast<unsigned long long>(total_ops),
-              cfg.db_dir.empty() ? "mem" : cfg.db_dir.c_str());
+              cfg.db_dir.empty() ? "mem" : cfg.db_dir.c_str(), kPasses);
   std::printf("  sequential-get baseline: %.0f keys/s (p99=%.1fus)\n",
-              seq_ops_per_sec, seq_latency.Percentile(99.0));
-  for (size_t batch : kBatches) {
-    Histogram latency;
-    const double ops_per_sec = run_pass(batch, &latency);
+              seq_ops_per_sec, latency[0].Percentile(99.0));
+  for (size_t leg = 1; leg < kNumLegs; leg++) {
     std::printf("  batch=%-3zu %.0f keys/s (%.2fx sequential, "
                 "p99=%.1fus/call)\n",
-                batch, ops_per_sec,
-                seq_ops_per_sec > 0 ? ops_per_sec / seq_ops_per_sec : 0,
-                latency.Percentile(99.0));
-    if (batch == kMaxBatch) {
-      batch64_ops_per_sec = ops_per_sec;
-      batch64_latency = latency;
-    }
+                kLegs[leg], median[leg],
+                seq_ops_per_sec > 0 ? median[leg] / seq_ops_per_sec : 0,
+                latency[leg].Percentile(99.0));
   }
   const InternalStats stats = db->GetStats();
   PrintEngineStats(db.get());

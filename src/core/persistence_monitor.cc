@@ -42,19 +42,6 @@ void DeletePersistenceMonitor::OnTombstoneWritten(uint64_t n) {
   written_ += n;
 }
 
-void DeletePersistenceMonitor::OnTombstonePersisted(SequenceNumber created_seq,
-                                                    SequenceNumber now_seq) {
-  MutexLock l(&mu_);
-  persisted_++;
-  const uint64_t latency = now_seq >= created_seq ? now_seq - created_seq : 0;
-  latency_.Add(static_cast<double>(latency));
-}
-
-void DeletePersistenceMonitor::OnTombstoneSuperseded(uint64_t n) {
-  MutexLock l(&mu_);
-  superseded_ += n;
-}
-
 uint64_t DeletePersistenceMonitor::WrittenCount() const {
   MutexLock l(&mu_);
   return written_;
@@ -82,19 +69,6 @@ void DeletePersistenceMonitor::Restore(uint64_t written, uint64_t persisted,
 void DeletePersistenceMonitor::OnRangeTombstoneWritten(uint64_t n) {
   MutexLock l(&mu_);
   range_written_ += n;
-}
-
-void DeletePersistenceMonitor::OnRangeTombstonePersisted(
-    SequenceNumber created_seq, SequenceNumber now_seq) {
-  MutexLock l(&mu_);
-  range_persisted_++;
-  const uint64_t latency = now_seq >= created_seq ? now_seq - created_seq : 0;
-  range_latency_.Add(static_cast<double>(latency));
-}
-
-void DeletePersistenceMonitor::OnRangeTombstoneSuperseded(uint64_t n) {
-  MutexLock l(&mu_);
-  range_superseded_ += n;
 }
 
 uint64_t DeletePersistenceMonitor::RangeWrittenCount() const {
@@ -179,21 +153,6 @@ void DeletePersistenceMonitor::SetDthAtRisk(bool at_risk) {
 bool DeletePersistenceMonitor::DthAtRisk() const {
   MutexLock l(&mu_);
   return dth_at_risk_;
-}
-
-Histogram DeletePersistenceMonitor::LatencyHistogram() const {
-  MutexLock l(&mu_);
-  return latency_;
-}
-
-Histogram DeletePersistenceMonitor::RangeLatencyHistogram() const {
-  MutexLock l(&mu_);
-  return range_latency_;
-}
-
-Histogram DeletePersistenceMonitor::VlogLatencyHistogram() const {
-  MutexLock l(&mu_);
-  return vlog_latency_;
 }
 
 }  // namespace acheron

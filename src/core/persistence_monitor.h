@@ -92,24 +92,18 @@ class DeletePersistenceMonitor {
   // A tombstone entered the system (Delete() was written).
   void OnTombstoneWritten(uint64_t n = 1);
 
-  // A tombstone created at |created_seq| was dropped at the bottommost
-  // level at logical time |now_seq|: the delete is now persistent.
-  void OnTombstonePersisted(SequenceNumber created_seq,
-                            SequenceNumber now_seq);
-
-  // A tombstone was dropped because a newer entry for the same key shadows
-  // it (it no longer represented the live state of the key).
-  void OnTombstoneSuperseded(uint64_t n = 1);
-
   // Cumulative tombstones-written count; captured at memtable swap so flush
   // edits can journal it into the MANIFEST (see version_edit.h).
   uint64_t WrittenCount() const;
 
-  // Fold one compaction's outcome into the counters. The compaction merge
-  // loop accumulates persisted/superseded counts and latency samples locally
-  // (mutex released) and applies them here only after the version edit that
-  // carries the same delta is durably installed, so the live monitor and the
-  // journaled state advance in lock step.
+  // Fold one compaction's outcome into the counters: |persisted| tombstones
+  // dropped at the bottommost level (the deletes are now persistent), with
+  // one |latency| sample each (creation to drop, in logical ops), and
+  // |superseded| tombstones dropped because a newer entry for the same key
+  // shadows them. The compaction merge loop accumulates the delta locally
+  // (mutex released) and applies it here only after the version edit that
+  // carries the same delta is durably installed, so the live monitor and
+  // the journaled state advance in lock step.
   void ApplyDelta(uint64_t persisted, uint64_t superseded,
                   const Histogram& latency);
 
@@ -124,9 +118,6 @@ class DeletePersistenceMonitor {
   // Same life cycle, separate population: a range tombstone persists when
   // it is dropped at the bottommost level with nothing left to cover.
   void OnRangeTombstoneWritten(uint64_t n = 1);
-  void OnRangeTombstonePersisted(SequenceNumber created_seq,
-                                 SequenceNumber now_seq);
-  void OnRangeTombstoneSuperseded(uint64_t n = 1);
   uint64_t RangeWrittenCount() const;
   void ApplyRangeDelta(uint64_t persisted, uint64_t superseded,
                        const Histogram& latency);
@@ -152,19 +143,13 @@ class DeletePersistenceMonitor {
   void SetDthAtRisk(bool at_risk);
   bool DthAtRisk() const;
 
-  // Raw access to the latency histograms (benchmark reporting).
-  Histogram LatencyHistogram() const;
-  Histogram RangeLatencyHistogram() const;
-  Histogram VlogLatencyHistogram() const;
-
  private:
   // mu_ is the innermost lock of the engine (see DESIGN.md "Locking
   // discipline"): no lock is acquired while holding it, and it is never
-  // held while acquiring DBImpl::mutex_. Since the background pipeline,
-  // callers are on both sides of that mutex: the write path records
-  // OnTombstoneWritten under DBImpl::mutex_, while compaction's merge loop
-  // reports OnTombstonePersisted/OnTombstoneSuperseded with the mutex
-  // *released* -- mu_ alone is what makes those updates safe.
+  // held while acquiring DBImpl::mutex_. Every engine caller (the write
+  // path's OnTombstoneWritten, the Apply*Delta calls after an install, the
+  // stats readers) holds DBImpl::mutex_ today; mu_ keeps the monitor safe
+  // on its own rather than by that convention.
   mutable Mutex mu_;
   uint64_t written_ GUARDED_BY(mu_) = 0;
   uint64_t persisted_ GUARDED_BY(mu_) = 0;

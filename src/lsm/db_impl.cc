@@ -30,6 +30,28 @@ struct DBImpl::CompactionState {
   // we have seen a sequence number S <= smallest_snapshot, we can drop all
   // entries for the same key with sequence numbers < S.
   SequenceNumber smallest_snapshot;
+
+  // vLog GC: kept pointers into a victim move to the pass's relocation
+  // segment.
+  VlogRelocation* relocation = nullptr;
+  // Secondary purge: values whose secondary key sorts below this drop.
+  const Slice* purge_threshold = nullptr;
+};
+
+// One vLog GC pass's relocation segment, shared by the pass's rewrites.
+struct DBImpl::VlogRelocation {
+  explicit VlogRelocation(const std::set<uint64_t>& v) : victims(v) {}
+
+  const std::set<uint64_t>& victims;
+  // Reserved in pending_outputs_ while the pass runs, so RemoveObsoleteFiles
+  // cannot unlink the file before an edit registers it.
+  uint64_t number = 0;
+  std::unique_ptr<vlog::Writer> writer;  // opened at the first relocation
+  bool retire = false;  // the running rewrite is the pass's last
+  uint64_t values = 0;
+  uint64_t bytes = 0;
+  std::string value;    // scratch: the record read back
+  std::string pointer;  // scratch: the relocated pointer
 };
 
 // One queued write. The owning thread sleeps on |cv| until a group leader
@@ -954,226 +976,146 @@ Status DBImpl::MaybeVlogGc(SequenceNumber now) {
 }
 
 Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims,
-                                   SequenceNumber now_seq) {
+                                   SequenceNumber now) {
   assert(compaction_active_);
-  const vlog::Registry& registry = versions_->vlog_registry();
-
-  // The victims' pending purges complete the moment the edit that drops
-  // them installs: only then are the value bytes provably unreachable and
-  // the files reclaimable. Latency = value-purge time - key-purge time, on
-  // the same logical clock as the tombstone persistence bound.
-  VersionEdit edit;
-  uint64_t purged = 0;
-  Histogram purge_latency;
-  for (uint64_t segment : victims) {
-    edit.RemoveVlogSegment(segment);
-    for (const auto& p : registry.at(segment).pending) {
-      purged += p.count;
-      const double latency =
-          now_seq >= p.purge_seq ? static_cast<double>(now_seq - p.purge_seq)
-                                 : 0.0;
-      for (uint64_t i = 0; i < p.count; i++) purge_latency.Add(latency);
-    }
-  }
-  if (purged > 0) {
-    edit.SetVlogMonitorDelta(purged, purge_latency);
-  }
-
-  // Tables in the current version whose segment span admits a victim; the
-  // job rewrites those that really point into one. Rotation-at-swap
-  // confines a sealed segment's pointers to one memtable generation, and a
-  // segment only becomes eligible (garbage, purges, or emptiness) after
-  // that generation flushed -- so scanning tables covers every live
-  // pointer; no memtable can hold one.
+  // Tables whose segment span admits a victim; those that really point
+  // into one are rewritten. Rotation-at-swap confines a sealed segment's
+  // pointers to one memtable generation, and a segment only becomes
+  // eligible (garbage, purges, or emptiness) after that generation flushed
+  // -- so scanning tables covers every live pointer; no memtable can hold
+  // one.
   Version* base = versions_->current();
   base->Ref();
-  std::vector<RewriteTarget> targets;
+  std::vector<const FileMetaData*> spanning;
   for (int level = 0; level < kNumLevels; level++) {
     for (const FileMetaData* f : base->files(level)) {
       auto v = victims.lower_bound(f->min_vlog_segment);
       if (f->has_vlog_pointers() && v != victims.end() &&
           *v <= f->max_vlog_segment) {
-        targets.push_back({f, level});
+        spanning.push_back(f);
       }
     }
   }
-
-  // Live values relocate into one fresh segment, opened at the first
-  // relocation. Its number rides pending_outputs_ until the edit installs
-  // so RemoveObsoleteFiles cannot unlink the half-built file.
-  uint64_t reloc_number = 0;
-  if (!targets.empty()) {
-    reloc_number = versions_->NewFileNumber();
-    pending_outputs_.insert(reloc_number);
+  std::set<uint64_t> targets;
+  Status s;
+  mutex_.Unlock();
+  for (const FileMetaData* f : spanning) {
+    bool hit = false;
+    s = PointsIntoVictims(*f, victims, &hit);
+    if (!s.ok()) break;
+    if (hit) targets.insert(f->number);
   }
-  std::unique_ptr<vlog::Writer> reloc;
-  uint64_t relocated_values = 0;
-  uint64_t relocated_bytes = 0;
-  std::string relocated_value;
-  std::string pointer_scratch;
-  RewriteTransform gc;
-  gc.match = [&victims](const ParsedInternalKey& key, const Slice& value) {
-    vlog::ValuePointer ptr;
-    // A pointer that fails to decode matches, so apply reports it.
-    return key.type == kTypeValuePointer &&
-           (!vlog::DecodeValuePointerStrict(value, &ptr) ||
-            victims.count(ptr.segment) > 0);
-  };
-  gc.apply = [&](const ParsedInternalKey& key, Slice* value, bool*) {
-    vlog::ValuePointer ptr;
-    if (!vlog::DecodeValuePointerStrict(*value, &ptr)) {
-      return Status::Corruption("bad value pointer in table");
-    }
-    // Keyed back-check: the record must still carry this user key, or the
-    // pointer and segment disagree and relocating would graft the wrong
-    // bytes under the key. ReaderCache::Get enforces it.
-    relocated_value.clear();
-    Status s = vlog_readers_.Get(ptr, key.user_key, &relocated_value);
-    if (s.ok() && reloc == nullptr) {
-      std::unique_ptr<WritableFile> file;
-      // io: unlocked -- GC relocation segment creation
-      s = env_->NewWritableFile(VlogFileName(dbname_, reloc_number), &file);
-      if (s.ok()) {
-        reloc = std::make_unique<vlog::Writer>(std::move(file), reloc_number);
-      }
-    }
-    vlog::ValuePointer moved;
-    if (s.ok()) s = reloc->Add(key.user_key, relocated_value, &moved);
-    if (!s.ok()) return s;
-    pointer_scratch.clear();
-    vlog::EncodeValuePointer(&pointer_scratch, moved);
-    *value = Slice(pointer_scratch);
-    relocated_values++;
-    relocated_bytes += moved.size;
-    return Status::OK();
-  };
-  gc.finish = [&] {
-    if (reloc == nullptr) return Status::OK();
-    // Sync-before-install: the relocated bytes must be durable before the
-    // manifest edit that points rewritten tables at them.
-    Status s = reloc->Flush();
-    if (s.ok()) s = reloc->Sync();
-    if (s.ok()) s = reloc->Close();
-    if (s.ok()) {
-      vlog::SegmentInfo rinfo;
-      rinfo.number = reloc_number;
-      rinfo.sealed = true;
-      rinfo.total_bytes = reloc->offset();
-      rinfo.value_count = reloc->value_count();
-      edit.AddVlogSegment(rinfo);
-    }
-    return s;
-  };
-  // The sink builds inline on this thread (no worker), so the relocation
-  // appends and the table writes interleave in one deterministic order.
-  Status s = RewriteTables(targets, gc, /*worker=*/nullptr, &edit);
-  if (reloc_number != 0) pending_outputs_.erase(reloc_number);
+  mutex_.Lock();
   base->Unref();
-  if (s.ok()) {
-    if (purged > 0) {
-      monitor_.ApplyVlogDelta(purged, purge_latency);
+  if (!s.ok()) return s;
+
+  VlogRelocation reloc(victims);
+  if (targets.empty()) {
+    // No table points into a victim: retiring them is an edit of its own.
+    VersionEdit edit;
+    RetireVlogVictims(victims, now, &edit);
+    s = versions_->LogAndApply(&edit, &mutex_);
+    if (s.ok()) {
+      if (edit.has_vlog_monitor_delta()) {
+        monitor_.ApplyVlogDelta(edit.vlog_monitor_purged(),
+                                edit.vlog_monitor_latency());
+      }
+      PublishReadState();
+      RemoveObsoleteFiles();
     }
+  } else {
+    reloc.number = versions_->NewFileNumber();
+    pending_outputs_.insert(reloc.number);
+    s = RunRewrites(
+        versions_->InPlaceCompactions(targets, CompactionReason::kVlogGc),
+        now, &reloc, nullptr);
+    pending_outputs_.erase(reloc.number);
+  }
+  if (s.ok()) {
     stats_.vlog_gc_runs++;
-    stats_.vlog_gc_values_relocated += relocated_values;
-    stats_.vlog_gc_bytes_relocated += relocated_bytes;
+    stats_.vlog_gc_values_relocated += reloc.values;
+    stats_.vlog_gc_bytes_relocated += reloc.bytes;
     // Relocation writes count toward write amplification like any other
     // vLog append; GC is not free and the WA metric must say so.
-    stats_.vlog_bytes_written += relocated_bytes;
+    stats_.vlog_bytes_written += reloc.bytes;
   }
   return s;
 }
 
-Status DBImpl::RewriteTables(const std::vector<RewriteTarget>& targets,
-                             const RewriteTransform& transform,
-                             TableSinkWorker* worker, VersionEdit* edit) {
-  TableSink sink(options_, internal_comparator_.user_comparator(), env_,
-                 dbname_, [this] { return NewOutputFileNumber(); }, worker);
-  std::vector<RewriteTarget> rewritten;  // in sink run order
-  ParsedInternalKey parsed;
-  auto matches = [&](Iterator* it) {
-    return ParseInternalKey(it->key(), &parsed) &&
-           transform.match(parsed, it->value());
-  };
+Status DBImpl::PointsIntoVictims(const FileMetaData& f,
+                                 const std::set<uint64_t>& victims,
+                                 bool* hit) {
   ReadOptions ropts;
   ropts.fill_cache = false;
-  Status s;
-  mutex_.Unlock();
-  for (const RewriteTarget& t : targets) {
-    if (sink.failed()) break;  // Finish reports the error
-    const FileMetaData& f = *t.f;
-    std::unique_ptr<Iterator> it(
-        table_cache_->NewIterator(ropts, f.number, f.file_size));
-    // A table the transform leaves unchanged keeps its file: probe up to
-    // the first match before writing anything.
-    it->SeekToFirst();
-    while (it->Valid() && !matches(it.get())) it->Next();
-    s = it->status();
-    if (!s.ok()) break;
-    if (!it->Valid()) continue;
+  std::unique_ptr<Iterator> it(
+      table_cache_->NewIterator(ropts, f.number, f.file_size));
+  ParsedInternalKey parsed;
+  vlog::ValuePointer ptr;
+  *hit = false;
+  for (it->SeekToFirst(); it->Valid() && !*hit; it->Next()) {
+    *hit = ParseInternalKey(it->key(), &parsed) &&
+           parsed.type == kTypeValuePointer &&
+           (!vlog::DecodeValuePointerStrict(it->value(), &ptr) ||
+            victims.count(ptr.segment) > 0);
+  }
+  return it->status();
+}
 
-    // The replacement inherits |f|'s wall stamps and, should every point
-    // entry go, its key range (it fills the same slot in the level). Range
-    // tombstones are carried verbatim: losing them would resurrect every
-    // key they cover.
-    TableSink::Run run;
-    if (f.has_range_tombstones()) {
-      s = table_cache_->GetRangeTombstones(f.number, f.file_size,
-                                           &run.range_tombstones);
-      if (!s.ok()) break;
+Status DBImpl::RelocateValue(VlogRelocation* r, const Slice& user_key,
+                             Slice* value) {
+  vlog::ValuePointer ptr;
+  if (!vlog::DecodeValuePointerStrict(*value, &ptr)) {
+    return Status::Corruption("bad value pointer in table");
+  }
+  if (r->victims.count(ptr.segment) == 0) return Status::OK();
+  r->value.clear();
+  Status s = vlog_readers_.Get(ptr, user_key, &r->value);
+  if (s.ok() && r->writer == nullptr) {
+    std::unique_ptr<WritableFile> file;
+    // io: unlocked -- GC relocation segment creation
+    s = env_->NewWritableFile(VlogFileName(dbname_, r->number), &file);
+    if (s.ok()) {
+      r->writer = std::make_unique<vlog::Writer>(std::move(file), r->number);
     }
-    run.tombstone_wall_micros = f.earliest_tombstone_wall_micros;
-    run.range_tombstone_wall_micros = f.earliest_range_tombstone_wall_micros;
-    run.range_only_smallest = f.smallest;
-    run.range_only_largest = f.largest;
-    sink.BeginRun(std::move(run));
-    rewritten.push_back(t);
-    // Unmatched entries are carried verbatim, sequences included, so
-    // snapshot reads through the replacement are unchanged.
-    for (it->SeekToFirst(); it->Valid() && !sink.failed(); it->Next()) {
-      Slice value = it->value();
-      bool keep = true;
-      if (matches(it.get())) {
-        s = transform.apply(parsed, &value, &keep);
-        if (!s.ok()) break;
-      }
-      if (keep) sink.Add(it->key(), value);
+  }
+  vlog::ValuePointer moved;
+  if (s.ok()) s = r->writer->Add(user_key, r->value, &moved);
+  if (!s.ok()) return s;
+  r->pointer.clear();
+  vlog::EncodeValuePointer(&r->pointer, moved);
+  *value = Slice(r->pointer);
+  r->values++;
+  r->bytes += moved.size;
+  return Status::OK();
+}
+
+void DBImpl::RetireVlogVictims(const std::set<uint64_t>& victims,
+                               SequenceNumber now, VersionEdit* edit) {
+  // The victims' pending purges complete the moment |edit| installs: only
+  // then are the value bytes provably unreachable and the files
+  // reclaimable. Latency = value-purge time - key-purge time, on the same
+  // logical clock as the tombstone persistence bound.
+  uint64_t purged = 0;
+  Histogram latency;
+  auto complete = [&](SequenceNumber purge_seq, uint64_t count) {
+    purged += count;
+    const double l =
+        now >= purge_seq ? static_cast<double>(now - purge_seq) : 0.0;
+    for (uint64_t i = 0; i < count; i++) latency.Add(l);
+  };
+  const vlog::Registry& registry = versions_->vlog_registry();
+  for (uint64_t segment : victims) {
+    for (const auto& p : registry.at(segment).pending) {
+      complete(p.purge_seq, p.count);
     }
-    if (s.ok()) s = it->status();
-    if (!s.ok()) break;
-    sink.EndRun();
   }
-  if (s.ok() && transform.finish) s = transform.finish();
-  // Finish is the wait that makes the replacements durable before the
-  // edit below names them.
-  Status finished = sink.Finish(s);
-  if (s.ok()) s = finished;
-  mutex_.Lock();
-  for (const TableSink::Output& out : sink.outputs()) {
-    // Table rewrites are compaction writes to every write-amplification
-    // figure, whichever job made them.
-    stats_.compaction_bytes_written += out.meta.file_size;
-  }
-  if (s.ok()) {
-    for (const RewriteTarget& t : rewritten) {
-      edit->RemoveFile(t.level, t.f->number);
+  for (const vlog::SegmentDelta& d : edit->vlog_deltas()) {
+    if (d.purge_count > 0 && victims.count(d.number) > 0) {
+      complete(d.purge_seq, d.purge_count);
     }
-    for (const TableSink::Output& out : sink.outputs()) {
-      const RewriteTarget& t = rewritten[out.run];
-      FileMetaData meta = out.meta;
-      meta.run_id = t.f->run_id;  // preserve recency ordering in the level
-      edit->AddFile(t.level, meta);
-    }
-    s = versions_->LogAndApply(edit, &mutex_);
   }
-  if (s.ok()) {
-    RecordDeadTableLevels(*edit);
-    PublishReadState();
-    RemoveObsoleteFiles();
-  }
-  for (const TableSink::Output& out : sink.outputs()) {
-    pending_outputs_.erase(out.meta.number);
-  }
-  return s;
+  for (uint64_t segment : victims) edit->RemoveVlogSegment(segment);
+  if (purged > 0) edit->SetVlogMonitorDelta(purged, latency);
 }
 
 void DBImpl::AcquireCompactionSlot() {
@@ -1779,11 +1721,7 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
         versions_->PickCompaction(planner_, horizon, effective));
     if (c == nullptr) break;
 
-    stats_.compaction_count++;
-    size_t reason_idx = static_cast<size_t>(c->reason());
-    if (reason_idx < stats_.compactions_by_reason.size()) {
-      stats_.compactions_by_reason[reason_idx]++;
-    }
+    CountCompaction(*c);
 
     if (c->IsTrivialMove()) {
       // Move file to next level
@@ -1819,19 +1757,55 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
   return s;
 }
 
+void DBImpl::CountCompaction(const Compaction& c) {
+  stats_.compaction_count++;
+  stats_.compactions_by_reason[static_cast<size_t>(c.reason())]++;
+}
+
+Status DBImpl::RunRewrites(
+    const std::vector<std::unique_ptr<Compaction>>& rewrites,
+    SequenceNumber horizon, VlogRelocation* relocation,
+    const Slice* purge_threshold) {
+  Status s;
+  for (size_t i = 0; s.ok() && i < rewrites.size(); i++) {
+    Compaction* c = rewrites[i].get();
+    CompactionState compact(c);
+    compact.relocation = relocation;
+    compact.purge_threshold = purge_threshold;
+    if (relocation != nullptr) relocation->retire = i + 1 == rewrites.size();
+    CountCompaction(*c);
+    s = DoCompactionWork(&compact, horizon);
+    c->ReleaseInputs();
+    if (s.ok()) RemoveObsoleteFiles();
+  }
+  return s;
+}
+
+void DBImpl::RearmFadeClocks() {
+  ComputeNextTtlDeadline();
+  ComputeNextVlogGcDeadline();
+  if (imm_ != nullptr || !ttl_round_horizons_.empty()) {
+    pending_ttl_floor_ = PendingRoundsTtlFloor();
+  }
+}
+
 Status DBImpl::InstallCompactionResults(
     CompactionState* compact, const std::vector<TableSink::Output>& outputs) {
-  // Add compaction outputs
-  compact->compaction->AddInputDeletions(compact->compaction->edit());
-  const int output_level = compact->compaction->output_level();
+  Compaction* const c = compact->compaction;
+  c->AddInputDeletions(c->edit());
+  // An in-place rewrite of one run keeps its recency: a rewritten old L0
+  // file or tiering run must not read as the newest. Any other output is a
+  // new run.
+  const bool same_run = c->level() == c->output_level() &&
+                        c->num_input_files(0) == 1;
   for (const TableSink::Output& out : outputs) {
     FileMetaData meta = out.meta;
-    meta.run_id = meta.number;
-    compact->compaction->edit()->AddFile(output_level, meta);
+    meta.run_id = same_run ? c->input(0, 0)->run_id : meta.number;
+    c->edit()->AddFile(c->output_level(), meta);
   }
-  Status s = versions_->LogAndApply(compact->compaction->edit(), &mutex_);
+  Status s = versions_->LogAndApply(c->edit(), &mutex_);
   if (s.ok()) {
-    RecordDeadTableLevels(*compact->compaction->edit());
+    RecordDeadTableLevels(*c->edit());
   }
   return s;
 }
@@ -1941,14 +1915,18 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   }
 
   // Kept entries stream into the sink, whose worker builds, writes and
-  // syncs the outputs while this loop merges.
+  // syncs the outputs while this loop merges. A GC rewrite builds inline
+  // instead: its relocation appends and its table writes then run on one
+  // thread, in one deterministic file-op order.
+  VlogRelocation* const reloc = compact->relocation;
   TableSink sink(options_, ucmp, env_, dbname_,
                  [this] { return NewOutputFileNumber(); },
-                 output_worker_.get());
+                 reloc != nullptr ? nullptr : output_worker_.get());
   sink.BeginRun(std::move(run));
 
   uint64_t shadowed_dropped = 0;
   uint64_t tombstones_dropped = 0;
+  uint64_t purge_dropped = 0;
   // Monitor deltas are accumulated locally and journaled on the compaction's
   // version edit; the live monitor advances only after the edit durably
   // installs, so the journal and the monitor move in lock step and recovery
@@ -1979,6 +1957,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // only at round boundaries). BackgroundCall reschedules for it.
   while (status.ok() && input->Valid() && !sink.failed()) {
     Slice key = input->key();
+    Slice value = input->value();
     bool drop = false;
     if (!ParseInternalKey(key, &ikey)) {
       // Do not hide error keys
@@ -2040,11 +2019,19 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         }
         // Range-covered values are deletion-driven by definition.
         deletion_driven = true;
+      } else if (compact->purge_threshold != nullptr &&
+                 ikey.type == kTypeValue) {
+        // Secondary purge: the value's retention key expired. It still
+        // counts as the key's newest entry, so the older ones drop too.
+        const std::string sec =
+            options_.secondary_key_extractor(ikey.user_key, value);
+        drop = !sec.empty() && Slice(sec).compare(*compact->purge_threshold) < 0;
+        if (drop) purge_dropped++;
       }
 
       if (drop && ikey.type == kTypeValuePointer) {
         vlog::ValuePointer ptr;
-        if (vlog::DecodeValuePointerStrict(input->value(), &ptr)) {
+        if (vlog::DecodeValuePointerStrict(value, &ptr)) {
           vlog::SegmentDelta& d = vlog_deltas[ptr.segment];
           d.number = ptr.segment;
           d.garbage_bytes += ptr.size;
@@ -2057,14 +2044,16 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
             d.purge_seq = now_seq;
           }
         }
+      } else if (!drop && reloc != nullptr && ikey.type == kTypeValuePointer) {
+        status = RelocateValue(reloc, ikey.user_key, &value);
       }
 
       last_sequence_for_key = ikey.sequence;
       last_type_for_key = ikey.type;
     }
 
-    if (!drop) {
-      sink.Add(key, input->value());
+    if (!drop && status.ok()) {
+      sink.Add(key, value);
     }
 
     input->Next();
@@ -2075,6 +2064,14 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   }
   delete input;
   input = nullptr;
+  if (status.ok() && reloc != nullptr && reloc->writer != nullptr) {
+    // Sync-before-install: the relocated bytes are durable before the edit
+    // that points tables at them; the pass's last rewrite also closes the
+    // segment.
+    status = reloc->writer->Flush();
+    if (status.ok()) status = reloc->writer->Sync();
+    if (status.ok() && reloc->retire) status = reloc->writer->Close();
+  }
   // The install wait: every output is built, synced and closed (or, on an
   // input error, abandoned and removed) before the edit can name it.
   Status finished = sink.Finish(status);
@@ -2088,6 +2085,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   stats_.compaction_bytes_written += bytes_written;
   stats_.entries_shadowed_dropped += shadowed_dropped;
   stats_.tombstones_dropped_bottom += tombstones_dropped;
+  stats_.blocks_purged_secondary += purge_dropped;
 
   if (status.ok()) {
     if (persisted_delta > 0 || superseded_delta > 0) {
@@ -2101,6 +2099,19 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     for (const auto& entry : vlog_deltas) {
       c->edit()->AddVlogDelta(entry.second);
     }
+    if (reloc != nullptr && reloc->writer != nullptr) {
+      // Registered, at its synced extent, by every edit that may point a
+      // table into it.
+      vlog::SegmentInfo info;
+      info.number = reloc->number;
+      info.sealed = true;
+      info.total_bytes = reloc->writer->offset();
+      info.value_count = reloc->writer->value_count();
+      c->edit()->AddVlogSegment(info);
+    }
+    if (reloc != nullptr && reloc->retire) {
+      RetireVlogVictims(reloc->victims, now_seq, c->edit());
+    }
     status = InstallCompactionResults(compact, sink.outputs());
     if (status.ok()) {
       PublishReadState();
@@ -2113,6 +2124,10 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     }
     if (status.ok() && range_persisted_delta > 0) {
       monitor_.ApplyRangeDelta(range_persisted_delta, 0, range_latency_delta);
+    }
+    if (status.ok() && c->edit()->has_vlog_monitor_delta()) {
+      monitor_.ApplyVlogDelta(c->edit()->vlog_monitor_purged(),
+                              c->edit()->vlog_monitor_latency());
     }
   }
   for (const TableSink::Output& out : sink.outputs()) {
@@ -2834,10 +2849,7 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
   std::unique_ptr<Compaction> c(
       versions_->CompactRange(level, begin_key, end_key));
   if (c != nullptr) {
-    stats_.compaction_count++;
-    stats_.compactions_by_reason[static_cast<size_t>(
-        CompactionReason::kManual)]++;
-
+    CountCompaction(*c);
     CompactionState compact(c.get());
     Status s = DoCompactionWork(&compact, versions_->LastSequence());
     if (!s.ok()) {
@@ -2845,14 +2857,7 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     }
     c->ReleaseInputs();
     RemoveObsoleteFiles();
-    // The install may have moved tombstones and charged value purges to
-    // vLog segments; re-arm both FADE clocks as a background round does.
-    // It may also have deepened the tree under a queued round's floor.
-    ComputeNextTtlDeadline();
-    ComputeNextVlogGcDeadline();
-    if (imm_ != nullptr || !ttl_round_horizons_.empty()) {
-      pending_ttl_floor_ = PendingRoundsTtlFloor();
-    }
+    RearmFadeClocks();
   }
   ReleaseCompactionSlot();
 }
@@ -3134,12 +3139,11 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   // The rewrites release the mutex; holding the compaction slot keeps
   // background compactions from rewriting the same files.
   AcquireCompactionSlot();
-  VersionEdit edit;
-  Version* base = versions_->current();
-  base->Ref();
-  std::vector<RewriteTarget> targets;
+  VersionEdit drops;
+  bool any_drop = false;
+  std::set<uint64_t> straddling;
   for (int level = 0; level < kNumLevels; level++) {
-    for (const FileMetaData* f : base->files(level)) {
+    for (const FileMetaData* f : versions_->current()->files(level)) {
       if (f->max_secondary_key.empty()) {
         // File holds no secondary-keyed values (e.g. all tombstones); skip.
         continue;
@@ -3150,35 +3154,29 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
         // KiWi-style wholesale drop the experiment measures). A file also
         // carrying range tombstones must be rewritten instead -- dropping
         // it wholesale would resurrect everything the tombstones cover.
-        edit.RemoveFile(level, f->number);
-        continue;
-      }
-      if (Slice(f->min_secondary_key).compare(threshold) < 0) {
-        // Straddles the threshold: rewrite, skipping dead entries.
-        targets.push_back({f, level});
+        drops.RemoveFile(level, f->number);
+        any_drop = true;
+      } else if (Slice(f->min_secondary_key).compare(threshold) < 0) {
+        // Straddles the threshold: rewrite it in place, dropping every
+        // value whose secondary key sorts below |threshold|.
+        straddling.insert(f->number);
       }
     }
   }
-
-  // Drop every value entry whose secondary key sorts below |threshold|;
-  // tombstones are preserved. The sink's worker builds and writes the
-  // replacements while this thread filters.
-  uint64_t dropped = 0;
-  RewriteTransform purge;
-  purge.match = [&](const ParsedInternalKey& key, const Slice& value) {
-    if (key.type != kTypeValue) return false;
-    const std::string sec =
-        options_.secondary_key_extractor(key.user_key, value);
-    return !sec.empty() && Slice(sec).compare(threshold) < 0;
-  };
-  purge.apply = [&dropped](const ParsedInternalKey&, Slice*, bool* keep) {
-    *keep = false;
-    dropped++;
-    return Status::OK();
-  };
-  s = RewriteTables(targets, purge, output_worker_.get(), &edit);
-  base->Unref();
-  if (s.ok()) stats_.blocks_purged_secondary += dropped;
+  if (any_drop) {
+    s = versions_->LogAndApply(&drops, &mutex_);
+    if (s.ok()) {
+      RecordDeadTableLevels(drops);
+      PublishReadState();
+      RemoveObsoleteFiles();
+    }
+  }
+  if (s.ok()) {
+    s = RunRewrites(versions_->InPlaceCompactions(
+                        straddling, CompactionReason::kSecondaryPurge),
+                    versions_->LastSequence(), nullptr, &threshold);
+    RearmFadeClocks();
+  }
   ReleaseCompactionSlot();
   return s;
 }

@@ -41,7 +41,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -120,6 +119,7 @@ class DBImpl : public DB {
  private:
   friend class DB;
   struct CompactionState;
+  struct VlogRelocation;
   struct Writer;
 
   // An immutable snapshot of the structures a read needs, published by
@@ -243,11 +243,34 @@ class DBImpl : public DB {
   // must hold the compaction slot.
   Status MaybeCompact(SequenceNumber horizon) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
+  // The one table-rewrite loop: merge the compaction's inputs with the
+  // mutex released, dropping what no reader can see at |horizon| (and,
+  // for a purge, what the retention threshold expired), relocating kept
+  // pointers into vLog GC victims, then install the outputs.
   Status DoCompactionWork(CompactionState* compact, SequenceNumber horizon)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   Status InstallCompactionResults(CompactionState* compact,
                                   const std::vector<TableSink::Output>& outputs)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Count |c| in compaction_count and compactions_by_reason.
+  void CountCompaction(const Compaction& c) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Run |rewrites| (from VersionSet::InPlaceCompactions) in order through
+  // DoCompactionWork at |horizon|, each counted under its reason, stopping
+  // at the first failure. Each carries |relocation| (vLog GC; the last one
+  // retires the victims) or |purge_threshold| (the secondary purge). The
+  // caller holds the compaction slot and records any error.
+  Status RunRewrites(const std::vector<std::unique_ptr<Compaction>>& rewrites,
+                     SequenceNumber horizon, VlogRelocation* relocation,
+                     const Slice* purge_threshold)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // After a compaction outside a round (manual, purge): its install may
+  // have moved tombstones and charged value purges to vLog segments, so
+  // re-arm both FADE clocks as a round does. It may also have deepened the
+  // tree under a queued round's floor.
+  void RearmFadeClocks() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Background-error state machine (transient-fault tolerance) ----
   //
@@ -379,37 +402,6 @@ class DBImpl : public DB {
   // live age across the tables, the memtable and the immutable memtable.
   DeleteStats ComputeDeleteStats() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // A table the one rewrite job replaces, and the level it sits at.
-  struct RewriteTarget {
-    const FileMetaData* f;
-    int level;
-  };
-
-  // The per-entry step of a table rewrite. |match| is a pure test for an
-  // entry the rewrite changes; |apply|, called on matches only, replaces
-  // *value or clears *keep to drop the entry. |finish|, if set, runs
-  // unlocked after the last table and before the install (vLog GC seals
-  // its relocation segment there).
-  struct RewriteTransform {
-    std::function<bool(const ParsedInternalKey&, const Slice& value)> match;
-    std::function<Status(const ParsedInternalKey&, Slice* value, bool* keep)>
-        apply;
-    std::function<Status()> finish;
-  };
-
-  // The one table-rewrite job (vLog GC and the secondary purge). With the
-  // mutex released, each target holding a |transform| match streams
-  // through it into a TableSink run (range tombstones, wall stamps and
-  // bounds carried over); a target without one keeps its file. Then the
-  // replacements join |edit| at their targets' levels and run_ids, and
-  // |edit| installs. The caller holds the compaction slot and a reference
-  // on the targets' version. |worker| is the sink's output thread, or
-  // nullptr to build inline.
-  Status RewriteTables(const std::vector<RewriteTarget>& targets,
-                       const RewriteTransform& transform,
-                       TableSinkWorker* worker, VersionEdit* edit)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
   //
   // Values at or above Options::value_separation_threshold are appended to
@@ -449,13 +441,35 @@ class DBImpl : public DB {
   // other segment that owes a purge. Caller holds the compaction slot.
   Status MaybeVlogGc(SequenceNumber now) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Relocate the live values of |victims| (keyed back-check through the
-  // tables that still point at them) into one fresh sealed segment, drop
-  // the victims from the registry, and journal the value-purge latencies
-  // of their pending purges as of |now|: one rewrite job, one edit. Caller
-  // holds the compaction slot.
+  // Collect |victims|: every table pointing into one is rewritten in place
+  // through DoCompactionWork, its kept pointers into a victim relocated
+  // into one fresh segment; the last rewrite's edit (or an edit of its own
+  // when no table points into a victim) drops the victims from the
+  // registry and journals the value-purge latencies of their pending
+  // purges as of |now|. Caller holds the compaction slot.
   Status CollectVlogSegments(const std::set<uint64_t>& victims,
                              SequenceNumber now)
+      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+
+  // Set |*hit| if table |f| holds a pointer into |victims|, or one that
+  // fails to decode (its rewrite then reports it). A table without one
+  // keeps its file. Reads with the mutex released.
+  Status PointsIntoVictims(const FileMetaData& f,
+                           const std::set<uint64_t>& victims, bool* hit);
+
+  // The relocation step of a GC rewrite's merge loop, mutex released: if
+  // *value points into a victim, read the record (ReaderCache::Get's keyed
+  // back-check refuses one that does not carry |user_key|), append it to
+  // the relocation segment -- created at the first relocation -- and point
+  // *value at the copy.
+  Status RelocateValue(VlogRelocation* r, const Slice& user_key,
+                       Slice* value);
+
+  // Drop |victims| from the registry in |edit| and journal, as its vLog
+  // monitor delta, their pending purges completed at |now|: those in the
+  // registry and those |edit| itself charges them.
+  void RetireVlogVictims(const std::set<uint64_t>& victims,
+                         SequenceNumber now, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Recovery: reconcile the recovered registry against the .vlog files on

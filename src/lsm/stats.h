@@ -29,12 +29,16 @@ struct InternalStats {
   uint64_t compaction_bytes_written = 0;
   uint64_t trivial_move_count = 0;
   // Indexed by CompactionReason (see version_set.h); sized generously.
+  // Every table rewrite counts here, vLog GC (vlog-gc) and the secondary
+  // purge (secondary-purge) included; trivial moves count under the reason
+  // that picked them.
   std::array<uint64_t, 8> compactions_by_reason{};
 
   // --- entries dropped during compactions ---
   uint64_t entries_shadowed_dropped = 0;    // hidden by a newer entry
   uint64_t tombstones_dropped_bottom = 0;   // persisted deletes
-  uint64_t blocks_purged_secondary = 0;     // KiWi-lite block drops
+  uint64_t blocks_purged_secondary = 0;     // values the secondary purge
+                                            // dropped while rewriting
 
   // --- write stalls / background scheduling ---
   uint64_t stall_slowdown_writes = 0;  // writes delayed by the L0 soft trigger
@@ -75,9 +79,12 @@ struct InternalStats {
   uint64_t vlog_values_written = 0;     // values routed through the vLog
   uint64_t vlog_segments_created = 0;   // head segments opened
   uint64_t vlog_gc_runs = 0;            // GC passes; one pass may collect
-                                        // several segments
-  uint64_t vlog_gc_values_relocated = 0;  // live values rewritten by GC
-  uint64_t vlog_gc_bytes_relocated = 0;   // record bytes rewritten by GC
+                                        // several segments and runs one
+                                        // vlog-gc compaction per rewrite
+  uint64_t vlog_gc_values_relocated = 0;  // live values GC's compactions
+                                          // moved out of victim segments
+  uint64_t vlog_gc_bytes_relocated = 0;   // their record bytes (also in
+                                          // vlog_bytes_written)
   uint64_t vlog_reads = 0;              // pointer dereferences served
 
   // --- reads ---

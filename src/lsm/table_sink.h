@@ -1,5 +1,5 @@
-// TableSink: the one table-output path. Flush, compaction, vLog-GC
-// relocation, the secondary purge and RepairDB's WAL salvage stream the
+// TableSink: the one table-output path. Flush, compaction (vLog-GC and
+// secondary-purge rewrites included) and RepairDB's WAL salvage stream the
 // entries they keep into a sink, in sorted order. The sink builds the
 // tables, cuts an output once its file reaches the run's size limit,
 // derives every FileMetaData field from the entries it saw (bounds,
@@ -96,8 +96,8 @@ class TableSinkWorker {
 class TableSink {
  public:
   // A run is a stream of entries whose outputs share the metadata below
-  // beyond what the entries themselves say. Flush and compaction feed one
-  // run per sink; the purge and GC rewrites feed one run per input file.
+  // beyond what the entries themselves say. Every engine job feeds one run
+  // per sink.
   struct Run {
     // Cut the current output once its file reaches this size.
     uint64_t max_output_size = UINT64_MAX;

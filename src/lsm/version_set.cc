@@ -1328,6 +1328,30 @@ Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
   return c;
 }
 
+std::vector<std::unique_ptr<Compaction>> VersionSet::InPlaceCompactions(
+    const std::set<uint64_t>& numbers, CompactionReason reason) {
+  std::vector<std::unique_ptr<Compaction>> result;
+  for (int level = 0; level < kNumLevels; level++) {
+    const bool overlapping = IsOverlappingLevel(options_, level);
+    Compaction* stretch = nullptr;  // open at a sorted level until a gap
+    for (FileMetaData* f : current_->files_[level]) {
+      if (numbers.count(f->number) == 0) {
+        stretch = nullptr;
+        continue;
+      }
+      if (stretch == nullptr || overlapping) {
+        result.emplace_back(new Compaction(options_, level, level, reason));
+        stretch = result.back().get();
+        stretch->input_version_ = current_;
+        current_->Ref();
+        if (overlapping) stretch->max_output_file_size_ = UINT64_MAX;
+      }
+      stretch->inputs_[0].push_back(f);
+    }
+  }
+  return result;
+}
+
 const char* CompactionReasonName(CompactionReason reason) {
   switch (reason) {
     case CompactionReason::kNone:
@@ -1344,6 +1368,8 @@ const char* CompactionReasonName(CompactionReason reason) {
       return "manual";
     case CompactionReason::kSecondaryPurge:
       return "secondary-purge";
+    case CompactionReason::kVlogGc:
+      return "vlog-gc";
   }
   return "unknown";
 }
@@ -1380,13 +1406,9 @@ uint64_t Compaction::TotalInputBytes() const {
 }
 
 bool Compaction::IsTrivialMove() const {
-  // A TTL rewrite exists to drop tombstones: never trivially move it.
-  // Otherwise, a single input file with nothing to merge below can simply
-  // be relinked into the next level.
-  if (reason_ == CompactionReason::kTtlExpiry &&
-      output_level_ == level_) {
-    return false;
-  }
+  // A single input file with nothing to merge below can simply be relinked
+  // into the next level. An in-place rewrite (TTL, vLog GC, purge) exists
+  // to change the file's contents: never trivially move it.
   return num_input_files(0) == 1 && num_input_files(1) == 0 &&
          output_level_ != level_;
 }
@@ -1408,9 +1430,14 @@ bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
 
   // Levels strictly below the output never contain input files; scan them
   // with the monotonic-pointer optimization (files are sorted there under
-  // leveling). Under tiering every level may overlap arbitrarily, so fall
-  // back to a plain range scan, skipping this compaction's own inputs.
-  const int start = tiering ? output_level_ : output_level_ + 1;
+  // leveling). Where the output level's runs overlap (L0, every tiering
+  // level) its other runs may hold the key too -- older ones a dropped
+  // tombstone still hides -- so scan it as well; under tiering every level
+  // may overlap arbitrarily. Those scans skip this compaction's own inputs.
+  const int start =
+      IsOverlappingLevel(input_version_->vset_->options_, output_level_)
+          ? output_level_
+          : output_level_ + 1;
   for (int lvl = start; lvl < kNumLevels; lvl++) {
     const std::vector<FileMetaData*>& files = input_version_->files_[lvl];
     if (!tiering && lvl > 0) {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -31,6 +32,7 @@ class Writer;
 class Compaction;
 class CompactionPlanner;
 struct CompactionPick;
+enum class CompactionReason;
 class Env;
 class TableCache;
 class Version;
@@ -333,6 +335,16 @@ class VersionSet {
   Compaction* CompactRange(int level, const InternalKey* begin,
                            const InternalKey* end);
 
+  // Package the files of the current version named in |numbers| as
+  // in-place compactions (output level == input level) for |reason|, in
+  // level order: one per file where a level's runs overlap (L0 under
+  // leveling, every tiering level), written as one file that keeps the
+  // run's recency; one per stretch of adjacent files at a sorted level, so
+  // no output can span a file left out. vLog GC and the secondary purge
+  // rewrite tables through these.
+  std::vector<std::unique_ptr<Compaction>> InPlaceCompactions(
+      const std::set<uint64_t>& numbers, CompactionReason reason);
+
   // Create an iterator that reads over the compaction inputs for "*c".
   // The caller should delete the iterator when no longer needed.
   Iterator* MakeInputIterator(Compaction* c);
@@ -441,6 +453,7 @@ enum class CompactionReason {
   kTtlExpiry,     // FADE: a file's oldest tombstone outlived its level TTL
   kManual,        // CompactRange / test hook
   kSecondaryPurge,  // KiWi-lite retention purge rewrite
+  kVlogGc,        // vLog GC rewrite of a table pointing into a victim
 };
 
 const char* CompactionReasonName(CompactionReason reason);
@@ -453,7 +466,8 @@ class Compaction {
   // Return the level that is being compacted. Inputs from "level" and
   // "level+1" will be merged to produce a set of "level+1" files.
   int level() const { return level_; }
-  // Output level (level+1, or same level for bottom-level TTL rewrites).
+  // Output level: level+1, or the same level for an in-place rewrite
+  // (deepest-level TTL expiry, vLog GC, the secondary purge).
   int output_level() const { return output_level_; }
 
   CompactionReason reason() const { return reason_; }
@@ -482,7 +496,8 @@ class Compaction {
 
   // Returns true if the information we have available guarantees that the
   // compaction is producing data in "output_level" for which no data exists
-  // in levels greater than "output_level".
+  // in levels greater than "output_level", nor in the output level's other
+  // runs where those overlap (an in-place L0 or tiering rewrite).
   bool IsBaseLevelForKey(const Slice& user_key);
 
   // Release the input version for the compaction, once the compaction is

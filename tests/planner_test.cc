@@ -196,9 +196,10 @@ TEST_F(PlannerTest, ChooseFileIndexPicksTheDensestTombstonedFile) {
 TEST(PersistenceMonitorTest, CountsAndLatency) {
   DeletePersistenceMonitor m;
   m.OnTombstoneWritten(5);
-  m.OnTombstonePersisted(100, 600);
-  m.OnTombstonePersisted(200, 300);
-  m.OnTombstoneSuperseded();
+  Histogram latency;  // one compaction: two tombstones persist
+  latency.Add(500);
+  latency.Add(100);
+  m.ApplyDelta(/*persisted=*/2, /*superseded=*/1, latency);
 
   DeleteStats stats;
   m.Snapshot(&stats, /*live=*/3, /*oldest_age=*/42);
@@ -210,14 +211,6 @@ TEST(PersistenceMonitorTest, CountsAndLatency) {
   EXPECT_EQ(500, stats.persistence_latency_max);
   EXPECT_NEAR(300, stats.persistence_latency_avg, 1);
   EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST(PersistenceMonitorTest, ClockSkewIsClamped) {
-  DeletePersistenceMonitor m;
-  m.OnTombstonePersisted(700, 600);  // now < created: clamp to 0
-  DeleteStats stats;
-  m.Snapshot(&stats, 0, 0);
-  EXPECT_EQ(0, stats.persistence_latency_max);
 }
 
 }  // namespace acheron

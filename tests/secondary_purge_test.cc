@@ -136,6 +136,31 @@ TEST_F(SecondaryPurgeTest, StraddlingFileIsRewritten) {
   }
 }
 
+// The purge rewrites a straddling L0 file in place. A tombstone in it
+// hides an older L0 sibling's value; with nothing below, only that sibling
+// keeps the tombstone from dropping.
+TEST_F(SecondaryPurgeTest, L0RewriteKeepsTombstoneOverOlderSibling) {
+  options_.write_buffer_size = 1 << 20;  // flush only where the test does
+  options_.level0_compaction_trigger = 64;  // L0 files stay in L0
+  options_.level0_slowdown_writes_trigger = 1 << 20;
+  options_.level0_stop_writes_trigger = 1 << 20;
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", MakeValue(5000, "old")).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "a").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "x", MakeValue(10, "expired")).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "y", MakeValue(6000, "fresh")).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  std::string l0;
+  ASSERT_TRUE(db_->GetProperty("acheron.num-files-at-level0", &l0));
+  ASSERT_EQ(l0, "2");
+
+  ASSERT_TRUE(db_->PurgeSecondaryRange(Threshold(1000)).ok());
+  EXPECT_EQ("NOT_FOUND", Get("a"));
+  EXPECT_EQ("NOT_FOUND", Get("x"));
+  EXPECT_EQ(MakeValue(6000, "fresh"), Get("y"));
+}
+
 TEST_F(SecondaryPurgeTest, SurvivesReopen) {
   Open();
   for (int i = 0; i < 200; i++) {

@@ -16,6 +16,7 @@
 #include "src/lsm/db.h"
 #include "src/lsm/filename.h"
 #include "src/lsm/snapshot.h"
+#include "src/lsm/version_set.h"
 #include "src/util/random.h"
 #include "src/vlog/vlog_format.h"
 #include "src/vlog/vlog_reader.h"
@@ -584,6 +585,188 @@ TEST_F(VlogDBTest, GcKeepsTablesWithoutVictimPointers) {
     EXPECT_EQ(v, large);
   }
   EXPECT_TRUE(db_->Get(ReadOptions(), "b1", &v).IsNotFound());
+}
+
+// GC rewrites each table in place through the compaction merge loop. Where
+// a level's runs overlap, each rewrite must keep its run's place in the
+// recency order and keep every tombstone that still hides a sibling run's
+// older entry.
+class VlogInPlaceGcTest : public VlogDBTest {
+ protected:
+  VlogInPlaceGcTest() {
+    options_.delete_persistence_threshold = 4000;
+    options_.write_buffer_size = 1 << 20;  // flush only where the test does
+    options_.vlog_gc_live_ratio = 0.0;     // deadline-driven GC only
+  }
+
+  int FilesAtLevel(int level) {
+    return std::stoi(Property("acheron.num-files-at-level" +
+                              std::to_string(level)));
+  }
+
+  std::string Get(const std::string& key) {
+    std::string v;
+    Status s = db_->Get(ReadOptions(), key, &v);
+    return s.ok() ? v : (s.IsNotFound() ? "NOT_FOUND" : s.ToString());
+  }
+
+  void Put(const std::string& key, const std::string& value) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
+  }
+  void Delete(const std::string& key) {
+    ASSERT_TRUE(db_->Delete(WriteOptions(), key).ok());
+  }
+  void Flush() { ASSERT_TRUE(db_->FlushMemTable().ok()); }
+
+  // Tiering at size ratio 3: every third flush merges L0 into one new L1
+  // run. Each call flushes three memtables; the first holds |first|'s
+  // entries, the second |second|'s (a null value is a delete).
+  using Entries = std::vector<std::pair<std::string, const char*>>;
+  void TierRun(const Entries& first, const Entries& second, int id) {
+    for (const Entries* e : {&first, &second}) {
+      for (const auto& [key, value] : *e) {
+        if (value == nullptr) {
+          Delete(key);
+        } else {
+          Put(key, value);
+        }
+      }
+      Flush();
+    }
+    Put("filler" + std::to_string(id), "x");
+    Flush();
+    ASSERT_EQ(FilesAtLevel(0), 0) << Property("acheron.sstables");
+  }
+
+  const std::string large_old_ = std::string(1024, 'o');
+  const std::string large_new_ = std::string(1024, 'n');
+};
+
+// Leveling, L0: an in-place L0 compaction leaves an older L0 file pointing
+// into a segment that owes a purge; a newer sibling then overwrites one of
+// its keys. Rewritten with a fresh run_id, the old file would read as the
+// newest run and serve the stale value.
+TEST_F(VlogInPlaceGcTest, L0RewriteKeepsOlderFileBelowNewerSibling) {
+  options_.level0_compaction_trigger = 64;  // L0 files stay in L0
+  options_.level0_slowdown_writes_trigger = 1 << 20;
+  options_.level0_stop_writes_trigger = 1 << 20;
+  Open();
+  Put("doomed", large_old_);
+  Put("k", large_old_);
+  Flush();
+  Delete("doomed");
+  Flush();
+  // With L0 the deepest level, the manual compaction merges both files in
+  // place; dropping the doomed pointer makes its segment owe a purge.
+  const std::string begin = "doomed", end = "doomed";
+  const Slice begin_slice(begin), end_slice(end);
+  db_->CompactRange(&begin_slice, &end_slice);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  const std::map<uint64_t, uint64_t> old_file = LiveTables();
+  ASSERT_EQ(old_file.size(), 1u) << Property("acheron.sstables");
+  Put("k", large_new_);
+  Flush();
+  ASSERT_EQ(FilesAtLevel(0), 2) << Property("acheron.sstables");
+
+  WriteUntilGc();
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u);
+  // The old file was rewritten in place, beside its sibling.
+  EXPECT_EQ(LiveTables().count(old_file.begin()->first), 0u);
+  EXPECT_EQ(FilesAtLevel(0), 2) << Property("acheron.sstables");
+  EXPECT_EQ(Get("k"), large_new_);
+  EXPECT_EQ(Get("doomed"), "NOT_FOUND");
+}
+
+// Tiering: an older L1 run points into a segment that owes a purge; a
+// newer sibling run overwrites one of its keys.
+TEST_F(VlogInPlaceGcTest, TieringRewriteKeepsOlderRunBelowNewerSibling) {
+  options_.compaction_style = CompactionStyle::kTiering;
+  options_.size_ratio = 3;
+  Open();
+  TierRun({{"doomed", large_old_.c_str()}, {"k", large_old_.c_str()}},
+          {{"doomed", nullptr}}, 1);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  const std::map<uint64_t, uint64_t> old_run = LiveTables();
+  ASSERT_EQ(old_run.size(), 1u) << Property("acheron.sstables");
+  TierRun({{"k", large_new_.c_str()}}, {{"other", "y"}}, 2);
+  ASSERT_EQ(FilesAtLevel(1), 2) << Property("acheron.sstables");
+
+  WriteUntilGc();
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u);
+  EXPECT_EQ(LiveTables().count(old_run.begin()->first), 0u);
+  EXPECT_EQ(FilesAtLevel(1), 2) << Property("acheron.sstables");
+  EXPECT_EQ(Get("k"), large_new_);
+}
+
+// Tiering: a newer L1 run holds a tombstone over an older sibling run's
+// value and points into a segment that owes a purge. Its rewrite has
+// nothing below it, but the tombstone must stay: the sibling still holds
+// the value it hides.
+TEST_F(VlogInPlaceGcTest, TieringRewriteKeepsTombstoneOverOlderSibling) {
+  options_.compaction_style = CompactionStyle::kTiering;
+  options_.size_ratio = 3;
+  Open();
+  TierRun({{"a", "old"}}, {{"b", "y"}}, 1);
+  TierRun({{"doomed", large_old_.c_str()}, {"m", large_old_.c_str()}},
+          {{"doomed", nullptr}, {"a", nullptr}}, 2);
+  ASSERT_EQ(FilesAtLevel(1), 2) << Property("acheron.sstables");
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  ASSERT_EQ(Get("a"), "NOT_FOUND");
+  const std::map<uint64_t, uint64_t> before = LiveTables();
+
+  WriteUntilGc();
+  EXPECT_EQ(db_->GetDeleteStats().value_purge_backlog, 0u);
+  // The newer run was rewritten; the older one kept its file.
+  const std::map<uint64_t, uint64_t> after = LiveTables();
+  EXPECT_EQ(after.size(), 2u) << Property("acheron.sstables");
+  size_t kept = 0;
+  for (const auto& [number, size] : before) kept += after.count(number);
+  EXPECT_EQ(kept, 1u) << Property("acheron.sstables");
+  EXPECT_EQ(Get("a"), "NOT_FOUND");
+  EXPECT_EQ(Get("m"), large_old_);
+}
+
+// GC and purge rewrites are compactions: counted by reason, their input
+// bytes read.
+TEST_F(VlogInPlaceGcTest, GcAndPurgeCountAsCompactions) {
+  options_.secondary_key_extractor = [](const Slice&, const Slice& value) {
+    return value.size() < 8 ? std::string()
+                            : std::string(value.data(), 8);
+  };
+  Open();
+  Put("doomed", large_old_);
+  Put("keeper", large_old_);
+  Put("expired", "00000010|value");
+  Put("fresh", "00009000|value");
+  Flush();
+  Delete("doomed");
+  db_->CompactRange(nullptr, nullptr);
+  ASSERT_EQ(db_->GetDeleteStats().value_purge_backlog, 1u)
+      << Property("acheron.vlog-stats");
+  auto by = [](const InternalStats& s, CompactionReason r) {
+    return s.compactions_by_reason[static_cast<size_t>(r)];
+  };
+
+  auto [before, after] = WriteUntilGc();
+  EXPECT_GT(by(after, CompactionReason::kVlogGc),
+            by(before, CompactionReason::kVlogGc));
+  EXPECT_GT(after.compaction_count, before.compaction_count);
+  EXPECT_GT(after.compaction_bytes_read, before.compaction_bytes_read);
+  EXPECT_GT(after.vlog_gc_values_relocated, before.vlog_gc_values_relocated);
+
+  before = db_->GetStats();
+  ASSERT_TRUE(db_->PurgeSecondaryRange("00001000").ok());
+  after = db_->GetStats();
+  EXPECT_EQ(by(after, CompactionReason::kSecondaryPurge),
+            by(before, CompactionReason::kSecondaryPurge) + 1);
+  EXPECT_GT(after.compaction_bytes_read, before.compaction_bytes_read);
+  EXPECT_EQ(after.blocks_purged_secondary, before.blocks_purged_secondary + 1);
+  EXPECT_EQ(Get("expired"), "NOT_FOUND");
+  EXPECT_EQ(Get("fresh"), "00009000|value");
+  EXPECT_EQ(Get("keeper"), large_old_);
 }
 
 TEST_F(VlogDBTest, SeparationOffNeverCreatesSegments) {
