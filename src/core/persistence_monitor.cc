@@ -38,19 +38,16 @@ std::string DeleteStats::ToString() const {
 }
 
 void DeletePersistenceMonitor::OnTombstoneWritten(uint64_t n) {
-  MutexLock l(&mu_);
   written_ += n;
 }
 
 uint64_t DeletePersistenceMonitor::WrittenCount() const {
-  MutexLock l(&mu_);
   return written_;
 }
 
 void DeletePersistenceMonitor::ApplyDelta(uint64_t persisted,
                                           uint64_t superseded,
                                           const Histogram& latency) {
-  MutexLock l(&mu_);
   persisted_ += persisted;
   superseded_ += superseded;
   latency_.Merge(latency);
@@ -59,7 +56,6 @@ void DeletePersistenceMonitor::ApplyDelta(uint64_t persisted,
 void DeletePersistenceMonitor::Restore(uint64_t written, uint64_t persisted,
                                        uint64_t superseded,
                                        const Histogram& latency) {
-  MutexLock l(&mu_);
   written_ = written;
   persisted_ = persisted;
   superseded_ = superseded;
@@ -67,19 +63,16 @@ void DeletePersistenceMonitor::Restore(uint64_t written, uint64_t persisted,
 }
 
 void DeletePersistenceMonitor::OnRangeTombstoneWritten(uint64_t n) {
-  MutexLock l(&mu_);
   range_written_ += n;
 }
 
 uint64_t DeletePersistenceMonitor::RangeWrittenCount() const {
-  MutexLock l(&mu_);
   return range_written_;
 }
 
 void DeletePersistenceMonitor::ApplyRangeDelta(uint64_t persisted,
                                                uint64_t superseded,
                                                const Histogram& latency) {
-  MutexLock l(&mu_);
   range_persisted_ += persisted;
   range_superseded_ += superseded;
   range_latency_.Merge(latency);
@@ -89,7 +82,6 @@ void DeletePersistenceMonitor::RestoreRange(uint64_t written,
                                             uint64_t persisted,
                                             uint64_t superseded,
                                             const Histogram& latency) {
-  MutexLock l(&mu_);
   range_written_ = written;
   range_persisted_ = persisted;
   range_superseded_ = superseded;
@@ -98,14 +90,12 @@ void DeletePersistenceMonitor::RestoreRange(uint64_t written,
 
 void DeletePersistenceMonitor::ApplyVlogDelta(uint64_t purged,
                                               const Histogram& latency) {
-  MutexLock l(&mu_);
   vlog_purged_ += purged;
   vlog_latency_.Merge(latency);
 }
 
 void DeletePersistenceMonitor::RestoreVlog(uint64_t purged,
                                            const Histogram& latency) {
-  MutexLock l(&mu_);
   vlog_purged_ = purged;
   vlog_latency_ = latency;
 }
@@ -115,7 +105,6 @@ void DeletePersistenceMonitor::Snapshot(DeleteStats* stats,
                                         uint64_t oldest_live_age,
                                         uint64_t range_tombstones_live,
                                         uint64_t value_purge_backlog) const {
-  MutexLock l(&mu_);
   stats->tombstones_written = written_;
   stats->tombstones_persisted = persisted_;
   stats->tombstones_superseded = superseded_;
@@ -146,12 +135,10 @@ void DeletePersistenceMonitor::Snapshot(DeleteStats* stats,
 }
 
 void DeletePersistenceMonitor::SetDthAtRisk(bool at_risk) {
-  MutexLock l(&mu_);
   dth_at_risk_ = at_risk;
 }
 
 bool DeletePersistenceMonitor::DthAtRisk() const {
-  MutexLock l(&mu_);
   return dth_at_risk_;
 }
 

@@ -17,8 +17,6 @@
 
 #include "src/lsm/dbformat.h"
 #include "src/util/histogram.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace acheron {
 
@@ -81,6 +79,8 @@ struct DeleteStats {
   std::string ToString() const;
 };
 
+// Not thread-safe: the owner serializes every call. DBImpl guards its
+// monitor with DBImpl::mutex_.
 class DeletePersistenceMonitor {
  public:
   DeletePersistenceMonitor() = default;
@@ -144,24 +144,17 @@ class DeletePersistenceMonitor {
   bool DthAtRisk() const;
 
  private:
-  // mu_ is the innermost lock of the engine (see DESIGN.md "Locking
-  // discipline"): no lock is acquired while holding it, and it is never
-  // held while acquiring DBImpl::mutex_. Every engine caller (the write
-  // path's OnTombstoneWritten, the Apply*Delta calls after an install, the
-  // stats readers) holds DBImpl::mutex_ today; mu_ keeps the monitor safe
-  // on its own rather than by that convention.
-  mutable Mutex mu_;
-  uint64_t written_ GUARDED_BY(mu_) = 0;
-  uint64_t persisted_ GUARDED_BY(mu_) = 0;
-  uint64_t superseded_ GUARDED_BY(mu_) = 0;
-  Histogram latency_ GUARDED_BY(mu_);
-  uint64_t range_written_ GUARDED_BY(mu_) = 0;
-  uint64_t range_persisted_ GUARDED_BY(mu_) = 0;
-  uint64_t range_superseded_ GUARDED_BY(mu_) = 0;
-  Histogram range_latency_ GUARDED_BY(mu_);
-  uint64_t vlog_purged_ GUARDED_BY(mu_) = 0;
-  Histogram vlog_latency_ GUARDED_BY(mu_);
-  bool dth_at_risk_ GUARDED_BY(mu_) = false;
+  uint64_t written_ = 0;
+  uint64_t persisted_ = 0;
+  uint64_t superseded_ = 0;
+  Histogram latency_;
+  uint64_t range_written_ = 0;
+  uint64_t range_persisted_ = 0;
+  uint64_t range_superseded_ = 0;
+  Histogram range_latency_;
+  uint64_t vlog_purged_ = 0;
+  Histogram vlog_latency_;
+  bool dth_at_risk_ = false;
 };
 
 }  // namespace acheron

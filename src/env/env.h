@@ -4,6 +4,7 @@
 #ifndef ACHERON_ENV_ENV_H_
 #define ACHERON_ENV_ENV_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -55,80 +56,40 @@ class WritableFile {
   // Durably persist written data (fsync/fdatasync equivalent).
   virtual Status Sync() = 0;
 
-  // The durability half of Sync(), for Env::SubmitSync: persists data
-  // already handed to the OS without touching any user-space write buffer,
-  // so it is safe to run on a completion thread concurrently with Append()
-  // from the owner.
-  // Callers must Flush() buffered data before submitting. The default
-  // falls back to Sync(), which is only concurrency-safe for
-  // implementations without a user-space buffer.
+  // Inert: no engine file overrides it and no engine path calls it. Kept,
+  // falling back to Sync(), only so perfbench's tracing file decorator
+  // still compiles; it goes with ROADMAP item 1.
   virtual Status SyncDurable() { return Sync(); }
 };
 
-// ---- Asynchronous submission/completion IO ------------------------------
+// ---- Inert submission/completion IO -----------------------------------
 //
-// Batches of RandomAccessFile reads (and WritableFile syncs) can be
-// submitted to the Env and completed through a CompletionQueue instead of
-// blocking the calling thread per operation. PosixEnv and MemEnv both back
-// this with an AsyncIoPool, so every test exercises the backend the
-// production env runs. FaultInjectionEnv overrides submission to keep its
-// op-numbering and synced-prefix crash model exact (see fault_env.h).
+// No engine path submits IO: table outputs fsync through WritableFile::Sync
+// on the thread that wrote them, and every read is synchronous. These
+// declarations, and Env::SubmitReads/SubmitSync below, exist only for
+// perfbench's tracing Env decorator, which overrides them; they go with
+// ROADMAP item 1.
 
-// Counts completions. One queue is typically stack-allocated per batch;
-// the submitter calls WaitFor(n) after submitting n requests. Post() is
-// called by the Env exactly once per completed request, after the
-// request's status/result fields are fully written and any on_complete
-// hook has run (the queue's lock gives the waiter a happens-before edge to
-// those writes).
+// Counts posted completions.
 class CompletionQueue {
  public:
-  CompletionQueue() : cv_(&mu_), completed_(0), waiters_(0), armed_target_(0) {}
+  CompletionQueue() = default;
 
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  void Post() {
-    MutexLock l(&mu_);
-    completed_++;
-    // Only wake the waiter once its target is reached: a 64-read batch
-    // costs one wakeup, not 64 spurious ones (each a context switch when
-    // submitter and workers share cores).
-    if (armed_target_ != 0 && completed_ >= armed_target_) cv_.SignalAll();
-  }
-
-  // Blocks until at least |n| completions have been posted since
-  // construction.
-  void WaitFor(uint64_t n) {
-    MutexLock l(&mu_);
-    waiters_++;
-    while (completed_ < n) {
-      if (armed_target_ == 0 || n < armed_target_) armed_target_ = n;
-      cv_.Wait();
-    }
-    waiters_--;
-    // Re-arm any remaining waiters: the armed target may have been this
-    // waiter's, and a stale zero would let Post skip their wakeup forever.
-    armed_target_ = 0;
-    if (waiters_ > 0) cv_.SignalAll();
-  }
-
+  void Post() { completed_.fetch_add(1, std::memory_order_release); }
   uint64_t completed() const {
-    MutexLock l(&mu_);
-    return completed_;
+    return completed_.load(std::memory_order_acquire);
   }
 
  private:
-  mutable Mutex mu_;
-  CondVar cv_;  // paired with mu_
-  uint64_t completed_ GUARDED_BY(mu_);
-  int waiters_ GUARDED_BY(mu_);
-  uint64_t armed_target_ GUARDED_BY(mu_);
+  std::atomic<uint64_t> completed_{0};
 };
 
-// One asynchronous read of [offset, offset+n) into |scratch| (result may
-// point elsewhere, e.g. an mmap view, exactly like RandomAccessFile::Read).
-// The optional on_complete hook runs on the completing thread after
-// status/result are set and before the completion is posted.
+// One read of [offset, offset+n) into |scratch| (result may point
+// elsewhere, exactly like RandomAccessFile::Read). The optional
+// on_complete hook runs after status/result are set, before the post.
 struct ReadRequest {
   RandomAccessFile* file = nullptr;
   uint64_t offset = 0;
@@ -137,14 +98,11 @@ struct ReadRequest {
   void (*on_complete)(ReadRequest* req) = nullptr;
   void* arg = nullptr;  // caller context for on_complete
 
-  // Outputs, valid once the completion is posted.
   Slice result;
   Status status;
 };
 
-// One asynchronous durable sync of a writable file (SyncDurable semantics:
-// the submitter Flush()es first). Completion posts to the queue after
-// |status| is set and the optional hook has run.
+// One durable sync of a writable file (WritableFile::SyncDurable).
 struct SyncRequest {
   WritableFile* file = nullptr;
   void (*on_complete)(SyncRequest* req) = nullptr;
@@ -191,18 +149,11 @@ class Env {
   virtual Status RenameFile(const std::string& src,
                             const std::string& target) = 0;
 
-  // --- Asynchronous IO -----------------------------------------------------
-  //
-  // Submit |count| reads; each posts exactly once to |cq| when complete.
-  // Completion order is unspecified. The engine reads synchronously and
-  // submits only syncs (TableSink); reads stay part of the Env interface
-  // that Env wrappers override.
+  // Inert (see CompletionQueue above): each request runs inline on the
+  // calling thread, then posts once to |cq|.
   virtual void SubmitReads(ReadRequest** reqs, size_t count,
-                           CompletionQueue* cq) = 0;
-
-  // Submit one durable sync (WritableFile::SyncDurable); posts exactly once
-  // to |cq| when complete. The submitter must Flush() buffered data first.
-  virtual void SubmitSync(SyncRequest* req, CompletionQueue* cq) = 0;
+                           CompletionQueue* cq);
+  virtual void SubmitSync(SyncRequest* req, CompletionQueue* cq);
 
   // Read/write an entire small file; used for CURRENT.
   Status WriteStringToFile(const Slice& data, const std::string& fname);
@@ -239,49 +190,6 @@ class BackgroundScheduler {
   bool shutting_down_ GUARDED_BY(mu_);
   std::deque<Item> queue_ GUARDED_BY(mu_);
   std::thread worker_;
-};
-
-// The thread-pool backend for Env::SubmitReads/SubmitSync, shared by
-// PosixEnv and MemEnv. Worker threads start lazily as submissions arrive,
-// up to clamp(2 * cores, 8, 16); the destructor drains queued requests --
-// every accepted submission still posts its completion -- then joins the
-// workers.
-class AsyncIoPool {
- public:
-  AsyncIoPool();
-  ~AsyncIoPool();
-
-  AsyncIoPool(const AsyncIoPool&) = delete;
-  AsyncIoPool& operator=(const AsyncIoPool&) = delete;
-
-  void SubmitReads(ReadRequest** reqs, size_t count, CompletionQueue* cq);
-  void SubmitSync(SyncRequest* req, CompletionQueue* cq);
-
- private:
-  // Exactly one of |reads| (nreads > 0) and |sync| is set. Reads travel in
-  // small chunks so a 64-read batch costs a handful of queue hand-offs
-  // (lock + condvar wake + context switch) instead of 64; SubmitReads picks
-  // the chunk size to still spread the batch across every worker.
-  struct Item {
-    static constexpr size_t kMaxReads = 16;
-    ReadRequest* reads[kMaxReads] = {};
-    size_t nreads = 0;
-    SyncRequest* sync = nullptr;
-    CompletionQueue* cq = nullptr;
-  };
-
-  void EnqueueLocked(Item item) EXCLUSIVE_LOCKS_REQUIRED(mu_);
-  void WorkerLoop();
-  static void WorkerEntry(void* self);
-
-  const int max_threads_;
-  Mutex mu_;
-  CondVar work_available_;  // paired with mu_
-  int started_threads_ GUARDED_BY(mu_);
-  int idle_threads_ GUARDED_BY(mu_);
-  bool shutting_down_ GUARDED_BY(mu_);
-  std::deque<Item> queue_ GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;
 };
 
 // The default POSIX environment; singleton, never destroyed.

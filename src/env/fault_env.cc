@@ -41,11 +41,6 @@ class FaultWritableFile : public WritableFile {
     return s;
   }
 
-  // Used by FaultInjectionEnv::SubmitSync, which registers the op and
-  // applies durability credit itself before delegating to the base file.
-  const std::string& fname() const { return fname_; }
-  WritableFile* base() const { return base_.get(); }
-
  private:
   FaultInjectionEnv* const env_;
   const std::string fname_;
@@ -90,18 +85,6 @@ class FaultSequentialFile : public SequentialFile {
   FaultInjectionEnv* const env_;
   const std::string fname_;
   std::unique_ptr<SequentialFile> base_;
-};
-
-// In-flight async sync bookkeeping: allocated by SubmitSync, carried as
-// the base request's arg, freed by OnBaseSyncDone.
-struct AsyncSyncState {
-  FaultInjectionEnv* env = nullptr;
-  std::string fname;
-  // Bytes written to the file when the sync was submitted: the most a
-  // completed fdatasync is credited with making durable.
-  uint64_t durable_upto = 0;
-  SyncRequest* user_req = nullptr;
-  SyncRequest base_req;
 };
 
 }  // namespace
@@ -257,75 +240,6 @@ Status FaultInjectionEnv::RenameFile(const std::string& src,
     }
   }
   return s;
-}
-
-void FaultInjectionEnv::SubmitReads(ReadRequest** reqs, size_t count,
-                                    CompletionQueue* cq) {
-  // The base env's pool runs the batch; every request's file is a
-  // FaultRandomAccessFile, so the read-fault hooks still apply on the
-  // completing thread.
-  base_->SubmitReads(reqs, count, cq);
-}
-
-void FaultInjectionEnv::SubmitSync(SyncRequest* req, CompletionQueue* cq) {
-  // Every writable file handed out by this env is a FaultWritableFile.
-  auto* file = static_cast<FaultWritableFile*>(req->file);
-
-  // Number the op at submit time, exactly where a synchronous Sync() would
-  // have: arrival order under mu_ is what the crash matrix replays.
-  Status s = RegisterFileOp("sync", file->fname());
-  if (!s.ok()) {
-    // Crashed at or before this op: the sync fails with no effect -- but
-    // the completion is still posted, so waiters see the failure instead
-    // of hanging.
-    req->status = s;
-    if (req->on_complete != nullptr) (*req->on_complete)(req);
-    cq->Post();
-    return;
-  }
-
-  auto state = std::make_unique<AsyncSyncState>();
-  state->env = this;
-  state->fname = file->fname();
-  {
-    MutexLock l(&mu_);
-    state->durable_upto = files_[state->fname].written_bytes;
-  }
-  state->user_req = req;
-  state->base_req.file = file->base();
-  state->base_req.on_complete = &FaultInjectionEnv::OnBaseSyncDone;
-  state->base_req.arg = state.get();
-  // The base env posts to |cq| exactly once, after OnBaseSyncDone has
-  // applied the durability credit and filled the user request; ownership
-  // of |state| transfers to that completion hook here.
-  base_->SubmitSync(&state.release()->base_req, cq);
-}
-
-void FaultInjectionEnv::OnBaseSyncDone(SyncRequest* base_req) {
-  const std::unique_ptr<AsyncSyncState> state(
-      static_cast<AsyncSyncState*>(base_req->arg));
-  FaultInjectionEnv* env = state->env;
-  Status s = base_req->status;
-  {
-    MutexLock l(&env->mu_);
-    if (env->crashed_) {
-      // The machine crashed while the sync was in flight: it completes
-      // with an error and no durability effect, matching what a reboot
-      // would observe.
-      if (s.ok()) s = Status::IOError(kCrashMsg, state->fname);
-    } else if (s.ok()) {
-      auto it = env->files_.find(state->fname);
-      if (it != env->files_.end()) {
-        FileCrashInfo& info = it->second;
-        info.synced_bytes = std::max(
-            info.synced_bytes,
-            std::min(state->durable_upto, info.written_bytes));
-      }
-    }
-  }
-  SyncRequest* user = state->user_req;
-  user->status = s;
-  if (user->on_complete != nullptr) (*user->on_complete)(user);
 }
 
 Status FaultInjectionEnv::TruncateBaseFile(const std::string& fname,

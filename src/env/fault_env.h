@@ -221,18 +221,6 @@ class FaultInjectionEnv : public Env {
     base_->SleepForMicroseconds(micros);
   }
 
-  // Async IO. Reads forward to the base env's pool: each request's file
-  // is a fault wrapper whose Read() applies the read-fault hooks on the
-  // completing thread. Syncs are numbered at SUBMIT time under mu_
-  // (arrival order, like every other mutating op, so crash replay stays
-  // deterministic) and credit durability at COMPLETION time only up to the
-  // bytes written when the sync was submitted; a completion-time crash
-  // re-check makes a crash at op k fail every in-flight sync with IOError
-  // and no durability effect.
-  void SubmitReads(ReadRequest** reqs, size_t count,
-                   CompletionQueue* cq) override;
-  void SubmitSync(SyncRequest* req, CompletionQueue* cq) override;
-
   // Fault hooks used by the wrapped file objects; also callable from tests.
   // Returns true if this write should fail (and counts the fault).
   bool ShouldFailWrite();
@@ -252,11 +240,6 @@ class FaultInjectionEnv : public Env {
   // base-env I/O runs inline (test-only path, quiescent by contract).
   Status TruncateBaseFile(const std::string& fname, uint64_t persisted)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
-
-  // Completion hook for the base-env sync a SubmitSync delegated; applies
-  // the durability credit / crash re-check described above. |base_req|'s
-  // arg is the heap AsyncSyncState allocated at submit.
-  static void OnBaseSyncDone(SyncRequest* base_req);
 
   Env* const base_;
   mutable Mutex mu_;

@@ -144,17 +144,6 @@ class MemEnv : public Env {
     t.detach();
   }
 
-  // The same AsyncIoPool backend as PosixEnv, so every MemEnv test
-  // exercises the production submission/completion protocol.
-  void SubmitReads(ReadRequest** reqs, size_t count,
-                   CompletionQueue* cq) override {
-    pool_.SubmitReads(reqs, count, cq);
-  }
-
-  void SubmitSync(SyncRequest* req, CompletionQueue* cq) override {
-    pool_.SubmitSync(req, cq);
-  }
-
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override {
     MutexLock l(&mu_);
@@ -258,7 +247,6 @@ class MemEnv : public Env {
 
  private:
   BackgroundScheduler scheduler_;
-  AsyncIoPool pool_;
   Mutex mu_;
   std::map<std::string, FileState*> files_ GUARDED_BY(mu_);
 };

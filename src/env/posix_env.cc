@@ -218,16 +218,6 @@ class PosixWritableFile final : public WritableFile {
     return Status::OK();
   }
 
-  // Durability half only: no buf_ access, so a completion thread may run
-  // this concurrently with the owner's Append. The submitter Flush()es
-  // first, per the SubmitSync contract.
-  Status SyncDurable() override {
-    if (::fdatasync(fd_) < 0) {
-      return PosixError(filename_, errno);
-    }
-    return Status::OK();
-  }
-
  private:
   static constexpr size_t kWritableFileBufferSize = 64 * 1024;
 
@@ -367,11 +357,7 @@ class PosixMappedWalFile final : public WritableFile {
 
   Status Flush() override { return Status::OK(); }
 
-  Status Sync() override { return SyncDurable(); }
-
-  // Touches only fd_, so a completion thread may run it concurrently with
-  // the owner's Append.
-  Status SyncDurable() override {
+  Status Sync() override {
     if (::fdatasync(fd_) < 0) {
       return PosixError(filename_, errno);
     }
@@ -585,23 +571,10 @@ class PosixEnv : public Env {
     t.detach();
   }
 
-  // Reads and syncs both run on the pool: a pool worker's Read is a pointer
-  // computation on an mmap-served file and one pread otherwise, and
-  // SyncDurable is one fdatasync.
-  void SubmitReads(ReadRequest** reqs, size_t count,
-                   CompletionQueue* cq) override {
-    pool_.SubmitReads(reqs, count, cq);
-  }
-
-  void SubmitSync(SyncRequest* req, CompletionQueue* cq) override {
-    pool_.SubmitSync(req, cq);
-  }
-
  private:
   const bool unbuffered_writes_;
   Limiter mmap_limiter_;
   BackgroundScheduler scheduler_;
-  AsyncIoPool pool_;
 };
 
 }  // namespace

@@ -767,10 +767,9 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
   if (s.ok()) s = finished;
 
   mutex_.Lock();
-  for (const TableSink::Output& out : sink.outputs()) {
-    pending_outputs_.erase(out.meta.number);
+  for (FileMetaData meta : sink.outputs()) {
+    pending_outputs_.erase(meta.number);
     if (s.ok()) {
-      FileMetaData meta = out.meta;
       meta.run_id = meta.number;
       edit->AddFile(0, meta);
       stats_.flush_count++;
@@ -1790,7 +1789,7 @@ void DBImpl::RearmFadeClocks() {
 }
 
 Status DBImpl::InstallCompactionResults(
-    CompactionState* compact, const std::vector<TableSink::Output>& outputs) {
+    CompactionState* compact, const std::vector<FileMetaData>& outputs) {
   Compaction* const c = compact->compaction;
   c->AddInputDeletions(c->edit());
   // An in-place rewrite of one run keeps its recency: a rewritten old L0
@@ -1798,8 +1797,7 @@ Status DBImpl::InstallCompactionResults(
   // new run.
   const bool same_run = c->level() == c->output_level() &&
                         c->num_input_files(0) == 1;
-  for (const TableSink::Output& out : outputs) {
-    FileMetaData meta = out.meta;
+  for (FileMetaData meta : outputs) {
     meta.run_id = same_run ? c->input(0, 0)->run_id : meta.number;
     c->edit()->AddFile(c->output_level(), meta);
   }
@@ -2077,8 +2075,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   Status finished = sink.Finish(status);
   if (status.ok()) status = finished;
   uint64_t bytes_written = 0;
-  for (const TableSink::Output& out : sink.outputs()) {
-    bytes_written += out.meta.file_size;
+  for (const FileMetaData& out : sink.outputs()) {
+    bytes_written += out.file_size;
   }
 
   mutex_.Lock();
@@ -2130,8 +2128,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
                               c->edit()->vlog_monitor_latency());
     }
   }
-  for (const TableSink::Output& out : sink.outputs()) {
-    pending_outputs_.erase(out.meta.number);
+  for (const FileMetaData& out : sink.outputs()) {
+    pending_outputs_.erase(out.number);
   }
   return status;
 }

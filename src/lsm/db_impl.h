@@ -250,7 +250,7 @@ class DBImpl : public DB {
   Status DoCompactionWork(CompactionState* compact, SequenceNumber horizon)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   Status InstallCompactionResults(CompactionState* compact,
-                                  const std::vector<TableSink::Output>& outputs)
+                                  const std::vector<FileMetaData>& outputs)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Count |c| in compaction_count and compactions_by_reason.
@@ -624,7 +624,7 @@ class DBImpl : public DB {
   std::vector<ReadState*> free_read_states_ GUARDED_BY(mutex_);
 
   CompactionPlanner planner_;  // immutable after construction
-  DeletePersistenceMonitor monitor_;  // provides its own synchronization
+  DeletePersistenceMonitor monitor_ GUARDED_BY(mutex_);
   InternalStats stats_ GUARDED_BY(mutex_);
 
   // Tombstones stepped over by live DBIter instances. Iterators outlive any

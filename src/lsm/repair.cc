@@ -291,9 +291,9 @@ class Repairer {
     iter.reset();
     mem->Unref();
     if (status.ok()) {
-      for (const TableSink::Output& out : sink.outputs()) {
+      for (const FileMetaData& out : sink.outputs()) {
         TableInfo t;
-        t.meta = out.meta;
+        t.meta = out;
         t.meta.run_id = t.meta.number;
         t.max_sequence = max_sequence;
         tables_.push_back(t);

@@ -146,9 +146,8 @@ void TableSink::Dispatch() {
 
 void TableSink::Release(Batch* b) {
   b->data.clear();
-  b->run.reset();
+  b->last = false;
   b->abandon = false;
-  b->end_run = false;
   MutexLock l(&handoff_.batch_mu);
   handoff_.free.push_back(b);
   handoff_.in_flight--;
@@ -156,14 +155,8 @@ void TableSink::Release(Batch* b) {
 }
 
 void TableSink::BeginRun(Run run) {
-  assert(!run_open_);
-  run_open_ = true;
-  if (worker_ == nullptr) {
-    StartRun(std::move(run));
-    return;
-  }
-  Dispatch();
-  FillBatch()->run = std::make_unique<Run>(std::move(run));
+  assert(fill_ == nullptr && outputs_.empty());
+  run_ = std::move(run);
 }
 
 void TableSink::Add(const Slice& key, const Slice& value) {
@@ -179,57 +172,39 @@ void TableSink::Add(const Slice& key, const Slice& value) {
   if (b->data.size() >= kBatchBytes) Dispatch();
 }
 
-void TableSink::EndRun() {
-  assert(run_open_);
-  run_open_ = false;
-  if (worker_ == nullptr) {
-    FinishRun();
-    return;
-  }
-  FillBatch()->end_run = true;
-  Dispatch();
-}
-
 Status TableSink::Finish(const Status& input) {
   finishing_ = true;
   if (worker_ == nullptr) {
     if (!input.ok()) Fail(input);
-  } else if (!input.ok()) {
-    FillBatch()->abandon = true;
-  }
-  if (run_open_) {
-    EndRun();
+    FinishRun();
   } else {
+    Batch* b = FillBatch();
+    b->last = true;
+    b->abandon = !input.ok();
     Dispatch();
-  }
-  {
     MutexLock l(&handoff_.batch_mu);
     while (handoff_.in_flight > 0) {
       handoff_.cv.Wait();
     }
   }
+  // The builder synced every output it finished, so each one is durable.
   assert(builder_ == nullptr);
-  // The install wait: no output may become live before its fsync is done.
-  syncs_.WaitFor(syncs_submitted_);
   Status s = input.ok() ? status_ : input;
-  for (const std::unique_ptr<OutputFile>& out : files_) {
-    if (s.ok() && out->sync.file != nullptr) s = out->sync.status;
-  }
-  for (const std::unique_ptr<OutputFile>& out : files_) {
-    if (out->file == nullptr) continue;
+  for (std::unique_ptr<WritableFile>& file : files_) {
+    if (file == nullptr) continue;
     if (s.ok()) {
-      s = out->file->Close();  // io: unlocked -- deferred output close
+      s = file->Close();  // io: unlocked -- deferred output close
     } else {
       // The job failed and its outputs are removed below; close
       // deliberately -- the dropped status is a conscious choice.
-      (void)out->file->Close();  // io: unlocked -- abandoned output
+      (void)file->Close();  // io: unlocked -- abandoned output
     }
-    out->file.reset();
+    file.reset();
   }
   if (!s.ok()) {
-    for (const Output& out : outputs_) {
+    for (const FileMetaData& out : outputs_) {
       (void)env_->RemoveFile(
-          TableFileName(dbname_, out.meta.number));  // io: unlocked
+          TableFileName(dbname_, out.number));  // io: unlocked
     }
     failed_.store(true, std::memory_order_release);
   }
@@ -244,13 +219,7 @@ void TableSink::Fail(const Status& s) {
   failed_.store(true, std::memory_order_release);
 }
 
-void TableSink::StartRun(Run run) {
-  runs_.push_back(std::move(run));
-  run_first_output_ = outputs_.size();
-}
-
 void TableSink::Consume(Batch* b) {
-  if (b->run != nullptr) StartRun(std::move(*b->run));
   Slice in(b->data);
   while (!in.empty()) {
     Slice key, value;
@@ -261,25 +230,23 @@ void TableSink::Consume(Batch* b) {
     if (status_.ok()) AddEntry(key, value);
   }
   if (b->abandon) Fail(Status::IOError("table sink: input failed"));
-  if (b->end_run) FinishRun();
+  if (b->last) FinishRun();
 }
 
 void TableSink::OpenOutput() {
   assert(builder_ == nullptr);
-  Output out;
-  out.run = runs_.size() - 1;
-  out.meta.number = new_file_number_();
-  outputs_.push_back(out);
-  files_.push_back(std::make_unique<OutputFile>());
-  OutputFile* f = files_.back().get();
-  Status s = env_->NewWritableFile(TableFileName(dbname_, out.meta.number),
-                                   &f->file);  // io: unlocked
+  FileMetaData meta;
+  meta.number = new_file_number_();
+  outputs_.push_back(meta);
+  files_.emplace_back();
+  Status s = env_->NewWritableFile(TableFileName(dbname_, meta.number),
+                                   &files_.back());  // io: unlocked
   if (!s.ok()) {
-    f->file.reset();
+    files_.back().reset();
     Fail(s);
     return;
   }
-  builder_ = std::make_unique<TableBuilder>(options_, f->file.get());
+  builder_ = std::make_unique<TableBuilder>(options_, files_.back().get());
 }
 
 void TableSink::AddEntry(const Slice& key, const Slice& value) {
@@ -294,8 +261,8 @@ void TableSink::AddEntry(const Slice& key, const Slice& value) {
     builder_.reset();
     return;
   }
-  FoldEntry(options_, key, value, &outputs_.back().meta);
-  if (builder_->FileSize() >= runs_.back().max_output_size) {
+  FoldEntry(options_, key, value, &outputs_.back());
+  if (builder_->FileSize() >= run_.max_output_size) {
     FinishOutput();
   }
 }
@@ -361,12 +328,12 @@ void TableSink::RangeOnlyBounds(const std::vector<RangeTombstone>& tombstones,
 }
 
 void TableSink::FinishRun() {
-  const Run& run = runs_.back();
+  const Run& run = run_;
   if (status_.ok() && !run.range_tombstones.empty()) {
     const bool fresh_output = builder_ == nullptr;
     if (fresh_output) OpenOutput();
     if (status_.ok()) {
-      FileMetaData* meta = &outputs_.back().meta;
+      FileMetaData* meta = &outputs_.back();
       for (const RangeTombstone& t : run.range_tombstones) {
         builder_->AddRangeTombstone(t.begin, t.end, t.seq, ucmp_);
         FoldRangeTombstone(ucmp_, t, meta);
@@ -375,13 +342,13 @@ void TableSink::FinishRun() {
           run.range_tombstone_wall_micros;
       if (fresh_output) {
         // No point entries to derive bounds from. Start just past the
-        // run's previous output, if any: the same user key at the
-        // next-lower sequence sorts strictly after, and that exact (key,
-        // seq) pair exists nowhere else.
+        // previous output, if any: the same user key at the next-lower
+        // sequence sorts strictly after, and that exact (key, seq) pair
+        // exists nowhere else.
         InternalKey lo = run.range_only_smallest;
         InternalKey hi = run.range_only_largest;
-        if (outputs_.size() - 1 > run_first_output_) {
-          const FileMetaData& prev = outputs_[outputs_.size() - 2].meta;
+        if (outputs_.size() > 1) {
+          const FileMetaData& prev = outputs_[outputs_.size() - 2];
           ParsedInternalKey pk;
           if (ParseInternalKey(prev.largest.Encode(), &pk)) {
             lo = InternalKey(pk.user_key, pk.sequence > 0 ? pk.sequence - 1 : 0,
@@ -406,10 +373,9 @@ void TableSink::FinishRun() {
 }
 
 void TableSink::FinishOutput() {
-  FileMetaData* meta = &outputs_.back().meta;
-  OutputFile* f = files_.back().get();
+  FileMetaData* meta = &outputs_.back();
   if (meta->num_tombstones > 0) {
-    meta->earliest_tombstone_wall_micros = runs_.back().tombstone_wall_micros;
+    meta->earliest_tombstone_wall_micros = run_.tombstone_wall_micros;
   }
   // Mirror the metadata into the table's own properties block.
   // (AddRangeTombstone maintains the range count/seq/span itself.)
@@ -427,13 +393,8 @@ void TableSink::FinishOutput() {
   // Always synced, independent of Options::sync_writes: the manifest record
   // that makes the table live is synced at install, so the table must be
   // durable first or a crash could leave a live version pointing at a torn
-  // file. SubmitSync needs the user-space buffer pushed first.
-  if (s.ok()) s = f->file->Flush();
-  if (s.ok()) {
-    f->sync.file = f->file.get();
-    syncs_submitted_++;
-    env_->SubmitSync(&f->sync, &syncs_);  // io: unlocked
-  }
+  // file.
+  if (s.ok()) s = files_.back()->Sync();  // io: unlocked
   if (!s.ok()) Fail(s);
 }
 

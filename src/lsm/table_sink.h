@@ -7,25 +7,24 @@
 // range-tombstone count/seq/span) and mirrors them into the table's
 // properties block. FoldEntry and FoldRangeTombstone are that derivation;
 // RepairDB re-derives an orphan table's metadata through them too, so every
-// table's metadata follows one rule. Each finished output is
-// flushed and its fsync submitted through Env::SubmitSync, so the next
-// output builds while the previous one syncs. Finish() waits for every
-// submitted sync and closes the files: it is the single sync-before-install
-// point every caller passes before the LogAndApply that makes the outputs
-// live.
+// table's metadata follows one rule. Each finished output is synced on the
+// thread that built it before the next output is created, so every output
+// is durable once Finish() returns: Finish() is the single
+// sync-before-install point every caller passes before the LogAndApply
+// that makes the outputs live.
 //
 // With a TableSinkWorker the builder runs on the worker's thread: Add()
 // copies each entry into a bounded batch (kBatchBytes each, at most
 // kMaxBatches in flight) and blocks only when every batch is in flight, so
-// the caller's merge loop overlaps the table build and write. A job that
-// fits in one batch has nothing to overlap and is built on the caller's
-// thread at Finish(). Without a worker the calling thread builds each entry
-// as it arrives (vLog GC: its relocation appends share the entry stream,
-// and keeping all of a job's mutating file ops on one thread keeps the
-// crash matrix's op numbering deterministic).
+// the caller's merge loop overlaps the table build, write and sync. A job
+// that fits in one batch has nothing to overlap and is built on the
+// caller's thread at Finish(). Without a worker the calling thread builds
+// each entry as it arrives (vLog GC: its relocation appends share the
+// entry stream, and keeping all of a job's mutating file ops on one thread
+// keeps the crash matrix's op numbering deterministic).
 //
-// Every mutating file op of a job (create, append, sync submission) runs
-// on the builder thread in stream order; only the Close of each output is
+// Every mutating file op of a job (create, append, sync) runs on the
+// builder thread in stream order; only the Close of each output is
 // deferred to Finish(), on the caller's thread. A failed job removes every
 // output file it created.
 #ifndef ACHERON_LSM_TABLE_SINK_H_
@@ -95,28 +94,22 @@ class TableSinkWorker {
 
 class TableSink {
  public:
-  // A run is a stream of entries whose outputs share the metadata below
-  // beyond what the entries themselves say. Every engine job feeds one run
-  // per sink.
+  // The metadata a job's outputs share beyond what the entries themselves
+  // say. Every job feeds one run: BeginRun, the entries, then Finish.
   struct Run {
     // Cut the current output once its file reaches this size.
     uint64_t max_output_size = UINT64_MAX;
     // Wall stamp of outputs holding point tombstones.
     uint64_t tombstone_wall_micros = UINT64_MAX;
-    // Range tombstones written into the run's last output, and that
-    // output's range-tombstone wall stamp.
+    // Range tombstones written into the last output, and that output's
+    // range-tombstone wall stamp.
     std::vector<RangeTombstone> range_tombstones;
     uint64_t range_tombstone_wall_micros = UINT64_MAX;
-    // Bounds of a last output holding only range tombstones. When the run
+    // Bounds of a last output holding only range tombstones. When the job
     // already cut an output, the lower bound moves just past that output's
     // largest key so the outputs stay disjoint.
     InternalKey range_only_smallest;
     InternalKey range_only_largest;
-  };
-
-  struct Output {
-    size_t run = 0;  // index of the run (in BeginRun order)
-    FileMetaData meta;
   };
 
   // The metadata derivation: fold one stored entry (internal key, in key
@@ -150,40 +143,32 @@ class TableSink {
   TableSink(const TableSink&) = delete;
   TableSink& operator=(const TableSink&) = delete;
 
+  // REQUIRES: called once, before any Add().
   void BeginRun(Run run);
-  // REQUIRES: |key| is an internal key after the run's previous key.
+  // REQUIRES: |key| is an internal key after the previous key.
   void Add(const Slice& key, const Slice& value);
-  void EndRun();
 
   // True once building or writing an output failed; the caller may stop
   // feeding entries (Finish returns the error either way).
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
-  // Ends an open run, hands over the last batch, waits for the builder to
-  // drain, then waits for every submitted output sync and closes the files.
-  // A non-OK |input| (the caller's entry stream failed) abandons the open
-  // output instead of finishing it and fails the job. Returns the first
-  // error; on error every output file is removed.
+  // Ends the run: hands over the last batch, waits for the builder to
+  // finish and sync the last output, then closes the files. A non-OK
+  // |input| (the caller's entry stream failed) abandons the open output
+  // instead of finishing it and fails the job. Returns the first error; on
+  // error every output file is removed.
   Status Finish(const Status& input = Status::OK());
 
   // Every output created, in creation order; valid after Finish(). On
   // error the list still names every allocated file number.
-  const std::vector<Output>& outputs() const { return outputs_; }
+  const std::vector<FileMetaData>& outputs() const { return outputs_; }
 
  private:
   struct Batch {
     // Entries, each a length-prefixed key then a length-prefixed value.
     std::string data;
-    std::unique_ptr<Run> run;  // starts a run before the entries
-    bool abandon = false;      // fail the job before ending the run
-    bool end_run = false;
-  };
-
-  // One written output: its file and its in-flight sync (sync.file is set
-  // once the sync is submitted).
-  struct OutputFile {
-    std::unique_ptr<WritableFile> file;
-    SyncRequest sync;
+    bool last = false;     // Finish(): end the run after the entries
+    bool abandon = false;  // fail the job before ending the run
   };
 
   // The batch pool shared by the caller and the worker.
@@ -201,7 +186,6 @@ class TableSink {
   void Release(Batch* b);
 
   // Builder side: the worker's thread, or the caller's without a worker.
-  void StartRun(Run run);
   void Consume(Batch* b);
   void AddEntry(const Slice& key, const Slice& value);
   void OpenOutput();
@@ -216,9 +200,12 @@ class TableSink {
   const std::function<uint64_t()> new_file_number_;
   TableSinkWorker* const worker_;
 
+  // Set by BeginRun before the first batch goes to the worker (the
+  // hand-off orders it before every builder-side read).
+  Run run_;
+
   // Caller side.
   Batch* fill_ = nullptr;
-  bool run_open_ = false;
   bool finishing_ = false;   // Finish() has begun
   bool handed_off_ = false;  // a batch went to the worker
   Handoff handoff_;
@@ -227,13 +214,9 @@ class TableSink {
   // Builder side; the caller reads it only after Finish() drained the
   // builder (the hand-off lock orders the accesses).
   Status status_;
-  std::deque<Run> runs_;
-  size_t run_first_output_ = 0;  // index into outputs_ of the run's first
   std::unique_ptr<TableBuilder> builder_;
-  std::vector<Output> outputs_;
-  std::vector<std::unique_ptr<OutputFile>> files_;  // parallel to outputs_
-  CompletionQueue syncs_;
-  uint64_t syncs_submitted_ = 0;
+  std::vector<FileMetaData> outputs_;
+  std::vector<std::unique_ptr<WritableFile>> files_;  // parallel to outputs_
 };
 
 }  // namespace acheron

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -381,6 +380,64 @@ TEST(FaultEnvTest, ReadFaultsCountAsInjected) {
   EXPECT_EQ(2u, fenv.FaultsInjected());
 }
 
+// A Sync() takes the next op index when it arrives and credits the bytes
+// written so far as durable when it returns.
+TEST(FaultEnvTest, SyncCreditsDurability) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  FaultInjectionEnv fenv(base.get());
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(fenv.NewWritableFile("/wal", &f).ok());  // op 0
+  ASSERT_TRUE(f->Append("abcde").ok());                // op 1
+  ASSERT_TRUE(f->Sync().ok());                         // op 2
+  EXPECT_EQ(3u, fenv.FileOpCount());
+  auto files = fenv.TrackedFiles();
+  ASSERT_EQ(1u, files.count("/wal"));
+  EXPECT_EQ(5u, files["/wal"].synced_bytes);
+  EXPECT_EQ(5u, files["/wal"].written_bytes);
+}
+
+TEST(FaultEnvTest, SyncsNumberedInArrivalOrder) {
+  // Arming the crash between two syncs' indices fails the second with no
+  // durability effect and leaves the first durable.
+  std::unique_ptr<Env> base(NewMemEnv());
+  FaultInjectionEnv fenv(base.get());
+  std::unique_ptr<WritableFile> a;
+  std::unique_ptr<WritableFile> b;
+  ASSERT_TRUE(fenv.NewWritableFile("/wal_a", &a).ok());  // op 0
+  ASSERT_TRUE(fenv.NewWritableFile("/wal_b", &b).ok());  // op 1
+  ASSERT_TRUE(a->Append("aaaa").ok());                   // op 2
+  ASSERT_TRUE(b->Append("bb").ok());                     // op 3
+
+  fenv.CrashAfterOp(5);  // first sync = op 4 (ok), second = op 5 (crash)
+  EXPECT_TRUE(a->Sync().ok());
+  EXPECT_TRUE(b->Sync().IsIOError());
+  EXPECT_TRUE(fenv.crashed());
+  auto files = fenv.TrackedFiles();
+  EXPECT_EQ(4u, files["/wal_a"].synced_bytes);
+  EXPECT_EQ(0u, files["/wal_b"].synced_bytes);
+}
+
+TEST(FaultEnvTest, CrashFailsSyncWithoutDurability) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  FaultInjectionEnv fenv(base.get());
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(fenv.NewWritableFile("/wal", &f).ok());  // op 0
+  ASSERT_TRUE(f->Append("abcde").ok());                // op 1
+
+  fenv.CrashAfterOp(2);  // the sync itself lands on the crash point
+  EXPECT_TRUE(f->Sync().IsIOError());
+  EXPECT_TRUE(fenv.crashed());
+  auto files = fenv.TrackedFiles();
+  EXPECT_EQ(0u, files["/wal"].synced_bytes);
+
+  // After the simulated reboot the unsynced append is gone.
+  f.reset();
+  ASSERT_TRUE(fenv.CrashAndRestart().ok());
+  uint64_t size;
+  ASSERT_TRUE(fenv.GetFileSize("/wal", &size).ok());
+  EXPECT_EQ(0u, size);
+}
+
 // --------------------------------------------------------------------------
 // Env::Schedule / Env::StartThread (the background-compaction plumbing).
 // --------------------------------------------------------------------------
@@ -470,220 +527,6 @@ TEST(FaultEnvScheduleTest, ForwardsToBase) {
   fenv.Schedule(&BumpCounter, &counter);
   fenv.StartThread(&BumpCounter, &counter);
   EXPECT_TRUE(WaitFor([&] { return counter.load() == 2; }));
-}
-
-// --------------------------------------------------------------------------
-// Async submission/completion (Env::SubmitReads / Env::SubmitSync).
-// --------------------------------------------------------------------------
-
-namespace {
-
-// Submits |kReads| overlapping reads of |contents| (written to |fname|
-// beforehand) in one batch and checks every completion. Shared across envs
-// so MemEnv and both kinds of PosixEnv file run the same leg. With
-// |pread_served| every result must be a copy in its own scratch buffer,
-// which proves the file is not an mmap view.
-void CheckBatchedReads(Env* env, const std::string& fname,
-                       bool pread_served = false) {
-  const std::string contents = "0123456789abcdef";
-  ASSERT_TRUE(env->WriteStringToFile(contents, fname).ok());
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
-
-  constexpr int kReads = 33;  // deliberately not a multiple of any chunk size
-  std::vector<ReadRequest> reqs(kReads);
-  std::vector<std::array<char, 4>> scratch(kReads);
-  std::vector<ReadRequest*> ptrs(kReads);
-  for (int i = 0; i < kReads; i++) {
-    reqs[i].file = file.get();
-    reqs[i].offset = static_cast<uint64_t>(i % 13);
-    reqs[i].n = 4;
-    reqs[i].scratch = scratch[i].data();
-    ptrs[i] = &reqs[i];
-  }
-  CompletionQueue cq;
-  env->SubmitReads(ptrs.data(), ptrs.size(), &cq);
-  cq.WaitFor(kReads);
-  EXPECT_EQ(static_cast<uint64_t>(kReads), cq.completed());
-  for (int i = 0; i < kReads; i++) {
-    ASSERT_TRUE(reqs[i].status.ok()) << "read " << i;
-    EXPECT_EQ(contents.substr(i % 13, 4), reqs[i].result.ToString())
-        << "read " << i;
-    if (pread_served) {
-      EXPECT_EQ(scratch[i].data(), reqs[i].result.data()) << "read " << i;
-    }
-  }
-}
-
-}  // namespace
-
-TEST_F(MemEnvTest, SubmitReadsBatchCompletesAll) {
-  CheckBatchedReads(env_.get(), "/async_reads");
-}
-
-TEST_F(PosixEnvTest, SubmitReadsBatchCompletesAll) {
-  CheckBatchedReads(env_, Path("async_reads"));
-}
-
-// The default env serves tables by mmap; a zero mmap budget makes every
-// file pread-served, the path a tree past the budget takes.
-TEST_F(PosixEnvTest, SubmitReadsBatchCompletesAllPreadServed) {
-  std::unique_ptr<Env> env(NewPosixEnv(/*unbuffered_writes=*/false,
-                                       /*mmap_budget=*/0));
-  CheckBatchedReads(env.get(), Path("async_reads"), /*pread_served=*/true);
-}
-
-TEST_F(PosixEnvTest, SubmitSyncCompletes) {
-  std::unique_ptr<WritableFile> w;
-  ASSERT_TRUE(env_->NewWritableFile(Path("wal"), &w).ok());
-  ASSERT_TRUE(w->Append("payload").ok());
-  ASSERT_TRUE(w->Flush().ok());
-  SyncRequest req;
-  req.file = w.get();
-  CompletionQueue cq;
-  env_->SubmitSync(&req, &cq);
-  cq.WaitFor(1);
-  EXPECT_TRUE(req.status.ok());
-  ASSERT_TRUE(w->Close().ok());
-}
-
-TEST(CompletionQueueTest, MultipleWaitersWithDistinctTargets) {
-  // Exercises the armed-target protocol: the queue only signals when the
-  // smallest armed target is reached, and a departing waiter must re-arm
-  // the ones still blocked.
-  CompletionQueue cq;
-  std::atomic<int> woke{0};
-  std::thread t1([&] {
-    cq.WaitFor(1);
-    woke.fetch_add(1);
-  });
-  std::thread t2([&] {
-    cq.WaitFor(3);
-    woke.fetch_add(1);
-  });
-  // Let both waiters block and arm their targets before posting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  cq.Post();
-  EXPECT_TRUE(WaitFor([&] { return woke.load() >= 1; }));
-  cq.Post();
-  cq.Post();
-  t1.join();
-  t2.join();
-  EXPECT_EQ(2, woke.load());
-  EXPECT_EQ(3u, cq.completed());
-}
-
-TEST(FaultEnvAsyncTest, SubmitReadsHonorsReadFaults) {
-  std::unique_ptr<Env> base(NewMemEnv());
-  FaultInjectionEnv fenv(base.get());
-  ASSERT_TRUE(fenv.WriteStringToFile("payload", "/cursed.sst").ok());
-  ASSERT_TRUE(fenv.WriteStringToFile("payload", "/fine.sst").ok());
-  std::unique_ptr<RandomAccessFile> cursed;
-  std::unique_ptr<RandomAccessFile> fine;
-  ASSERT_TRUE(fenv.NewRandomAccessFile("/cursed.sst", &cursed).ok());
-  ASSERT_TRUE(fenv.NewRandomAccessFile("/fine.sst", &fine).ok());
-  fenv.SetReadFaultSubstring("cursed");
-
-  char s1[8];
-  char s2[8];
-  ReadRequest r1;
-  r1.file = cursed.get();
-  r1.n = 7;
-  r1.scratch = s1;
-  ReadRequest r2;
-  r2.file = fine.get();
-  r2.n = 7;
-  r2.scratch = s2;
-  ReadRequest* reqs[2] = {&r1, &r2};
-  CompletionQueue cq;
-  fenv.SubmitReads(reqs, 2, &cq);
-  cq.WaitFor(2);
-  EXPECT_TRUE(r1.status.IsIOError());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ("payload", r2.result.ToString());
-  EXPECT_GE(fenv.FaultsInjected(), 1u);
-}
-
-TEST(FaultEnvAsyncTest, SubmitSyncCreditsDurabilityAtCompletion) {
-  std::unique_ptr<Env> base(NewMemEnv());
-  FaultInjectionEnv fenv(base.get());
-  std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(fenv.NewWritableFile("/wal", &f).ok());  // op 0
-  ASSERT_TRUE(f->Append("abcde").ok());                // op 1
-  ASSERT_TRUE(f->Flush().ok());
-
-  SyncRequest req;
-  req.file = f.get();
-  CompletionQueue cq;
-  fenv.SubmitSync(&req, &cq);  // numbered op 2 at submit
-  cq.WaitFor(1);
-  ASSERT_TRUE(req.status.ok());
-  EXPECT_EQ(3u, fenv.FileOpCount());
-  auto files = fenv.TrackedFiles();
-  ASSERT_EQ(1u, files.count("/wal"));
-  EXPECT_EQ(5u, files["/wal"].synced_bytes);
-  EXPECT_EQ(5u, files["/wal"].written_bytes);
-}
-
-TEST(FaultEnvAsyncTest, AsyncSyncsNumberedInSubmitOrder) {
-  // Two in-flight syncs on one queue: op numbers are assigned at submit
-  // time, so arming the crash between the two indices deterministically
-  // fails the second submission and leaves the first durable.
-  std::unique_ptr<Env> base(NewMemEnv());
-  FaultInjectionEnv fenv(base.get());
-  std::unique_ptr<WritableFile> a;
-  std::unique_ptr<WritableFile> b;
-  ASSERT_TRUE(fenv.NewWritableFile("/wal_a", &a).ok());  // op 0
-  ASSERT_TRUE(fenv.NewWritableFile("/wal_b", &b).ok());  // op 1
-  ASSERT_TRUE(a->Append("aaaa").ok());                   // op 2
-  ASSERT_TRUE(b->Append("bb").ok());                     // op 3
-  ASSERT_TRUE(a->Flush().ok());
-  ASSERT_TRUE(b->Flush().ok());
-
-  fenv.CrashAfterOp(5);  // first sync = op 4 (ok), second = op 5 (crash)
-  SyncRequest ra;
-  ra.file = a.get();
-  SyncRequest rb;
-  rb.file = b.get();
-  CompletionQueue cq;
-  fenv.SubmitSync(&ra, &cq);
-  cq.WaitFor(1);  // a's sync completes before the crash op arrives
-  fenv.SubmitSync(&rb, &cq);
-  cq.WaitFor(2);
-
-  EXPECT_TRUE(ra.status.ok());
-  EXPECT_TRUE(rb.status.IsIOError());
-  EXPECT_TRUE(fenv.crashed());
-  auto files = fenv.TrackedFiles();
-  EXPECT_EQ(4u, files["/wal_a"].synced_bytes);
-  EXPECT_EQ(0u, files["/wal_b"].synced_bytes);  // crash: no durability effect
-}
-
-TEST(FaultEnvAsyncTest, CrashFailsInFlightSyncWithoutDurability) {
-  std::unique_ptr<Env> base(NewMemEnv());
-  FaultInjectionEnv fenv(base.get());
-  std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(fenv.NewWritableFile("/wal", &f).ok());  // op 0
-  ASSERT_TRUE(f->Append("abcde").ok());                // op 1
-  ASSERT_TRUE(f->Flush().ok());
-
-  fenv.CrashAfterOp(2);  // the sync itself lands on the crash point
-  SyncRequest req;
-  req.file = f.get();
-  CompletionQueue cq;
-  fenv.SubmitSync(&req, &cq);
-  cq.WaitFor(1);
-  EXPECT_TRUE(req.status.IsIOError());
-  EXPECT_TRUE(fenv.crashed());
-  auto files = fenv.TrackedFiles();
-  EXPECT_EQ(0u, files["/wal"].synced_bytes);
-
-  // After the simulated reboot the unsynced append is gone.
-  f.reset();
-  ASSERT_TRUE(fenv.CrashAndRestart().ok());
-  uint64_t size;
-  ASSERT_TRUE(fenv.GetFileSize("/wal", &size).ok());
-  EXPECT_EQ(0u, size);
 }
 
 }  // namespace acheron

@@ -1,10 +1,11 @@
 // acheron-check fixture: sync-before-install through a table sink, must
 // FAIL.
 //
-// Same sink as the pass fixture: its builder creates each output and only
-// submits the fsync; Finish is the wait. CompactTables takes a fast path
-// that installs through LogAndApply before calling Finish, so the outputs'
-// fsyncs may still be in flight when the manifest makes them live.
+// A sink whose builder creates each output and only submits its fsync
+// through Env::SubmitSync, with Finish waiting on the completion queue. A
+// submitted sync never counts as a sync, so no path here separates the
+// create from the LogAndApply -- least of all the fast path, which
+// installs before even calling Finish.
 
 struct Status {
   static Status OK();

@@ -2,11 +2,11 @@
 // PASS.
 //
 // The sink's builder (run on a worker through a submitted closure) creates
-// each table output and submits its fsync through Env::SubmitSync without
-// waiting; the sink's Finish waits on the completion queue for every
-// submitted sync. CompactTables streams entries into the sink and calls
-// Finish before LogAndApply on every path, so sync-before-install holds even
-// though the create and the submit sit two calls deep.
+// each table output and syncs it in FinishOutput, on the thread that wrote
+// it, before the next output is created. The sink's Finish drains the
+// builder and closes the files. CompactTables streams entries into the
+// sink and calls Finish before LogAndApply, so sync-before-install holds
+// even though the create and the sync sit two calls deep.
 
 struct Status {
   static Status OK();
@@ -16,23 +16,12 @@ struct Status {
 struct Slice {};
 
 struct WritableFile {
-  Status Flush();
-  Status SyncDurable();
+  Status Sync();
   Status Close();
-};
-
-struct SyncRequest {
-  WritableFile* file = nullptr;
-  Status status;
-};
-
-struct CompletionQueue {
-  void WaitFor(unsigned long n);
 };
 
 struct Env {
   Status NewWritableFile(const char* fname, WritableFile** file);
-  void SubmitSync(SyncRequest* req, CompletionQueue* cq);
 };
 
 const char* TableFileName(int number);
@@ -47,8 +36,7 @@ class Sink {
   }
 
   Status Finish() {
-    cq_.WaitFor(submitted_);  // the install wait: every output is durable
-    return file_->Close();
+    return file_->Close();  // every finished output is already durable
   }
 
  private:
@@ -62,17 +50,11 @@ class Sink {
   }
 
   void FinishOutput() {
-    (void)file_->Flush();
-    req_.file = file_;
-    env_->SubmitSync(&req_, &cq_);  // in flight; Finish waits for it
-    submitted_++;
+    (void)file_->Sync();  // on the builder thread, before the next create
   }
 
   Env* env_ = nullptr;
   WritableFile* file_ = nullptr;
-  SyncRequest req_;
-  CompletionQueue cq_;
-  unsigned long submitted_ = 0;
   int next_ = 7;
 };
 
@@ -83,13 +65,10 @@ class VersionSetStub {
 
 class Compactor {
  public:
-  Status CompactTables(const Slice& key, bool fast_path) {
+  Status CompactTables(const Slice& key) {
     Sink sink;
     sink.Add(key);
     Status s = sink.Finish();
-    if (fast_path) {
-      return versions_->LogAndApply(1);
-    }
     if (s.ok()) {
       s = versions_->LogAndApply(0);
     }

@@ -1,15 +1,16 @@
 // TableSink: byte and FileMetaData identity against a plain TableBuilder
 // that cuts outputs at the same size, the range-tombstone-only last output,
-// empty runs, failure cleanup, and fault legs through the DB's flush and
-// compaction paths (a one-shot fault on a sink output's append and on its
-// async sync: nothing installs, the retry succeeds, the output numbers
-// drain and the worker goes idle).
+// empty runs, every output durable once Finish returns, failure cleanup,
+// and fault legs through the DB's flush and compaction paths (a one-shot
+// fault on a sink output's append and on its sync: nothing installs, the
+// retry succeeds, the output numbers drain and the worker goes idle).
 #include "src/lsm/table_sink.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -247,11 +248,10 @@ class SinkTest : public ::testing::TestWithParam<bool> {
     std::unique_ptr<TableSink> sink = NewSink();
     sink->BeginRun(run);
     for (const Entry& e : entries) sink->Add(e.key, e.value);
-    sink->EndRun();
     ASSERT_TRUE(sink->Finish().ok());
     ASSERT_EQ(want.size(), sink->outputs().size());
     for (size_t i = 0; i < want.size(); i++) {
-      const FileMetaData& got = sink->outputs()[i].meta;
+      const FileMetaData& got = sink->outputs()[i];
       ExpectSameMeta(want[i], got);
       EXPECT_EQ(Contents(TableFileName("/ref", want[i].number)),
                 Contents(TableFileName("/sink", got.number)))
@@ -319,29 +319,36 @@ TEST_P(SinkTest, RangeTombstoneOnlyLastOutput) {
 TEST_P(SinkTest, EmptyRunLeavesNoOutput) {
   std::unique_ptr<TableSink> sink = NewSink();
   sink->BeginRun(MakeRun(UINT64_MAX));
-  sink->EndRun();
   ASSERT_TRUE(sink->Finish().ok());
   EXPECT_TRUE(sink->outputs().empty());
   EXPECT_EQ(0, allocations_);
   EXPECT_EQ(0u, TableFiles("/sink"));
 }
 
-TEST_P(SinkTest, OutputsAreTaggedWithTheirRun) {
+// The install invariant: once Finish returns OK, every output's bytes
+// are durable, so the LogAndApply that follows can name them.
+TEST_P(SinkTest, EveryOutputIsDurableWhenFinishReturns) {
   Random rnd(10);
-  std::vector<Entry> entries = MakeStream(300, &rnd);
-  std::unique_ptr<TableSink> sink = NewSink();
-  for (int run = 0; run < 3; run++) {
-    sink->BeginRun(MakeRun(UINT64_MAX));
-    if (run != 1) {  // the middle run is empty
-      for (const Entry& e : entries) sink->Add(e.key, e.value);
-    }
-    sink->EndRun();
+  const std::vector<Entry> entries = MakeStream(3000, &rnd);
+  FaultInjectionEnv fault(env_.get());
+  TableSink sink(options_, BytewiseComparator(), &fault, "/durable",
+                 [this] { return next_number_++; },
+                 GetParam() ? &worker_ : nullptr);
+  TableSink::Run run = MakeRun(8 << 10);
+  run.range_tombstones.emplace_back(UserKey(40), UserKey(90), 5);
+  sink.BeginRun(run);
+  for (const Entry& e : entries) sink.Add(e.key, e.value);
+  ASSERT_TRUE(sink.Finish().ok());
+  ASSERT_GT(sink.outputs().size(), 2u);
+  const std::map<std::string, FaultInjectionEnv::FileCrashInfo> tracked =
+      fault.TrackedFiles();
+  for (const FileMetaData& out : sink.outputs()) {
+    const std::string fname = TableFileName("/durable", out.number);
+    auto it = tracked.find(fname);
+    ASSERT_NE(it, tracked.end()) << fname;
+    EXPECT_EQ(out.file_size, it->second.written_bytes) << fname;
+    EXPECT_EQ(it->second.written_bytes, it->second.synced_bytes) << fname;
   }
-  ASSERT_TRUE(sink->Finish().ok());
-  ASSERT_EQ(2u, sink->outputs().size());
-  EXPECT_EQ(0u, sink->outputs()[0].run);
-  EXPECT_EQ(2u, sink->outputs()[1].run);
-  EXPECT_EQ(2u, TableFiles("/sink"));
 }
 
 TEST_P(SinkTest, FailedInputAbandonsAndRemovesOutputs) {
@@ -357,7 +364,7 @@ TEST_P(SinkTest, FailedInputAbandonsAndRemovesOutputs) {
 }
 
 // One-shot faults on the sink's own file ops: the first output's append
-// and its async sync. The job fails, every output file is gone, and every
+// and its sync. The job fails, every output file is gone, and every
 // allocated number is still reported for the caller to release.
 TEST_P(SinkTest, FaultedAppendOrSyncFailsTheJob) {
   Random rnd(12);

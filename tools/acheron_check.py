@@ -1312,89 +1312,18 @@ INSTALL_CALLS = {"LogAndApply", "SetCurrentFile"}
 CREATE_CALLS = {"NewWritableFile"}
 SYNC_CALLS = {"Sync", "SyncDurable"}
 OUTPUT_NAME_HINTS = {"TableFileName", "DescriptorFileName", "VlogFileName"}
-# Async durability (Env::SubmitSync): the submission alone leaves the fsync
-# merely in flight -- only a later CompletionQueue::WaitFor observes its
-# completion. The pair therefore counts as a sync; a bare SubmitSync never
-# does, even though the resolved callee (the pool worker body) contains
-# the actual SyncDurable call. The submission may sit in a
-# callee (a function that returns with a sync still in flight -- e.g. a
-# table sink's builder, which submits each output's fsync and leaves the
-# wait to the sink's Finish); the wait then completes it in the caller.
-ASYNC_SUBMIT_CALLS = {"SubmitSync"}
-ASYNC_WAIT_CALLS = {"WaitFor"}
+# Env::SubmitSync only promises a completion post, so a submission never
+# counts as a sync, even though the Env's inline default body syncs.
+OPAQUE_CALLS = {"SubmitSync"}
 
 
 def check_sync_before_install(models, reporter, reg):
     all_funcs = reg.all_funcs
 
     def callees_of(fn, c):
+        if c.name in OPAQUE_CALLS:
+            return []
         return [g for g in reg.resolve_callees(fn, c) if g is not fn]
-
-    # ends_submitted: fn RETURNS with an async sync submitted (directly or
-    # by a callee) and not yet waited for.
-    ends_submitted = {id(fn): False for fn in all_funcs}
-    changed = True
-    guard = 0
-    while changed and guard < 50:
-        changed = False
-        guard += 1
-        for fn in all_funcs:
-            submitted = False
-            for c in sorted(fn.calls, key=lambda c: c.index):
-                if c.name in ASYNC_SUBMIT_CALLS:
-                    submitted = True
-                elif c.name in ASYNC_WAIT_CALLS:
-                    submitted = False
-                elif any(ends_submitted[id(g)] for g in callees_of(fn, c)):
-                    submitted = True
-            if submitted != ends_submitted[id(fn)]:
-                ends_submitted[id(fn)] = submitted
-                changed = True
-
-    # waits_prior: fn waits (directly or through a callee) before any sync
-    # of its own is in flight -- it completes syncs its CALLER submitted
-    # earlier (a sink's Finish after the caller's Adds).
-    waits_prior = {id(fn): False for fn in all_funcs}
-    changed = True
-    guard = 0
-    while changed and guard < 50:
-        changed = False
-        guard += 1
-        for fn in all_funcs:
-            found = False
-            submitted = False
-            for c in sorted(fn.calls, key=lambda c: c.index):
-                callees = callees_of(fn, c)
-                if c.name in ASYNC_WAIT_CALLS or \
-                        any(waits_prior[id(g)] for g in callees):
-                    if not submitted:
-                        found = True
-                        break
-                    submitted = False
-                elif c.name in ASYNC_SUBMIT_CALLS or \
-                        any(ends_submitted[id(g)] for g in callees):
-                    submitted = True
-            if found != waits_prior[id(fn)]:
-                waits_prior[id(fn)] = found
-                changed = True
-
-    def submits(fn, c):
-        return c.name in ASYNC_SUBMIT_CALLS or \
-            any(ends_submitted[id(g)] for g in callees_of(fn, c))
-
-    def waits(fn, c):
-        return c.name in ASYNC_WAIT_CALLS or \
-            any(waits_prior[id(g)] for g in callees_of(fn, c))
-
-    def has_async_sync_pair(fn):
-        submitted = False
-        for c in sorted(fn.calls, key=lambda c: c.index):
-            if waits(fn, c):
-                if submitted:
-                    return True
-            elif submits(fn, c):
-                submitted = True
-        return False
 
     def qualifying_create(fn, c):
         if any(t.kind == "id" and t.text in OUTPUT_NAME_HINTS
@@ -1406,8 +1335,7 @@ def check_sync_before_install(models, reporter, reg):
     syncs = {}
     installs = {}
     for fn in all_funcs:
-        syncs[id(fn)] = (any(c.name in SYNC_CALLS for c in fn.calls) or
-                         has_async_sync_pair(fn))
+        syncs[id(fn)] = any(c.name in SYNC_CALLS for c in fn.calls)
         installs[id(fn)] = any(c.name in INSTALL_CALLS for c in fn.calls)
 
     # Transitive closure over the strictly-resolved call graph.
@@ -1421,10 +1349,7 @@ def check_sync_before_install(models, reporter, reg):
                 if flag[id(fn)]:
                     continue
                 for c in fn.calls:
-                    if c.name in ASYNC_SUBMIT_CALLS:
-                        continue  # in flight, not durable (see above)
-                    if any(flag[id(g)] for g in reg.resolve_callees(fn, c)
-                           if g is not fn):
+                    if any(flag[id(g)] for g in callees_of(fn, c)):
                         flag[id(fn)] = True
                         changed = True
                         break
@@ -1446,50 +1371,25 @@ def check_sync_before_install(models, reporter, reg):
         guard += 1
         for fn in all_funcs:
             pending = False
-            submitted = False
             for c in sorted(fn.calls, key=lambda c: c.index):
-                callees = [g for g in reg.resolve_callees(fn, c)
-                           if g is not fn]
-                if c.name in ASYNC_SUBMIT_CALLS:
-                    # In flight, not durable: never clears pending by
-                    # itself (handled before the callee-summary branch so
-                    # the worker body's fsync cannot leak through).
-                    submitted = True
-                elif waits(fn, c) and submitted:
-                    pending = False
-                    submitted = False
-                elif c.name in ASYNC_WAIT_CALLS:
-                    pass
-                elif c.name in CREATE_CALLS and qualifying_create(fn, c):
+                callees = callees_of(fn, c)
+                if c.name in CREATE_CALLS and qualifying_create(fn, c):
                     pending = True
                 elif any(ends_pending[id(g)] for g in callees):
                     pending = True
                 elif c.name in SYNC_CALLS or \
                         any(t_syncs[id(g)] for g in callees):
                     pending = False
-                if c.name not in ASYNC_SUBMIT_CALLS and \
-                        any(ends_submitted[id(g)] for g in callees):
-                    submitted = True
             if pending != ends_pending[id(fn)]:
                 ends_pending[id(fn)] = pending
                 changed = True
 
     for fn in all_funcs:
         pending = None  # (line, what)
-        submitted = False
         for c in sorted(fn.calls, key=lambda c: c.index):
-            callees = [g for g in reg.resolve_callees(fn, c) if g is not fn]
-            if c.name in ASYNC_SUBMIT_CALLS:
-                submitted = True
-                is_sync = False
-            elif waits(fn, c) and submitted:
-                is_sync = True
-                submitted = False
-            elif c.name in ASYNC_WAIT_CALLS:
-                is_sync = False
-            else:
-                is_sync = c.name in SYNC_CALLS or \
-                    any(t_syncs[id(g)] for g in callees)
+            callees = callees_of(fn, c)
+            is_sync = c.name in SYNC_CALLS or \
+                any(t_syncs[id(g)] for g in callees)
             is_create = (c.name in CREATE_CALLS and
                          qualifying_create(fn, c)) or \
                 any(ends_pending[id(g)] for g in callees)
@@ -1501,18 +1401,15 @@ def check_sync_before_install(models, reporter, reg):
                     "sync-before-install",
                     f"install call '{c.name}(...)' in {fn.qname} is "
                     f"reachable after an output file created at line "
-                    f"{pending[0]} with no WritableFile::Sync (or completed "
-                    "SubmitSync/WaitFor pair) in between; a crash could "
-                    "leave a durable version pointing at a torn table "
+                    f"{pending[0]} with no WritableFile::Sync in between; "
+                    "a crash could leave a durable version pointing at a "
+                    "torn table "
                     "(PR-3 invariant)")
                 pending = None
             if is_sync:
                 pending = None
             if is_create and c.name != fn.name:
                 pending = (c.start_line, c.name)
-            if c.name not in ASYNC_SUBMIT_CALLS and \
-                    any(ends_submitted[id(g)] for g in callees):
-                submitted = True
 
 
 # ---------------------------------------------------------------------------
