@@ -1,6 +1,11 @@
 // E2 -- Delete persistence latency versus the threshold D_th: FADE keeps
 // the maximum observed latency at or below D_th; the baseline's latency is
 // workload luck (typically far larger, and unbounded in adversarial cases).
+//
+// Acceptance (abort on failure): every FADE row persists at least one
+// tombstone and its max point-tombstone persistence latency is <= D_th.
+#include <cstdlib>
+
 #include "bench/bench_common.h"
 
 namespace acheron {
@@ -43,6 +48,18 @@ static void Run(uint64_t dth) {
               ds.persistence_latency_p50, ds.persistence_latency_p99,
               ds.persistence_latency_max,
               static_cast<double>(ds.oldest_live_tombstone_age));
+  if (dth == 0) return;  // baseline row: no bound to enforce
+  if (ds.tombstones_persisted == 0 ||
+      ds.persistence_latency_max > static_cast<double>(dth)) {
+    std::fflush(stdout);  // keep the rows printed so far
+    std::fprintf(stderr,
+                 "E2: Dth=%llu violated: %llu tombstones persisted, max "
+                 "persistence latency %.0f logical ops\n",
+                 static_cast<unsigned long long>(dth),
+                 static_cast<unsigned long long>(ds.tombstones_persisted),
+                 ds.persistence_latency_max);
+    std::abort();
+  }
 }
 
 static void Main() {

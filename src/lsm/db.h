@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/persistence_monitor.h"
 #include "src/lsm/options.h"
 #include "src/lsm/stats.h"
 #include "src/lsm/write_batch.h"

@@ -572,18 +572,15 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
     versions_->SetLastSequence(max_sequence);
   }
 
-  // Restore the persistence monitor from the MANIFEST journal plus the WAL
-  // suffix just replayed. The journaled written count was captured at each
-  // memtable swap, i.e. it covers exactly the tombstones in WALs older than
-  // the descriptor's log_number; the surviving WALs contribute the rest, so
-  // the recovered FADE clock is exact, not conservative.
-  const VersionSet::MonitorJournal& journal = versions_->monitor_journal();
-  monitor_.Restore(journal.written + replayed_deletes, journal.persisted,
-                   journal.superseded, journal.latency);
-  monitor_.RestoreRange(journal.range_written + replayed_range_deletes,
-                        journal.range_persisted, journal.range_superseded,
-                        journal.range_latency);
-  monitor_.RestoreVlog(journal.vlog_purged, journal.vlog_latency);
+  // The journaled written counts were captured at each memtable swap, i.e.
+  // they cover exactly the tombstones in WALs older than the descriptor's
+  // log_number; the surviving WALs contribute the rest, so the recovered
+  // FADE clock is exact, not conservative. Everything else in the clock is
+  // the journal itself.
+  const DeleteClocks& journal = versions_->monitor_journal();
+  tombstones_written_ = journal[kPointDeletes].written + replayed_deletes;
+  range_tombstones_written_ =
+      journal[kRangeDeletes].written + replayed_range_deletes;
   stats_.manifest_edits_replayed = versions_->manifest_edits_replayed();
 
   recovered_vlog_extents_.clear();  // only needed during replay
@@ -799,8 +796,8 @@ Status DBImpl::CompactMemTable() {
     // count as of the moment the retiring WALs stopped receiving writes.
     // Recovery adds the replayed suffix of surviving WALs to this value to
     // reconstruct the exact (not conservative) count.
-    edit.SetMonitorWritten(pending_written_at_swap_);
-    edit.SetMonitorRangeWritten(pending_range_written_at_swap_);
+    edit.SetDeletesWritten(kPointDeletes, pending_written_at_swap_);
+    edit.SetDeletesWritten(kRangeDeletes, pending_range_written_at_swap_);
     failed_in = ErrorSubsystem::kManifest;
     s = versions_->LogAndApply(&edit, &mutex_);
   }
@@ -1015,10 +1012,6 @@ Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims,
     RetireVlogVictims(victims, now, &edit);
     s = versions_->LogAndApply(&edit, &mutex_);
     if (s.ok()) {
-      if (edit.has_vlog_monitor_delta()) {
-        monitor_.ApplyVlogDelta(edit.vlog_monitor_purged(),
-                                edit.vlog_monitor_latency());
-      }
       PublishReadState();
       RemoveObsoleteFiles();
     }
@@ -1094,13 +1087,12 @@ void DBImpl::RetireVlogVictims(const std::set<uint64_t>& victims,
   // then are the value bytes provably unreachable and the files
   // reclaimable. Latency = value-purge time - key-purge time, on the same
   // logical clock as the tombstone persistence bound.
-  uint64_t purged = 0;
-  Histogram latency;
+  DeleteClock purged;
   auto complete = [&](SequenceNumber purge_seq, uint64_t count) {
-    purged += count;
+    purged.persisted += count;
     const double l =
         now >= purge_seq ? static_cast<double>(now - purge_seq) : 0.0;
-    for (uint64_t i = 0; i < count; i++) latency.Add(l);
+    for (uint64_t i = 0; i < count; i++) purged.latency.Add(l);
   };
   const vlog::Registry& registry = versions_->vlog_registry();
   for (uint64_t segment : victims) {
@@ -1114,7 +1106,7 @@ void DBImpl::RetireVlogVictims(const std::set<uint64_t>& victims,
     }
   }
   for (uint64_t segment : victims) edit->RemoveVlogSegment(segment);
-  if (purged > 0) edit->SetVlogMonitorDelta(purged, latency);
+  if (purged.HasDelta()) edit->SetClockDelta(kValuePurges, purged);
 }
 
 void DBImpl::AcquireCompactionSlot() {
@@ -1491,13 +1483,13 @@ Status DBImpl::MakeRoomForWrite(bool force) {
     // picks and drops as of now, no matter when its thread actually runs.
     pending_flush_horizon_ = versions_->LastSequence();
     // Journal checkpoint for the FADE clock: at this instant the new WAL is
-    // empty, so the monitor's written count equals exactly the tombstones
+    // empty, so the written count equals exactly the tombstones
     // in WALs older than the new log. The flush edit that retires those
     // WALs carries this value (the edit's log number is the swap-time
     // capture above, so a later WAL-recovery rotation cannot widen the set
     // of logs it retires).
-    pending_written_at_swap_ = monitor_.WrittenCount();
-    pending_range_written_at_swap_ = monitor_.RangeWrittenCount();
+    pending_written_at_swap_ = tombstones_written_;
+    pending_range_written_at_swap_ = range_tombstones_written_;
     // The flush round just became due: until it installs, the writer
     // checks the floor of the tree it will leave.
     pending_ttl_floor_ = PendingRoundsTtlFloor();
@@ -1879,8 +1871,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // here would otherwise resurrect. (Memtable data is always newer than a
   // flushed tombstone, so only files can resurrect.) Survivors are carried
   // forward into the last output. The verdicts do not depend on the merge.
-  uint64_t range_persisted_delta = 0;
-  Histogram range_latency_delta;
+  DeleteClock range_delta;
   if (status.ok() && !input_range_dels.empty()) {
     const Version* base = c->input_version();
     std::set<uint64_t> input_numbers;
@@ -1903,8 +1894,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     };
     for (const RangeTombstone& t : input_range_dels) {
       if (t.seq <= compact->smallest_snapshot && !blocked(t)) {
-        range_persisted_delta++;
-        range_latency_delta.Add(
+        range_delta.persisted++;
+        range_delta.latency.Add(
             static_cast<double>(now_seq >= t.seq ? now_seq - t.seq : 0));
       } else {
         run.range_tombstones.push_back(t);
@@ -1925,18 +1916,15 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   uint64_t shadowed_dropped = 0;
   uint64_t tombstones_dropped = 0;
   uint64_t purge_dropped = 0;
-  // Monitor deltas are accumulated locally and journaled on the compaction's
-  // version edit; the live monitor advances only after the edit durably
-  // installs, so the journal and the monitor move in lock step and recovery
-  // replays the identical Merge sequence (bit-identical percentiles).
-  uint64_t persisted_delta = 0;
-  uint64_t superseded_delta = 0;
-  Histogram latency_delta;
+  // Clock deltas are accumulated locally and journaled on the compaction's
+  // version edit; the clock advances when VersionSet folds the durably
+  // installed edit, so recovery replays the identical Merge sequence
+  // (bit-identical percentiles).
+  DeleteClock point_delta;
   // Per-segment vLog charges for pointer entries this compaction drops:
   // garbage bytes always; additionally a pending purge (the FADE clock for
   // value bytes) when the drop is deletion-driven. Journaled as kVlogDelta
-  // on the compaction's edit, same install discipline as the monitor
-  // deltas above.
+  // on the compaction's edit, like the clock deltas above.
   std::map<uint64_t, vlog::SegmentDelta> vlog_deltas;
 
   input->SeekToFirst();
@@ -1980,7 +1968,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         shadowed_dropped++;
         if (ikey.type == kTypeDeletion) {
           // A newer write replaced this tombstone before it could persist.
-          superseded_delta++;
+          point_delta.superseded++;
         }
         // A pointer hidden by a *tombstone* is a deleted value: its bytes
         // join the segment's pending-purge clock. Hidden by a newer value
@@ -1999,8 +1987,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         // the delete is now *persistent*.
         drop = true;
         tombstones_dropped++;
-        persisted_delta++;
-        latency_delta.Add(static_cast<double>(
+        point_delta.persisted++;
+        point_delta.latency.Add(static_cast<double>(
             now_seq >= ikey.sequence ? now_seq - ikey.sequence : 0));
       } else if (!input_range_dels.empty() &&
                  covering.MaxCoveringSeq(ikey.user_key,
@@ -2013,7 +2001,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         drop = true;
         shadowed_dropped++;
         if (ikey.type == kTypeDeletion) {
-          superseded_delta++;
+          point_delta.superseded++;
         }
         // Range-covered values are deletion-driven by definition.
         deletion_driven = true;
@@ -2086,13 +2074,11 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   stats_.blocks_purged_secondary += purge_dropped;
 
   if (status.ok()) {
-    if (persisted_delta > 0 || superseded_delta > 0) {
-      c->edit()->SetMonitorDelta(persisted_delta, superseded_delta,
-                                 latency_delta);
+    if (point_delta.HasDelta()) {
+      c->edit()->SetClockDelta(kPointDeletes, point_delta);
     }
-    if (range_persisted_delta > 0) {
-      c->edit()->SetMonitorRangeDelta(range_persisted_delta, 0,
-                                      range_latency_delta);
+    if (range_delta.HasDelta()) {
+      c->edit()->SetClockDelta(kRangeDeletes, range_delta);
     }
     for (const auto& entry : vlog_deltas) {
       c->edit()->AddVlogDelta(entry.second);
@@ -2113,19 +2099,6 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     status = InstallCompactionResults(compact, sink.outputs());
     if (status.ok()) {
       PublishReadState();
-    }
-    if (status.ok() && (persisted_delta > 0 || superseded_delta > 0)) {
-      // The edit carrying this delta is durable; now (and only now) fold it
-      // into the live monitor so journal and monitor agree at every crash
-      // point.
-      monitor_.ApplyDelta(persisted_delta, superseded_delta, latency_delta);
-    }
-    if (status.ok() && range_persisted_delta > 0) {
-      monitor_.ApplyRangeDelta(range_persisted_delta, 0, range_latency_delta);
-    }
-    if (status.ok() && c->edit()->has_vlog_monitor_delta()) {
-      monitor_.ApplyVlogDelta(c->edit()->vlog_monitor_purged(),
-                              c->edit()->vlog_monitor_latency());
     }
   }
   for (const FileMetaData& out : sink.outputs()) {
@@ -2186,13 +2159,13 @@ void DBImpl::RecordBackgroundError(const Status& s, ErrorSubsystem subsystem) {
     }
   }
   // FADE health: a background failure stalls the very compactions the
-  // delete-persistence bound depends on. Flag the monitor when a tombstone
+  // delete-persistence bound depends on. Raise dth_at_risk_ when a tombstone
   // TTL deadline is already due while the engine is erroring; the property
   // and delete-stats surface it as dth_at_risk.
   const uint64_t deadline = std::min(next_ttl_deadline_, pending_ttl_floor_);
   if (!ttl_round_horizons_.empty() ||
       (deadline != UINT64_MAX && versions_->LastSequence() >= deadline)) {
-    monitor_.SetDthAtRisk(true);
+    dth_at_risk_ = true;
   }
 }
 
@@ -2202,7 +2175,7 @@ void DBImpl::ReturnToOk(uint64_t* recoveries) {
   bg_error_attempts_ = 0;
   retry_backoff_micros_ = 0;
   (*recoveries)++;
-  monitor_.SetDthAtRisk(false);
+  dth_at_risk_ = false;
 }
 
 void DBImpl::ClearBackgroundError() {
@@ -2667,12 +2640,8 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       stats_.user_bytes_written += counter.bytes;
       stats_.vlog_bytes_written += vlog_appended_bytes;
       stats_.vlog_values_written += vlog_appended_values;
-      if (counter.deletes > 0) {
-        monitor_.OnTombstoneWritten(counter.deletes);
-      }
-      if (counter.range_deletes > 0) {
-        monitor_.OnRangeTombstoneWritten(counter.range_deletes);
-      }
+      tombstones_written_ += counter.deletes;
+      range_tombstones_written_ += counter.range_deletes;
     } else {
       // A WAL append/sync error leaves the tail of the log -- and the
       // wal::Writer's block arithmetic -- in an unknown state. Classify as
@@ -2937,38 +2906,15 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = std::to_string(total);
     return true;
   } else if (in == "total-tombstones") {
-    uint64_t total = versions_->current()->TotalTombstones() +
-                     mem_->num_tombstones();
-    if (imm_ != nullptr) total += imm_->num_tombstones();
-    *value = std::to_string(total);
+    *value = std::to_string(CountLiveTombstones().point);
     return true;
   } else if (in == "total-range-tombstones") {
-    uint64_t total = versions_->current()->TotalRangeTombstones() +
-                     mem_->num_range_tombstones();
-    if (imm_ != nullptr) total += imm_->num_range_tombstones();
-    *value = std::to_string(total);
+    *value = std::to_string(CountLiveTombstones().range);
     return true;
   } else if (in == "max-tombstone-age") {
-    uint64_t age = std::max(
-        versions_->current()->MaxTombstoneAge(versions_->LastSequence()),
-        versions_->current()->MaxRangeTombstoneAge(versions_->LastSequence()));
-    if (mem_->num_tombstones() > 0) {
-      age = std::max(age, versions_->LastSequence() -
-                              mem_->earliest_tombstone_seq());
-    }
-    if (mem_->num_range_tombstones() > 0) {
-      age = std::max(age, versions_->LastSequence() -
-                              mem_->earliest_range_tombstone_seq());
-    }
-    if (imm_ != nullptr && imm_->num_tombstones() > 0) {
-      age = std::max(age, versions_->LastSequence() -
-                              imm_->earliest_tombstone_seq());
-    }
-    if (imm_ != nullptr && imm_->num_range_tombstones() > 0) {
-      age = std::max(age, versions_->LastSequence() -
-                              imm_->earliest_range_tombstone_seq());
-    }
-    *value = std::to_string(age);
+    const TombstoneCensus census = CountLiveTombstones();
+    *value = std::to_string(
+        std::max(census.oldest_point_age, census.oldest_range_age));
     return true;
   } else if (in == "delete-stats") {
     *value = ComputeDeleteStats().ToString();
@@ -3059,7 +3005,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
                   bg_error_state_ == BackgroundErrorState::kOk ? "none"
                                                                : subsystem,
                   bg_error_attempts_, options_.max_background_retries,
-                  monitor_.DthAtRisk() ? 1 : 0);
+                  dth_at_risk_ ? 1 : 0);
     value->assign(buf);
     value->append(bg_error_.ToString());
     return true;
@@ -3072,31 +3018,75 @@ DeleteStats DBImpl::GetDeleteStats() {
   return ComputeDeleteStats();
 }
 
-DeleteStats DBImpl::ComputeDeleteStats() {
+static void FillLatency(const Histogram& h, double* p50, double* p90,
+                        double* p99, double* max, double* avg) {
+  *p50 = h.Percentile(50);
+  *p90 = h.Percentile(90);
+  *p99 = h.Percentile(99);
+  *max = h.Max();
+  *avg = h.Average();
+}
+
+DeleteStats DeleteStatsFromJournal(const DeleteClocks& journal) {
   DeleteStats ds;
-  uint64_t live =
-      versions_->current()->TotalTombstones() + mem_->num_tombstones();
-  uint64_t range_live = versions_->current()->TotalRangeTombstones() +
-                        mem_->num_range_tombstones();
-  uint64_t age =
-      versions_->current()->MaxTombstoneAge(versions_->LastSequence());
-  if (mem_->num_tombstones() > 0) {
-    age = std::max(age,
-                   versions_->LastSequence() - mem_->earliest_tombstone_seq());
-  }
-  if (imm_ != nullptr) {
-    live += imm_->num_tombstones();
-    range_live += imm_->num_range_tombstones();
-    if (imm_->num_tombstones() > 0) {
-      age = std::max(age, versions_->LastSequence() -
-                              imm_->earliest_tombstone_seq());
+  const DeleteClock& point = journal[kPointDeletes];
+  ds.tombstones_persisted = point.persisted;
+  ds.tombstones_superseded = point.superseded;
+  FillLatency(point.latency, &ds.persistence_latency_p50,
+              &ds.persistence_latency_p90, &ds.persistence_latency_p99,
+              &ds.persistence_latency_max, &ds.persistence_latency_avg);
+  const DeleteClock& range = journal[kRangeDeletes];
+  ds.range_deletes_persisted = range.persisted;
+  ds.range_deletes_superseded = range.superseded;
+  FillLatency(range.latency, &ds.range_persistence_latency_p50,
+              &ds.range_persistence_latency_p90,
+              &ds.range_persistence_latency_p99,
+              &ds.range_persistence_latency_max,
+              &ds.range_persistence_latency_avg);
+  const DeleteClock& value = journal[kValuePurges];
+  ds.values_purged = value.persisted;
+  FillLatency(value.latency, &ds.value_purge_latency_p50,
+              &ds.value_purge_latency_p90, &ds.value_purge_latency_p99,
+              &ds.value_purge_latency_max, &ds.value_purge_latency_avg);
+  return ds;
+}
+
+TombstoneCensus DBImpl::CountLiveTombstones() {
+  const SequenceNumber now = versions_->LastSequence();
+  TombstoneCensus census;
+  versions_->current()->AddToCensus(now, &census);
+  // A leader adds its batch to mem_ with the mutex released and publishes
+  // the batch's sequence only after: a memtable tombstone newer than |now|
+  // is not live yet and has no age.
+  for (const MemTable* m : {mem_, imm_}) {
+    if (m == nullptr) continue;
+    census.point += m->num_tombstones();
+    census.range += m->num_range_tombstones();
+    if (m->num_tombstones() > 0 && now >= m->earliest_tombstone_seq()) {
+      census.oldest_point_age =
+          std::max(census.oldest_point_age, now - m->earliest_tombstone_seq());
+    }
+    if (m->num_range_tombstones() > 0 &&
+        now >= m->earliest_range_tombstone_seq()) {
+      census.oldest_range_age = std::max(
+          census.oldest_range_age, now - m->earliest_range_tombstone_seq());
     }
   }
-  uint64_t backlog = 0;
+  return census;
+}
+
+DeleteStats DBImpl::ComputeDeleteStats() {
+  DeleteStats ds = DeleteStatsFromJournal(versions_->monitor_journal());
+  const TombstoneCensus census = CountLiveTombstones();
+  ds.tombstones_written = tombstones_written_;
+  ds.tombstones_live = census.point;
+  ds.oldest_live_tombstone_age = census.oldest_point_age;
+  ds.range_deletes_written = range_tombstones_written_;
+  ds.range_deletes_live = census.range;
   for (const auto& entry : versions_->vlog_registry()) {
-    backlog += entry.second.pending_count();
+    ds.value_purge_backlog += entry.second.pending_count();
   }
-  monitor_.Snapshot(&ds, live, age, range_live, backlog);
+  ds.dth_at_risk = dth_at_risk_;
   return ds;
 }
 
@@ -3223,8 +3213,8 @@ Status DB::Open(const Options& options, const std::string& dbname, DB** dbptr) {
     // This edit retires the replayed WALs; journal the fully-restored
     // written count so a crash after this point recovers it from the
     // MANIFEST alone (the fresh WAL holds no tombstones yet).
-    edit.SetMonitorWritten(impl->monitor_.WrittenCount());
-    edit.SetMonitorRangeWritten(impl->monitor_.RangeWrittenCount());
+    edit.SetDeletesWritten(kPointDeletes, impl->tombstones_written_);
+    edit.SetDeletesWritten(kRangeDeletes, impl->range_tombstones_written_);
     s = impl->versions_->LogAndApply(&edit, &impl->mutex_);
   }
   if (s.ok()) {

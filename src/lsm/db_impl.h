@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "src/core/compaction_planner.h"
-#include "src/core/persistence_monitor.h"
 #include "src/lsm/db.h"
 #include "src/lsm/dbformat.h"
 #include "src/lsm/memtable_linker.h"
@@ -67,6 +66,10 @@ namespace acheron {
 
 class MemTable;
 class TableCache;
+
+// The journaled half of a DeleteStats: each population's persisted and
+// superseded counts and latency percentiles, read from |journal|.
+DeleteStats DeleteStatsFromJournal(const DeleteClocks& journal);
 
 class DBImpl : public DB {
  public:
@@ -106,8 +109,6 @@ class DBImpl : public DB {
   void TEST_CompactRange(int level, const Slice* begin, const Slice* end);
   // Return an internal iterator over the current DB state (internal keys).
   Iterator* TEST_NewInternalIterator();
-  // The planner in use (TTL schedule inspection).
-  const CompactionPlanner& TEST_planner() const { return planner_; }
   // Output numbers still protected from file GC: zero once every table
   // output job has installed or failed.
   size_t TEST_PendingOutputs();
@@ -174,8 +175,8 @@ class DBImpl : public DB {
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // |replayed_deletes| accumulates the tombstones re-inserted from the log,
-  // so Recover can restore the monitor's exact written count (journaled
-  // baseline + WAL replay).
+  // so Recover can restore the exact written count (journaled baseline +
+  // WAL replay).
   Status RecoverLogFile(uint64_t log_number, bool last_log,
                         bool* save_manifest, VersionEdit* edit,
                         SequenceNumber* max_sequence,
@@ -306,8 +307,8 @@ class DBImpl : public DB {
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // The one reset to kOk: clears the error, its attempt count and backoff,
-  // lowers the monitor's dth_at_risk flag, and counts the recovery in
-  // |*recoveries| (errors_retried or resume_count).
+  // lowers dth_at_risk_, and counts the recovery in |*recoveries|
+  // (errors_retried or resume_count).
   void ReturnToOk(uint64_t* recoveries) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // A background round completed while kRetrying: the episode recovered.
@@ -398,9 +399,12 @@ class DBImpl : public DB {
   Status EnforceFadeDeadlines() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // The delete-persistence summary GetDeleteStats and the
-  // "acheron.delete-stats" property report: tombstones live and the oldest
-  // live age across the tables, the memtable and the immutable memtable.
+  // "acheron.delete-stats" property report: the journaled clocks, the live
+  // written counts and the tombstone census.
   DeleteStats ComputeDeleteStats() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // Live tombstones and their oldest ages across the tables, the memtable
+  // and the immutable memtable.
+  TombstoneCensus CountLiveTombstones() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
   //
@@ -465,9 +469,9 @@ class DBImpl : public DB {
   Status RelocateValue(VlogRelocation* r, const Slice& user_key,
                        Slice* value);
 
-  // Drop |victims| from the registry in |edit| and journal, as its vLog
-  // monitor delta, their pending purges completed at |now|: those in the
-  // registry and those |edit| itself charges them.
+  // Drop |victims| from the registry in |edit| and journal, as its
+  // value-purge clock delta, their pending purges completed at |now|: those
+  // in the registry and those |edit| itself charges them.
   void RetireVlogVictims(const std::set<uint64_t>& victims,
                          SequenceNumber now, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
@@ -541,10 +545,10 @@ class DBImpl : public DB {
   std::deque<SequenceNumber> ttl_round_horizons_ GUARDED_BY(mutex_);
   // Horizon of the round RunCompactions is running; 0 between rounds.
   SequenceNumber running_round_horizon_ GUARDED_BY(mutex_) = 0;
-  // Monitor written-count captured when mem_ was swapped into imm_. At that
+  // Tombstones-written count captured when mem_ was swapped into imm_. At that
   // instant the new (empty) WAL holds no deletes, so this equals the number
   // of tombstones in all WALs older than the flush edit's log_number; the
-  // flush edit journals it (SetMonitorWritten) so recovery can reconstruct
+  // flush edit journals it (SetDeletesWritten) so recovery can reconstruct
   // the exact written count as journaled value + deletes re-counted from
   // the surviving WALs.
   uint64_t pending_written_at_swap_ GUARDED_BY(mutex_) = 0;
@@ -624,7 +628,15 @@ class DBImpl : public DB {
   std::vector<ReadState*> free_read_states_ GUARDED_BY(mutex_);
 
   CompactionPlanner planner_;  // immutable after construction
-  DeletePersistenceMonitor monitor_ GUARDED_BY(mutex_);
+  // The delete clock's live half; the rest is versions_->monitor_journal().
+  // Deletes ever written, bumped per write group. Flush edits journal them
+  // as checkpoints (see pending_written_at_swap_) and Recover restores them.
+  uint64_t tombstones_written_ GUARDED_BY(mutex_) = 0;
+  uint64_t range_tombstones_written_ GUARDED_BY(mutex_) = 0;
+  // Set while a background-error episode holds back a due tombstone TTL
+  // deadline (see RecordBackgroundError); cleared by ReturnToOk. Not
+  // journaled: it describes the live engine, not tombstone history.
+  bool dth_at_risk_ GUARDED_BY(mutex_) = false;
   InternalStats stats_ GUARDED_BY(mutex_);
 
   // Tombstones stepped over by live DBIter instances. Iterators outlive any

@@ -68,4 +68,37 @@ std::string InternalStats::ToString() const {
   return buf;
 }
 
+std::string DeleteStats::ToString() const {
+  char buf[1536];
+  std::snprintf(
+      buf, sizeof(buf),
+      "tombstones: written=%llu persisted=%llu superseded=%llu live=%llu "
+      "oldest_live_age=%llu | persistence latency (ops): avg=%.0f p50=%.0f "
+      "p90=%.0f p99=%.0f max=%.0f | range deletes: written=%llu "
+      "persisted=%llu superseded=%llu live=%llu | range latency (ops): "
+      "avg=%.0f p50=%.0f p90=%.0f p99=%.0f max=%.0f | value purges: "
+      "purged=%llu backlog=%llu latency avg=%.0f p50=%.0f p99=%.0f "
+      "max=%.0f | dth_at_risk=%d",
+      static_cast<unsigned long long>(tombstones_written),
+      static_cast<unsigned long long>(tombstones_persisted),
+      static_cast<unsigned long long>(tombstones_superseded),
+      static_cast<unsigned long long>(tombstones_live),
+      static_cast<unsigned long long>(oldest_live_tombstone_age),
+      persistence_latency_avg, persistence_latency_p50,
+      persistence_latency_p90, persistence_latency_p99,
+      persistence_latency_max,
+      static_cast<unsigned long long>(range_deletes_written),
+      static_cast<unsigned long long>(range_deletes_persisted),
+      static_cast<unsigned long long>(range_deletes_superseded),
+      static_cast<unsigned long long>(range_deletes_live),
+      range_persistence_latency_avg, range_persistence_latency_p50,
+      range_persistence_latency_p90, range_persistence_latency_p99,
+      range_persistence_latency_max,
+      static_cast<unsigned long long>(values_purged),
+      static_cast<unsigned long long>(value_purge_backlog),
+      value_purge_latency_avg, value_purge_latency_p50,
+      value_purge_latency_p99, value_purge_latency_max, dth_at_risk ? 1 : 0);
+  return buf;
+}
+
 }  // namespace acheron

@@ -1,5 +1,6 @@
 // InternalStats: engine-wide counters surfaced through DB::GetStats(),
-// powering the write/space/read-amplification experiments.
+// powering the write/space/read-amplification experiments; DeleteStats: the
+// delete-persistence summary surfaced through DB::GetDeleteStats().
 #ifndef ACHERON_LSM_STATS_H_
 #define ACHERON_LSM_STATS_H_
 
@@ -104,6 +105,70 @@ struct InternalStats {
                                vlog_bytes_written) /
            static_cast<double>(user_bytes_written);
   }
+
+  std::string ToString() const;
+};
+
+// Aggregate snapshot of delete-persistence state, returned by
+// DB::GetDeleteStats(). A delete becomes *persistent* when its tombstone is
+// dropped at the bottommost level: no older version of the key can be read
+// again. Latencies are measured on the logical clock (sequence numbers ==
+// operations ingested); under FADE with a threshold D_th configured, the
+// invariant is max latency <= D_th (modulo in-flight compactions and
+// snapshot pins).
+struct DeleteStats {
+  // Tombstones ever written (the count survives reopen).
+  uint64_t tombstones_written = 0;
+  // Tombstones persisted (dropped at the bottommost level).
+  uint64_t tombstones_persisted = 0;
+  // Tombstones superseded before persisting (e.g. the key was re-inserted,
+  // making the tombstone obsolete; the delete never became observable).
+  uint64_t tombstones_superseded = 0;
+  // Live tombstones currently in the tables and memtables.
+  uint64_t tombstones_live = 0;
+  // Age (in logical ops) of the oldest live tombstone there.
+  uint64_t oldest_live_tombstone_age = 0;
+
+  // Persistence latency distribution in logical ops (seq delta between
+  // tombstone creation and its drop at the bottom level).
+  double persistence_latency_p50 = 0;
+  double persistence_latency_p90 = 0;
+  double persistence_latency_p99 = 0;
+  double persistence_latency_max = 0;
+  double persistence_latency_avg = 0;
+
+  // ---- Range-delete (kTypeRangeDeletion) counterparts ----
+  // Tracked separately: one range tombstone may cover many keys, so mixing
+  // the two populations would skew both latency distributions.
+  uint64_t range_deletes_written = 0;
+  uint64_t range_deletes_persisted = 0;
+  uint64_t range_deletes_superseded = 0;
+  uint64_t range_deletes_live = 0;
+  double range_persistence_latency_p50 = 0;
+  double range_persistence_latency_p90 = 0;
+  double range_persistence_latency_p99 = 0;
+  double range_persistence_latency_max = 0;
+  double range_persistence_latency_avg = 0;
+
+  // ---- Value-purge (key-value separation) counterparts ----
+  // A deleted key's value bytes in the vLog are only reclaimed when GC
+  // rewrites (or drops) the segment holding them; delete-compliant GC
+  // requires that to happen within D_th of the key purge. The latency here
+  // is key-purge seq -> value-purge seq, in logical ops.
+  uint64_t values_purged = 0;
+  // Deleted keys whose value bytes are still waiting in the vLog.
+  uint64_t value_purge_backlog = 0;
+  double value_purge_latency_p50 = 0;
+  double value_purge_latency_p90 = 0;
+  double value_purge_latency_p99 = 0;
+  double value_purge_latency_max = 0;
+  double value_purge_latency_avg = 0;
+
+  // True while a background-error episode (see DBImpl::RecordBackgroundError)
+  // is delaying compactions past a due tombstone TTL deadline: the FADE
+  // D_th bound is at risk until the episode recovers. Not journaled -- it
+  // describes the live engine, not tombstone history.
+  bool dth_at_risk = false;
 
   std::string ToString() const;
 };

@@ -23,10 +23,11 @@ enum Tag {
   // so a tolerant (checksum-off) MANIFEST scan in RepairDB can still tell a
   // good restart point from a torn one.
   kSnapshot = 8,
-  // Persistence-monitor journal fields (see version_edit.h).
+  // Delete-clock journal fields (see version_edit.h): the point-delete
+  // written checkpoint and clock delta.
   kMonitorWritten = 9,
   kMonitorDelta = 10,
-  // Range-delete counterparts of the monitor journal fields.
+  // Range-delete counterparts of the two fields above.
   kMonitorRangeWritten = 11,
   kMonitorRangeDelta = 12,
   // ---- vLog segment registry (key-value separation) ----
@@ -36,9 +37,21 @@ enum Tag {
   kVlogRemove = 14,
   // One compaction's garbage/pending-purge charge (see vlog::SegmentDelta).
   kVlogDelta = 15,
-  // Value-purge monitor journal: purged count + latency histogram. Delta on
-  // ordinary edits, cumulative on snapshot records (mirrors kMonitorDelta).
+  // Value-purge clock delta: purged count + latency histogram, with no
+  // superseded count.
   kVlogMonitorDelta = 16,
+};
+
+// Each delete population's journal tags (0: none). The value-purge delta
+// carries no superseded count.
+struct ClockTags {
+  uint32_t written;
+  uint32_t delta;
+};
+constexpr ClockTags kClockTags[kNumDeletePopulations] = {
+    {kMonitorWritten, kMonitorDelta},
+    {kMonitorRangeWritten, kMonitorRangeDelta},
+    {0, kVlogMonitorDelta},
 };
 
 void VersionEdit::Clear() {
@@ -51,27 +64,16 @@ void VersionEdit::Clear() {
   has_next_file_number_ = false;
   has_last_sequence_ = false;
   is_snapshot_ = false;
-  has_monitor_written_ = false;
-  monitor_written_ = 0;
-  has_monitor_delta_ = false;
-  monitor_persisted_ = 0;
-  monitor_superseded_ = 0;
-  monitor_latency_.Clear();
-  has_monitor_range_written_ = false;
-  monitor_range_written_ = 0;
-  has_monitor_range_delta_ = false;
-  monitor_range_persisted_ = 0;
-  monitor_range_superseded_ = 0;
-  monitor_range_latency_.Clear();
+  has_deletes_written_.fill(false);
+  deletes_written_.fill(0);
+  has_clock_delta_.fill(false);
+  clock_deltas_.fill(DeleteClock());
   compact_pointers_.clear();
   deleted_files_.clear();
   new_files_.clear();
   vlog_segments_.clear();
   vlog_removed_segments_.clear();
   vlog_deltas_.clear();
-  has_vlog_monitor_delta_ = false;
-  vlog_monitor_purged_ = 0;
-  vlog_monitor_latency_.Clear();
 }
 
 void VersionEdit::EncodeTo(std::string* dst) const {
@@ -139,30 +141,8 @@ void VersionEdit::EncodeBodyTo(std::string* dst) const {
     PutVarint64(dst, f.max_vlog_segment);
   }
 
-  if (has_monitor_written_) {
-    PutVarint32(dst, kMonitorWritten);
-    PutVarint64(dst, monitor_written_);
-  }
-  if (has_monitor_delta_) {
-    PutVarint32(dst, kMonitorDelta);
-    PutVarint64(dst, monitor_persisted_);
-    PutVarint64(dst, monitor_superseded_);
-    std::string hist;
-    monitor_latency_.EncodeTo(&hist);
-    PutLengthPrefixedSlice(dst, hist);
-  }
-  if (has_monitor_range_written_) {
-    PutVarint32(dst, kMonitorRangeWritten);
-    PutVarint64(dst, monitor_range_written_);
-  }
-  if (has_monitor_range_delta_) {
-    PutVarint32(dst, kMonitorRangeDelta);
-    PutVarint64(dst, monitor_range_persisted_);
-    PutVarint64(dst, monitor_range_superseded_);
-    std::string hist;
-    monitor_range_latency_.EncodeTo(&hist);
-    PutLengthPrefixedSlice(dst, hist);
-  }
+  EncodeClockTo(kPointDeletes, dst);
+  EncodeClockTo(kRangeDeletes, dst);
   for (const vlog::SegmentInfo& info : vlog_segments_) {
     PutVarint32(dst, kVlogSegment);
     std::string enc;
@@ -179,11 +159,23 @@ void VersionEdit::EncodeBodyTo(std::string* dst) const {
     vlog::EncodeSegmentDelta(&enc, delta);
     PutLengthPrefixedSlice(dst, enc);
   }
-  if (has_vlog_monitor_delta_) {
-    PutVarint32(dst, kVlogMonitorDelta);
-    PutVarint64(dst, vlog_monitor_purged_);
+  // The value-purge clock follows the registry fields: the byte layout
+  // predates the shared clock type and stays as written.
+  EncodeClockTo(kValuePurges, dst);
+}
+
+void VersionEdit::EncodeClockTo(DeletePopulation p, std::string* dst) const {
+  if (has_deletes_written_[p]) {
+    PutVarint32(dst, kClockTags[p].written);
+    PutVarint64(dst, deletes_written_[p]);
+  }
+  if (has_clock_delta_[p]) {
+    const DeleteClock& delta = clock_deltas_[p];
+    PutVarint32(dst, kClockTags[p].delta);
+    PutVarint64(dst, delta.persisted);
+    if (p != kValuePurges) PutVarint64(dst, delta.superseded);
     std::string hist;
-    vlog_monitor_latency_.EncodeTo(&hist);
+    delta.latency.EncodeTo(&hist);
     PutLengthPrefixedSlice(dst, hist);
   }
 }
@@ -321,43 +313,31 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
       }
 
       case kMonitorWritten:
-        if (GetVarint64(&input, &monitor_written_)) {
-          has_monitor_written_ = true;
+      case kMonitorRangeWritten: {
+        const int p = tag == kMonitorWritten ? kPointDeletes : kRangeDeletes;
+        if (GetVarint64(&input, &deletes_written_[p])) {
+          has_deletes_written_[p] = true;
         } else {
-          msg = "monitor written count";
-        }
-        break;
-
-      case kMonitorDelta: {
-        Slice hist;
-        if (GetVarint64(&input, &monitor_persisted_) &&
-            GetVarint64(&input, &monitor_superseded_) &&
-            GetLengthPrefixedSlice(&input, &hist) &&
-            monitor_latency_.DecodeFrom(&hist) && hist.empty()) {
-          has_monitor_delta_ = true;
-        } else {
-          msg = "monitor delta";
+          msg = "deletes-written checkpoint";
         }
         break;
       }
 
-      case kMonitorRangeWritten:
-        if (GetVarint64(&input, &monitor_range_written_)) {
-          has_monitor_range_written_ = true;
-        } else {
-          msg = "monitor range written count";
-        }
-        break;
-
-      case kMonitorRangeDelta: {
+      case kMonitorDelta:
+      case kMonitorRangeDelta:
+      case kVlogMonitorDelta: {
+        const int p = tag == kMonitorDelta        ? kPointDeletes
+                      : tag == kMonitorRangeDelta ? kRangeDeletes
+                                                  : kValuePurges;
+        DeleteClock& delta = clock_deltas_[p];
         Slice hist;
-        if (GetVarint64(&input, &monitor_range_persisted_) &&
-            GetVarint64(&input, &monitor_range_superseded_) &&
+        if (GetVarint64(&input, &delta.persisted) &&
+            (p == kValuePurges || GetVarint64(&input, &delta.superseded)) &&
             GetLengthPrefixedSlice(&input, &hist) &&
-            monitor_range_latency_.DecodeFrom(&hist) && hist.empty()) {
-          has_monitor_range_delta_ = true;
+            delta.latency.DecodeFrom(&hist) && hist.empty()) {
+          has_clock_delta_[p] = true;
         } else {
-          msg = "monitor range delta";
+          msg = "delete clock delta";
         }
         break;
       }
@@ -394,18 +374,6 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
         break;
       }
 
-      case kVlogMonitorDelta: {
-        Slice hist;
-        if (GetVarint64(&input, &vlog_monitor_purged_) &&
-            GetLengthPrefixedSlice(&input, &hist) &&
-            vlog_monitor_latency_.DecodeFrom(&hist) && hist.empty()) {
-          has_vlog_monitor_delta_ = true;
-        } else {
-          msg = "vlog monitor delta";
-        }
-        break;
-      }
-
       default:
         msg = "unknown tag";
         break;
@@ -428,17 +396,18 @@ std::string VersionEdit::DebugString() const {
   ss << "VersionEdit {";
   if (is_snapshot_) ss << "\n  Snapshot";
   if (has_comparator_) ss << "\n  Comparator: " << comparator_;
-  if (has_monitor_written_) ss << "\n  MonitorWritten: " << monitor_written_;
-  if (has_monitor_delta_) {
-    ss << "\n  MonitorDelta: persisted=" << monitor_persisted_
-       << " superseded=" << monitor_superseded_;
-  }
-  if (has_monitor_range_written_) {
-    ss << "\n  MonitorRangeWritten: " << monitor_range_written_;
-  }
-  if (has_monitor_range_delta_) {
-    ss << "\n  MonitorRangeDelta: persisted=" << monitor_range_persisted_
-       << " superseded=" << monitor_range_superseded_;
+  static const char* const kPopulationNames[kNumDeletePopulations] = {
+      "point", "range", "value"};
+  for (int p = 0; p < kNumDeletePopulations; p++) {
+    if (has_deletes_written_[p]) {
+      ss << "\n  DeletesWritten(" << kPopulationNames[p]
+         << "): " << deletes_written_[p];
+    }
+    if (has_clock_delta_[p]) {
+      ss << "\n  ClockDelta(" << kPopulationNames[p]
+         << "): persisted=" << clock_deltas_[p].persisted
+         << " superseded=" << clock_deltas_[p].superseded;
+    }
   }
   if (has_log_number_) ss << "\n  LogNumber: " << log_number_;
   if (has_next_file_number_) ss << "\n  NextFile: " << next_file_number_;
@@ -471,9 +440,6 @@ std::string VersionEdit::DebugString() const {
   for (const vlog::SegmentDelta& d : vlog_deltas_) {
     ss << "\n  VlogDelta: segment=" << d.number << " garbage=" << d.garbage_bytes
        << " purges=" << d.purge_count;
-  }
-  if (has_vlog_monitor_delta_) {
-    ss << "\n  VlogMonitorDelta: purged=" << vlog_monitor_purged_;
   }
   ss << "\n}\n";
   return ss.str();

@@ -4,6 +4,8 @@
 #ifndef ACHERON_LSM_VERSION_EDIT_H_
 #define ACHERON_LSM_VERSION_EDIT_H_
 
+#include <array>
+#include <cassert>
 #include <set>
 #include <utility>
 #include <vector>
@@ -16,6 +18,43 @@
 namespace acheron {
 
 class VersionSet;
+
+// The delete populations whose persistence the engine clocks: point
+// tombstones, range tombstones (one may cover many keys), and the vLog value
+// bytes of deleted keys (purged by GC after the key purge). Each keeps its
+// own clock so no population skews another's latency distribution.
+enum DeletePopulation {
+  kPointDeletes = 0,
+  kRangeDeletes = 1,
+  kValuePurges = 2,
+  kNumDeletePopulations = 3,
+};
+
+// One population's delete-persistence clock, in logical ops (sequence
+// numbers). |persisted| counts deletes that became persistent -- a
+// tombstone dropped at the bottom level, or a deleted value's bytes
+// collected by vLog GC -- with one |latency| sample each, from creation to
+// that instant. |superseded| counts tombstones a newer entry obsoleted
+// before they could persist. Value purges have no written or superseded
+// count.
+struct DeleteClock {
+  uint64_t written = 0;
+  uint64_t persisted = 0;
+  uint64_t superseded = 0;
+  Histogram latency;
+
+  bool HasDelta() const { return persisted > 0 || superseded > 0; }
+  // Advance by |delta|'s persisted, superseded and latency; |written| is a
+  // checkpoint, not a delta, and is left alone.
+  void Fold(const DeleteClock& delta) {
+    persisted += delta.persisted;
+    superseded += delta.superseded;
+    latency.Merge(delta.latency);
+  }
+};
+
+// Every population's clock, indexed by DeletePopulation.
+using DeleteClocks = std::array<DeleteClock, kNumDeletePopulations>;
 
 // Maximum number of levels the tree may physically use.
 static const int kNumLevels = 12;
@@ -135,67 +174,45 @@ class VersionEdit {
 
   // Mark this edit as a full-version *snapshot record*. Snapshot records are
   // self-describing restart points in the MANIFEST: they carry the complete
-  // file set plus log/next-file/last-sequence and the cumulative
-  // persistence-monitor journal state, and are encoded with an inner CRC32C
-  // over the whole body. Recovery resets its replay state whenever it reads a
-  // valid snapshot record, so only the suffix after the last valid snapshot
-  // is actually applied.
+  // file set plus log/next-file/last-sequence and the cumulative delete
+  // clocks, and are encoded with an inner CRC32C over the whole body.
+  // Recovery resets its replay state whenever it reads a valid snapshot
+  // record, so only the suffix after the last valid snapshot is actually
+  // applied.
   void SetSnapshot() { is_snapshot_ = true; }
   // True after DecodeFrom even when the record failed its inner CRC, so
   // recovery can distinguish "torn snapshot -- keep prior state" from a
   // corrupt ordinary edit (which is fatal).
   bool IsSnapshot() const { return is_snapshot_; }
 
-  // ---- Persistence-monitor journal (piggybacked on the edit stream) ----
-  // Cumulative count of tombstones ever written, captured at memtable swap
-  // for flush edits (covers exactly the WALs older than this edit's
-  // log_number; deletes in newer WALs are recounted during WAL replay).
-  void SetMonitorWritten(uint64_t written) {
-    has_monitor_written_ = true;
-    monitor_written_ = written;
+  // ---- Delete-persistence journal (piggybacked on the edit stream) ----
+  // Per population, two optional fields:
+  //  - the written checkpoint: the cumulative count of deletes written,
+  //    captured at memtable swap for flush edits (it covers exactly the WALs
+  //    older than this edit's log_number; deletes in newer WALs are
+  //    recounted during WAL replay). Value purges have none.
+  //  - the clock delta: one install's persisted and superseded counts and
+  //    latency samples. Snapshot records carry the cumulative clock as a
+  //    delta from zero.
+  void SetDeletesWritten(DeletePopulation p, uint64_t written) {
+    assert(p != kValuePurges);
+    has_deletes_written_[p] = true;
+    deletes_written_[p] = written;
   }
-  bool has_monitor_written() const { return has_monitor_written_; }
-  uint64_t monitor_written() const { return monitor_written_; }
-
-  // Per-compaction monitor delta: tombstones persisted (reached the bottom
-  // level) and superseded, plus the persistence-latency samples of this
-  // compaction. Snapshot records reuse the same field with delta-from-zero
-  // (i.e. cumulative) semantics.
-  void SetMonitorDelta(uint64_t persisted, uint64_t superseded,
-                       const Histogram& latency) {
-    has_monitor_delta_ = true;
-    monitor_persisted_ = persisted;
-    monitor_superseded_ = superseded;
-    monitor_latency_ = latency;
+  void SetClockDelta(DeletePopulation p, const DeleteClock& delta) {
+    assert(p != kValuePurges || delta.superseded == 0);
+    has_clock_delta_[p] = true;
+    clock_deltas_[p] = delta;
   }
-  bool has_monitor_delta() const { return has_monitor_delta_; }
-  uint64_t monitor_persisted() const { return monitor_persisted_; }
-  uint64_t monitor_superseded() const { return monitor_superseded_; }
-  const Histogram& monitor_latency() const { return monitor_latency_; }
-
-  // Range-delete counterparts of the two fields above, journaled with their
-  // own tags so point and range histograms recover independently.
-  void SetMonitorRangeWritten(uint64_t written) {
-    has_monitor_range_written_ = true;
-    monitor_range_written_ = written;
+  bool has_deletes_written(DeletePopulation p) const {
+    return has_deletes_written_[p];
   }
-  bool has_monitor_range_written() const { return has_monitor_range_written_; }
-  uint64_t monitor_range_written() const { return monitor_range_written_; }
-
-  void SetMonitorRangeDelta(uint64_t persisted, uint64_t superseded,
-                            const Histogram& latency) {
-    has_monitor_range_delta_ = true;
-    monitor_range_persisted_ = persisted;
-    monitor_range_superseded_ = superseded;
-    monitor_range_latency_ = latency;
+  uint64_t deletes_written(DeletePopulation p) const {
+    return deletes_written_[p];
   }
-  bool has_monitor_range_delta() const { return has_monitor_range_delta_; }
-  uint64_t monitor_range_persisted() const { return monitor_range_persisted_; }
-  uint64_t monitor_range_superseded() const {
-    return monitor_range_superseded_;
-  }
-  const Histogram& monitor_range_latency() const {
-    return monitor_range_latency_;
+  bool has_clock_delta(DeletePopulation p) const { return has_clock_delta_[p]; }
+  const DeleteClock& clock_delta(DeletePopulation p) const {
+    return clock_deltas_[p];
   }
 
   // ---- vLog segment registry journal (key-value separation) ----
@@ -222,21 +239,6 @@ class VersionEdit {
     return vlog_deltas_;
   }
 
-  // Value-purge monitor journal: count of deleted keys whose vLog value
-  // bytes were collected, plus the key-purge -> value-purge latency samples.
-  // Delta semantics on ordinary edits, cumulative on snapshot records
-  // (mirrors SetMonitorDelta).
-  void SetVlogMonitorDelta(uint64_t purged, const Histogram& latency) {
-    has_vlog_monitor_delta_ = true;
-    vlog_monitor_purged_ = purged;
-    vlog_monitor_latency_ = latency;
-  }
-  bool has_vlog_monitor_delta() const { return has_vlog_monitor_delta_; }
-  uint64_t vlog_monitor_purged() const { return vlog_monitor_purged_; }
-  const Histogram& vlog_monitor_latency() const {
-    return vlog_monitor_latency_;
-  }
-
   void EncodeTo(std::string* dst) const;
   Status DecodeFrom(const Slice& src);
 
@@ -247,6 +249,8 @@ class VersionEdit {
 
   // Tag-stream encoding without the snapshot CRC envelope.
   void EncodeBodyTo(std::string* dst) const;
+  // One population's written checkpoint and clock delta, when set.
+  void EncodeClockTo(DeletePopulation p, std::string* dst) const;
 
   std::string comparator_;
   uint64_t log_number_;
@@ -258,18 +262,10 @@ class VersionEdit {
   bool has_last_sequence_;
 
   bool is_snapshot_;
-  bool has_monitor_written_;
-  uint64_t monitor_written_;
-  bool has_monitor_delta_;
-  uint64_t monitor_persisted_;
-  uint64_t monitor_superseded_;
-  Histogram monitor_latency_;
-  bool has_monitor_range_written_;
-  uint64_t monitor_range_written_;
-  bool has_monitor_range_delta_;
-  uint64_t monitor_range_persisted_;
-  uint64_t monitor_range_superseded_;
-  Histogram monitor_range_latency_;
+  std::array<bool, kNumDeletePopulations> has_deletes_written_;
+  std::array<uint64_t, kNumDeletePopulations> deletes_written_;
+  std::array<bool, kNumDeletePopulations> has_clock_delta_;
+  DeleteClocks clock_deltas_;
 
   std::vector<std::pair<int, InternalKey>> compact_pointers_;
   DeletedFileSet deleted_files_;
@@ -278,9 +274,6 @@ class VersionEdit {
   std::vector<vlog::SegmentInfo> vlog_segments_;
   std::vector<uint64_t> vlog_removed_segments_;
   std::vector<vlog::SegmentDelta> vlog_deltas_;
-  bool has_vlog_monitor_delta_;
-  uint64_t vlog_monitor_purged_;
-  Histogram vlog_monitor_latency_;
 };
 
 }  // namespace acheron

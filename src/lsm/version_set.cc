@@ -462,50 +462,24 @@ Status Version::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {
   return Status::OK();
 }
 
-uint64_t Version::MaxRangeTombstoneAge(SequenceNumber last_seq) const {
-  uint64_t max_age = 0;
+void Version::AddToCensus(SequenceNumber last_seq,
+                          TombstoneCensus* census) const {
   for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
+    for (const FileMetaData* f : files_[level]) {
+      census->point += f->num_tombstones;
+      census->range += f->num_range_tombstones;
+      if (f->has_tombstones() && last_seq >= f->earliest_tombstone_seq) {
+        census->oldest_point_age = std::max(
+            census->oldest_point_age, last_seq - f->earliest_tombstone_seq);
+      }
       if (f->has_range_tombstones() &&
           last_seq >= f->earliest_range_tombstone_seq) {
-        max_age =
-            std::max(max_age, last_seq - f->earliest_range_tombstone_seq);
+        census->oldest_range_age =
+            std::max(census->oldest_range_age,
+                     last_seq - f->earliest_range_tombstone_seq);
       }
     }
   }
-  return max_age;
-}
-
-uint64_t Version::TotalRangeTombstones() const {
-  uint64_t total = 0;
-  for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
-      total += f->num_range_tombstones;
-    }
-  }
-  return total;
-}
-
-uint64_t Version::MaxTombstoneAge(SequenceNumber last_seq) const {
-  uint64_t max_age = 0;
-  for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
-      if (f->has_tombstones() && last_seq >= f->earliest_tombstone_seq) {
-        max_age = std::max(max_age, last_seq - f->earliest_tombstone_seq);
-      }
-    }
-  }
-  return max_age;
-}
-
-uint64_t Version::TotalTombstones() const {
-  uint64_t total = 0;
-  for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
-      total += f->num_tombstones;
-    }
-  }
-  return total;
 }
 
 int64_t Version::NumLevelBytes(int level) const {
@@ -861,25 +835,12 @@ void VersionSet::FoldEdit(const VersionEdit& edit) {
   if (edit.has_last_sequence_) {
     last_sequence_.store(edit.last_sequence_, std::memory_order_release);
   }
-  if (edit.has_monitor_written()) {
-    journal_state_.written = edit.monitor_written();
-  }
-  if (edit.has_monitor_delta()) {
-    journal_state_.persisted += edit.monitor_persisted();
-    journal_state_.superseded += edit.monitor_superseded();
-    journal_state_.latency.Merge(edit.monitor_latency());
-  }
-  if (edit.has_monitor_range_written()) {
-    journal_state_.range_written = edit.monitor_range_written();
-  }
-  if (edit.has_monitor_range_delta()) {
-    journal_state_.range_persisted += edit.monitor_range_persisted();
-    journal_state_.range_superseded += edit.monitor_range_superseded();
-    journal_state_.range_latency.Merge(edit.monitor_range_latency());
-  }
-  if (edit.has_vlog_monitor_delta()) {
-    journal_state_.vlog_purged += edit.vlog_monitor_purged();
-    journal_state_.vlog_latency.Merge(edit.vlog_monitor_latency());
+  for (int i = 0; i < kNumDeletePopulations; i++) {
+    const auto p = static_cast<DeletePopulation>(i);
+    if (edit.has_deletes_written(p)) {
+      journal_state_[p].written = edit.deletes_written(p);
+    }
+    if (edit.has_clock_delta(p)) journal_state_[p].Fold(edit.clock_delta(p));
   }
   for (const vlog::SegmentInfo& info : edit.vlog_segments()) {
     vlog_registry_[info.number] = info;
@@ -888,7 +849,7 @@ void VersionSet::FoldEdit(const VersionEdit& edit) {
     vlog_registry_.erase(seg);
   }
   for (const vlog::SegmentDelta& delta : edit.vlog_deltas()) {
-    vlog::ApplyDelta(&vlog_registry_, delta);
+    vlog::ChargeSegment(&vlog_registry_, delta);
   }
 }
 
@@ -996,7 +957,7 @@ Status VersionSet::Replay(const std::string& fname, bool stop_at_bad_record) {
         // accumulated before it is superseded.
         builder.reset();
         builder.reset(new Builder(this, new Version(this)));
-        journal_state_ = MonitorJournal();
+        journal_state_ = DeleteClocks();
         vlog_registry_.clear();
         edits_replayed = 0;
       } else {
@@ -1071,15 +1032,13 @@ void VersionSet::SnapshotEdit(VersionEdit* edit) const {
   edit->SetLogNumber(log_number_);
   edit->SetNextFile(next_file_number_);
   edit->SetLastSequence(LastSequence());
-  edit->SetMonitorWritten(journal_state_.written);
-  edit->SetMonitorDelta(journal_state_.persisted, journal_state_.superseded,
-                        journal_state_.latency);
-  edit->SetMonitorRangeWritten(journal_state_.range_written);
-  edit->SetMonitorRangeDelta(journal_state_.range_persisted,
-                             journal_state_.range_superseded,
-                             journal_state_.range_latency);
-  edit->SetVlogMonitorDelta(journal_state_.vlog_purged,
-                            journal_state_.vlog_latency);
+  for (int i = 0; i < kNumDeletePopulations; i++) {
+    const auto p = static_cast<DeletePopulation>(i);
+    if (p != kValuePurges) {
+      edit->SetDeletesWritten(p, journal_state_[p].written);
+    }
+    edit->SetClockDelta(p, journal_state_[p]);
+  }
   // Snapshot the vLog segment registry (cumulative: replay resets on the
   // snapshot record, then upserts each segment).
   for (const auto& entry : vlog_registry_) {
@@ -1120,20 +1079,6 @@ int64_t VersionSet::NumLevelBytes(int level) const {
   assert(level >= 0);
   assert(level < kNumLevels);
   return current_->NumLevelBytes(level);
-}
-
-const char* VersionSet::LevelSummary(LevelSummaryStorage* scratch) const {
-  int pos = std::snprintf(scratch->buffer, sizeof(scratch->buffer), "files[ ");
-  for (int i = 0; i < kNumLevels; i++) {
-    int ret = std::snprintf(scratch->buffer + pos,
-                            sizeof(scratch->buffer) - pos, "%d ",
-                            int(current_->files_[i].size()));
-    if (ret < 0 || ret >= static_cast<int>(sizeof(scratch->buffer)) - pos)
-      break;
-    pos += ret;
-  }
-  std::snprintf(scratch->buffer + pos, sizeof(scratch->buffer) - pos, "]");
-  return scratch->buffer;
 }
 
 uint64_t VersionSet::MaxBytesForLevel(int level) const {
@@ -1200,16 +1145,6 @@ void VersionSet::GetRange(const std::vector<FileMetaData*>& inputs,
       }
     }
   }
-}
-
-// Stores the minimal range that covers all entries in inputs1 and inputs2
-// in *smallest, *largest. REQUIRES: inputs is not empty
-void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
-                           const std::vector<FileMetaData*>& inputs2,
-                           InternalKey* smallest, InternalKey* largest) {
-  std::vector<FileMetaData*> all = inputs1;
-  all.insert(all.end(), inputs2.begin(), inputs2.end());
-  GetRange(all, smallest, largest);
 }
 
 Iterator* VersionSet::MakeInputIterator(Compaction* c) {

@@ -63,6 +63,15 @@ bool SomeFileOverlapsRange(const InternalKeyComparator& icmp,
                            const Slice* smallest_user_key,
                            const Slice* largest_user_key);
 
+// The live tombstones of each kind across the tables and memtables a
+// census walked, and the logical age of the oldest of each.
+struct TombstoneCensus {
+  uint64_t point = 0;
+  uint64_t range = 0;
+  uint64_t oldest_point_age = 0;
+  uint64_t oldest_range_age = 0;
+};
+
 class Version {
  public:
   // Append to *iters a sequence of iterators that will yield the contents
@@ -129,14 +138,9 @@ class Version {
   // |*out| (iterator construction, compaction planning diagnostics).
   Status CollectRangeTombstones(std::vector<RangeTombstone>* out) const;
 
-  // Sum over all files of (last_seq - earliest tombstone seq); diagnostics
-  // for the delete-persistence invariant.
-  uint64_t MaxTombstoneAge(SequenceNumber last_seq) const;
-  // Total live tombstones across the tree.
-  uint64_t TotalTombstones() const;
-  // Range-tombstone counterparts.
-  uint64_t MaxRangeTombstoneAge(SequenceNumber last_seq) const;
-  uint64_t TotalRangeTombstones() const;
+  // Add the tombstones of every file to |*census|, and raise its oldest
+  // ages to those of the files' oldest tombstones as of |last_seq|.
+  void AddToCensus(SequenceNumber last_seq, TombstoneCensus* census) const;
   // Total bytes at a level.
   int64_t NumLevelBytes(int level) const;
 
@@ -231,29 +235,13 @@ class VersionSet {
   // background work has drained; a no-op if no descriptor was ever opened.
   Status WriteCleanCloseSnapshot();
 
-  // Cumulative persistence-monitor state journaled through the MANIFEST
-  // edit stream (see version_edit.h). After Recover() this holds the exact
-  // pre-crash monitor state as of the last installed edit; DBImpl adds the
-  // deletes re-counted during WAL replay and restores the live monitor.
-  struct MonitorJournal {
-    uint64_t written = 0;
-    uint64_t persisted = 0;
-    uint64_t superseded = 0;
-    Histogram latency;
-    // Range-delete counterparts (kMonitorRangeWritten/kMonitorRangeDelta
-    // tags): a separate population so recovery restores both histograms
-    // bit-identically.
-    uint64_t range_written = 0;
-    uint64_t range_persisted = 0;
-    uint64_t range_superseded = 0;
-    Histogram range_latency;
-    // Value-purge population (kVlogMonitorDelta tag): deleted keys whose
-    // vLog value bytes were reclaimed, with key-purge -> value-purge
-    // latency samples.
-    uint64_t vlog_purged = 0;
-    Histogram vlog_latency;
-  };
-  const MonitorJournal& monitor_journal() const { return journal_state_; }
+  // Every delete population's clock as journaled through the MANIFEST edit
+  // stream (see version_edit.h). FoldEdit is the only code that advances
+  // it, once per installed edit, so it is exactly the clock as of the last
+  // installed edit -- across a crash too, since recovery replays the same
+  // edits. Each |written| is the last journaled checkpoint; DBImpl keeps the
+  // live counts.
+  const DeleteClocks& monitor_journal() const { return journal_state_; }
 
   // Diagnostics for the bounded-replay machinery (surfaced via
   // GetProperty("acheron.stats") and asserted by the recovery tests).
@@ -270,15 +258,6 @@ class VersionSet {
 
   // Allocate and return a new file number.
   uint64_t NewFileNumber() { return next_file_number_++; }
-
-  // Arrange to reuse "file_number" unless a newer file number has already
-  // been allocated. REQUIRES: "file_number" was returned by a call to
-  // NewFileNumber().
-  void ReuseFileNumber(uint64_t file_number) {
-    if (next_file_number_ == file_number + 1) {
-      next_file_number_ = file_number;
-    }
-  }
 
   // Return the number of Table files at the specified level.
   int NumLevelFiles(int level) const;
@@ -367,12 +346,6 @@ class VersionSet {
   // Capacity of |level| in bytes under leveling.
   uint64_t MaxBytesForLevel(int level) const;
 
-  // Per-level compaction debug counters.
-  struct LevelSummaryStorage {
-    char buffer[200];
-  };
-  const char* LevelSummary(LevelSummaryStorage* scratch) const;
-
   const InternalKeyComparator& icmp() const { return icmp_; }
   const Options* options() const { return options_; }
   TableCache* table_cache() const { return table_cache_; }
@@ -383,14 +356,8 @@ class VersionSet {
   friend class Compaction;
   friend class Version;
 
-  void Finalize(Version* v);
-
   void GetRange(const std::vector<FileMetaData*>& inputs, InternalKey* smallest,
                 InternalKey* largest);
-
-  void GetRange2(const std::vector<FileMetaData*>& inputs1,
-                 const std::vector<FileMetaData*>& inputs2,
-                 InternalKey* smallest, InternalKey* largest);
 
   void SetupOtherInputs(Compaction* c);
 
@@ -427,7 +394,7 @@ class VersionSet {
   uint64_t edits_since_snapshot_;
   // Cumulative monitor state as of the last installed edit (journaled into
   // every snapshot record; reconstructed by Recover).
-  MonitorJournal journal_state_;
+  DeleteClocks journal_state_;
   // Durable vLog segment accounting (see vlog_registry() above).
   vlog::Registry vlog_registry_;
   // Set by Recover: edits applied after the last valid snapshot record.

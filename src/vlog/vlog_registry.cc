@@ -5,7 +5,7 @@
 namespace acheron {
 namespace vlog {
 
-void ApplyDelta(Registry* registry, const SegmentDelta& delta) {
+void ChargeSegment(Registry* registry, const SegmentDelta& delta) {
   auto it = registry->find(delta.number);
   if (it == registry->end()) return;  // segment already collected
   SegmentInfo& info = it->second;

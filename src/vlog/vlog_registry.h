@@ -82,7 +82,9 @@ struct SegmentDelta {
 
 using Registry = std::map<uint64_t, SegmentInfo>;
 
-void ApplyDelta(Registry* registry, const SegmentDelta& delta);
+// Charge |delta|'s garbage and pending purge to its segment; a no-op once
+// GC has collected the segment.
+void ChargeSegment(Registry* registry, const SegmentDelta& delta);
 
 // Wire encoding used by the VersionEdit tags (version_edit.cc).
 void EncodeSegmentInfo(std::string* dst, const SegmentInfo& info);

@@ -624,6 +624,34 @@ TEST_F(BackgroundConcurrencyTest, TombstoneAgeWithinDthAfterEveryWrite) {
 // version installs, and manual CompactRange.
 // --------------------------------------------------------------------------
 
+// The tombstone census runs under the DB mutex while a write-group leader
+// adds its batch to the memtable with the mutex released: a memtable
+// tombstone newer than the published sequence must not read as an age that
+// wrapped below zero.
+TEST_F(ConcurrencyTest, TombstoneAgeReadsRaceDeletes) {
+  const uint64_t kOps = 20000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kOps; i++) {
+      if (i % 2 == 0) {
+        ASSERT_TRUE(db_->Put(WriteOptions(), Key(i % 500), "v").ok());
+      } else {
+        ASSERT_TRUE(db_->Delete(WriteOptions(), Key(i % 500)).ok());
+      }
+    }
+    done = true;
+  });
+  uint64_t worst = 0;
+  std::string age;
+  while (!done) {
+    ASSERT_TRUE(db_->GetProperty("acheron.max-tombstone-age", &age));
+    worst = std::max<uint64_t>(worst, std::stoull(age));
+    worst = std::max(worst, db_->GetDeleteStats().oldest_live_tombstone_age);
+  }
+  writer.join();
+  EXPECT_LE(worst, kOps);
+}
+
 TEST_F(ConcurrencyTest, GetTakesNoMutex) {
   // Spread data across memtable and table files so Gets walk every layer.
   for (int i = 0; i < 3000; i++) {

@@ -11,6 +11,7 @@
 
 #include "src/env/env.h"
 #include "src/lsm/db.h"
+#include "src/lsm/db_impl.h"
 #include "src/lsm/version_set.h"
 #include "src/util/random.h"
 
@@ -413,6 +414,61 @@ TEST(DeletePersistenceRecoveryTest, TtlStateSurvivesReopen) {
   ASSERT_TRUE(db->GetProperty("acheron.max-tombstone-age", &age_str));
   EXPECT_LE(std::stoull(age_str), 5000u + 2);
   delete db;
+}
+
+// Each population's journaled clock lands in its own DeleteStats fields:
+// the three latency ranges are disjoint, so a crossed wire shows.
+TEST(DeleteStatsTest, JournalClocksLandInTheirFields) {
+  DeleteClocks journal;
+  auto fill = [&](DeletePopulation p, double base, uint64_t superseded) {
+    for (int i = 1; i <= 100; i++) journal[p].latency.Add(base + i);
+    journal[p].persisted = 100;
+    journal[p].superseded = superseded;
+  };
+  fill(kPointDeletes, 0, 7);
+  fill(kRangeDeletes, 10000, 3);
+  fill(kValuePurges, 1000000, 0);
+  const DeleteStats ds = DeleteStatsFromJournal(journal);
+
+  struct Expect {
+    DeletePopulation p;
+    double p50, p90, p99, max, avg;
+  };
+  const Expect expects[] = {
+      {kPointDeletes, ds.persistence_latency_p50, ds.persistence_latency_p90,
+       ds.persistence_latency_p99, ds.persistence_latency_max,
+       ds.persistence_latency_avg},
+      {kRangeDeletes, ds.range_persistence_latency_p50,
+       ds.range_persistence_latency_p90, ds.range_persistence_latency_p99,
+       ds.range_persistence_latency_max, ds.range_persistence_latency_avg},
+      {kValuePurges, ds.value_purge_latency_p50, ds.value_purge_latency_p90,
+       ds.value_purge_latency_p99, ds.value_purge_latency_max,
+       ds.value_purge_latency_avg},
+  };
+  for (const Expect& e : expects) {
+    SCOPED_TRACE(e.p);
+    const Histogram& h = journal[e.p].latency;
+    const double base = h.Min() - 1;
+    EXPECT_EQ(h.Percentile(50), e.p50);
+    EXPECT_EQ(h.Percentile(90), e.p90);
+    EXPECT_EQ(h.Percentile(99), e.p99);
+    EXPECT_EQ(base + 100, e.max);
+    EXPECT_EQ(base + 50.5, e.avg);
+    EXPECT_GT(e.p50, base);
+    EXPECT_LE(e.p50, e.p90);
+    EXPECT_LE(e.p90, e.p99);
+    EXPECT_LE(e.p99, e.max);
+  }
+  EXPECT_EQ(100u, ds.tombstones_persisted);
+  EXPECT_EQ(7u, ds.tombstones_superseded);
+  EXPECT_EQ(100u, ds.range_deletes_persisted);
+  EXPECT_EQ(3u, ds.range_deletes_superseded);
+  EXPECT_EQ(100u, ds.values_purged);
+  // The live half is not the journal's to fill.
+  EXPECT_EQ(0u, ds.tombstones_written);
+  EXPECT_EQ(0u, ds.range_deletes_written);
+  EXPECT_EQ(0u, ds.tombstones_live);
+  EXPECT_FALSE(ds.dth_at_risk);
 }
 
 }  // namespace acheron

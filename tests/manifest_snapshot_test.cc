@@ -31,11 +31,13 @@ TEST(SnapshotRecord, RoundTripsAllFields) {
   e.SetLogNumber(7);
   e.SetNextFile(9);
   e.SetLastSequence(42);
-  Histogram h;
-  h.Add(3.0);
-  h.Add(700.0);
-  e.SetMonitorWritten(11);
-  e.SetMonitorDelta(4, 2, h);
+  DeleteClock clock;
+  clock.persisted = 4;
+  clock.superseded = 2;
+  clock.latency.Add(3.0);
+  clock.latency.Add(700.0);
+  e.SetDeletesWritten(kPointDeletes, 11);
+  e.SetClockDelta(kPointDeletes, clock);
   FileMetaData f;
   f.number = 5;
   f.file_size = 123;
@@ -53,16 +55,16 @@ TEST(SnapshotRecord, RoundTripsAllFields) {
   VersionEdit d;
   ASSERT_TRUE(d.DecodeFrom(rec).ok());
   EXPECT_TRUE(d.IsSnapshot());
-  EXPECT_TRUE(d.has_monitor_written());
-  EXPECT_EQ(11u, d.monitor_written());
-  ASSERT_TRUE(d.has_monitor_delta());
-  EXPECT_EQ(4u, d.monitor_persisted());
-  EXPECT_EQ(2u, d.monitor_superseded());
+  EXPECT_TRUE(d.has_deletes_written(kPointDeletes));
+  EXPECT_EQ(11u, d.deletes_written(kPointDeletes));
+  ASSERT_TRUE(d.has_clock_delta(kPointDeletes));
+  EXPECT_EQ(4u, d.clock_delta(kPointDeletes).persisted);
+  EXPECT_EQ(2u, d.clock_delta(kPointDeletes).superseded);
   // The latency histogram must survive bit-for-bit (it feeds the recovered
   // percentiles, which the journal contract says are exact).
   std::string h_bytes, d_bytes;
-  h.EncodeTo(&h_bytes);
-  d.monitor_latency().EncodeTo(&d_bytes);
+  clock.latency.EncodeTo(&h_bytes);
+  d.clock_delta(kPointDeletes).latency.EncodeTo(&d_bytes);
   EXPECT_EQ(h_bytes, d_bytes);
   ASSERT_EQ(1u, d.new_files().size());
   EXPECT_EQ(2, d.new_files()[0].first);

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/persistence_monitor.h"
-
 namespace acheron {
 
 class PlannerTest : public ::testing::Test {
@@ -191,26 +189,6 @@ TEST_F(PlannerTest, ChooseFileIndexPicksTheDensestTombstonedFile) {
   const std::string past_end =
       InternalKey("z", 100, kTypeValue).Encode().ToString();
   EXPECT_EQ(0u, vanilla.ChooseFileIndex(files, past_end));
-}
-
-TEST(PersistenceMonitorTest, CountsAndLatency) {
-  DeletePersistenceMonitor m;
-  m.OnTombstoneWritten(5);
-  Histogram latency;  // one compaction: two tombstones persist
-  latency.Add(500);
-  latency.Add(100);
-  m.ApplyDelta(/*persisted=*/2, /*superseded=*/1, latency);
-
-  DeleteStats stats;
-  m.Snapshot(&stats, /*live=*/3, /*oldest_age=*/42);
-  EXPECT_EQ(5u, stats.tombstones_written);
-  EXPECT_EQ(2u, stats.tombstones_persisted);
-  EXPECT_EQ(1u, stats.tombstones_superseded);
-  EXPECT_EQ(3u, stats.tombstones_live);
-  EXPECT_EQ(42u, stats.oldest_live_tombstone_age);
-  EXPECT_EQ(500, stats.persistence_latency_max);
-  EXPECT_NEAR(300, stats.persistence_latency_avg, 1);
-  EXPECT_FALSE(stats.ToString().empty());
 }
 
 }  // namespace acheron

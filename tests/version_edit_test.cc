@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace acheron {
 
 static void TestEncodeDecode(const VersionEdit& edit) {
@@ -89,6 +92,66 @@ TEST(VersionEditTest, FileMetaDataHelpers) {
   f.num_tombstones = 25;
   EXPECT_TRUE(f.has_tombstones());
   EXPECT_DOUBLE_EQ(0.25, f.tombstone_density());
+}
+
+namespace {
+std::string Hex(const std::string& bytes) {
+  std::string hex;
+  for (unsigned char c : bytes) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", c);
+    hex += buf;
+  }
+  return hex;
+}
+}  // namespace
+
+// The delete-clock journal fields keep the byte layout MANIFESTs already
+// hold: tags 9-12 and 16, and no superseded count in the value-purge delta.
+TEST(VersionEditTest, DeleteClockBytesArePinned) {
+  DeleteClock point, range, value;
+  point.persisted = 3;
+  point.superseded = 2;
+  point.latency.Add(7);
+  range.persisted = 1;
+  range.latency.Add(300);
+  value.persisted = 6;
+  value.latency.Add(12);
+  VersionEdit edit;
+  edit.SetDeletesWritten(kPointDeletes, 5);
+  edit.SetClockDelta(kPointDeletes, point);
+  edit.SetDeletesWritten(kRangeDeletes, 4);
+  edit.SetClockDelta(kRangeDeletes, range);
+  edit.SetClockDelta(kValuePurges, value);
+  std::string encoded;
+  edit.EncodeTo(&encoded);
+  // clang-format off
+  const std::string kPinned =
+      "0905"                                  // point written = 5
+      "0a" "03" "02" "24"                     // point delta 3, 2; 36 bytes:
+      "0000000000001c40" "0000000000001c40"   //   min 7, max 7,
+      "0000000000001c40" "0000000000804840"   //   sum 7, sum of squares 49,
+      "01" "01" "0701"                        //   one sample in bucket 7
+      "0b04"                                  // range written = 4
+      "0c" "01" "00" "24"                     // range delta 1, 0; 36 bytes:
+      "0000000000c07240" "0000000000c07240"   //   min 300, max 300,
+      "0000000000c07240" "0000000000f9f540"   //   sum 300, sum of sq. 90000,
+      "01" "01" "1901"                        //   one sample in bucket 25
+      "10" "06" "24"                          // value purges 6; 36 bytes:
+      "0000000000002840" "0000000000002840"   //   min 12, max 12,
+      "0000000000002840" "0000000000006240"   //   sum 12, sum of sq. 144,
+      "01" "01" "0a01";                       //   one sample in bucket 10
+  // clang-format on
+  EXPECT_EQ(kPinned, Hex(encoded));
+
+  VersionEdit parsed;
+  ASSERT_TRUE(parsed.DecodeFrom(encoded).ok());
+  EXPECT_EQ(5u, parsed.deletes_written(kPointDeletes));
+  EXPECT_EQ(4u, parsed.deletes_written(kRangeDeletes));
+  EXPECT_FALSE(parsed.has_deletes_written(kValuePurges));
+  EXPECT_EQ(2u, parsed.clock_delta(kPointDeletes).superseded);
+  EXPECT_EQ(300, parsed.clock_delta(kRangeDeletes).latency.Max());
+  EXPECT_EQ(6u, parsed.clock_delta(kValuePurges).persisted);
 }
 
 }  // namespace acheron
