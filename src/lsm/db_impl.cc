@@ -1894,9 +1894,10 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     };
     for (const RangeTombstone& t : input_range_dels) {
       if (t.seq <= compact->smallest_snapshot && !blocked(t)) {
+        // smallest_snapshot <= horizon == now_seq.
+        assert(t.seq <= now_seq);
         range_delta.persisted++;
-        range_delta.latency.Add(
-            static_cast<double>(now_seq >= t.seq ? now_seq - t.seq : 0));
+        range_delta.latency.Add(static_cast<double>(now_seq - t.seq));
       } else {
         run.range_tombstones.push_back(t);
       }
@@ -1988,8 +1989,9 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
         drop = true;
         tombstones_dropped++;
         point_delta.persisted++;
-        point_delta.latency.Add(static_cast<double>(
-            now_seq >= ikey.sequence ? now_seq - ikey.sequence : 0));
+        // smallest_snapshot <= horizon == now_seq.
+        assert(ikey.sequence <= now_seq);
+        point_delta.latency.Add(static_cast<double>(now_seq - ikey.sequence));
       } else if (!input_range_dels.empty() &&
                  covering.MaxCoveringSeq(ikey.user_key,
                                          compact->smallest_snapshot) >
@@ -2298,14 +2300,15 @@ Status DBImpl::Resume() {
 
 // ---------------- Reads ----------------
 
-Status DBImpl::RangeCoveringSeq(const ReadState& state, const Slice& key,
-                                SequenceNumber snapshot, SequenceNumber* seq) {
-  Status s = state.current->MaxRangeCoveringSeq(key, snapshot, seq);
-  *seq = std::max(*seq, state.mem->MaxRangeCoveringSeq(key, snapshot));
-  if (state.imm != nullptr) {
-    *seq = std::max(*seq, state.imm->MaxRangeCoveringSeq(key, snapshot));
-  }
-  return s;
+Status DBImpl::RangeCovered(const ReadState& state, const Slice& key,
+                            SequenceNumber floor, SequenceNumber snapshot,
+                            bool* covered) {
+  // Newest source first: the first cover decides.
+  *covered = state.mem->RangeCovered(key, floor, snapshot) ||
+             (state.imm != nullptr &&
+              state.imm->RangeCovered(key, floor, snapshot));
+  if (*covered) return Status::OK();
+  return state.current->RangeCovered(key, floor, snapshot, covered);
 }
 
 SequenceNumber DBImpl::ReadSequence(const ReadOptions& options) const {
@@ -2339,13 +2342,13 @@ Status DBImpl::GetFromState(const ReadOptions& options, const ReadState& state,
   // test after point resolution is enough: any entry the point lookup could
   // have found below the deciding one has a smaller sequence and is hidden
   // by the same covering tombstone. Only a found value needs the test (a
-  // point deletion stays NotFound either way).
-  // A table that cannot be opened fails the read rather than reading as
-  // uncovered.
+  // point deletion stays NotFound either way), and only tombstones newer
+  // than it can hide it. A table that cannot be opened fails the read
+  // rather than reading as uncovered.
   if (s.ok()) {
-    SequenceNumber covering_seq = 0;
-    s = RangeCoveringSeq(state, key, snapshot, &covering_seq);
-    if (!s.ok() || covering_seq > found_seq) {
+    bool covered = false;
+    s = RangeCovered(state, key, found_seq, snapshot, &covered);
+    if (!s.ok() || covered) {
       value->clear();
       if (s.ok()) s = Status::NotFound(Slice());
     } else if (is_pointer) {

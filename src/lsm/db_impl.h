@@ -483,14 +483,14 @@ class DBImpl : public DB {
   Status RecoverVlog(VersionEdit* edit, bool* save_manifest)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Lock-free: set |*seq| to the largest range-tombstone sequence <=
-  // |snapshot| covering |key| across the pinned mem, imm and version, or 0
-  // when uncovered. Sequence numbers are global, so a found entry is hidden
-  // iff this exceeds its sequence. Fails when a table holding range
-  // tombstones cannot be opened.
-  static Status RangeCoveringSeq(const ReadState& state, const Slice& key,
-                                 SequenceNumber snapshot,
-                                 SequenceNumber* seq);
+  // Lock-free: set |*covered| to whether a range tombstone with a sequence
+  // in (floor, snapshot] covers |key| in the pinned mem, imm or version,
+  // tested in that order (newest first) up to the first cover. Sequence
+  // numbers are global, so an entry found at sequence |floor| is hidden iff
+  // one does. Fails when a table holding range tombstones cannot be opened.
+  static Status RangeCovered(const ReadState& state, const Slice& key,
+                             SequenceNumber floor, SequenceNumber snapshot,
+                             bool* covered);
 
   // Lock-free: the sequence a read at |options| observes: its snapshot's,
   // else last_sequence. Read it after AcquireReadState (see Get).

@@ -120,10 +120,10 @@ class MemTable {
   // Record a range tombstone over user keys [begin, end) at |seq|. Range
   // tombstones live outside the skiplist, in an arena-backed lock-free list
   // (single writer pushes with a release store; readers walk concurrently).
-  // Inverted ranges (begin >= end) are dropped. Every kRangeIndexTail-th
-  // call also folds the unindexed nodes into the coverage index (see
-  // RangeDelRun): amortized O(log^2 n) comparisons per call, done by the
-  // caller -- the write-group leader, with DBImpl::mutex_ released.
+  // Inverted ranges (begin >= end) are dropped. Each call also indexes the
+  // new tombstone (see RangeDelRun): amortized O(log^2 n) comparisons per
+  // call, done by the caller -- the write-group leader, with
+  // DBImpl::mutex_ released.
   void AddRange(SequenceNumber seq, const Slice& begin, const Slice& end);
 
   // If memtable contains a value for key, store it in *value and return
@@ -139,19 +139,18 @@ class MemTable {
            SequenceNumber* seq_out = nullptr, bool* is_pointer = nullptr,
            const LinkQueue* pending = nullptr);
 
-  // Largest range-tombstone sequence <= |snapshot| covering |user_key|
-  // in this memtable, or 0 when uncovered. Lock-free: one binary search per
-  // index run plus a walk of fewer than kRangeIndexTail unindexed nodes.
-  SequenceNumber MaxRangeCoveringSeq(const Slice& user_key,
-                                     SequenceNumber snapshot) const;
+  // True if a range tombstone of this memtable with a sequence in
+  // (floor, snapshot] covers |user_key|. An entry at sequence |floor| is
+  // hidden iff one does. Lock-free: the index runs are searched newest
+  // first, a run with no tombstone above |floor| is skipped, and the first
+  // cover ends the search.
+  bool RangeCovered(const Slice& user_key, SequenceNumber floor,
+                    SequenceNumber snapshot) const;
 
   // Heap bytes of the coverage index: |*live| for the runs readers can
   // reach, |*total| for every run built (retired runs are freed with the
   // memtable). Must not race with AddRange.
   void RangeIndexMemoryUsage(size_t* live, size_t* total) const;
-
-  // Unindexed range tombstones that trigger an index rebuild.
-  static constexpr uint64_t kRangeIndexTail = 32;
 
   // Append every range tombstone in this memtable to |*out| (read-path
   // aggregation and flush).
@@ -209,15 +208,15 @@ class MemTable {
 
   // An immutable fragmented index over |count| consecutive list nodes,
   // starting at |head| and running toward older nodes. Runs form a stack,
-  // newest (smallest) on top, that covers the list from the top run's head
-  // down; readers reach it through |range_index_|. A rebuild turns the
-  // unindexed tail into a new run and merges into it every run no larger
-  // than the run being built, like carrying in a binary counter. So each
-  // run at least doubles the tombstones of any run it absorbs: a memtable
-  // with n range tombstones has fewer than log2(n / kRangeIndexTail) + 2
-  // runs to search, and has indexed each tombstone at most
-  // log2(n / kRangeIndexTail) + 1 times, which bounds the runs built
-  // (live plus retired) to that multiple of a full index.
+  // newest (smallest) on top, that covers the whole list; readers reach it
+  // through |range_index_|. Each AddRange builds a run of the new node and
+  // merges into it every run no larger than the run being built, like
+  // carrying in a binary counter. So each run at least doubles the
+  // tombstones of any run it absorbs: a memtable with n range tombstones
+  // has at most log2(n) + 1 runs to search (one per set bit of n), and the
+  // run built by the m-th call holds 2^(trailing zeros of m) tombstones,
+  // so all runs built (live plus retired) hold about (log2(n) + 2) / 2
+  // times the tombstones of a full index.
   struct RangeDelRun {
     const RangeDelNode* head;
     uint64_t count;
@@ -239,7 +238,7 @@ class MemTable {
   // False only if |user_key| was never added. Sets |*key_tag|.
   bool KeyMayMatch(const Slice& user_key, uint32_t* key_tag) const;
 
-  // Writer side of AddRange: index the unindexed tail (see RangeDelRun).
+  // Writer side of AddRange: index the new head node (see RangeDelRun).
   void RebuildRangeIndex();
 
   static void DecodeRangeNode(const RangeDelNode* node, Slice* begin,
@@ -259,14 +258,11 @@ class MemTable {
   // readers acquire-load and walk nodes that never change afterwards.
   std::atomic<RangeDelNode*> range_head_;
   // Top of the run stack, published with a release store after the run is
-  // built. Readers acquire-load it *before* range_head_, so the top run's
-  // head is always reachable from the head they then load.
+  // built.
   std::atomic<const RangeDelRun*> range_index_;
   // Writer-only: every run ever built (readers may still hold retired
-  // ones, so they live as long as the memtable), and the nodes pushed since
-  // the top run was built.
+  // ones, so they live as long as the memtable).
   std::vector<std::unique_ptr<RangeDelRun>> range_runs_;
-  uint64_t range_unindexed_;
   std::atomic<uint64_t> num_entries_;
   std::atomic<uint64_t> num_tombstones_;
   std::atomic<SequenceNumber> earliest_tombstone_seq_;

@@ -9,8 +9,8 @@
 
 namespace acheron {
 
-inline uint32_t Block::NumRestarts() const {
-  assert(size_ >= sizeof(uint32_t));
+uint32_t Block::NumRestarts() const {
+  if (size_ < sizeof(uint32_t)) return 0;
   return DecodeFixed32(data_ + size_ - sizeof(uint32_t));
 }
 
@@ -243,6 +243,26 @@ class Block::Iter : public Iterator {
     }
   }
 };
+
+bool Block::RestartEntry(uint32_t i, Slice* key, Slice* value) const {
+  const char* restarts = data_ + restart_offset_;
+  const uint32_t start = DecodeFixed32(restarts + i * sizeof(uint32_t));
+  const uint32_t end =
+      i + 1 < NumRestarts()
+          ? DecodeFixed32(restarts + (i + 1) * sizeof(uint32_t))
+          : restart_offset_;
+  if (start >= end || end > restart_offset_) return false;
+  const char* limit = data_ + end;
+  uint32_t shared, non_shared, value_length;
+  const char* p = DecodeEntry(data_ + start, limit, &shared, &non_shared,
+                              &value_length);
+  if (p == nullptr || shared != 0 || p + non_shared + value_length != limit) {
+    return false;
+  }
+  *key = Slice(p, non_shared);
+  *value = Slice(p + non_shared, value_length);
+  return true;
+}
 
 Iterator* Block::NewIterator(const Comparator* comparator) {
   if (size_ < sizeof(uint32_t)) {

@@ -25,10 +25,17 @@ class Block {
   size_t size() const { return size_; }
   Iterator* NewIterator(const Comparator* comparator);
 
+  // Number of restart points; 0 for a block that failed to parse.
+  uint32_t NumRestarts() const;
+
+  // The entry at restart point |i| (< NumRestarts()), pointing into the
+  // block, if it is stored whole and is the only entry before the next
+  // restart point -- as in an index block, where every entry is one. False
+  // otherwise, or when the entry is corrupt.
+  bool RestartEntry(uint32_t i, Slice* key, Slice* value) const;
+
  private:
   class Iter;
-
-  uint32_t NumRestarts() const;
 
   const char* data_;
   size_t size_;
