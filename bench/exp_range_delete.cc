@@ -155,13 +155,14 @@ struct CoverageCost {
   double get_p50_us = 0;
 };
 
-// |tombstones| range deletes (span 16) at random places in a key space of
-// 1M keys, into a memtable large enough to hold everything; then 10,000
-// Puts spread over the same space, above the tombstones; then found Gets.
-// Each Get runs the full coverage test and nothing is hidden. The
-// tombstones are sparse (at 16k they cover a quarter of the space), so
-// most probed keys are uncovered, like point_read's Gets. |comparator_name|
-// picks the search (see CountingComparator).
+// 10,000 Puts spread over a key space of 1M keys, into a memtable large
+// enough to hold everything; then |tombstones| range deletes (span 16) at
+// random places between the put keys, so none is hidden; then found Gets.
+// The tombstones are newer than every entry a Get finds, so no run of the
+// memtable's index lies below the coverage floor: each Get searches them
+// all, like point_read's Gets of preloaded keys. The tombstones are sparse
+// (at 16k they cover a quarter of the space), so most probed keys are
+// uncovered. |comparator_name| picks the search (see CountingComparator).
 static CoverageCost MeasureCoverage(uint64_t tombstones,
                                     const char* comparator_name) {
   constexpr uint64_t kSpace = 1000000;
@@ -179,13 +180,17 @@ static CoverageCost MeasureCoverage(uint64_t tombstones,
                   static_cast<unsigned long long>(i));
     return std::string(buf);
   };
-  auto put_key = [&](uint64_t i) { return key(i * (kSpace / kKeys)); };
+  constexpr uint64_t kStride = kSpace / kKeys;
+  auto put_key = [&](uint64_t i) { return key(i * kStride); };
   Random rnd(77);
+  for (uint64_t i = 0; i < kKeys; i++) CheckOk(db->Put(wo, put_key(i), "v"));
   for (uint64_t i = 0; i < tombstones; i++) {
-    const uint64_t b = rnd.Uniform(kSpace);
+    // [b, b + 16) holds no multiple of kStride: b sits 1 to kStride - 16
+    // past one.
+    const uint64_t b =
+        rnd.Uniform(kKeys) * kStride + 1 + rnd.Uniform(kStride - 16);
     CheckOk(db->DeleteRange(wo, key(b), key(b + 16)));
   }
-  for (uint64_t i = 0; i < kKeys; i++) CheckOk(db->Put(wo, put_key(i), "v"));
   if (db.PropertyU64("acheron.total-bytes") != 0 ||
       db->GetDeleteStats().range_deletes_live != tombstones) {
     std::fprintf(stderr, "E14: coverage sweep left the memtable\n");
