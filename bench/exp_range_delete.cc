@@ -13,7 +13,10 @@
 // With --json=PATH, appends one schema-gated record (bench="range_delete",
 // extra keys registered in tools/check_bench_json.py) for the tightest
 // FADE configuration, carrying the coverage sweep as extra keys.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -153,6 +156,10 @@ class CountingComparator : public Comparator {
 struct CoverageCost {
   double cmp_per_get = 0;
   double get_p50_us = 0;
+  // Wall time per Get of a pass over all kGets keys without per-Get
+  // clocks, the median of kPasses passes: finer than the p50's histogram
+  // buckets, so it can tell two builds apart.
+  double ns_per_get = 0;
 };
 
 // 10,000 Puts spread over a key space of 1M keys, into a memtable large
@@ -200,18 +207,37 @@ static CoverageCost MeasureCoverage(uint64_t tombstones,
   // The comparator counts every thread's calls: let the memtable linker
   // finish linking the Puts before the Gets are counted.
   CheckOk(db->WaitForCompactions());
+  std::vector<std::string> keys;
+  keys.reserve(kGets);
+  for (uint64_t i = 0; i < kGets; i++) {
+    keys.push_back(put_key(rnd.Uniform(kKeys)));
+  }
   Histogram latency;
   std::string value;
   const uint64_t before = cmp.count();
-  for (uint64_t i = 0; i < kGets; i++) {
+  for (const std::string& k : keys) {
     auto t0 = std::chrono::steady_clock::now();
-    CheckOk(db->Get(ReadOptions(), put_key(rnd.Uniform(kKeys)), &value));
+    CheckOk(db->Get(ReadOptions(), k, &value));
     auto t1 = std::chrono::steady_clock::now();
     latency.Add(std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   CoverageCost c;
   c.cmp_per_get = static_cast<double>(cmp.count() - before) / kGets;
   c.get_p50_us = latency.Percentile(50);
+
+  constexpr int kPasses = 5;
+  std::vector<double> pass_ns;
+  for (int pass = 0; pass < kPasses; pass++) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (const std::string& k : keys) {
+      CheckOk(db->Get(ReadOptions(), k, &value));
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    pass_ns.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
+  std::sort(pass_ns.begin(), pass_ns.end());
+  c.ns_per_get = pass_ns[kPasses / 2] / kGets;
   return c;
 }
 
@@ -240,8 +266,9 @@ static void Main(const std::string& json_path) {
   std::printf("\nE14b: coverage cost of a found Get vs live memtable range "
               "tombstones\n(default: the bytewise prefix search a default DB "
               "runs; fallback: the comparator-driven search)\n");
-  std::printf("%-12s %12s %12s %13s %12s\n", "tombstones", "cmp/get",
-              "get_p50_us", "fallback_cmp", "fallback_us");
+  std::printf("%-12s %12s %12s %10s %13s %12s %11s\n", "tombstones",
+              "cmp/get", "get_p50_us", "ns/get", "fallback_cmp", "fallback_us",
+              "fallback_ns");
   // Tombstone counts and the JSON key suffix each is reported under.
   const std::pair<uint64_t, const char*> kSweep[] = {
       {0, "0"}, {1000, "1k"}, {4000, "4k"}, {16000, "16k"}};
@@ -251,15 +278,16 @@ static void Main(const std::string& json_path) {
         MeasureCoverage(step.first, BytewiseComparator()->Name()));
     fallback.push_back(
         MeasureCoverage(step.first, "bench.CountingComparator"));
-    std::printf("%-12llu %12.1f %12.2f %13.1f %12.2f\n",
+    std::printf("%-12llu %12.1f %12.2f %10.0f %13.1f %12.2f %11.0f\n",
                 static_cast<unsigned long long>(step.first),
                 sweep.back().cmp_per_get, sweep.back().get_p50_us,
-                fallback.back().cmp_per_get, fallback.back().get_p50_us);
+                sweep.back().ns_per_get, fallback.back().cmp_per_get,
+                fallback.back().get_p50_us, fallback.back().ns_per_get);
   }
 
   if (!json_path.empty()) {
     std::string extra;
-    char buf[160];
+    char buf[256];
     std::snprintf(
         buf, sizeof(buf),
         "\"dth\":%llu,\"range_deletes_written\":%llu,"
@@ -276,9 +304,10 @@ static void Main(const std::string& json_path) {
       std::snprintf(buf, sizeof(buf),
                     ",\"cover_cmp_per_get_%s\":%.1f,"
                     "\"cover_get_p50_us_%s\":%.2f,"
+                    "\"cover_ns_per_get_%s\":%.0f,"
                     "\"cover_fallback_cmp_per_get_%s\":%.1f",
                     tag, sweep[i].cmp_per_get, tag, sweep[i].get_p50_us, tag,
-                    fallback[i].cmp_per_get);
+                    sweep[i].ns_per_get, tag, fallback[i].cmp_per_get);
       extra += buf;
     }
     WriteJsonResult(json_path, "range_delete", /*threads=*/1,

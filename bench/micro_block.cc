@@ -1,5 +1,6 @@
 // M3 -- SSTable block microbenchmarks: build, sequential scan, and binary-
-// search seek across restart intervals.
+// search seek across restart intervals, through the block iterator and
+// through the point lookup's BlockSearch.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -60,6 +61,25 @@ static void BM_BlockSeek(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BlockSeek)->Arg(1)->Arg(16)->Arg(64);
+
+// BM_BlockSeek's blocks and targets through BlockSearch, the stack search a
+// table's point lookup runs: one search object per lookup, as a Get makes.
+static void BM_BlockPointSearch(benchmark::State& state) {
+  const int restart = static_cast<int>(state.range(0));
+  std::string contents = BuildBlockContents(1000, restart);
+  BlockContents bc{Slice(contents), false, false};
+  Block block(bc);
+  Random rnd(3);
+  for (auto _ : state) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "key%010d",
+                  static_cast<int>(rnd.Uniform(1000)));
+    BlockSearch search;
+    benchmark::DoNotOptimize(search.Seek(block, buf, 0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BlockPointSearch)->Arg(1)->Arg(16)->Arg(64);
 
 }  // namespace acheron
 

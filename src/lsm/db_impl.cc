@@ -266,6 +266,18 @@ void DBImpl::PublishReadState() {
   DrainRetiredReadStates();
 }
 
+void DBImpl::PublishInstalledVersion() {
+  PublishReadState();
+  Version* v = versions_->current();
+  v->Ref();
+  mutex_.Unlock();
+  // A table that cannot be opened fails the build; the first read that
+  // needs the list retries it and reports the error.
+  (void)v->BuildRangeTombstones();  // io: unlocked -- may open tables
+  mutex_.Lock();
+  v->Unref();
+}
+
 void DBImpl::DrainRetiredReadStates() {
   mutex_.AssertHeld();
   size_t kept = 0;
@@ -366,7 +378,6 @@ void DBImpl::RemoveObsoleteFiles() {
         if (type == kTableFile) {
           auto it = dead_table_levels_.find(number);
           if (it != dead_table_levels_.end()) dead_level = it->second;
-          table_cache_->Evict(number);
         }
         if (type == kVlogFile) {
           // Drop the cached read handle before the unlink below.
@@ -396,8 +407,16 @@ void DBImpl::RemoveObsoleteFiles() {
 
   // Unlink outside the lock: only dead files are in the list, and files
   // created concurrently (by the writer rotating the WAL) carry numbers
-  // this pass never classified, so they cannot be removed by mistake.
+  // this pass never classified, so they cannot be removed by mistake. Dead
+  // tables leave the table cache and the pins of dead versions go back
+  // first, also unlocked: the last reference to a table's reader closes
+  // its file. No live version names a dead table, so no read looks it up.
+  const std::vector<Cache::Handle*> dead_pins = versions_->TakeDeadPins();
   mutex_.Unlock();
+  for (const Doomed& doomed : files_to_delete) {
+    if (doomed.is_table) table_cache_->Evict(doomed.number);
+  }
+  for (Cache::Handle* h : dead_pins) table_cache_->Unpin(h);
   for (const Doomed& doomed : files_to_delete) {
     (void)env_->RemoveFile(dbname_ + "/" + doomed.filename);  // io: unlocked
   }
@@ -806,7 +825,7 @@ Status DBImpl::CompactMemTable() {
     imm_ = nullptr;
     // Readers switch to {mem_, no imm, flushed version}; the superseded
     // state keeps the old version's files live until its readers drain.
-    PublishReadState();
+    PublishInstalledVersion();
     RemoveObsoleteFiles();
   } else {
     // The flush retries with imm_, its TTL floor, and its journaled swap
@@ -1012,7 +1031,7 @@ Status DBImpl::CollectVlogSegments(const std::set<uint64_t>& victims,
     RetireVlogVictims(victims, now, &edit);
     s = versions_->LogAndApply(&edit, &mutex_);
     if (s.ok()) {
-      PublishReadState();
+      PublishInstalledVersion();
       RemoveObsoleteFiles();
     }
   } else {
@@ -1731,7 +1750,7 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
       if (!s.ok()) {
         RecordBackgroundError(s, ErrorSubsystem::kManifest);
       } else {
-        PublishReadState();
+        PublishInstalledVersion();
       }
       stats_.trivial_move_count++;
     } else {
@@ -2100,7 +2119,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     }
     status = InstallCompactionResults(compact, sink.outputs());
     if (status.ok()) {
-      PublishReadState();
+      PublishInstalledVersion();
     }
   }
   for (const FileMetaData& out : sink.outputs()) {
@@ -3158,7 +3177,7 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
     s = versions_->LogAndApply(&drops, &mutex_);
     if (s.ok()) {
       RecordDeadTableLevels(drops);
-      PublishReadState();
+      PublishInstalledVersion();
       RemoveObsoleteFiles();
     }
   }

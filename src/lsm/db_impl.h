@@ -116,6 +116,8 @@ class DBImpl : public DB {
   bool TEST_OutputWorkerIdle() const { return output_worker_->Idle(); }
   // The memtable linker (hold, arm and scan hooks).
   MemTableLinker* TEST_linker() const { return linker_.get(); }
+  // The table cache (pin and lookup counts).
+  const TableCache* TEST_table_cache() const { return table_cache_.get(); }
 
  private:
   friend class DB;
@@ -157,6 +159,10 @@ class DBImpl : public DB {
   void PublishReadState() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
   // Tear down retired nodes whose refcount reached zero.
   void DrainRetiredReadStates() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
+  // After a background install: PublishReadState, then build the new
+  // version's range-tombstone list (Version::BuildRangeTombstones) with
+  // the mutex dropped, so no read pays for it.
+  void PublishInstalledVersion() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // |state_out|, when non-null, receives the pinned ReadState backing the
   // iterator (valid for the iterator's lifetime; the iterator's cleanup

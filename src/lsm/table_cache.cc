@@ -29,7 +29,8 @@ TableCache::TableCache(const std::string& dbname, const Options& options,
     : env_(options.env),
       dbname_(dbname),
       options_(options),
-      cache_(NewLRUCache(entries)) {}
+      cache_(NewLRUCache(entries)),
+      capacity_(entries) {}
 
 TableCache::~TableCache() { delete cache_; }
 
@@ -39,6 +40,7 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
   Slice key(buf, sizeof(buf));
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   *handle = cache_->Lookup(key);
   if (*handle == nullptr) {
     std::string fname = TableFileName(dbname_, file_number);
@@ -101,6 +103,28 @@ Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
     cache_->Release(handle);
   }
   return s;
+}
+
+Status TableCache::Pin(uint64_t file_number, uint64_t file_size,
+                       Cache::Handle** handle) {
+  *handle = nullptr;
+  int n = pinned_.load(std::memory_order_relaxed);
+  do {
+    if (n >= capacity_) return Status::OK();
+  } while (!pinned_.compare_exchange_weak(n, n + 1,
+                                          std::memory_order_relaxed));
+  Status s = FindTable(file_number, file_size, handle);
+  if (!s.ok()) pinned_.fetch_sub(1, std::memory_order_relaxed);
+  return s;
+}
+
+void TableCache::Unpin(Cache::Handle* handle) {
+  cache_->Release(handle);
+  pinned_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+Table* TableCache::table(Cache::Handle* handle) const {
+  return reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
 }
 
 Status TableCache::GetRangeTombstones(uint64_t file_number, uint64_t file_size,

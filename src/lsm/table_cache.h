@@ -4,8 +4,9 @@
 // after construction or the internally sharded+locked Cache (see
 // src/table/cache.cc); callers (reads that dropped DBImpl::mutex_,
 // compactions that hold it) may use it concurrently. A table stays pinned
-// only for one Get / GetRangeTombstones call or for the life of one
-// iterator; nothing holds a handle across calls.
+// for one Get / GetRangeTombstones call, for the life of one iterator, or
+// -- through Pin -- for the life of a Version that probed it; at most
+// |entries| handles are pinned at a time.
 #ifndef ACHERON_LSM_TABLE_CACHE_H_
 #define ACHERON_LSM_TABLE_CACHE_H_
 
@@ -52,6 +53,26 @@ class TableCache {
              void (*handle_result)(void*, const Slice&, const Slice&),
              uint64_t* filter_negatives = nullptr);
 
+  // Pin the table of |file_number| for a caller that probes it again and
+  // again (a Version's point lookups): set *handle to a cache handle whose
+  // table (see table()) stays open until Unpin. *handle is null when the
+  // pinned handles already number the cache's capacity, and the caller
+  // keeps to Get; the budget is checked before any lookup.
+  Status Pin(uint64_t file_number, uint64_t file_size, Cache::Handle** handle);
+
+  // Release a handle Pin returned. The last release of a table evicted
+  // meanwhile closes its file, so a caller holding the DB mutex defers it.
+  void Unpin(Cache::Handle* handle);
+
+  // The table behind a handle Pin returned.
+  Table* table(Cache::Handle* handle) const;
+
+  // Handles Pin holds now, and table lookups (hits and opens) made so far.
+  int pinned() const { return pinned_.load(std::memory_order_relaxed); }
+  uint64_t TEST_lookups() const {
+    return lookups_.load(std::memory_order_relaxed);
+  }
+
   // Append the specified file's raw range tombstones to |*out|.
   Status GetRangeTombstones(uint64_t file_number, uint64_t file_size,
                             std::vector<RangeTombstone>* out);
@@ -79,6 +100,9 @@ class TableCache {
   const std::string dbname_;
   const Options& options_;
   Cache* cache_;
+  const int capacity_;
+  std::atomic<int> pinned_{0};
+  std::atomic<uint64_t> lookups_{0};
   // Aggregate sink installed on every table right after Table::Open.
   std::atomic<uint64_t> filter_negatives_total_{0};
 };

@@ -8,6 +8,7 @@
 #include "src/lsm/filename.h"
 #include "src/lsm/merger.h"
 #include "src/lsm/table_cache.h"
+#include "src/table/table.h"
 #include "src/table/two_level_iterator.h"
 #include "src/util/coding.h"
 #include "src/wal/log_reader.h"
@@ -112,6 +113,16 @@ Version::~Version() {
     }
   }
   delete range_dels_.load(std::memory_order_acquire);
+
+  // Pins go back with the DB mutex dropped (see VersionSet::dead_pins_).
+  if (pins_ != nullptr) {
+    const size_t slots =
+        pin_base_[kNumLevels - 1] + files_[kNumLevels - 1].size();
+    for (size_t i = 0; i < slots; i++) {
+      Cache::Handle* h = pins_[i].load(std::memory_order_acquire);
+      if (h != nullptr) vset_->dead_pins_.push_back(h);
+    }
+  }
 }
 
 void Version::Ref() { ++refs_; }
@@ -279,6 +290,37 @@ void Version::BuildLevelBounds() {
   }
 }
 
+void Version::InitPins() {
+  size_t slots = 0;
+  for (int level = 0; level < kNumLevels; level++) {
+    pin_base_[level] = slots;
+    slots += files_[level].size();
+  }
+  pins_ = std::make_unique<std::atomic<Cache::Handle*>[]>(slots);
+}
+
+Status Version::PinnedTable(int level, size_t i, Table** table) {
+  TableCache* cache = vset_->table_cache_;
+  std::atomic<Cache::Handle*>& slot = pins_[pin_base_[level] + i];
+  Cache::Handle* h = slot.load(std::memory_order_acquire);
+  if (h == nullptr) {
+    const FileMetaData* f = files_[level][i];
+    Status s = cache->Pin(f->number, f->file_size, &h);
+    if (h == nullptr) {
+      *table = nullptr;
+      return s;
+    }
+    Cache::Handle* published = nullptr;
+    if (!slot.compare_exchange_strong(published, h, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      cache->Unpin(h);  // a racing probe pinned the file first
+      h = published;
+    }
+  }
+  *table = cache->table(h);
+  return Status::OK();
+}
+
 size_t Version::FindFileAtLevel(int level, const LookupKey& k,
                                 uint64_t w) const {
   const std::vector<FileMetaData*>& files = files_[level];
@@ -321,18 +363,26 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
   Slice user_key = k.user_key();
   const Comparator* ucmp = vset_->icmp_.user_comparator();
 
-  // Probe one file. Returns true when it decided the lookup, with the
-  // result in *s.
+  // Probe file |i| at |level|, through its pinned table when it has one.
+  // Returns true when it decided the lookup, with the result in *s.
   Status s;
-  auto decided = [&](const FileMetaData* f) {
+  auto decided = [&](int level, size_t i) {
     Saver saver;
     saver.state = kNotFound;
     saver.ucmp = ucmp;
     saver.user_key = user_key;
     saver.value = value;
-    s = vset_->table_cache_->Get(options, f->number, f->file_size, ikey,
-                                 user_key, &saver, SaveValue,
-                                 filter_negatives);
+    Table* table;
+    s = PinnedTable(level, i, &table);
+    if (s.ok() && table != nullptr) {
+      s = table->InternalGet(options, ikey, user_key, &saver, SaveValue,
+                             filter_negatives);
+    } else if (s.ok()) {
+      const FileMetaData* f = files_[level][i];
+      s = vset_->table_cache_->Get(options, f->number, f->file_size, ikey,
+                                   user_key, &saver, SaveValue,
+                                   filter_negatives);
+    }
     if (!s.ok()) return true;
     switch (saver.state) {
       case kNotFound:
@@ -361,7 +411,7 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
       // Runs are kept oldest first: search the ones whose range holds the
       // key newest to oldest.
       for (size_t i = files.size(); i-- > 0;) {
-        if (InFileRange(level, i, user_key, w) && decided(files[i])) {
+        if (InFileRange(level, i, user_key, w) && decided(level, i)) {
           return s;
         }
       }
@@ -369,7 +419,7 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
       const size_t i = FindFileAtLevel(level, k, w);
       // A key before the file's range is not at this level.
       if (i < files.size() && InFileRange(level, i, user_key, w) &&
-          decided(files[i])) {
+          decided(level, i)) {
         return s;
       }
     }
@@ -451,28 +501,33 @@ bool Version::IsBaseLevelForKey(int level, const Slice& user_key) const {
   return true;
 }
 
-Status Version::RangeCovered(const Slice& user_key, SequenceNumber floor,
-                             SequenceNumber snapshot, bool* covered) const {
-  *covered = false;
-  const FragmentedRangeTombstoneList* list =
+Status Version::BuildRangeTombstones(
+    const FragmentedRangeTombstoneList** list) const {
+  const FragmentedRangeTombstoneList* published =
       range_dels_.load(std::memory_order_acquire);
-  if (list == nullptr) {
+  if (published == nullptr) {
     std::vector<RangeTombstone> raw;
     Status s = CollectRangeTombstones(&raw);
-    if (!s.ok()) return s;  // never cached: the next query retries
+    if (!s.ok()) return s;  // never cached: the next caller retries
     auto built = std::make_unique<FragmentedRangeTombstoneList>();
     built->Build(vset_->icmp_.user_comparator(), std::move(raw));
-    const FragmentedRangeTombstoneList* published = nullptr;
     if (range_dels_.compare_exchange_strong(published, built.get(),
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
-      list = built.release();
-    } else {
-      list = published;  // a concurrent query won; |built| is dropped
-    }
+      published = built.release();
+    }  // else a concurrent builder won and |built| is dropped
   }
-  *covered = list->Covers(user_key, floor, snapshot);
+  if (list != nullptr) *list = published;
   return Status::OK();
+}
+
+Status Version::RangeCovered(const Slice& user_key, SequenceNumber floor,
+                             SequenceNumber snapshot, bool* covered) const {
+  *covered = false;
+  const FragmentedRangeTombstoneList* list;
+  Status s = BuildRangeTombstones(&list);
+  if (s.ok()) *covered = list->Covers(user_key, floor, snapshot);
+  return s;
 }
 
 Status Version::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {
@@ -683,6 +738,7 @@ class VersionSet::Builder {
 #endif
     }
     v->BuildLevelBounds();
+    v->InitPins();
   }
 
   void MaybeAddFile(Version* v, int level, FileMetaData* f) {
@@ -729,6 +785,7 @@ VersionSet::VersionSet(const std::string& dbname, const Options* options,
 VersionSet::~VersionSet() {
   current_->Unref();
   assert(dummy_versions_.next_ == &dummy_versions_);  // List must be empty
+  for (Cache::Handle* h : dead_pins_) table_cache_->Unpin(h);
   delete descriptor_log_;
   delete descriptor_file_;
 }

@@ -20,6 +20,7 @@
 #include "src/lsm/dbformat.h"
 #include "src/lsm/options.h"
 #include "src/lsm/version_edit.h"
+#include "src/table/cache.h"
 #include "src/table/iterator.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -35,6 +36,7 @@ class CompactionPlanner;
 struct CompactionPick;
 enum class CompactionReason;
 class Env;
+class Table;
 class TableCache;
 class Version;
 class VersionSet;
@@ -128,12 +130,20 @@ class Version {
   // Set |*covered| to whether a range tombstone of this version with a
   // sequence in (floor, snapshot] covers |user_key|. Sequence numbers are
   // global, so a covering tombstone at any level hides every entry with a
-  // smaller sequence regardless of level placement. The first query
-  // fragments the tombstones of every file into one list that the version
-  // keeps (see range_dels_); a table that cannot be opened fails the query,
-  // and the next query tries again.
+  // smaller sequence regardless of level placement. Searches the list
+  // BuildRangeTombstones keeps, building it first if nobody has.
   Status RangeCovered(const Slice& user_key, SequenceNumber floor,
                       SequenceNumber snapshot, bool* covered) const;
+
+  // Fragment the range tombstones of every file into one list that the
+  // version keeps (see range_dels_), unless it already has, and set a
+  // non-null |*list| to it. The thread that installs a version calls this
+  // off the DB mutex, so reads do not pay for it; a version nobody built
+  // (one recovered at open, say) builds it on its first RangeCovered. A
+  // table that cannot be opened fails the build, and the next caller tries
+  // again.
+  Status BuildRangeTombstones(
+      const FragmentedRangeTombstoneList** list = nullptr) const;
 
   // Append every raw range tombstone stored in this version's files to
   // |*out| (iterator construction, compaction planning diagnostics).
@@ -178,6 +188,14 @@ class Version {
   bool InFileRange(int level, size_t i, const Slice& user_key,
                    uint64_t w) const;
 
+  // Size pins_ to files_ (Builder::SaveTo, once the files are placed).
+  void InitPins();
+
+  // Set *table to file |i| at |level|'s table, pinning it on its first
+  // probe (see pins_), or to null when the table cache's pin budget is
+  // spent and the probe must go through TableCache::Get.
+  Status PinnedTable(int level, size_t i, Table** table);
+
   VersionSet* vset_;  // VersionSet to which this Version belongs
   Version* next_;     // Next version in linked list
   Version* prev_;     // Previous version in linked list
@@ -200,11 +218,20 @@ class Version {
   };
   LevelBounds bounds_[kNumLevels];
 
-  // Every file's range tombstones, fragmented into one list on the first
-  // RangeCovered; null until then. Lock-free: concurrent first
-  // queries each build one and the first to publish wins (release CAS,
-  // acquire load). Freed with the version, which a reader's pinned
-  // ReadState keeps alive.
+  // Each file's table cache handle, level by level (the files of |level|
+  // start at pin_base_[level]): taken by the file's first probe in this
+  // version and published by CAS (a racing probe's pin is released), so
+  // later probes reach the table with no cache lookup. Null until then, or
+  // while the table cache's pin budget is spent. A dying version hands its
+  // pins to VersionSet::dead_pins_.
+  std::unique_ptr<std::atomic<Cache::Handle*>[]> pins_;
+  size_t pin_base_[kNumLevels] = {};
+
+  // Every file's range tombstones, fragmented into one list by the
+  // installing thread or the first RangeCovered; null until then.
+  // Lock-free: concurrent builders each build one and the first to publish
+  // wins (release CAS, acquire load). Freed with the version, which a
+  // reader's pinned ReadState keeps alive.
   mutable std::atomic<const FragmentedRangeTombstoneList*> range_dels_{
       nullptr};
 };
@@ -374,6 +401,14 @@ class VersionSet {
   // Capacity of |level| in bytes under leveling.
   uint64_t MaxBytesForLevel(int level) const;
 
+  // Hand over the table cache pins of versions that died (see dead_pins_);
+  // the caller releases each through TableCache::Unpin.
+  std::vector<Cache::Handle*> TakeDeadPins() {
+    std::vector<Cache::Handle*> pins;
+    pins.swap(dead_pins_);
+    return pins;
+  }
+
   const InternalKeyComparator& icmp() const { return icmp_; }
   const Options* options() const { return options_; }
   TableCache* table_cache() const { return table_cache_; }
@@ -430,6 +465,11 @@ class VersionSet {
   uint64_t snapshots_written_;
   uint64_t manifest_rotations_;
   uint64_t torn_snapshots_skipped_;
+  // The table cache pins of dead versions (see Version::pins_). Versions
+  // die under the DB mutex, and the last release of an evicted table
+  // closes its file, so DBImpl takes these and releases them with the
+  // mutex dropped (see TakeDeadPins); the destructor releases the rest.
+  std::vector<Cache::Handle*> dead_pins_;
   Version dummy_versions_;  // Head of circular doubly-linked list of versions
   Version* current_;        // == dummy_versions_.prev_
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -262,6 +263,97 @@ bool Block::RestartEntry(uint32_t i, Slice* key, Slice* value) const {
   *key = Slice(p, non_shared);
   *value = Slice(p + non_shared, value_length);
   return true;
+}
+
+// BlockSearch's order (see Seek): bytewise over all but the last |trailer|
+// bytes, then, for internal keys, by the 8-byte tag descending -- the
+// order of an InternalKeyComparator over a bytewise user comparator.
+static inline int CompareKeys(const Slice& a, const Slice& b, size_t trailer) {
+  const size_t an = a.size() - trailer;
+  const size_t bn = b.size() - trailer;
+  const size_t n = std::min(an, bn);
+  const int r = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  if (r != 0) return r;
+  if (an != bn) return an < bn ? -1 : +1;
+  if (trailer == 0) return 0;
+  const uint64_t at = DecodeFixed64(a.data() + an);
+  const uint64_t bt = DecodeFixed64(b.data() + bn);
+  return at > bt ? -1 : (at < bt ? +1 : 0);
+}
+
+void BlockSearch::Reserve(size_t n) {
+  if (n <= capacity_) return;
+  capacity_ = std::max(n, 2 * capacity_);
+  auto bigger = std::make_unique<char[]>(capacity_);
+  std::memcpy(bigger.get(), key_, key_size_);
+  heap_ = std::move(bigger);
+  key_ = heap_.get();
+}
+
+bool BlockSearch::Seek(const Block& block, const Slice& target,
+                       size_t trailer) {
+  key_size_ = 0;
+  value_.clear();
+  status_ = Status::OK();
+  if (block.size_ < sizeof(uint32_t)) {
+    status_ = Status::Corruption("bad block contents");
+    return false;
+  }
+  const uint32_t num_restarts = block.NumRestarts();
+  if (num_restarts == 0) return false;
+  const char* const data = block.data_;
+  const uint32_t restarts = block.restart_offset_;
+  const char* const limit = data + restarts;
+  auto restart_point = [data, restarts](uint32_t i) {
+    return DecodeFixed32(data + restarts + i * sizeof(uint32_t));
+  };
+  auto corrupt = [this] {
+    key_size_ = 0;
+    value_.clear();
+    status_ = Status::Corruption("bad entry in block");
+    return false;
+  };
+
+  // The last restart point whose key is before |target|.
+  uint32_t left = 0;
+  uint32_t right = num_restarts - 1;
+  while (left < right) {
+    const uint32_t mid = (left + right + 1) / 2;
+    const uint32_t offset = restart_point(mid);
+    uint32_t shared, non_shared, value_length;
+    const char* key_ptr =
+        offset >= restarts ? nullptr
+                           : DecodeEntry(data + offset, limit, &shared,
+                                         &non_shared, &value_length);
+    if (key_ptr == nullptr || shared != 0 || non_shared < trailer) {
+      return corrupt();
+    }
+    if (CompareKeys(Slice(key_ptr, non_shared), target, trailer) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
+    }
+  }
+
+  // From there, the first entry at or past it.
+  const uint32_t offset = restart_point(left);
+  if (offset >= restarts) return false;
+  const char* p = data + offset;
+  while (p < limit) {
+    uint32_t shared, non_shared, value_length;
+    p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
+    if (p == nullptr || key_size_ < shared) return corrupt();
+    Reserve(shared + non_shared);
+    std::memcpy(key_ + shared, p, non_shared);
+    key_size_ = shared + non_shared;
+    value_ = Slice(p + non_shared, value_length);
+    p = value_.data() + value_length;
+    if (key_size_ < trailer) return corrupt();
+    if (CompareKeys(key(), target, trailer) >= 0) return true;
+  }
+  key_size_ = 0;
+  value_.clear();
+  return false;
 }
 
 Iterator* Block::NewIterator(const Comparator* comparator) {

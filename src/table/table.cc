@@ -1,6 +1,7 @@
 #include "src/table/table.h"
 
 #include <atomic>
+#include <memory>
 
 #include "src/core/key_windows.h"
 #include "src/env/env.h"
@@ -74,13 +75,19 @@ struct Table::Rep {
   std::atomic<uint64_t> filter_negatives{0};
   // Range tombstones decoded from the file's dedicated block at Open.
   std::vector<RangeTombstone> raw_range_dels;
-  // The index keys' windows (see KeyWindows), or empty when the comparator
-  // does not order keys bytewise or the index block is not one entry per
-  // restart point. Over the user-key part of internal keys when
-  // |index_trailer| is 8.
+  // Whether the comparator orders keys bytewise (see BlockSearch): over
+  // whole keys when |key_trailer| is 0, or over the user-key part of
+  // internal keys, then by tag, when it is 8. Under any other comparator
+  // every search goes through the comparator.
+  bool bytewise = false;
+  size_t key_trailer = 0;
+  // The index keys' windows (see KeyWindows), or empty when the keys are
+  // not ordered bytewise or the index block is not one entry per restart
+  // point. Over the key part before |key_trailer|.
   KeyWindows index_windows;
-  size_t index_trailer = 0;
 
+  // Set bytewise and key_trailer from the comparator.
+  void ClassifyComparator();
   // Index the index block's keys; see index_windows.
   void BuildIndexWindows();
   // The handle of the first index entry at or past |key|. False when no
@@ -88,25 +95,30 @@ struct Table::Rep {
   bool SeekIndex(const Slice& key, Slice* handle) const;
 };
 
-void Table::Rep::BuildIndexWindows() {
+void Table::Rep::ClassifyComparator() {
   const Comparator* cmp = TableComparator(options);
   const auto* icmp = dynamic_cast<const InternalKeyComparator*>(cmp);
   if (icmp != nullptr && OrdersBytewise(icmp->user_comparator())) {
-    index_trailer = 8;
-  } else if (!OrdersBytewise(cmp)) {
-    return;
+    bytewise = true;
+    key_trailer = 8;
+  } else {
+    bytewise = OrdersBytewise(cmp);
   }
+}
+
+void Table::Rep::BuildIndexWindows() {
+  if (!bytewise) return;
   const uint32_t n = index_block->NumRestarts();
   Slice key, handle;
   for (uint32_t i = 0; i < n; i++) {
     if (!index_block->RestartEntry(i, &key, &handle) ||
-        key.size() < index_trailer) {
+        key.size() < key_trailer) {
       return;
     }
   }
   index_windows.Build(n, [this, &key, &handle](size_t i) {
     index_block->RestartEntry(static_cast<uint32_t>(i), &key, &handle);
-    return Slice(key.data(), key.size() - index_trailer);
+    return Slice(key.data(), key.size() - key_trailer);
   });
 }
 
@@ -114,7 +126,7 @@ bool Table::Rep::SeekIndex(const Slice& target, Slice* handle) const {
   const Comparator* cmp = TableComparator(options);
   size_t lo, hi;
   index_windows.Ties(index_windows.Window(Slice(
-                         target.data(), target.size() - index_trailer)),
+                         target.data(), target.size() - key_trailer)),
                      &lo, &hi);
   // Among the ties, the comparator orders the keys (and an internal key's
   // sequence).
@@ -173,6 +185,7 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   } else {
     rep->filter_policy = nullptr;
   }
+  rep->ClassifyComparator();
   rep->BuildIndexWindows();
   rep->filter_data = nullptr;
   rep->index_cache_handle = nullptr;
@@ -273,64 +286,58 @@ static void ReleaseBlock(void* arg, void* h) {
   cache->Release(handle);
 }
 
-// Convert an index iterator value (an encoded BlockHandle) into an iterator
-// over the contents of the corresponding block.
-Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
-                             const Slice& index_value) {
-  Table* table = reinterpret_cast<Table*>(arg);
-  Cache* block_cache = table->rep_->options.block_cache;
-  Block* block = nullptr;
-  Cache::Handle* cache_handle = nullptr;
-
+Status Table::FetchBlock(const ReadOptions& options, const Slice& index_value,
+                         Block** block, Cache::Handle** cache_handle) const {
+  *block = nullptr;
+  *cache_handle = nullptr;
+  Cache* block_cache = rep_->options.block_cache;
   BlockHandle handle;
   Slice input = index_value;
   Status s = handle.DecodeFrom(&input);
   // We intentionally allow extra stuff in index_value so that we can add
   // more features in the future.
+  if (!s.ok()) return s;
 
-  if (s.ok()) {
-    BlockContents contents;
-    if (block_cache != nullptr) {
-      char cache_key_buffer[16];
-      const Slice key = BlockCacheKey(table->rep_->cache_id, handle.offset(),
-                                      cache_key_buffer);
-      cache_handle = block_cache->Lookup(key);
-      if (cache_handle != nullptr) {
-        block = reinterpret_cast<Block*>(block_cache->Value(cache_handle));
-      } else {
-        s = ReadBlock(table->rep_->file, handle, &contents);
-        if (s.ok()) {
-          block = new Block(contents);
-          // Cache the parsed Block even when its bytes are a view into an
-          // mmap'd file (contents.cachable false): what the cache saves is
-          // the per-read CRC + restart-array parse, not the bytes. A cached
-          // view Block is unreachable once its Table dies -- cache ids are
-          // never reused and live iterators pin the Table -- and its
-          // deleter frees only the Block object, never unowned data.
-          if (options.fill_cache) {
-            cache_handle = block_cache->Insert(key, block, block->size(),
-                                               &DeleteCachedBlock);
-          }
-        }
-      }
-    } else {
-      s = ReadBlock(table->rep_->file, handle, &contents);
-      if (s.ok()) {
-        block = new Block(contents);
-      }
+  char cache_key_buffer[16];
+  Slice key;
+  if (block_cache != nullptr) {
+    key = BlockCacheKey(rep_->cache_id, handle.offset(), cache_key_buffer);
+    *cache_handle = block_cache->Lookup(key);
+    if (*cache_handle != nullptr) {
+      *block = reinterpret_cast<Block*>(block_cache->Value(*cache_handle));
+      return s;
     }
   }
+  BlockContents contents;
+  s = ReadBlock(rep_->file, handle, &contents);
+  if (!s.ok()) return s;
+  *block = new Block(contents);
+  // Cache the parsed Block even when its bytes are a view into an mmap'd
+  // file (contents.cachable false): what the cache saves is the per-read
+  // CRC + restart-array parse, not the bytes. A cached view Block is
+  // unreachable once its Table dies -- cache ids are never reused and live
+  // iterators pin the Table -- and its deleter frees only the Block object,
+  // never unowned data.
+  if (block_cache != nullptr && options.fill_cache) {
+    *cache_handle = block_cache->Insert(key, *block, (*block)->size(),
+                                        &DeleteCachedBlock);
+  }
+  return s;
+}
 
-  Iterator* iter;
-  if (block != nullptr) {
-    iter = block->NewIterator(TableComparator(table->rep_->options));
-    if (cache_handle == nullptr) {
-      iter->RegisterCleanup(&DeleteBlock, block, nullptr);
-    } else {
-      iter->RegisterCleanup(&ReleaseBlock, block_cache, cache_handle);
-    }
+Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
+                             const Slice& index_value) {
+  const Table* table = reinterpret_cast<Table*>(arg);
+  Block* block;
+  Cache::Handle* cache_handle;
+  Status s = table->FetchBlock(options, index_value, &block, &cache_handle);
+  if (!s.ok()) return NewErrorIterator(s);
+  Iterator* iter = block->NewIterator(TableComparator(table->rep_->options));
+  if (cache_handle == nullptr) {
+    iter->RegisterCleanup(&DeleteBlock, block, nullptr);
   } else {
-    iter = NewErrorIterator(s);
+    iter->RegisterCleanup(&ReleaseBlock, table->rep_->options.block_cache,
+                          cache_handle);
   }
   return iter;
 }
@@ -366,7 +373,7 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k,
   Iterator* iiter = nullptr;
   Slice handle;
   bool found;
-  if (!rep_->index_windows.empty() && k.size() >= rep_->index_trailer) {
+  if (!rep_->index_windows.empty() && k.size() >= rep_->key_trailer) {
     found = rep_->SeekIndex(k, &handle);
   } else {
     iiter = rep_->index_block->NewIterator(TableComparator(rep_->options));
@@ -374,14 +381,32 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k,
     found = iiter->Valid();
     if (found) handle = iiter->value();
   }
-  if (found) {
-    Iterator* block_iter = BlockReader(this, options, handle);
-    block_iter->Seek(k);
-    if (block_iter->Valid()) {
-      (*handle_result)(arg, block_iter->key(), block_iter->value());
+  Block* block = nullptr;
+  Cache::Handle* cache_handle = nullptr;
+  if (found) s = FetchBlock(options, handle, &block, &cache_handle);
+  if (block != nullptr) {
+    // In the block: a search on the stack when the keys compare bytewise,
+    // else the block iterator's comparator-driven Seek.
+    if (rep_->bytewise && k.size() >= rep_->key_trailer) {
+      BlockSearch search;
+      if (search.Seek(*block, k, rep_->key_trailer)) {
+        (*handle_result)(arg, search.key(), search.value());
+      }
+      s = search.status();
+    } else {
+      std::unique_ptr<Iterator> block_iter(
+          block->NewIterator(TableComparator(rep_->options)));
+      block_iter->Seek(k);
+      if (block_iter->Valid()) {
+        (*handle_result)(arg, block_iter->key(), block_iter->value());
+      }
+      s = block_iter->status();
     }
-    s = block_iter->status();
-    delete block_iter;
+    if (cache_handle != nullptr) {
+      rep_->options.block_cache->Release(cache_handle);
+    } else {
+      delete block;
+    }
   }
   if (iiter != nullptr) {
     if (s.ok()) s = iiter->status();

@@ -13,11 +13,14 @@
 #include "src/core/range_tombstone.h"
 #include "src/env/env.h"
 #include "src/lsm/options.h"
+#include "src/table/cache.h"
 #include "src/table/iterator.h"
 #include "src/table/properties.h"
 #include "src/util/status.h"
 
 namespace acheron {
+
+class Block;
 
 class Table {
  public:
@@ -82,9 +85,16 @@ class Table {
   // after Open); |sink| must outlive the table.
   void SetFilterNegativesSink(std::atomic<uint64_t>* sink);
 
-  // The one data-block fetch, for iterators and InternalGet: an iterator
-  // over the block an index entry names, from the block cache or else read,
-  // CRC-checked, parsed and (with fill_cache) inserted.
+  // The one data-block fetch, for iterators and InternalGet: the block an
+  // index entry names, from the block cache or else read, CRC-checked,
+  // parsed and (with fill_cache) inserted. Sets *cache_handle to the block's
+  // cache handle, which the caller releases, or to null when the caller
+  // owns *block.
+  Status FetchBlock(const ReadOptions&, const Slice& index_value,
+                    Block** block, Cache::Handle** cache_handle) const;
+
+  // An iterator over the block FetchBlock returns (the two-level iterator's
+  // block function).
   static Iterator* BlockReader(void*, const ReadOptions&, const Slice&);
 
   explicit Table(Rep* rep) : rep_(rep) {}

@@ -6,10 +6,15 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
 
 #include "src/env/env.h"
+#include "src/env/fault_env.h"
 #include "src/lsm/db_impl.h"
 #include "src/lsm/filename.h"
+#include "src/lsm/table_cache.h"
 #include "src/util/random.h"
 
 namespace acheron {
@@ -598,6 +603,217 @@ TEST_F(DBTieringTest, ModelCheck) {
       EXPECT_EQ(it->second, Get(key));
     }
   }
+}
+
+namespace {
+
+// Counts the live random-access files of each name: a table's file (and,
+// under PosixEnv, its mapping) stays open as long as its reader lives.
+class OpenFileCountingEnv : public FaultInjectionEnv {
+ public:
+  explicit OpenFileCountingEnv(Env* base) : FaultInjectionEnv(base) {}
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = FaultInjectionEnv::NewRandomAccessFile(fname, result);
+    if (s.ok()) {
+      *result = std::make_unique<Counted>(std::move(*result), this, fname);
+    }
+    return s;
+  }
+
+  // The table files open now.
+  std::set<std::string> OpenTables() const {
+    std::lock_guard<std::mutex> l(mu_);
+    std::set<std::string> tables;
+    for (const auto& [fname, n] : open_) {
+      uint64_t number;
+      FileType type;
+      const std::string base = fname.substr(fname.rfind('/') + 1);
+      if (n > 0 && ParseFileName(base, &number, &type) &&
+          type == kTableFile) {
+        tables.insert(fname);
+      }
+    }
+    return tables;
+  }
+
+ private:
+  class Counted : public RandomAccessFile {
+   public:
+    Counted(std::unique_ptr<RandomAccessFile> file, OpenFileCountingEnv* env,
+            std::string fname)
+        : file_(std::move(file)), env_(env), fname_(std::move(fname)) {
+      env_->Add(fname_, 1);
+    }
+    ~Counted() override { env_->Add(fname_, -1); }
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      return file_->Read(offset, n, result, scratch);
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> file_;
+    OpenFileCountingEnv* const env_;
+    const std::string fname_;
+  };
+
+  void Add(const std::string& fname, int delta) {
+    std::lock_guard<std::mutex> l(mu_);
+    open_[fname] += delta;
+  }
+
+  mutable std::mutex mu_;
+  std::map<std::string, int> open_;
+};
+
+class PinnedTableTest : public ::testing::Test {
+ protected:
+  PinnedTableTest() : mem_env_(NewMemEnv()), env_(mem_env_.get()) {
+    options_.env = &env_;
+    options_.write_buffer_size = 16 << 10;
+  }
+
+  void Open() {
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options_, "/db", &raw).ok());
+    db_.reset(raw);
+  }
+
+  DBImpl* impl() const { return static_cast<DBImpl*>(db_.get()); }
+  const TableCache* table_cache() const { return impl()->TEST_table_cache(); }
+
+  static std::string Key(int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return buf;
+  }
+
+  // Put keys [0, n) with values tagged |round|.
+  void Fill(int n, int round) {
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), Key(i),
+                           "v" + std::to_string(round) + "_" +
+                               std::to_string(i) + std::string(40, 'x'))
+                      .ok());
+    }
+  }
+
+  // Every key of [0, n) reads its round-|round| value, and keys past n are
+  // absent.
+  void ExpectContents(int n, int round) {
+    std::string value;
+    for (int i = 0; i < n + 50; i++) {
+      Status s = db_->Get(ReadOptions(), Key(i), &value);
+      if (i >= n) {
+        ASSERT_TRUE(s.IsNotFound()) << Key(i) << " " << s.ToString();
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+      ASSERT_EQ("v" + std::to_string(round) + "_" + std::to_string(i) +
+                    std::string(40, 'x'),
+                value);
+    }
+  }
+
+  int TotalFiles() {
+    int total = 0;
+    for (int level = 0; level < kNumLevels; level++) {
+      std::string files;
+      EXPECT_TRUE(db_->GetProperty(
+          "acheron.num-files-at-level" + std::to_string(level), &files));
+      total += std::stoi(files);
+    }
+    return total;
+  }
+
+  std::unique_ptr<Env> mem_env_;
+  OpenFileCountingEnv env_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+}  // namespace
+
+// A version's first probe of a file pins its table; from then on its Gets
+// (hits, misses and range-tombstone coverage) make no table cache lookup.
+TEST_F(PinnedTableTest, WarmedVersionMakesNoTableCacheLookups) {
+  Open();
+  Fill(3000, 1);
+  ASSERT_TRUE(
+      db_->DeleteRange(WriteOptions(), Key(3010), Key(3020)).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_GT(TotalFiles(), 2);
+  ExpectContents(3000, 1);
+  const uint64_t lookups = table_cache()->TEST_lookups();
+  ASSERT_GT(table_cache()->pinned(), 0);
+  ExpectContents(3000, 1);
+  EXPECT_EQ(lookups, table_cache()->TEST_lookups());
+}
+
+// A dead version's pins are released, so the tables a compaction made
+// obsolete are closed and removed by RemoveObsoleteFiles.
+TEST_F(PinnedTableTest, DeadVersionReleasesItsPins) {
+  options_.write_buffer_size = 1 << 20;
+  Open();
+  Fill(200, 1);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  // Overwrite the first half, so Gets of the second probe both tables.
+  Fill(100, 2);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  auto expect_both_rounds = [this] {
+    std::string value;
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok()) << Key(i);
+      ASSERT_EQ("v" + std::to_string(i < 100 ? 2 : 1) + "_" +
+                    std::to_string(i) + std::string(40, 'x'),
+                value);
+    }
+  };
+  expect_both_rounds();
+  const std::set<std::string> pinned = env_.OpenTables();
+  ASSERT_EQ(2u, pinned.size());
+  EXPECT_EQ(2, table_cache()->pinned());
+
+  // Both overlapping L0 files merge into one.
+  impl()->TEST_CompactRange(0, nullptr, nullptr);
+  ASSERT_EQ(1, TotalFiles());
+  EXPECT_EQ(0, table_cache()->pinned());
+  for (const std::string& fname : pinned) {
+    EXPECT_EQ(0u, env_.OpenTables().count(fname)) << fname;
+    EXPECT_FALSE(env_.FileExists(fname)) << fname;
+  }
+  expect_both_rounds();
+  EXPECT_EQ(1, table_cache()->pinned());
+}
+
+// With fewer open files allowed than tables, pins stop at the cache's
+// capacity and the other probes go through TableCache::Get.
+TEST_F(PinnedTableTest, FewerOpenFilesThanTables) {
+  options_.max_open_files = 3;
+  Open();
+  Fill(3000, 1);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  Fill(1500, 2);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_GT(TotalFiles(), 3);
+  for (int pass = 0; pass < 2; pass++) {
+    std::string value;
+    for (int i = 0; i < 3050; i++) {
+      Status s = db_->Get(ReadOptions(), Key(i), &value);
+      if (i >= 3000) {
+        ASSERT_TRUE(s.IsNotFound()) << Key(i);
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << Key(i) << " " << s.ToString();
+      ASSERT_EQ("v" + std::to_string(i < 1500 ? 2 : 1) + "_" +
+                    std::to_string(i) + std::string(40, 'x'),
+                value);
+      ASSERT_LE(table_cache()->pinned(), 3);
+    }
+  }
+  EXPECT_EQ(3, table_cache()->pinned());
 }
 
 }  // namespace acheron

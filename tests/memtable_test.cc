@@ -706,8 +706,6 @@ class CoverageDb {
     while (impl()->TEST_linker()->TEST_Pending() > 0) {
       std::this_thread::yield();
     }
-    // The first coverage query fragments the version's tombstones.
-    Get(CoverKey(0), nullptr);
   }
 
   ~CoverageDb() {
@@ -819,6 +817,8 @@ TEST(RangeCoverageDbTest, GetStaysWithinComparisonBudget) {
   constexpr uint64_t kBudget = 48;
   CountingComparator ucmp(BytewiseComparator()->Name());
   CoverageDb cdb(&ucmp);
+  // The first Get after the last flush too: the flush's thread fragmented
+  // the new version's tombstones, so no read does.
   for (uint64_t k = 0; k <= CoverageDb::kKeys; k++) {
     for (const std::string& key : {CoverKey(k), CoverKey(k) + "x"}) {
       const uint64_t before = ucmp.count();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/env/env.h"
 #include "src/lsm/filename.h"
@@ -118,6 +119,53 @@ TEST_F(TableCacheTest, EvictDropsHandle) {
   Status s = cache_->Get(ReadOptions(), 20, size, target.Encode(), "k000003",
                          &state, SaveEntry);
   EXPECT_FALSE(s.ok());
+}
+
+TEST_F(TableCacheTest, PinsStopAtCapacity) {
+  // The 4-entry cache pins at most 4 handles; past that Pin hands out none
+  // and makes no lookup, and an Unpin makes room again.
+  uint64_t sizes[6];
+  for (uint64_t t = 0; t < 6; t++) {
+    sizes[t] = BuildTable(200 + t, static_cast<int>(t) * 1000, 20);
+  }
+  std::vector<Cache::Handle*> pins;
+  for (uint64_t t = 0; t < 4; t++) {
+    Cache::Handle* h = nullptr;
+    ASSERT_TRUE(cache_->Pin(200 + t, sizes[t], &h).ok());
+    ASSERT_NE(nullptr, h);
+    EXPECT_EQ(cache_->table(h)->properties().num_entries, 20u);
+    pins.push_back(h);
+  }
+  EXPECT_EQ(4, cache_->pinned());
+  const uint64_t lookups = cache_->TEST_lookups();
+  Cache::Handle* h = nullptr;
+  ASSERT_TRUE(cache_->Pin(204, sizes[4], &h).ok());
+  EXPECT_EQ(nullptr, h);
+  EXPECT_EQ(lookups, cache_->TEST_lookups());
+  EXPECT_EQ(4, cache_->pinned());
+
+  // Unpinned tables stay readable through Get meanwhile.
+  GetState state;
+  InternalKey target("k005003", kMaxSequenceNumber, kValueTypeForSeek);
+  ASSERT_TRUE(cache_->Get(ReadOptions(), 205, sizes[5], target.Encode(),
+                          "k005003", &state, SaveEntry)
+                  .ok());
+  EXPECT_TRUE(state.found);
+
+  cache_->Unpin(pins.back());
+  pins.pop_back();
+  ASSERT_TRUE(cache_->Pin(204, sizes[4], &h).ok());
+  ASSERT_NE(nullptr, h);
+  pins.push_back(h);
+  // A table that cannot be opened reports its error and pins nothing.
+  Cache::Handle* missing = nullptr;
+  cache_->Unpin(pins.back());
+  pins.pop_back();
+  EXPECT_FALSE(cache_->Pin(999, 1234, &missing).ok());
+  EXPECT_EQ(nullptr, missing);
+  EXPECT_EQ(3, cache_->pinned());
+  for (Cache::Handle* p : pins) cache_->Unpin(p);
+  EXPECT_EQ(0, cache_->pinned());
 }
 
 TEST_F(TableCacheTest, MissingFileIsError) {

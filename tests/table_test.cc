@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,6 +18,7 @@
 #include "src/table/format.h"
 #include "src/table/table_builder.h"
 #include "src/util/bloom.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 
 namespace acheron {
@@ -385,5 +388,270 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, TableParamTest,
     ::testing::Combine(::testing::Values(512, 1024, 4096, 65536),
                        ::testing::Values(1, 2, 16, 64)));
+
+namespace {
+
+// Random sorted keys whose neighbours share prefixes, some longer than
+// BlockSearch's inline buffer. With |trailer| 8 they are internal keys,
+// several sequences to a user key, in InternalKeyComparator order.
+std::vector<std::string> RandomBlockKeys(Random* rnd, size_t trailer,
+                                         const Comparator* cmp) {
+  const std::string prefixes[] = {
+      "", "app", "apple", std::string(BlockSearch::kInlineKey + 9, 'x')};
+  std::vector<std::string> keys;
+  const int n = 20 + static_cast<int>(rnd->Uniform(120));
+  for (int i = 0; i < n; i++) {
+    std::string user = prefixes[rnd->Uniform(4)];
+    const uint64_t len = rnd->Uniform(6);
+    for (uint64_t j = 0; j < len; j++) {
+      user.push_back(static_cast<char>('a' + rnd->Uniform(4)));
+    }
+    if (trailer == 0) {
+      keys.push_back(user);
+      continue;
+    }
+    for (uint64_t j = 1 + rnd->Uniform(3); j > 0; j--) {
+      std::string ikey;
+      AppendInternalKey(&ikey, ParsedInternalKey(user, 1 + rnd->Uniform(50),
+                                                 rnd->OneIn(4)
+                                                     ? kTypeDeletion
+                                                     : kTypeValue));
+      keys.push_back(ikey);
+    }
+  }
+  std::sort(keys.begin(), keys.end(), [cmp](const std::string& a,
+                                            const std::string& b) {
+    return cmp->Compare(a, b) < 0;
+  });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// Every key, its neighbours (a byte more or less, a sequence up or down,
+// the seek sequence) and keys before the first and past the last.
+std::vector<std::string> SearchTargets(const std::vector<std::string>& keys,
+                                       size_t trailer) {
+  std::vector<std::string> users = {"", "\xff\xff"};
+  std::vector<std::string> targets;
+  for (const std::string& k : keys) {
+    const std::string user = k.substr(0, k.size() - trailer);
+    users.push_back(user);
+    users.push_back(user + '\0');
+    if (!user.empty()) users.push_back(user.substr(0, user.size() - 1));
+    if (trailer == 0) continue;
+    targets.push_back(k);
+    const ParsedInternalKey parsed(user, DecodeFixed64(k.data() + user.size()) >> 8,
+                                   kTypeValue);
+    for (SequenceNumber seq : {parsed.sequence - 1, parsed.sequence + 1}) {
+      std::string t;
+      AppendInternalKey(&t, ParsedInternalKey(user, seq, kTypeValue));
+      targets.push_back(t);
+    }
+  }
+  for (const std::string& user : users) {
+    if (trailer == 0) {
+      targets.push_back(user);
+      continue;
+    }
+    for (SequenceNumber seq : {kMaxSequenceNumber, SequenceNumber{0}}) {
+      std::string t;
+      AppendInternalKey(&t, ParsedInternalKey(user, seq, kValueTypeForSeek));
+      targets.push_back(t);
+    }
+  }
+  return targets;
+}
+
+// Seek every target with BlockSearch and with the block iterator under
+// |cmp|; both must land on the same entry or report the same status.
+// Returns how many seeks reported corruption.
+int ExpectSearchesAgree(const std::string& contents,
+                        const std::vector<std::string>& targets,
+                        size_t trailer, const Comparator* cmp) {
+  int corrupt = 0;
+  BlockContents bc{Slice(contents), false, false};
+  Block block(bc);
+  BlockSearch search;
+  for (const std::string& target : targets) {
+    // A fresh iterator per target, as a Get takes: an iterator's status
+    // stays corrupt once a seek hit a bad entry.
+    std::unique_ptr<Iterator> it(block.NewIterator(cmp));
+    it->Seek(target);
+    const bool found = search.Seek(block, target, trailer);
+    EXPECT_EQ(it->Valid(), found);
+    EXPECT_EQ(it->status().ToString(), search.status().ToString());
+    if (found && it->Valid()) {
+      EXPECT_EQ(it->key().ToString(), search.key().ToString());
+      EXPECT_EQ(it->value().ToString(), search.value().ToString());
+    }
+    if (search.status().IsCorruption()) corrupt++;
+  }
+  return corrupt;
+}
+
+// Offsets of each entry of a block whose entry headers are one byte per
+// field (keys and values under 128 bytes), and of its restart points.
+void EntryOffsets(const std::string& contents, std::vector<size_t>* entries,
+                  std::vector<size_t>* restarts) {
+  const size_t n = DecodeFixed32(contents.data() + contents.size() - 4);
+  const size_t restart_array = contents.size() - 4 * (n + 1);
+  for (size_t i = 0; i < n; i++) {
+    restarts->push_back(DecodeFixed32(contents.data() + restart_array + 4 * i));
+  }
+  for (size_t off = 0; off < restart_array;) {
+    entries->push_back(off);
+    const auto* p = reinterpret_cast<const unsigned char*>(contents.data());
+    off += 3 + p[off + 1] + p[off + 2];
+  }
+}
+
+}  // namespace
+
+// BlockSearch against Block::Iter::Seek on random blocks, at restart
+// intervals 1 and 16, of plain keys (trailer 0, bytewise) and internal keys
+// (trailer 8, InternalKeyComparator over bytewise), intact and corrupt.
+TEST(BlockSearchTest, AgreesWithIterSeek) {
+  const InternalKeyComparator icmp(BytewiseComparator());
+  Random rnd(1234);
+  int corrupt = 0;
+  for (size_t trailer : {size_t{0}, size_t{8}}) {
+    const Comparator* cmp =
+        trailer == 0 ? BytewiseComparator()
+                     : static_cast<const Comparator*>(&icmp);
+    for (int restart_interval : {1, 16}) {
+      for (int round = 0; round < 40; round++) {
+        const std::vector<std::string> keys =
+            RandomBlockKeys(&rnd, trailer, cmp);
+        BlockBuilder builder(restart_interval);
+        for (size_t i = 0; i < keys.size(); i++) {
+          builder.Add(keys[i], "v" + std::to_string(i));
+        }
+        const std::string contents = builder.Finish().ToString();
+        const std::vector<std::string> targets = SearchTargets(keys, trailer);
+        EXPECT_EQ(0, ExpectSearchesAgree(contents, targets, trailer, cmp));
+
+        // Corrupt copies. These keep every key the searches decode at
+        // least |trailer| bytes long, which the iterator's comparator
+        // assumes: the last entry's value running past the data, a restart
+        // entry claiming shared bytes, and the data cut short under the
+        // original restart array.
+        std::vector<size_t> entries, restarts;
+        EntryOffsets(contents, &entries, &restarts);
+        std::string bad = contents;
+        bad[entries.back() + 2] = 127;
+        corrupt += ExpectSearchesAgree(bad, targets, trailer, cmp);
+        bad = contents;
+        bad[restarts[rnd.Uniform(restarts.size())]] = 1;
+        corrupt += ExpectSearchesAgree(bad, targets, trailer, cmp);
+        const size_t restart_array = contents.size() - 4 * (restarts.size() + 1);
+        const size_t cut = rnd.Uniform(restart_array);
+        bad = contents.substr(0, cut) + contents.substr(restart_array);
+        corrupt += ExpectSearchesAgree(bad, targets, trailer, cmp);
+        if (trailer == 0) {
+          // Plain keys may come out any length: flip any bytes.
+          bad = contents;
+          for (int i = 0; i < 3; i++) {
+            bad[rnd.Uniform(restart_array)] =
+                static_cast<char>(rnd.Uniform(256));
+          }
+          corrupt += ExpectSearchesAgree(bad, targets, trailer, cmp);
+        }
+      }
+    }
+  }
+  EXPECT_GT(corrupt, 0);
+  // Too short to hold a restart count.
+  EXPECT_EQ(1, ExpectSearchesAgree("ab", {"a"}, 0, BytewiseComparator()));
+}
+
+TEST(BlockSearchTest, KeysOutgrowTheInlineBuffer) {
+  BlockBuilder builder(16);
+  std::vector<std::string> keys;
+  for (size_t len : {size_t{8}, BlockSearch::kInlineKey,
+                     BlockSearch::kInlineKey + 1, 4 * BlockSearch::kInlineKey}) {
+    keys.push_back(std::string(len, 'k'));
+  }
+  for (const std::string& k : keys) builder.Add(k, k.substr(0, 3));
+  const std::string contents = builder.Finish().ToString();
+  BlockContents bc{Slice(contents), false, false};
+  Block block(bc);
+  BlockSearch search;
+  for (const std::string& k : keys) {
+    ASSERT_TRUE(search.Seek(block, k, 0));
+    EXPECT_EQ(k, search.key().ToString());
+  }
+  // A search after a long key still finds a short one.
+  ASSERT_TRUE(search.Seek(block, "a", 0));
+  EXPECT_EQ(keys[0], search.key().ToString());
+}
+
+namespace {
+
+// Reverse bytewise order under a name of its own, counting its calls.
+class ReverseComparator : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    calls_++;
+    return -a.compare(b);
+  }
+  const char* Name() const override { return "test.ReverseComparator"; }
+  void FindShortestSeparator(std::string*, const Slice&) const override {}
+  void FindShortSuccessor(std::string*) const override {}
+  uint64_t calls() const { return calls_; }
+
+ private:
+  mutable uint64_t calls_ = 0;
+};
+
+}  // namespace
+
+// A table whose comparator is not over a bytewise order searches its data
+// blocks through the comparator (Block::Iter::Seek), not by memcmp: under a
+// reverse order a memcmp search would land on the wrong entries.
+TEST(TableTest, InternalGetUnderOtherComparatorUsesIt) {
+  ReverseComparator ucmp;
+  const InternalKeyComparator icmp(&ucmp);
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.comparator = &icmp;
+  options.block_size = 256;
+  std::vector<std::string> users;
+  for (int i = 499; i >= 0; i--) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%05d", i);
+    users.push_back(buf);
+  }
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile("/rev", &file).ok());
+  TableBuilder builder(options, file.get());
+  for (const std::string& u : users) {
+    builder.Add(InternalKey(u, 7, kTypeValue).Encode(), "v" + u, u);
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  ASSERT_TRUE(file->Close().ok());
+  std::unique_ptr<RandomAccessFile> source;
+  ASSERT_TRUE(env->NewRandomAccessFile("/rev", &source).ok());
+  Table* raw = nullptr;
+  ASSERT_TRUE(Table::Open(options, source.get(), builder.FileSize(), &raw).ok());
+  std::unique_ptr<Table> table(raw);
+  ASSERT_GT(table->properties().num_data_blocks, 4u);
+
+  const uint64_t before = ucmp.calls();
+  for (const std::string& u : users) {
+    GetResult r;
+    ASSERT_TRUE(table
+                    ->InternalGet(ReadOptions(),
+                                  InternalKey(u, kMaxSequenceNumber,
+                                              kValueTypeForSeek)
+                                      .Encode(),
+                                  u, &r, SaveGet)
+                    .ok());
+    ASSERT_TRUE(r.called) << u;
+    EXPECT_EQ(InternalKey(u, 7, kTypeValue).Encode().ToString(), r.key);
+    EXPECT_EQ("v" + u, r.value);
+  }
+  EXPECT_GT(ucmp.calls(), before);
+}
 
 }  // namespace acheron

@@ -71,8 +71,9 @@ EXTRA_KEYS = {
         "speedup_vs_sequential": (int, float),
     },
     # exp_range_delete (E14): range tombstones through the FADE monitor,
-    # plus the coverage-cost sweep: comparator calls and p50 latency of a
-    # found Get at 0, 1k, 4k and 16k live memtable range tombstones, under
+    # plus the coverage-cost sweep: comparator calls, p50 latency and ns per
+    # Get (median pass) of a found Get at 0, 1k, 4k and 16k live memtable
+    # range tombstones, under
     # the bytewise search a default DB runs and (cover_fallback_*) under
     # the comparator-driven search.
     "range_delete": {
@@ -82,15 +83,19 @@ EXTRA_KEYS = {
         "range_persistence_latency_max": (int, float),
         "cover_cmp_per_get_0": (int, float),
         "cover_get_p50_us_0": (int, float),
+        "cover_ns_per_get_0": (int, float),
         "cover_fallback_cmp_per_get_0": (int, float),
         "cover_cmp_per_get_1k": (int, float),
         "cover_get_p50_us_1k": (int, float),
+        "cover_ns_per_get_1k": (int, float),
         "cover_fallback_cmp_per_get_1k": (int, float),
         "cover_cmp_per_get_4k": (int, float),
         "cover_get_p50_us_4k": (int, float),
+        "cover_ns_per_get_4k": (int, float),
         "cover_fallback_cmp_per_get_4k": (int, float),
         "cover_cmp_per_get_16k": (int, float),
         "cover_get_p50_us_16k": (int, float),
+        "cover_ns_per_get_16k": (int, float),
         "cover_fallback_cmp_per_get_16k": (int, float),
     },
     # exp_kv_sep (E15): key-value separation. The headline record is the
