@@ -32,7 +32,7 @@ BENCHMARK(BM_BlockBuild)->Arg(1)->Arg(16)->Arg(64);
 
 static void BM_BlockScan(benchmark::State& state) {
   std::string contents = BuildBlockContents(1000, 16);
-  BlockContents bc{Slice(contents), false, false};
+  BlockContents bc{Slice(contents), false};
   Block block(bc);
   for (auto _ : state) {
     std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
@@ -47,7 +47,7 @@ BENCHMARK(BM_BlockScan);
 static void BM_BlockSeek(benchmark::State& state) {
   const int restart = static_cast<int>(state.range(0));
   std::string contents = BuildBlockContents(1000, restart);
-  BlockContents bc{Slice(contents), false, false};
+  BlockContents bc{Slice(contents), false};
   Block block(bc);
   Random rnd(3);
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
@@ -67,7 +67,7 @@ BENCHMARK(BM_BlockSeek)->Arg(1)->Arg(16)->Arg(64);
 static void BM_BlockPointSearch(benchmark::State& state) {
   const int restart = static_cast<int>(state.range(0));
   std::string contents = BuildBlockContents(1000, restart);
-  BlockContents bc{Slice(contents), false, false};
+  BlockContents bc{Slice(contents), false};
   Block block(bc);
   Random rnd(3);
   for (auto _ : state) {

@@ -37,6 +37,12 @@ class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
 
+  // Read up to n bytes at |offset|. Sets *result to the data read: a short
+  // result at EOF, empty at or past it. A file serves every read from its
+  // own memory (a mapping that lives as long as the file: *result points
+  // into it and |scratch| is not touched, so it may be null) or none (the
+  // bytes are copied into |scratch|, which must have room for n bytes).
+  // Table::Open tells the two apart by its first read.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
 

@@ -339,7 +339,7 @@ void DBImpl::RemoveObsoleteFiles() {
   FileType type;
   struct Doomed {
     std::string filename;
-    bool is_table;
+    FileType type;
     int level;  // former level if recorded, else -1
     uint64_t number;
   };
@@ -379,12 +379,8 @@ void DBImpl::RemoveObsoleteFiles() {
           auto it = dead_table_levels_.find(number);
           if (it != dead_table_levels_.end()) dead_level = it->second;
         }
-        if (type == kVlogFile) {
-          // Drop the cached read handle before the unlink below.
-          vlog_readers_.Evict(number);
-        }
         files_to_delete.push_back(
-            Doomed{std::move(filename), type == kTableFile, dead_level, number});
+            Doomed{std::move(filename), type, dead_level, number});
       }
     }
   }
@@ -400,7 +396,9 @@ void DBImpl::RemoveObsoleteFiles() {
   // during Open) were never live and go last.
   std::stable_sort(files_to_delete.begin(), files_to_delete.end(),
                    [](const Doomed& a, const Doomed& b) {
-                     if (a.is_table != b.is_table) return !a.is_table;
+                     const bool a_table = a.type == kTableFile;
+                     const bool b_table = b.type == kTableFile;
+                     if (a_table != b_table) return !a_table;
                      if (a.level != b.level) return a.level > b.level;
                      return a.number < b.number;
                    });
@@ -408,13 +406,15 @@ void DBImpl::RemoveObsoleteFiles() {
   // Unlink outside the lock: only dead files are in the list, and files
   // created concurrently (by the writer rotating the WAL) carry numbers
   // this pass never classified, so they cannot be removed by mistake. Dead
-  // tables leave the table cache and the pins of dead versions go back
-  // first, also unlocked: the last reference to a table's reader closes
-  // its file. No live version names a dead table, so no read looks it up.
+  // tables leave the table cache, dead vLog segments the reader cache, and
+  // the pins of dead versions go back first, also unlocked: the last
+  // reference to a table's reader or a segment's handle closes its file. No
+  // live version names a dead table or segment, so no read looks it up.
   const std::vector<Cache::Handle*> dead_pins = versions_->TakeDeadPins();
   mutex_.Unlock();
   for (const Doomed& doomed : files_to_delete) {
-    if (doomed.is_table) table_cache_->Evict(doomed.number);
+    if (doomed.type == kTableFile) table_cache_->Evict(doomed.number);
+    if (doomed.type == kVlogFile) vlog_readers_.Evict(doomed.number);
   }
   for (Cache::Handle* h : dead_pins) table_cache_->Unpin(h);
   for (const Doomed& doomed : files_to_delete) {
@@ -422,7 +422,7 @@ void DBImpl::RemoveObsoleteFiles() {
   }
   mutex_.Lock();
   for (const Doomed& doomed : files_to_delete) {
-    if (doomed.is_table) dead_table_levels_.erase(doomed.number);
+    if (doomed.type == kTableFile) dead_table_levels_.erase(doomed.number);
   }
 }
 

@@ -215,10 +215,13 @@ struct Options {
 
 // Options that control read operations.
 struct ReadOptions {
-  // If true, all data read from underlying storage will be verified against
-  // corresponding checksums.
+  // If true, every data block read is checked against its CRC, even one
+  // its table has checked before; the block cache is bypassed. Otherwise a
+  // block is checked once per open table: when it is read into the cache,
+  // or on its first use when the table's file is mapped.
   bool verify_checksums = false;
-  // Should the data read for this iteration be cached in memory?
+  // Should the data read for this iteration be cached in memory? (A mapped
+  // table's data blocks never enter the block cache.)
   bool fill_cache = true;
   // If non-null, read as of the supplied snapshot (which must belong to the
   // DB that is being read and must not have been released).

@@ -314,6 +314,16 @@ bool BlockSearch::Seek(const Block& block, const Slice& target,
     return false;
   };
 
+  // A block read in place from a mapped table is often cold. Its few
+  // restart keys (a data block has about three) are asked for at once,
+  // rather than one cache miss per step of the binary search.
+  if (num_restarts <= kPrefetchRestarts) {
+    for (uint32_t i = 1; i < num_restarts; i++) {
+      const uint32_t offset = restart_point(i);
+      if (offset < restarts) __builtin_prefetch(data + offset);
+    }
+  }
+
   // The last restart point whose key is before |target|.
   uint32_t left = 0;
   uint32_t right = num_restarts - 1;
@@ -335,10 +345,18 @@ bool BlockSearch::Seek(const Block& block, const Slice& target,
     }
   }
 
-  // From there, the first entry at or past it.
+  // From there, the first entry at or past it. The lines of the interval
+  // the scan walks are asked for at once too.
   const uint32_t offset = restart_point(left);
   if (offset >= restarts) return false;
   const char* p = data + offset;
+  const char* const interval_end =
+      data + (left + 1 < num_restarts
+                  ? std::min(restart_point(left + 1), restarts)
+                  : restarts);
+  for (const char* line = p + 64; line < interval_end; line += 64) {
+    __builtin_prefetch(line);
+  }
   while (p < limit) {
     uint32_t shared, non_shared, value_length;
     p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
@@ -356,7 +374,7 @@ bool BlockSearch::Seek(const Block& block, const Slice& target,
   return false;
 }
 
-Iterator* Block::NewIterator(const Comparator* comparator) {
+Iterator* Block::NewIterator(const Comparator* comparator) const {
   if (size_ < sizeof(uint32_t)) {
     return NewErrorIterator(Status::Corruption("bad block contents"));
   }

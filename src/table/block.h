@@ -24,7 +24,9 @@ class Block {
   ~Block();
 
   size_t size() const { return size_; }
-  Iterator* NewIterator(const Comparator* comparator);
+  // An iterator over the block's entries. It reads the block's bytes, not
+  // the Block: it may outlive a Block that does not own its bytes.
+  Iterator* NewIterator(const Comparator* comparator) const;
 
   // Number of restart points; 0 for a block that failed to parse.
   uint32_t NumRestarts() const;
@@ -50,10 +52,15 @@ class Block {
 // same restart-array binary search, linear scan and corruption checks) but
 // without an iterator, and comparing by memcmp instead of a comparator. The
 // found key is assembled in an inline buffer, or on the heap when it is
-// longer; the value points into the block.
+// longer; the value points into the block. The search prefetches the lines
+// it may read next, since a block read in place is often not in the CPU
+// cache.
 class BlockSearch {
  public:
   static constexpr size_t kInlineKey = 64;
+  // Blocks with at most this many restart points have all their restart
+  // keys prefetched before the binary search.
+  static constexpr uint32_t kPrefetchRestarts = 8;
 
   BlockSearch() = default;
   BlockSearch(const BlockSearch&) = delete;

@@ -1,5 +1,7 @@
 #include "src/table/format.h"
 
+#include <memory>
+
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 
@@ -58,53 +60,40 @@ Status Footer::DecodeFrom(Slice* input) {
 }
 
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 BlockContents* result) {
+                 bool in_place, bool verify, BlockContents* result) {
   result->data = Slice();
-  result->cachable = false;
   result->heap_allocated = false;
 
-  // Read the block contents as well as the type/crc footer.
+  // Read the block contents as well as the type/crc trailer.
   const size_t n = static_cast<size_t>(handle.size());
-  char* buf = new char[n + kBlockTrailerSize];
+  std::unique_ptr<char[]> buf;
+  if (!in_place) buf.reset(new char[n + kBlockTrailerSize]);
   Slice contents;
   Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf);
-  if (!s.ok()) {
-    delete[] buf;
-    return s;
-  }
+      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
+  if (!s.ok()) return s;
   if (contents.size() != n + kBlockTrailerSize) {
-    delete[] buf;
     return Status::Corruption("truncated block read");
   }
 
-  // Check the crc of the type and the block contents.
   const char* data = contents.data();  // Pointer to where Read put the data
-  const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-  const uint32_t actual = crc32c::Value(data, n + 1);
-  if (actual != crc) {
-    delete[] buf;
-    return Status::Corruption("block checksum mismatch");
+  if (verify) {
+    // Check the crc of the type and the block contents.
+    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
+    const uint32_t actual = crc32c::Value(data, n + 1);
+    if (actual != crc) {
+      return Status::Corruption("block checksum mismatch");
+    }
+    // Only uncompressed blocks (type 0) exist in the current format.
+    if (data[n] != 0) {
+      return Status::Corruption("unknown block type");
+    }
   }
 
-  // Only uncompressed blocks (type 0) exist in the current format.
-  if (data[n] != 0) {
-    delete[] buf;
-    return Status::Corruption("unknown block type");
-  }
-
-  if (data != buf) {
-    // File implementation gave us pointer to some other data (e.g. an mmap
-    // region). Use it directly; assume it will be live while the file is
-    // open.
-    delete[] buf;
-    result->data = Slice(data, n);
-    result->heap_allocated = false;
-    result->cachable = false;  // Do not double-cache
-  } else {
-    result->data = Slice(buf, n);
+  result->data = Slice(data, n);
+  if (data == buf.get()) {
     result->heap_allocated = true;
-    result->cachable = true;
+    buf.release();  // now owned through result->data
   }
   return Status::OK();
 }

@@ -77,14 +77,17 @@ static const size_t kBlockTrailerSize = 5;
 
 struct BlockContents {
   Slice data;           // Actual contents of data
-  bool cachable;        // True iff data can be cached
   bool heap_allocated;  // True iff caller should delete[] data.data()
 };
 
-// Read the block identified by |handle| from |file|, verifying the trailer
-// checksum.
+// Read the block identified by |handle| from |file|. With |in_place| the
+// file serves reads from its own memory (see RandomAccessFile::Read), and
+// the result views the block there, with no scratch buffer; otherwise the
+// block is read into a new heap buffer that the caller owns. The trailer
+// (the type byte and the CRC of contents and type) is checked when
+// |verify|; a block read in place needs the check only on its first use.
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 BlockContents* result);
+                 bool in_place, bool verify, BlockContents* result);
 
 }  // namespace acheron
 

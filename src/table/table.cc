@@ -1,7 +1,9 @@
 #include "src/table/table.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 
 #include "src/core/key_windows.h"
 #include "src/env/env.h"
@@ -85,14 +87,35 @@ struct Table::Rep {
   // not ordered bytewise or the index block is not one entry per restart
   // point. Over the key part before |key_trailer|.
   KeyWindows index_windows;
+  // Whether |file| serves reads from its own memory (see
+  // RandomAccessFile::Read): data blocks are then read in place and never
+  // enter the block cache.
+  bool in_place = false;
+  // For an in-place table, the data blocks' offsets in index order, and one
+  // bit per block, by the same ordinal, set once its trailer has checked
+  // out. The bits are set with relaxed ordering: the bytes they vouch for
+  // are immutable, so a reader that sees a bit set needs nothing else the
+  // checker wrote.
+  std::vector<uint64_t> block_offsets;
+  std::vector<std::atomic<uint64_t>> checked;
 
   // Set bytewise and key_trailer from the comparator.
   void ClassifyComparator();
   // Index the index block's keys; see index_windows.
   void BuildIndexWindows();
-  // The handle of the first index entry at or past |key|. False when no
-  // entry is.
-  bool SeekIndex(const Slice& key, Slice* handle) const;
+  // Fill block_offsets and size checked from the index block. A walk that
+  // meets a bad handle stops there: the blocks past it have no bit and are
+  // checked on every use.
+  void IndexDataBlocks();
+  // The handle of the first index entry at or past |key|, and its ordinal.
+  // False when no entry is.
+  bool SeekIndex(const Slice& key, Slice* handle, size_t* ordinal) const;
+  // The ordinal of the data block at |offset|, or kUnknownOrdinal.
+  size_t BlockOrdinal(uint64_t offset) const;
+  // Whether block |ordinal|'s trailer has checked out; false for
+  // kUnknownOrdinal.
+  bool Checked(size_t ordinal) const;
+  void SetChecked(size_t ordinal);
 };
 
 void Table::Rep::ClassifyComparator() {
@@ -122,7 +145,44 @@ void Table::Rep::BuildIndexWindows() {
   });
 }
 
-bool Table::Rep::SeekIndex(const Slice& target, Slice* handle) const {
+void Table::Rep::IndexDataBlocks() {
+  std::unique_ptr<Iterator> iter(
+      index_block->NewIterator(TableComparator(options)));
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    BlockHandle handle;
+    Slice input = iter->value();
+    if (!handle.DecodeFrom(&input).ok() ||
+        (!block_offsets.empty() && handle.offset() <= block_offsets.back())) {
+      break;
+    }
+    block_offsets.push_back(handle.offset());
+  }
+  std::vector<std::atomic<uint64_t>>((block_offsets.size() + 63) / 64)
+      .swap(checked);
+}
+
+size_t Table::Rep::BlockOrdinal(uint64_t offset) const {
+  auto it = std::lower_bound(block_offsets.begin(), block_offsets.end(),
+                             offset);
+  if (it == block_offsets.end() || *it != offset) return kUnknownOrdinal;
+  return static_cast<size_t>(it - block_offsets.begin());
+}
+
+bool Table::Rep::Checked(size_t ordinal) const {
+  if (ordinal >= block_offsets.size()) return false;
+  return (checked[ordinal / 64].load(std::memory_order_relaxed) >>
+          (ordinal % 64)) &
+         1;
+}
+
+void Table::Rep::SetChecked(size_t ordinal) {
+  if (ordinal >= block_offsets.size()) return;
+  checked[ordinal / 64].fetch_or(uint64_t{1} << (ordinal % 64),
+                                 std::memory_order_relaxed);
+}
+
+bool Table::Rep::SeekIndex(const Slice& target, Slice* handle,
+                           size_t* ordinal) const {
   const Comparator* cmp = TableComparator(options);
   size_t lo, hi;
   index_windows.Ties(index_windows.Window(Slice(
@@ -140,6 +200,7 @@ bool Table::Rep::SeekIndex(const Slice& target, Slice* handle) const {
       hi = mid;
     }
   }
+  *ordinal = lo;
   return lo < index_windows.size() &&
          index_block->RestartEntry(static_cast<uint32_t>(lo), &key, handle);
 }
@@ -160,18 +221,23 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
     return Status::Corruption("truncated sstable footer");
   }
 
+  // A file that answered from its own memory answers every read so.
+  const bool in_place = footer_input.data() != footer_space;
+
   Footer footer;
   s = footer.DecodeFrom(&footer_input);
   if (!s.ok()) return s;
 
   // Read the index block.
   BlockContents index_block_contents;
-  s = ReadBlock(file, footer.index_handle(), &index_block_contents);
+  s = ReadBlock(file, footer.index_handle(), in_place, /*verify=*/true,
+                &index_block_contents);
   if (!s.ok()) return s;
 
   Rep* rep = new Table::Rep;
   rep->options = options;
   rep->file = file;
+  rep->in_place = in_place;
   rep->index_block = new Block(index_block_contents);
   rep->cache_id =
       (options.block_cache ? options.block_cache->NewId() : 0);
@@ -187,6 +253,7 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   }
   rep->ClassifyComparator();
   rep->BuildIndexWindows();
+  if (in_place) rep->IndexDataBlocks();
   rep->filter_data = nullptr;
   rep->index_cache_handle = nullptr;
   rep->filter_cache_handle = nullptr;
@@ -195,7 +262,9 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   // Read the filter block.
   if (rep->filter_policy != nullptr && footer.filter_handle().size() > 0) {
     BlockContents filter_contents;
-    if (ReadBlock(file, footer.filter_handle(), &filter_contents).ok()) {
+    if (ReadBlock(file, footer.filter_handle(), in_place, /*verify=*/true,
+                  &filter_contents)
+            .ok()) {
       if (filter_contents.heap_allocated) {
         rep->filter_data = filter_contents.data.data();
       }
@@ -227,7 +296,8 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
   // Read the properties block.
   {
     BlockContents props_contents;
-    Status ps = ReadBlock(file, footer.properties_handle(), &props_contents);
+    Status ps = ReadBlock(file, footer.properties_handle(), in_place,
+                          /*verify=*/true, &props_contents);
     if (ps.ok()) {
       ps = rep->properties.DecodeFrom(props_contents.data);
       if (props_contents.heap_allocated) {
@@ -248,7 +318,8 @@ Status Table::Open(const Options& options, RandomAccessFile* file,
     rd_handle.set_offset(rep->properties.range_del_block_offset);
     rd_handle.set_size(rep->properties.range_del_block_size);
     BlockContents rd_contents;
-    Status rs = ReadBlock(file, rd_handle, &rd_contents);
+    Status rs =
+        ReadBlock(file, rd_handle, in_place, /*verify=*/true, &rd_contents);
     if (rs.ok()) {
       rs = DecodeRangeTombstones(rd_contents.data, &rep->raw_range_dels);
       if (rd_contents.heap_allocated) {
@@ -287,10 +358,10 @@ static void ReleaseBlock(void* arg, void* h) {
 }
 
 Status Table::FetchBlock(const ReadOptions& options, const Slice& index_value,
-                         Block** block, Cache::Handle** cache_handle) const {
+                         size_t ordinal, BlockContents* contents, Block** block,
+                         Cache::Handle** cache_handle) const {
   *block = nullptr;
   *cache_handle = nullptr;
-  Cache* block_cache = rep_->options.block_cache;
   BlockHandle handle;
   Slice input = index_value;
   Status s = handle.DecodeFrom(&input);
@@ -298,6 +369,20 @@ Status Table::FetchBlock(const ReadOptions& options, const Slice& index_value,
   // more features in the future.
   if (!s.ok()) return s;
 
+  if (rep_->in_place) {
+    if (ordinal == kUnknownOrdinal) {
+      ordinal = rep_->BlockOrdinal(handle.offset());
+    }
+    assert(ordinal >= rep_->block_offsets.size() ||
+           rep_->block_offsets[ordinal] == handle.offset());
+    const bool verify = options.verify_checksums || !rep_->Checked(ordinal);
+    s = ReadBlock(rep_->file, handle, /*in_place=*/true, verify, contents);
+    if (s.ok() && verify) rep_->SetChecked(ordinal);
+    return s;
+  }
+
+  Cache* block_cache =
+      options.verify_checksums ? nullptr : rep_->options.block_cache;
   char cache_key_buffer[16];
   Slice key;
   if (block_cache != nullptr) {
@@ -308,16 +393,10 @@ Status Table::FetchBlock(const ReadOptions& options, const Slice& index_value,
       return s;
     }
   }
-  BlockContents contents;
-  s = ReadBlock(rep_->file, handle, &contents);
+  s = ReadBlock(rep_->file, handle, /*in_place=*/false, /*verify=*/true,
+                contents);
   if (!s.ok()) return s;
-  *block = new Block(contents);
-  // Cache the parsed Block even when its bytes are a view into an mmap'd
-  // file (contents.cachable false): what the cache saves is the per-read
-  // CRC + restart-array parse, not the bytes. A cached view Block is
-  // unreachable once its Table dies -- cache ids are never reused and live
-  // iterators pin the Table -- and its deleter frees only the Block object,
-  // never unowned data.
+  *block = new Block(*contents);
   if (block_cache != nullptr && options.fill_cache) {
     *cache_handle = block_cache->Insert(key, *block, (*block)->size(),
                                         &DeleteCachedBlock);
@@ -328,11 +407,19 @@ Status Table::FetchBlock(const ReadOptions& options, const Slice& index_value,
 Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
                              const Slice& index_value) {
   const Table* table = reinterpret_cast<Table*>(arg);
+  const Comparator* cmp = TableComparator(table->rep_->options);
+  BlockContents contents;
   Block* block;
   Cache::Handle* cache_handle;
-  Status s = table->FetchBlock(options, index_value, &block, &cache_handle);
+  Status s = table->FetchBlock(options, index_value, kUnknownOrdinal,
+                               &contents, &block, &cache_handle);
   if (!s.ok()) return NewErrorIterator(s);
-  Iterator* iter = block->NewIterator(TableComparator(table->rep_->options));
+  if (block == nullptr) {
+    // Read in place: the mapping outlives the iterator, and a block's
+    // iterator needs only its bytes.
+    return Block(contents).NewIterator(cmp);
+  }
+  Iterator* iter = block->NewIterator(cmp);
   if (cache_handle == nullptr) {
     iter->RegisterCleanup(&DeleteBlock, block, nullptr);
   } else {
@@ -372,30 +459,38 @@ Status Table::InternalGet(const ReadOptions& options, const Slice& k,
   Status s;
   Iterator* iiter = nullptr;
   Slice handle;
+  size_t ordinal = kUnknownOrdinal;
   bool found;
   if (!rep_->index_windows.empty() && k.size() >= rep_->key_trailer) {
-    found = rep_->SeekIndex(k, &handle);
+    found = rep_->SeekIndex(k, &handle, &ordinal);
   } else {
     iiter = rep_->index_block->NewIterator(TableComparator(rep_->options));
     iiter->Seek(k);
     found = iiter->Valid();
     if (found) handle = iiter->value();
   }
+  BlockContents contents;
   Block* block = nullptr;
   Cache::Handle* cache_handle = nullptr;
-  if (found) s = FetchBlock(options, handle, &block, &cache_handle);
-  if (block != nullptr) {
+  if (found) {
+    s = FetchBlock(options, handle, ordinal, &contents, &block,
+                   &cache_handle);
+  }
+  if (found && s.ok()) {
+    // A block read in place is parsed on the stack.
+    std::optional<Block> in_place;
+    const Block& b = block != nullptr ? *block : in_place.emplace(contents);
     // In the block: a search on the stack when the keys compare bytewise,
     // else the block iterator's comparator-driven Seek.
     if (rep_->bytewise && k.size() >= rep_->key_trailer) {
       BlockSearch search;
-      if (search.Seek(*block, k, rep_->key_trailer)) {
+      if (search.Seek(b, k, rep_->key_trailer)) {
         (*handle_result)(arg, search.key(), search.value());
       }
       s = search.status();
     } else {
       std::unique_ptr<Iterator> block_iter(
-          block->NewIterator(TableComparator(rep_->options)));
+          b.NewIterator(TableComparator(rep_->options)));
       block_iter->Seek(k);
       if (block_iter->Valid()) {
         (*handle_result)(arg, block_iter->key(), block_iter->value());

@@ -1,8 +1,11 @@
 // Table: immutable, thread-safe SSTable reader with Bloom-filtered point
 // lookups, block-cache integration, and access to the persisted
 // TableProperties (tombstone metadata). A point lookup and an iterator
-// fetch data blocks the same way: block cache first, else one synchronous
-// read, CRC check and parse, inserted into the cache.
+// fetch data blocks the same way. A table whose file serves reads from its
+// own memory (a mapped file) reads each block in place: one Read call, a
+// CRC check on the block's first use by this Table only, and no block
+// cache. Any other table looks in the block cache first, else reads the
+// block into the heap, checks its CRC and inserts it into the cache.
 #ifndef ACHERON_TABLE_TABLE_H_
 #define ACHERON_TABLE_TABLE_H_
 
@@ -21,6 +24,7 @@
 namespace acheron {
 
 class Block;
+struct BlockContents;
 
 class Table {
  public:
@@ -85,13 +89,21 @@ class Table {
   // after Open); |sink| must outlive the table.
   void SetFilterNegativesSink(std::atomic<uint64_t>* sink);
 
-  // The one data-block fetch, for iterators and InternalGet: the block an
-  // index entry names, from the block cache or else read, CRC-checked,
-  // parsed and (with fill_cache) inserted. Sets *cache_handle to the block's
-  // cache handle, which the caller releases, or to null when the caller
-  // owns *block.
+  // Marks an index entry whose ordinal the caller does not know.
+  static constexpr size_t kUnknownOrdinal = ~size_t{0};
+
+  // The one data-block fetch, for iterators and InternalGet: the block the
+  // index entry |ordinal| (or kUnknownOrdinal) names with |index_value|.
+  // A mapped table's block is read in place: *contents views the mapping,
+  // checked on the block's first use (on every use with verify_checksums),
+  // and *block and *cache_handle are null; the caller builds its Block over
+  // *contents. Otherwise *block is set: from the block cache, with a
+  // *cache_handle the caller releases; or read, CRC-checked and parsed, then
+  // inserted into the cache (with fill_cache; *cache_handle set) or owned by
+  // the caller (*cache_handle null). verify_checksums skips the cache.
   Status FetchBlock(const ReadOptions&, const Slice& index_value,
-                    Block** block, Cache::Handle** cache_handle) const;
+                    size_t ordinal, BlockContents* contents, Block** block,
+                    Cache::Handle** cache_handle) const;
 
   // An iterator over the block FetchBlock returns (the two-level iterator's
   // block function).

@@ -2,13 +2,20 @@
 // compaction (leveling + tiering), recovery, and properties.
 #include "src/lsm/db.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/env/env.h"
 #include "src/env/fault_env.h"
@@ -814,6 +821,194 @@ TEST_F(PinnedTableTest, FewerOpenFilesThanTables) {
     }
   }
   EXPECT_EQ(3, table_cache()->pinned());
+}
+
+namespace {
+
+// Under PosixEnv every table is mapped, so its data blocks are read in
+// place and each is CRC-checked on its first use by an open Table (see
+// Table::FetchBlock). MemEnv copies every read and never takes that path.
+// Each test keeps its DB in its own build-directory-relative folder.
+class MappedTableTest : public ::testing::Test {
+ protected:
+  MappedTableTest()
+      : dbname_(std::string("mapped_table_test_") +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name()) {
+    std::filesystem::remove_all(dbname_);
+    options_.env = DefaultEnv();
+    options_.write_buffer_size = 4 << 20;  // one flush makes one table
+  }
+
+  ~MappedTableTest() override {
+    db_.reset();
+    std::filesystem::remove_all(dbname_);
+  }
+
+  Status Open() {
+    db_.reset();
+    DB* raw = nullptr;
+    Status s = DB::Open(options_, dbname_, &raw);
+    db_.reset(raw);
+    return s;
+  }
+
+  static std::string Key(int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key%06d", i);
+    return buf;
+  }
+
+  // Unique in the table file: its first 11 bytes name the key.
+  static std::string Value(int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "value%06d", i);
+    return buf + std::string(80, 'v');
+  }
+
+  // Put keys [0, n) and flush them into one table. The DB is then closed,
+  // so the next Open's tables have checked no block yet.
+  void FillOneTable(int n) {
+    ASSERT_TRUE(Open().ok());
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i)).ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+    db_.reset();
+  }
+
+  // The path of the DB's only table file.
+  std::string TablePath() {
+    std::vector<std::string> tables;
+    for (const auto& entry : std::filesystem::directory_iterator(dbname_)) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(entry.path().filename().string(), &number, &type) &&
+          type == kTableFile) {
+        tables.push_back(entry.path().string());
+      }
+    }
+    EXPECT_EQ(1u, tables.size());
+    return tables.empty() ? std::string() : tables[0];
+  }
+
+  // Complement one byte in the middle of Value(i) in the table file,
+  // through pwrite: a table already mapped (MAP_SHARED) sees the change.
+  void FlipValueByte(int i) {
+    const std::string path = TablePath();
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    const size_t at = bytes.find(Value(i));
+    ASSERT_NE(std::string::npos, at);
+    ASSERT_EQ(std::string::npos, bytes.find(Value(i), at + 1));
+    const size_t offset = at + Value(i).size() / 2;
+    const char flipped = static_cast<char>(~bytes[offset]);
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(1, ::pwrite(fd, &flipped, 1, static_cast<off_t>(offset)));
+    ::close(fd);
+  }
+
+  const std::string dbname_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+}  // namespace
+
+// A byte flipped in a mapped table's data block is caught by the block's
+// CRC: a Get of a key in the block and a scan over it both fail with
+// Corruption, while keys in other blocks still read.
+TEST_F(MappedTableTest, CorruptDataBlockFailsGetAndScan) {
+  const int kKeys = 2000;
+  const int kVictim = 1000;
+  FillOneTable(kKeys);
+  FlipValueByte(kVictim);
+  ASSERT_TRUE(Open().ok());
+
+  std::string value;
+  Status s = db_->Get(ReadOptions(), Key(kVictim), &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(0), &value).ok());
+  EXPECT_EQ(Value(0), value);
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(kKeys - 1), &value).ok());
+  EXPECT_EQ(Value(kKeys - 1), value);
+
+  // A second Get re-reads the block and fails again: a block that failed
+  // its check is not marked checked.
+  s = db_->Get(ReadOptions(), Key(kVictim), &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
+  int seen = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    EXPECT_NE(Key(kVictim), it->key().ToString());
+    seen++;
+  }
+  // The scan skips the bad block's keys and reports its error at the end.
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+  EXPECT_LT(seen, kKeys);
+}
+
+// A block is checked on its first use only, as a cached block is;
+// ReadOptions::verify_checksums re-checks it on every read. A byte flipped
+// after the first probe is seen by the mapping: a plain Get returns the
+// changed value, a verifying Get fails with Corruption.
+TEST_F(MappedTableTest, VerifyChecksumsRechecksAfterFirstProbe) {
+  const int kVictim = 700;
+  FillOneTable(1500);
+  ASSERT_TRUE(Open().ok());
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(kVictim), &value).ok());
+  ASSERT_EQ(Value(kVictim), value);
+
+  FlipValueByte(kVictim);
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  Status s = db_->Get(verify, Key(kVictim), &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  s = db_->Get(ReadOptions(), Key(kVictim), &value);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_NE(Value(kVictim), value);
+  EXPECT_EQ(Value(kVictim).size(), value.size());
+
+  std::unique_ptr<Iterator> it(db_->NewIterator(verify));
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+  }
+  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+}
+
+// Many threads make the first probes of a freshly opened table's blocks at
+// once, so they race on the same checked-bit words (run it under TSan).
+// Every Get reads its value.
+TEST_F(MappedTableTest, ConcurrentFirstProbes) {
+  const int kKeys = 6000;
+  const int kThreads = 8;
+  FillOneTable(kKeys);
+  ASSERT_TRUE(Open().ok());
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([this, t, &failures] {
+      // Each thread starts at its own key and strides through all blocks.
+      std::string value;
+      for (int n = 0; n < kKeys; n++) {
+        const int i = (t * 997 + n * 61) % kKeys;
+        if (!db_->Get(ReadOptions(), Key(i), &value).ok() ||
+            value != Value(i)) {
+          failures[t]++;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; t++) EXPECT_EQ(0, failures[t]) << t;
 }
 
 }  // namespace acheron

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "src/lsm/dbformat.h"
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
+#include "src/table/cache.h"
 #include "src/table/format.h"
 #include "src/table/table_builder.h"
 #include "src/util/bloom.h"
@@ -27,7 +29,7 @@ TEST(BlockTest, EmptyBlock) {
   BlockBuilder builder(16);
   Slice raw = builder.Finish();
   std::string owned = raw.ToString();
-  BlockContents contents{Slice(owned), false, false};
+  BlockContents contents{Slice(owned), false};
   Block block(contents);
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
   it->SeekToFirst();
@@ -46,7 +48,7 @@ TEST(BlockTest, RoundTripAndSeek) {
     builder.Add(k, v);
   }
   std::string owned = builder.Finish().ToString();
-  BlockContents contents{Slice(owned), false, false};
+  BlockContents contents{Slice(owned), false};
   Block block(contents);
 
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
@@ -91,7 +93,7 @@ TEST(BlockTest, PrefixCompressionPreservesKeys) {
     builder.Add(k, "v_" + k);
   }
   std::string owned = builder.Finish().ToString();
-  BlockContents contents{Slice(owned), false, false};
+  BlockContents contents{Slice(owned), false};
   Block block(contents);
   std::unique_ptr<Iterator> it(block.NewIterator(BytewiseComparator()));
   it->SeekToFirst();
@@ -105,11 +107,19 @@ TEST(BlockTest, PrefixCompressionPreservesKeys) {
 
 namespace {
 
-// Builds a table in a MemEnv and reopens it for reading.
+// Builds a table in a MemEnv, or in another Env, and reopens it for
+// reading.
 class TableHarness {
  public:
-  TableHarness() : env_(NewMemEnv()) {
-    options_.env = env_.get();
+  TableHarness() : TableHarness(nullptr, "/table") {}
+
+  // The table is |fname| in |env| (a MemEnv when null), removed when the
+  // harness dies.
+  TableHarness(Env* env, std::string fname)
+      : owned_env_(env == nullptr ? NewMemEnv() : nullptr),
+        env_(env == nullptr ? owned_env_.get() : env),
+        fname_(std::move(fname)) {
+    options_.env = env_;
     options_.block_size = 1024;  // several blocks for realistic index use
     options_.comparator = BytewiseComparator();
   }
@@ -121,7 +131,7 @@ class TableHarness {
 
   Status Build() {
     std::unique_ptr<WritableFile> sink;
-    Status s = env_->NewWritableFile("/table", &sink);
+    Status s = env_->NewWritableFile(fname_, &sink);
     if (!s.ok()) return s;
     TableBuilder builder(options_, sink.get());
     for (const auto& [k, v] : model_) {
@@ -135,7 +145,7 @@ class TableHarness {
     s = sink->Close();
     if (!s.ok()) return s;
 
-    s = env_->NewRandomAccessFile("/table", &source_);
+    s = env_->NewRandomAccessFile(fname_, &source_);
     if (!s.ok()) return s;
     Table* t;
     s = Table::Open(options_, source_.get(), file_size_, &t);
@@ -143,12 +153,20 @@ class TableHarness {
     return s;
   }
 
+  ~TableHarness() {
+    table_.reset();
+    source_.reset();
+    (void)env_->RemoveFile(fname_);
+  }
+
   Table* table() { return table_.get(); }
   const std::map<std::string, std::string>& model() const { return model_; }
   Options options_;
 
  private:
-  std::unique_ptr<Env> env_;
+  std::unique_ptr<Env> owned_env_;
+  Env* const env_;
+  const std::string fname_;
   std::map<std::string, std::string> model_;
   std::unique_ptr<RandomAccessFile> source_;
   std::unique_ptr<Table> table_;
@@ -355,6 +373,82 @@ TEST(TableTest, TruncatedFileIsRejected) {
   EXPECT_TRUE(s.IsCorruption());
 }
 
+namespace {
+
+// A block cache that counts its lookups and inserts.
+class CountingCache : public Cache {
+ public:
+  Handle* Insert(const Slice& key, void* value, size_t charge,
+                 void (*deleter)(const Slice& key, void* value)) override {
+    inserts.fetch_add(1, std::memory_order_relaxed);
+    return base_->Insert(key, value, charge, deleter);
+  }
+  Handle* Lookup(const Slice& key) override {
+    lookups.fetch_add(1, std::memory_order_relaxed);
+    return base_->Lookup(key);
+  }
+  void Release(Handle* handle) override { base_->Release(handle); }
+  void* Value(Handle* handle) override { return base_->Value(handle); }
+  void Erase(const Slice& key) override { base_->Erase(key); }
+  uint64_t NewId() override { return base_->NewId(); }
+  void Prune() override { base_->Prune(); }
+  size_t TotalCharge() const override { return base_->TotalCharge(); }
+
+  std::atomic<int> inserts{0};
+  std::atomic<int> lookups{0};
+
+ private:
+  std::unique_ptr<Cache> base_{NewLRUCache(1 << 20)};
+};
+
+}  // namespace
+
+// A table over a mapped file (PosixEnv) reads its data blocks in place:
+// its Gets and scans make no block cache call, and only Open's pinned index
+// block is in the cache. A MemEnv file copies every read, so its table's
+// blocks go through the cache.
+TEST(TableTest, MappedTableReadsBlocksInPlace) {
+  for (const bool mapped : {true, false}) {
+    SCOPED_TRACE(mapped ? "mapped" : "MemEnv");
+    CountingCache cache;
+    TableHarness h(mapped ? DefaultEnv() : nullptr,
+                   mapped ? "table_test_mapped_table.sst" : "/table");
+    h.options_.block_cache = &cache;
+    for (int i = 0; i < 2000; i++) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "k%06d", i);
+      h.Add(buf, "v" + std::to_string(i));
+    }
+    ASSERT_TRUE(h.Build().ok());
+    ASSERT_GT(h.table()->properties().num_data_blocks, 4u);
+    const int opened_inserts = cache.inserts.load();
+    EXPECT_LE(1, opened_inserts);
+    EXPECT_EQ(0, cache.lookups.load());
+
+    for (int pass = 0; pass < 2; pass++) {
+      for (const auto& [k, v] : h.model()) {
+        GetResult r;
+        ASSERT_TRUE(h.table()->InternalGet(ReadOptions(), k, k, &r, SaveGet)
+                        .ok());
+        ASSERT_TRUE(r.called) << k;
+        EXPECT_EQ(v, r.value);
+      }
+      std::unique_ptr<Iterator> it(h.table()->NewIterator(ReadOptions()));
+      size_t n = 0;
+      for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+      ASSERT_TRUE(it->status().ok());
+      EXPECT_EQ(h.model().size(), n);
+    }
+    if (mapped) {
+      EXPECT_EQ(0, cache.lookups.load());
+      EXPECT_EQ(opened_inserts, cache.inserts.load());
+    } else {
+      EXPECT_GT(cache.lookups.load(), 0);
+      EXPECT_GT(cache.inserts.load(), opened_inserts);
+    }
+  }
+}
+
 // Property sweep: tables round-trip across block sizes and restart
 // intervals.
 class TableParamTest
@@ -469,7 +563,7 @@ int ExpectSearchesAgree(const std::string& contents,
                         const std::vector<std::string>& targets,
                         size_t trailer, const Comparator* cmp) {
   int corrupt = 0;
-  BlockContents bc{Slice(contents), false, false};
+  BlockContents bc{Slice(contents), false};
   Block block(bc);
   BlockSearch search;
   for (const std::string& target : targets) {
@@ -573,7 +667,7 @@ TEST(BlockSearchTest, KeysOutgrowTheInlineBuffer) {
   }
   for (const std::string& k : keys) builder.Add(k, k.substr(0, 3));
   const std::string contents = builder.Finish().ToString();
-  BlockContents bc{Slice(contents), false, false};
+  BlockContents bc{Slice(contents), false};
   Block block(bc);
   BlockSearch search;
   for (const std::string& k : keys) {
